@@ -29,7 +29,15 @@ from .fuzzy import (
     similarity,
     singleton,
 )
-from .inference import BatchEvaluation, Prediction, discretize, predict, predict_batch, predict_fuzzy
+from .inference import (
+    BatchEvaluation,
+    Prediction,
+    discretize,
+    predict,
+    predict_batch,
+    predict_fuzzy,
+    predict_rows,
+)
 from .pipeline import ExperimentConfig, run_experiment, split_scenario, train_rulebase
 from .rulebase import (
     Rule,
@@ -83,6 +91,7 @@ __all__ = [
     "predict",
     "predict_batch",
     "predict_fuzzy",
+    "predict_rows",
     "rank_features",
     "representative",
     "run_experiment",

@@ -45,14 +45,15 @@ class Normalization:
         return (value - lo) / (hi - lo)
 
     def apply_matrix(self, features):
-        """Normalize a (n_instances, n_features) array, unclamped."""
+        """Normalize an array whose last axis holds the features, unclamped.
+
+        Elementwise the same arithmetic as apply_value, so the bits agree.
+        """
         mins = np.asarray(self.mins, dtype=float)
         spans = np.asarray(self.maxs, dtype=float) - mins
-        out = np.asarray(features, dtype=float) - mins
         nonconstant = spans > 0.0
-        out[:, nonconstant] /= spans[nonconstant]
-        out[:, ~nonconstant] = 0.0
-        return out
+        out = (np.asarray(features, dtype=float) - mins) / np.where(nonconstant, spans, 1.0)
+        return np.where(nonconstant, out, 0.0)
 
 
 @dataclass(frozen=True, eq=False)
@@ -151,7 +152,7 @@ def _resolve_columns(header, wanted, path):
 
 def read_csv_header(path):
     """Return the header row of a CSV file."""
-    with open(path, encoding="utf-8", newline="") as fh:
+    with open(path, encoding="utf-8-sig", newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
     if header is None:
@@ -170,7 +171,7 @@ def load_csv(path, label_column, feature_columns):
     feature_columns = [str(c) for c in feature_columns]
     if not feature_columns:
         raise SchemaError(f"{path}: no feature columns requested")
-    with open(path, encoding="utf-8", newline="") as fh:
+    with open(path, encoding="utf-8-sig", newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
         if header is None:
@@ -235,7 +236,7 @@ def load_csv(path, label_column, feature_columns):
 def read_feature_rows(path, feature_columns):
     """Load only the requested feature columns (no labels), as a 2-D array."""
     feature_columns = [str(c) for c in feature_columns]
-    with open(path, encoding="utf-8", newline="") as fh:
+    with open(path, encoding="utf-8-sig", newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
         if header is None:

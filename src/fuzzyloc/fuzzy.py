@@ -74,17 +74,19 @@ def representative(s):
 def distance_factor(d, params):
     """Sigmoid discount for the distance d between two sets.
 
-    Returns a value in (0, 1), strictly decreasing in d. Evaluated as
-    1 / (1 + exp(h*d - omega)), which stays monotone in floating point
-    far into the tail.
+    Returns a value in [0, 1), strictly decreasing in d until it reaches
+    0. Evaluated as 1 / (1 + exp(h*d - omega)), which stays monotone in
+    floating point far into the tail.
     """
     if not (isinstance(d, (int, float)) and math.isfinite(d)) or d < 0:
         raise InvalidInputError(f"distance must be finite and >= 0, got {d!r}")
     x = params.h * d - params.omega
-    if x > 745.0:
-        # exp overflows here; the true value already underflows to 0
+    try:
+        return 1.0 / (1.0 + math.exp(x))
+    except OverflowError:
+        # exp(x) exceeds the float range once x > ~709.78, where the true
+        # value is below 6e-309; 0.0 is also what 1 / (1 + inf) gives
         return 0.0
-    return 1.0 / (1.0 + math.exp(x))
 
 
 def similarity(a, b, params):

@@ -53,6 +53,11 @@ class RuleBase:
     feature space; selected_features are indices into it, and every rule
     has one antecedent per selected feature. label_universe lists all
     labels the deployment may emit, including ones never seen in training.
+
+    Construction also stores the rules as read-only float64 arrays for
+    inference (not fields: they do not take part in equality or the
+    document format): antecedents of shape (R, D, 3), consequents of
+    shape (R,) and representatives, the vertex means, of shape (R, D).
     """
 
     rules: tuple
@@ -92,6 +97,19 @@ class RuleBase:
                 raise InvalidInputError(
                     f"rule {idx} has {len(rule.antecedents)} antecedents, expected {arity}"
                 )
+        antecedents = np.array(
+            [[(a.a1, a.a2, a.a3) for a in rule.antecedents] for rule in self.rules], dtype=float
+        )
+        # summed in the order of fuzzy.representative, so the bits agree
+        representatives = (antecedents[..., 0] + antecedents[..., 1] + antecedents[..., 2]) / 3.0
+        consequents = np.array([rule.consequent for rule in self.rules], dtype=float)
+        for name, array in (
+            ("antecedents", antecedents),
+            ("representatives", representatives),
+            ("consequents", consequents),
+        ):
+            array.flags.writeable = False
+            object.__setattr__(self, name, array)
 
     @property
     def n_rules(self):
@@ -227,13 +245,29 @@ def serialize_rulebase(rb):
     return json.dumps(doc, indent=2) + "\n"
 
 
+# vertices are checked by exact type (json.loads yields exact int/float, and
+# bool is no number here): the check runs for every vertex of every load
+_JSON_NUMBERS = frozenset((int, float))
+
+
+def _check_type(value, kinds, what):
+    # JSON true/false parse as bool, a subclass of int; no field is boolean
+    if isinstance(value, bool) or not isinstance(value, kinds):
+        raise RuleBaseFormatError(f"{what} has type {type(value).__name__}")
+    return value
+
+
 def _require(doc, key, kinds, context):
     if key not in doc:
         raise RuleBaseFormatError(f"{context}: missing field {key!r}")
-    value = doc[key]
-    if not isinstance(value, kinds):
-        raise RuleBaseFormatError(f"{context}: field {key!r} has type {type(value).__name__}")
-    return value
+    return _check_type(doc[key], kinds, f"{context}: field {key!r}")
+
+
+def _require_list_of(doc, key, kinds, context):
+    values = _require(doc, key, list, context)
+    for i, value in enumerate(values):
+        _check_type(value, kinds, f"{context}: {key}[{i}]")
+    return values
 
 
 def deserialize_rulebase(text):
@@ -278,6 +312,11 @@ def deserialize_rulebase(text):
             for j, triple in enumerate(ants_doc):
                 if not (isinstance(triple, list) and len(triple) == 3):
                     raise RuleBaseFormatError(f"rules[{i}].antecedents[{j}] must be [a1, a2, a3]")
+                if not _JSON_NUMBERS.issuperset(map(type, triple)):
+                    kinds = sorted({type(v).__name__ for v in triple} - {"int", "float"})
+                    raise RuleBaseFormatError(
+                        f"rules[{i}].antecedents[{j}] has a vertex of type {kinds[0]}"
+                    )
                 antecedents.append(TriangularFuzzySet(*(float(v) for v in triple)))
             rules.append(
                 Rule(
@@ -295,8 +334,8 @@ def deserialize_rulebase(text):
             params=params,
             feature_names=tuple(names),
             normalization=Normalization(mins=tuple(mins), maxs=tuple(maxs)),
-            selected_features=tuple(_require(doc, "selected_features", list, "rule base")),
-            label_universe=tuple(_require(doc, "label_universe", list, "rule base")),
+            selected_features=tuple(_require_list_of(doc, "selected_features", int, "rule base")),
+            label_universe=tuple(_require_list_of(doc, "label_universe", int, "rule base")),
             consequent_strategy=str(_require(doc, "consequent_strategy", str, "rule base")),
             seed=int(_require(doc, "seed", int, "rule base")),
         )

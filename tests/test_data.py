@@ -7,6 +7,7 @@ from fuzzyloc.data import (
     fit_normalization,
     load_csv,
     parse_label,
+    read_csv_header,
     read_feature_rows,
 )
 from fuzzyloc.errors import DataError, InvalidInputError, SchemaError
@@ -163,3 +164,23 @@ class TestReadFeatureRows:
         path = write(tmp_path, "f1\n1\nbad\n")
         with pytest.raises(DataError, match="row 3"):
             read_feature_rows(path, ["f1"])
+
+
+class TestByteOrderMark:
+    """Spreadsheet exports often start with a UTF-8 byte order mark."""
+
+    def write_bom(self, tmp_path, text):
+        path = tmp_path / "bom.csv"
+        path.write_bytes(b"\xef\xbb\xbf" + text.encode("utf-8"))
+        return str(path)
+
+    def test_load_csv(self, tmp_path):
+        data = load_csv(self.write_bom(tmp_path, "b1,label\n1,2\n"), "label", ["b1"])
+        assert data.features.tolist() == [[1.0]]
+
+    def test_read_feature_rows(self, tmp_path):
+        rows = read_feature_rows(self.write_bom(tmp_path, "b1,b2\n1,2\n"), ["b1"])
+        assert rows.tolist() == [[1.0]]
+
+    def test_read_csv_header(self, tmp_path):
+        assert read_csv_header(self.write_bom(tmp_path, "b1,b2\n1,2\n")) == ["b1", "b2"]

@@ -79,6 +79,14 @@ class TestDistanceFactor:
     def test_underflows_to_zero_for_huge_distances(self):
         assert distance_factor(1e6, SimilarityParams()) == 0.0
 
+    def test_exp_overflow_window_gives_zero(self):
+        # math.exp overflows for h*d - omega above ~709.78; the value there
+        # is 0.0, as 1 / (1 + inf) is in the vectorized kernel
+        params = SimilarityParams(h=1.0, omega=0.0)
+        assert distance_factor(709.78, params) > 0.0
+        for d in (709.79, 710.0, 720.0, 744.9, 745.0, 746.0):
+            assert distance_factor(d, params) == 0.0
+
     @given(d=st.floats(min_value=0, max_value=1e9), params=params_st)
     def test_range(self, d, params):
         assert 0.0 <= distance_factor(d, params) <= 1.0

@@ -1,16 +1,36 @@
+import json
 import math
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
+from fuzzyloc import inference
+from fuzzyloc.cli import main
 from fuzzyloc.data import Dataset, Normalization
 from fuzzyloc.errors import DataError, InvalidInputError
-from fuzzyloc.fuzzy import SimilarityParams, TriangularFuzzySet, aggregate, singleton
-from fuzzyloc.inference import discretize, predict, predict_batch, predict_fuzzy
-from fuzzyloc.rulebase import PER_CLASS, Rule, RuleBase, extract_rules
+from fuzzyloc.fuzzy import (
+    SimilarityParams,
+    TriangularFuzzySet,
+    aggregate,
+    firing_degree,
+    representative,
+    similarity,
+    singleton,
+)
+from fuzzyloc.inference import (
+    discretize,
+    predict,
+    predict_batch,
+    predict_fuzzy,
+    predict_rows,
+)
+from fuzzyloc.rulebase import PER_CLASS, Rule, RuleBase, extract_rules, save_rulebase
+from fuzzyloc.synth import write_csv
 
 from conftest import identity_normalized, random_rulebase
+
+EPS = 2.0**-52
 
 
 def onedim_rulebase(rule_specs, universe=(1, 10)):
@@ -57,6 +77,22 @@ class TestDiscretize:
     def test_empty_universe(self):
         with pytest.raises(InvalidInputError):
             discretize(1.0, ())
+
+    @given(data=st.data())
+    def test_matches_the_linear_scan(self, data):
+        universe = tuple(
+            sorted(data.draw(st.lists(st.integers(-10**6, 10**6), min_size=1, max_size=40, unique=True)))
+        )
+        i = data.draw(st.integers(0, len(universe) - 1))
+        gamma = data.draw(
+            st.one_of(
+                st.floats(min_value=-2e6, max_value=2e6),
+                st.just(float(universe[i])),
+                st.just((universe[i] + universe[min(i + 1, len(universe) - 1)]) / 2.0),
+            )
+        )
+        linear = min(universe, key=lambda u: (abs(gamma - u), u))
+        assert discretize(gamma, universe) == linear
 
 
 class TestPredict:
@@ -257,3 +293,199 @@ class TestPredictBatch:
             abs(p.gamma - t) for t, p in zip(result.truths, result.predictions)
         ) / result.n_instances
         assert result.mean_abs_error == manual
+
+
+def ulps_apart(a, b):
+    return abs(a - b) / math.ulp(max(abs(a), abs(b))) if a != b else 0.0
+
+
+@st.composite
+def scenarios(draw):
+    """A random rule base and one observation in raw units.
+
+    The observation is crisp, triangular, far outside the training range
+    (so nothing fires and the fallback decides), or placed so that
+    h*d - omega lands where exp overflows while the shape term is still
+    positive.
+    """
+    kind = draw(st.sampled_from(["crisp", "triangle", "far", "overflow"]))
+    n_features = draw(st.integers(1, 4))
+    selected = draw(
+        st.lists(st.integers(0, n_features - 1), min_size=1, max_size=n_features, unique=True)
+    )
+    if kind == "overflow":
+        mins, spans = [0.0] * n_features, [1.0] * n_features
+        h, omega = draw(st.floats(800.0, 5000.0)), draw(st.floats(-10.0, 50.0))
+    else:
+        mins = draw(st.lists(st.floats(-100.0, 100.0), min_size=n_features, max_size=n_features))
+        spans = draw(
+            st.lists(
+                st.one_of(st.just(0.0), st.floats(0.5, 50.0)),
+                min_size=n_features,
+                max_size=n_features,
+            )
+        )
+        h, omega = draw(st.floats(0.1, 50.0)), draw(st.floats(-10.0, 50.0))
+    lo = draw(st.integers(-5, 5))
+    universe = tuple(range(lo, lo + draw(st.integers(1, 12))))
+    unit = st.floats(-0.5, 1.5)
+    rules = tuple(
+        Rule(
+            antecedents=tuple(
+                TriangularFuzzySet(*sorted(draw(st.tuples(unit, unit, unit))))
+                for _ in selected
+            ),
+            consequent=draw(st.floats(float(universe[0]), float(universe[-1]))),
+            support_count=1,
+        )
+        for _ in range(draw(st.integers(1, 6)))
+    )
+    rb = RuleBase(
+        rules=rules,
+        params=SimilarityParams(h=h, omega=omega),
+        feature_names=tuple(f"f{i}" for i in range(n_features)),
+        normalization=Normalization(
+            mins=tuple(mins), maxs=tuple(m + s for m, s in zip(mins, spans))
+        ),
+        selected_features=tuple(selected),
+        label_universe=universe,
+        consequent_strategy=PER_CLASS,
+        seed=0,
+    )
+
+    if kind == "far":
+        unit = st.one_of(st.floats(-1e4, -50.0), st.floats(50.0, 1e4))
+    normalized = [sorted(draw(st.tuples(unit, unit, unit))) for _ in range(n_features)]
+    if kind in ("crisp", "far"):
+        normalized = [[v[1]] * 3 for v in normalized]
+    if kind == "overflow":
+        # crisp, one rule-dimension pair at distance d with h*d - omega in
+        # (709.78, 745]: shape 1 - d stays positive, math.exp overflows
+        x = draw(st.floats(711.0, 744.0))
+        d = (x + omega) / h
+        target = representative(draw(st.sampled_from(rules)).antecedents[0])
+        normalized[selected[0]] = [target + d] * 3
+    observation = [
+        TriangularFuzzySet(*(m + v * s for v in vertices))
+        for m, s, vertices in zip(mins, spans, normalized)
+    ]
+    return rb, observation
+
+
+def scalar_reference(rb, observation):
+    """Per-rule firings, gamma (None when nothing fires) and the nearest rule
+    distances, from the scalar functions in fuzzy.py."""
+    norm = rb.normalization
+    obs = [
+        TriangularFuzzySet(*(norm.apply_value(v, j) for v in (s.a1, s.a2, s.a3)))
+        for j, s in ((j, observation[j]) for j in rb.selected_features)
+    ]
+    firings = [
+        firing_degree(similarity(o, a, rb.params) for o, a in zip(obs, rule.antecedents))
+        for rule in rb.rules
+    ]
+    gamma = aggregate(firings, rb.consequents.tolist()) if sum(firings) > 0.0 else None
+    obs_rep = [representative(o) for o in obs]
+    distances = [
+        math.dist(obs_rep, [representative(a) for a in rule.antecedents]) for rule in rb.rules
+    ]
+    return firings, gamma, distances
+
+
+class TestKernelMatchesScalarReference:
+    @settings(max_examples=300, deadline=None)
+    @given(scenario=scenarios())
+    def test_firings_gamma_label_and_fallback(self, scenario):
+        rb, observation = scenario
+        firings, gamma, distances = scalar_reference(rb, observation)
+        p = predict_fuzzy(rb, observation)
+
+        assert len(p.per_rule_firings) == rb.n_rules
+        for got, want in zip(p.per_rule_firings, firings):
+            assert ulps_apart(got, want) <= 4, (got, want)
+        assert p.fallback_used == (gamma is None)
+        consequents = rb.consequents.tolist()
+        if gamma is None:
+            # nearest rule; a near tie may go either way between the two
+            # distance formulas, so accept any rule at the minimal distance
+            near = [
+                c for c, dist in zip(consequents, distances) if dist <= min(distances) * (1 + 1e-12)
+            ]
+            assert p.gamma in near
+            assert p.label == discretize(p.gamma, rb.label_universe)
+        else:
+            # 16 ulp at the scale of the consequents: the blend of
+            # mixed-sign consequents can cancel to well below that scale
+            scale = max([1.0] + [abs(c) for c in consequents])
+            assert abs(p.gamma - gamma) <= 16 * EPS * scale
+            midpoint = math.floor(gamma) + 0.5
+            if abs(gamma - midpoint) > 16 * EPS * scale:
+                assert p.label == discretize(gamma, rb.label_universe)
+
+    @settings(max_examples=100, deadline=None)
+    @given(scenario=scenarios())
+    def test_crisp_entry_point_agrees_with_singletons(self, scenario):
+        rb, observation = scenario
+        row = [s.a2 for s in observation]
+        assert predict(rb, row) == predict_fuzzy(rb, [singleton(v) for v in row])
+
+    def test_overflow_window_falls_back_instead_of_raising(self):
+        # h*d - omega = 720 for the only rule: exp overflows, nothing fires
+        rb = RuleBase(
+            rules=(Rule(antecedents=(singleton(0.0),), consequent=3.0, support_count=1),),
+            params=SimilarityParams(h=1000.0, omega=0.0),
+            feature_names=("x",),
+            normalization=Normalization(mins=(0.0,), maxs=(1.0,)),
+            selected_features=(0,),
+            label_universe=(1, 2, 3),
+            consequent_strategy=PER_CLASS,
+            seed=0,
+        )
+        assert similarity(singleton(0.72), singleton(0.0), rb.params) == 0.0
+        p = predict(rb, [0.72])
+        assert p.fallback_used
+        assert p.per_rule_firings.tolist() == [0.0]
+        assert p.gamma == 3.0
+
+
+class TestOnePredictionPath:
+    """Per-row predict, predict_batch and `fuzzyloc predict` share one kernel,
+    so the block size must not change a single bit of the output."""
+
+    @pytest.mark.parametrize("block_elements", [1, 10**7])
+    def test_batch_cli_and_per_row_are_bit_identical(
+        self, block_elements, corridor, corridor_rulebase, tmp_path, monkeypatch
+    ):
+        rb = corridor_rulebase
+        rows = corridor.features.copy()
+        rows[::17, 2] = 100.0  # +100 non-detection sentinels force fallbacks
+        labels = np.clip(corridor.labels, rb.label_universe[0], rb.label_universe[-1])
+        data = Dataset(features=rows, labels=labels, feature_names=rb.feature_names)
+        rb_path, csv_path, out_path = tmp_path / "rb.json", tmp_path / "q.csv", tmp_path / "p.json"
+        save_rulebase(rb, rb_path)
+        write_csv(data, csv_path)
+
+        monkeypatch.setattr(inference, "_BLOCK_ELEMENTS", block_elements)
+        per_row = [predict(rb, row) for row in rows]
+        assert any(p.fallback_used for p in per_row)
+        expected = [(p.label, p.gamma, p.fallback_used) for p in per_row]
+        batch = predict_batch(rb, data).predictions
+        assert [(p.label, p.gamma, p.fallback_used) for p in batch] == expected
+        assert list(predict_rows(rb, rows)) == per_row
+        argv = ["predict", "--rulebase", str(rb_path), "--input", str(csv_path)]
+        assert main(argv + ["--out", str(out_path)]) == 0
+        cli = json.loads(out_path.read_text(encoding="utf-8"))["predictions"]
+        assert [(p["label"], p["gamma"], p["fallback_used"]) for p in cli] == expected
+
+    def test_block_size_does_not_change_the_bits(self, corridor, corridor_rulebase, monkeypatch):
+        got = []
+        for block_elements in (1, 3 * 5 * 7, 10**7):
+            monkeypatch.setattr(inference, "_BLOCK_ELEMENTS", block_elements)
+            got.append(list(predict_rows(corridor_rulebase, corridor.features)))
+        assert got[0] == got[1] == got[2]
+
+    def test_predict_rows_validates_its_input(self, corridor_rulebase):
+        with pytest.raises(InvalidInputError, match="features"):
+            predict_rows(corridor_rulebase, [[0.0, 1.0]])
+        with pytest.raises(InvalidInputError, match="row 1"):
+            predict_rows(corridor_rulebase, [[-50.0] * 5, [-50.0, math.nan, 0.0, 0.0, 0.0]])

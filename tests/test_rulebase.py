@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import numpy as np
@@ -5,7 +6,7 @@ import pytest
 
 from fuzzyloc.data import Normalization
 from fuzzyloc.errors import InvalidInputError, RuleBaseFormatError, RuleBaseVersionError
-from fuzzyloc.fuzzy import SimilarityParams, TriangularFuzzySet
+from fuzzyloc.fuzzy import SimilarityParams, TriangularFuzzySet, representative
 from fuzzyloc.rulebase import (
     GLOBAL_MEAN,
     PER_CLASS,
@@ -177,6 +178,31 @@ class TestRuleBaseValidation:
                 )
 
 
+class TestRuleArrays:
+    def test_arrays_mirror_the_rules(self):
+        rng = np.random.default_rng(7)
+        for _ in range(20):
+            rb = random_rulebase(rng)
+            n_rules, arity = rb.n_rules, len(rb.selected_features)
+            assert rb.antecedents.shape == (n_rules, arity, 3)
+            assert rb.representatives.shape == (n_rules, arity)
+            assert rb.consequents.shape == (n_rules,)
+            for r, rule in enumerate(rb.rules):
+                assert rb.consequents[r] == rule.consequent
+                for d, a in enumerate(rule.antecedents):
+                    assert tuple(rb.antecedents[r, d]) == (a.a1, a.a2, a.a3)
+                    # bit-identical to the scalar reference
+                    assert rb.representatives[r, d] == representative(a)
+
+    def test_arrays_are_read_only_and_stay_out_of_equality(self):
+        rb = small_rulebase()
+        with pytest.raises(ValueError):
+            rb.antecedents[0, 0, 0] = 9.0
+        assert rb == small_rulebase()
+        fields = {f.name for f in dataclasses.fields(rb)}
+        assert fields.isdisjoint({"antecedents", "representatives", "consequents"})
+
+
 class TestSerialization:
     def test_document_shape(self):
         doc = json.loads(serialize_rulebase(small_rulebase()))
@@ -250,4 +276,24 @@ class TestDeserializationErrors:
         doc = json.loads(serialize_rulebase(small_rulebase()))
         doc["similarity_params"]["h"] = "five"
         with pytest.raises(RuleBaseFormatError, match="h"):
+            deserialize_rulebase(json.dumps(doc))
+
+    @pytest.mark.parametrize(
+        "field, edit",
+        [
+            ("format_version", lambda doc: doc.update(format_version=True)),
+            ("support_count", lambda doc: doc["rules"][0].update(support_count=True)),
+            ("consequent", lambda doc: doc["rules"][0].update(consequent=False)),
+            ("seed", lambda doc: doc.update(seed=False)),
+            ("omega", lambda doc: doc["similarity_params"].update(omega=True)),
+            ("min", lambda doc: doc["normalization"][0].update(min=False)),
+            ("antecedents", lambda doc: doc["rules"][0]["antecedents"][0].__setitem__(2, True)),
+            ("selected_features", lambda doc: doc.update(selected_features=[False])),
+            ("label_universe", lambda doc: doc.update(label_universe=[True, 2, 3])),
+        ],
+    )
+    def test_json_booleans_are_not_numbers(self, field, edit):
+        doc = json.loads(serialize_rulebase(small_rulebase()))
+        edit(doc)
+        with pytest.raises(RuleBaseFormatError, match=f"{field}.*bool"):
             deserialize_rulebase(json.dumps(doc))
