@@ -5,7 +5,7 @@ cluster-driven rule extraction, and similarity-weighted inference that can
 land on labels no training instance ever carried.
 """
 
-from .clustering import elbow_k, kmeans, knee_point
+from .clustering import elbow_fit, elbow_k, kmeans, knee_point
 from .curvature import FeatureRanking, feature_curvature, menger_curvature, rank_features
 from .data import Dataset, Normalization, fit_normalization, load_csv, parse_label
 from .errors import (
@@ -76,6 +76,7 @@ __all__ = [
     "deserialize_rulebase",
     "discretize",
     "distance_factor",
+    "elbow_fit",
     "elbow_k",
     "extract_rules",
     "feature_curvature",

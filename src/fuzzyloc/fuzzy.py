@@ -11,9 +11,30 @@ All functions here are pure; the dataclasses are immutable.
 """
 
 import math
+import numbers
 from dataclasses import dataclass
 
 from .errors import InvalidInputError, ZeroFiringError
+
+
+def _finite_real(v, what):
+    """v as a finite real number; raises InvalidInputError naming what.
+
+    int and float pass unchanged (the common case, checked first); other
+    real numbers, numpy scalars among them, convert to float. bool is
+    refused although it is an int.
+    """
+    if type(v) is not float and type(v) is not int:
+        if isinstance(v, bool) or not isinstance(v, numbers.Real):
+            raise InvalidInputError(f"{what} must be a real number, got {type(v).__name__}")
+        v = float(v)
+    try:
+        finite = math.isfinite(v)
+    except OverflowError:  # an int beyond the float range
+        finite = False
+    if not finite:
+        raise InvalidInputError(f"non-finite {what}: {v!r}")
+    return v
 
 
 @dataclass(frozen=True)
@@ -29,9 +50,11 @@ class TriangularFuzzySet:
     a3: float
 
     def __post_init__(self):
-        for v in (self.a1, self.a2, self.a3):
-            if not (isinstance(v, (int, float)) and math.isfinite(v)):
-                raise InvalidInputError(f"non-finite fuzzy set vertex: {v!r}")
+        for name in ("a1", "a2", "a3"):
+            v = getattr(self, name)
+            real = _finite_real(v, "fuzzy set vertex")
+            if real is not v:
+                object.__setattr__(self, name, real)
         if not (self.a1 <= self.a2 <= self.a3):
             raise InvalidInputError(
                 "fuzzy set vertices must satisfy a1 <= a2 <= a3, got "
@@ -60,9 +83,7 @@ class SimilarityParams:
 
 def singleton(v):
     """Fuzzify a crisp value as the degenerate set (v, v, v)."""
-    if not (isinstance(v, (int, float)) and math.isfinite(v)):
-        raise InvalidInputError(f"cannot fuzzify non-finite value {v!r}")
-    v = float(v)
+    v = float(_finite_real(v, "value to fuzzify"))
     return TriangularFuzzySet(v, v, v)
 
 

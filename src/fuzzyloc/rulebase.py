@@ -11,7 +11,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .clustering import elbow_k, kmeans
+# elbow_k and kmeans are not called here; they stay importable as
+# fuzzyloc.rulebase.elbow_k and fuzzyloc.rulebase.kmeans
+from .clustering import elbow_fit, elbow_k, kmeans  # noqa: F401
 from .data import Normalization
 from .errors import (
     InvalidInputError,
@@ -117,18 +119,17 @@ class RuleBase:
 
 
 def _cluster_rules(points, seed, k_max, restarts):
-    """Cluster one point set and yield (member_matrix, centroid) per cluster."""
+    """Cluster one point set and yield a member mask per non-empty cluster."""
     n = len(points)
     effective_k_max = min(k_max, n)
     if n < 3 or effective_k_max < 2:
-        yield points
+        yield np.ones(n, dtype=bool)
         return
-    k = elbow_k(points, effective_k_max, seed, restarts=restarts)
-    result = kmeans(points, k, seed, restarts=restarts)
+    k, fit = elbow_fit(points, effective_k_max, seed, restarts=restarts)
     for c in range(k):
-        members = points[result.assignment == c]
-        if len(members):
-            yield members
+        mask = fit.assignment == c
+        if mask.any():
+            yield mask
 
 
 def _rule_from_members(members, consequent):
@@ -184,25 +185,19 @@ def extract_rules(
         raise InvalidInputError(f"label_universe does not cover training labels {missing}")
 
     points = dataset.features[:, selected_features]
-    rules = []
     if strategy == PER_CLASS:
-        for c in sorted(set(int(v) for v in labels)):
-            class_points = points[labels == c]
-            for members in _cluster_rules(class_points, seed, k_max, restarts):
-                rules.append(_rule_from_members(members, c))
+        groups = [(labels == c, c) for c in sorted(set(int(v) for v in labels))]
     else:
-        member_labels = labels.astype(float)
-        n = len(points)
-        effective_k_max = min(k_max, n)
-        if n < 3 or effective_k_max < 2:
-            rules.append(_rule_from_members(points, member_labels.mean()))
-        else:
-            k = elbow_k(points, effective_k_max, seed, restarts=restarts)
-            result = kmeans(points, k, seed, restarts=restarts)
-            for c in range(k):
-                mask = result.assignment == c
-                if mask.any():
-                    rules.append(_rule_from_members(points[mask], member_labels[mask].mean()))
+        groups = [(slice(None), None)]
+    rules = []
+    for subset, label in groups:
+        group_points, group_labels = points[subset], labels[subset]
+        for mask in _cluster_rules(group_points, seed, k_max, restarts):
+            if label is None:
+                consequent = group_labels[mask].astype(float).mean()
+            else:
+                consequent = label
+            rules.append(_rule_from_members(group_points[mask], consequent))
 
     return RuleBase(
         rules=tuple(rules),

@@ -1,6 +1,7 @@
 import math
 
 import mpmath
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -44,6 +45,36 @@ class TestTriangularFuzzySet:
             TriangularFuzzySet(0.0, 1.0, math.inf)
         with pytest.raises(InvalidInputError):
             TriangularFuzzySet(math.nan, 0.0, 0.0)
+
+    def test_numpy_real_scalars_are_taken_as_floats(self):
+        s = TriangularFuzzySet(np.int64(-1), np.float32(0.5), np.float64(2.0))
+        assert (s.a1, s.a2, s.a3) == (-1.0, 0.5, 2.0)
+        assert all(type(v) is float for v in (s.a1, s.a2, s.a3))
+        t = singleton(np.float32(0.25))
+        assert (t.a1, t.a2, t.a3) == (0.25, 0.25, 0.25) and type(t.a2) is float
+
+    def test_python_numbers_are_kept_as_given(self):
+        s = TriangularFuzzySet(0, 1, 2.5)
+        assert (type(s.a1), type(s.a2), type(s.a3)) == (int, int, float)
+
+    @pytest.mark.parametrize("bad", [True, False, np.bool_(True), "1.0", None, 1j, [1.0]])
+    def test_wrong_types_are_named(self, bad):
+        message = f"must be a real number, got {type(bad).__name__}$"
+        with pytest.raises(InvalidInputError, match=message):
+            TriangularFuzzySet(bad, bad, bad)
+        with pytest.raises(InvalidInputError, match=message):
+            TriangularFuzzySet(-1.0, bad, 1.0)
+        with pytest.raises(InvalidInputError, match=message):
+            singleton(bad)
+
+    @pytest.mark.parametrize(
+        "bad", [math.inf, -math.inf, math.nan, np.float32("inf"), np.float64("nan"), 10**400]
+    )
+    def test_non_finite_values_are_called_non_finite(self, bad):
+        with pytest.raises(InvalidInputError, match="non-finite"):
+            TriangularFuzzySet(bad, bad, bad)
+        with pytest.raises(InvalidInputError, match="non-finite"):
+            singleton(bad)
 
     def test_singleton_collapses_all_vertices(self):
         s = singleton(3.5)
