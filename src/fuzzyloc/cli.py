@@ -28,7 +28,14 @@ from .errors import (
 # predict is not called here; it stays importable as fuzzyloc.cli.predict
 # because perfbench/layers.py hooks its tracer in at that name
 from .inference import predict, predict_batch, predict_rows  # noqa: F401
-from .pipeline import ExperimentConfig, build_report, render_report, run_experiment, train_rulebase
+from .pipeline import (
+    ExperimentConfig,
+    build_report,
+    prediction_fields,
+    render_report,
+    run_experiment,
+    train_rulebase,
+)
 from .rulebase import DEFAULT_K_MAX, PER_CLASS, STRATEGIES, load_rulebase, save_rulebase
 from .synth import LABEL_COLUMN, generate_synthetic, write_csv
 
@@ -156,15 +163,7 @@ def cmd_predict(args):
     doc = {
         "rulebase": args.rulebase,
         "input": args.input,
-        "predictions": [
-            {
-                "gamma": p.gamma,
-                "label": p.label,
-                "total_firing": p.total_firing,
-                "fallback_used": p.fallback_used,
-            }
-            for p in predict_rows(rb, rows)
-        ],
+        "predictions": [prediction_fields(p) for p in predict_rows(rb, rows)],
     }
     _emit(json.dumps(doc, indent=2) + "\n", args.out)
     return EXIT_OK

@@ -12,9 +12,13 @@ import numpy as np
 from .errors import InvalidInputError
 
 MAX_ITERATIONS = 300
-# run x point x cluster x dimension elements per lockstep group of Lloyd
-# runs: 512 KiB per float64 temporary
+# run x point x max(cluster, dimension) elements per lockstep group of
+# Lloyd runs: 512 KiB per float64 temporary
 _BLOCK_ELEMENTS = 2**16
+_EPS = np.finfo(float).eps
+_TINY = np.finfo(float).tiny
+# squared norms beyond this could overflow an exact distance
+_HUGE = np.finfo(float).max / 16
 
 
 class KMeansResult(NamedTuple):
@@ -50,12 +54,64 @@ def _kmeans_pp_init(pts, k, rng):
     return centroids
 
 
-def _assign(pts, centroids):
-    dists = ((pts[:, None, :] - centroids[None, :, :]) ** 2).sum(axis=2)
-    return dists.argmin(axis=1)
+def _exact_dists(pts, cents):
+    """Squared distances of m points to m centroid stacks, (m, dim) against
+    (m, width, dim): the subtract, square and sum over a contiguous last
+    axis that the scalar reference computes, so the bits are its bits."""
+    return np.square(pts[:, None, :] - cents).sum(axis=2)
 
 
-def _sequential_update(pts, centroids, assignment):
+def _assign(pts, sq_norms, cents, real):
+    """Index of each point's nearest real centroid, for a stack of runs.
+
+    pts is (n, dim) with squared row norms sq_norms; cents is (runs,
+    width, dim), its real slots marked in the (runs, width) mask real.
+    Returns (runs, n), equal to the first-index argmin of _exact_dists.
+
+    Distances are first screened with one matrix product,
+    |x|^2 - 2 x.c + |c|^2 (padded slots zeroed for the product, then
+    +inf). That form differs from the exact one by less than
+    8 (dim + 4) (eps (|x|^2 + max|c|^2) + tiny), a bound on the rounding
+    of both, so wherever the best screened distance beats the second by
+    more than twice the bound it is also the exact argmin. The other
+    (run, point) pairs, and any with a non-finite or overflow-sized
+    value, are recomputed exactly, which settles ties as the reference
+    does. Points go through in slices of at most _BLOCK_ELEMENTS
+    distances.
+    """
+    n, dim = pts.shape
+    runs, width = real.shape
+    flat = np.where(real[:, :, None], cents, 0.0).reshape(runs * width, dim)
+    cc = np.square(flat).sum(axis=1)
+    cmax = cc.reshape(runs, width).max(axis=1)[:, None]
+    cc[~real.ravel()] = np.inf
+    out = np.empty((runs, n), dtype=np.intp)
+    step = max(1, _BLOCK_ELEMENTS // (runs * width))
+    for lo in range(0, n, step):
+        x, xx = pts[lo : lo + step], sq_norms[lo : lo + step]
+        d = flat @ x.T
+        d *= -2.0
+        d += xx
+        d += cc[:, None]
+        d = d.reshape(runs, width, len(x))
+        scale = xx + cmax
+        bound = np.where(scale < _HUGE, 8 * (dim + 4) * (_EPS * scale + _TINY), np.inf)
+        near = d <= (d.min(axis=1) + 2 * bound)[:, None]
+        # every slot within twice the bound of the minimum adds width + its
+        # index, so the sum lies in [width, 2 width) when exactly one slot
+        # does, and then names it; NaNs leave no slot near
+        code = np.arange(width, 2.0 * width) @ near
+        best = code.astype(np.intp) - width
+        j, i = np.nonzero((code < width) | (code >= 2 * width))
+        chunk = max(1, _BLOCK_ELEMENTS // (width * dim))
+        for at in range(0, len(i), chunk):
+            ii, jj = i[at : at + chunk], j[at : at + chunk]
+            best[jj, ii] = _exact_dists(x[ii], cents[jj]).argmin(axis=1)
+        out[:, lo : lo + step] = best
+    return out
+
+
+def _sequential_update(pts, sq_norms, centroids, assignment):
     """One run's centroid update, cluster by cluster.
 
     An empty cluster is re-seeded to the point farthest from its currently
@@ -72,7 +128,8 @@ def _sequential_update(pts, centroids, assignment):
         else:
             worst = ((pts - centroids[assignment]) ** 2).sum(axis=1).argmax()
             centroids[c] = pts[worst]
-            assignment = _assign(pts, centroids)
+            real = np.ones((1, len(centroids)), dtype=bool)
+            assignment = _assign(pts, sq_norms, centroids[None], real)[0]
     return assignment, centroids
 
 
@@ -84,15 +141,19 @@ def _lloyd(pts, starts, ks, max_iterations=MAX_ITERATIONS):
     their distances are +inf and no point is ever assigned to them.
     A run stops when its assignment stops changing or after
     max_iterations, and then leaves the stack. Returns one KMeansResult
-    per run, each with the bits a run on its own would give: distances
-    and WCSS are the same numpy reductions over the same axes, and each
-    centroid is its members' sum in point order (np.bincount adds rows in
-    order, as members.mean(axis=0) does) divided by their count.
+    per run, each with the bits a run on its own would give: assignments
+    are the exact argmin (see _assign), WCSS is the same numpy reduction
+    over the same axes, and each centroid is its members' sum in point
+    order (np.bincount adds rows in order, as members.mean(axis=0) does)
+    divided by their count.
     """
     n, dim = pts.shape
     runs, width = starts.shape[:2]
     real = np.arange(width) < np.asarray(ks)[:, None]
     centroids = np.where(real[:, :, None], starts, np.inf)
+    sq_norms = np.square(pts).sum(axis=1)
+    # row d is coordinate d of every point once per run, in the order of cells
+    weights = np.tile(pts.T, runs)
     assignment = np.zeros((runs, n), dtype=np.intp)
     histories = [[] for _ in range(runs)]
     results = [None] * runs
@@ -101,28 +162,26 @@ def _lloyd(pts, starts, ks, max_iterations=MAX_ITERATIONS):
         live = len(active)
         before = centroids[active]
         rows = np.arange(live)[:, None]
-        dists = np.empty((live, n, width))
-        # a run too big for one block goes through in slices of points
-        step = max(1, _BLOCK_ELEMENTS // before.size)
-        for lo in range(0, n, step):
-            diff = pts[None, lo : lo + step, None, :] - before[:, None]
-            dists[:, lo : lo + step] = np.square(diff, out=diff).sum(axis=3)
-        new = dists.argmin(axis=2)
-        cells = rows * width + new
-        counts = np.bincount(cells.ravel(), minlength=live * width).reshape(live, width, 1)
-        sums = np.bincount(
-            (cells[:, :, None] * dim + np.arange(dim)).ravel(),
-            weights=np.broadcast_to(pts, (live, n, dim)).ravel(),
-            minlength=before.size,
-        ).reshape(before.shape)
+        new = _assign(pts, sq_norms, before, real[active])
+        cells = (rows * width + new).ravel()
+        counts = np.bincount(cells, minlength=live * width).reshape(live, width, 1)
+        sums = np.empty((dim, live * width))
+        for d in range(dim):
+            sums[d] = np.bincount(cells, weights=weights[d, : live * n], minlength=live * width)
+        sums = sums.T.reshape(live, width, dim)
         cents = np.where(counts > 0, sums / np.maximum(counts, 1), before)
         # with one dimension, members.mean(axis=0) sums pairwise rather than
         # in point order, so those runs take the sequential step every time
         replay = ((counts[:, :, 0] == 0) & real[active]).any(axis=1) | (dim == 1)
         for j in np.flatnonzero(replay):
             k = ks[active[j]]
-            new[j], cents[j, :k] = _sequential_update(pts, before[j, :k], new[j])
-        wcss_values = ((pts - cents[rows, new]) ** 2).sum(axis=(1, 2))
+            new[j], cents[j, :k] = _sequential_update(pts, sq_norms, before[j, :k], new[j])
+        if replay.any():
+            cells = (rows * width + new).ravel()
+        # (pts - assigned centroid) ** 2 per run, summed as one contiguous block
+        diff = np.take(cents.reshape(-1, dim), cells, axis=0).reshape(live, n, dim)
+        np.subtract(pts, diff, out=diff)
+        wcss_values = np.square(diff, out=diff).sum(axis=(1, 2))
         if iteration == 0:
             done = np.zeros(live, dtype=bool)
         else:
@@ -151,8 +210,9 @@ def _best_fits(pts, ks, seed, restarts):
     makes the same random calls as the first k steps of a longer one, so
     every k starts where a fit of that k alone would. All k x restarts
     runs go through _lloyd in k order, in groups of at most
-    _BLOCK_ELEMENTS run x point x cluster x dimension elements (at least
-    one run each); ties keep the earlier restart.
+    _BLOCK_ELEMENTS run x point x max(cluster, dimension) elements (at
+    least one run each), which bounds the group's distance matrix and its
+    (run, point, dimension) temporaries; ties keep the earlier restart.
     """
     if restarts < 1:
         raise InvalidInputError(f"restarts must be >= 1, got {restarts}")
@@ -161,10 +221,11 @@ def _best_fits(pts, ks, seed, restarts):
         _kmeans_pp_init(pts, ks[-1], np.random.default_rng(master.integers(2**63)))
         for _ in range(restarts)
     ]
+    dim = pts.shape[1]
     groups, group = [], []
     for k in ks:
         for r in range(restarts):
-            if group and (len(group) + 1) * pts.size * k > _BLOCK_ELEMENTS:
+            if group and (len(group) + 1) * len(pts) * max(k, dim) > _BLOCK_ELEMENTS:
                 groups.append(group)
                 group = []
             group.append((k, r))
@@ -172,7 +233,7 @@ def _best_fits(pts, ks, seed, restarts):
 
     best = {}
     for group in groups:
-        stack = np.zeros((len(group), group[-1][0], pts.shape[1]))
+        stack = np.zeros((len(group), group[-1][0], dim))
         for j, (k, r) in enumerate(group):
             stack[j, :k] = starts[r][:k]
         fits = _lloyd(pts, stack, [k for k, _ in group])

@@ -160,91 +160,29 @@ def read_csv_header(path):
     return [name.strip() for name in header]
 
 
-def load_csv(path, label_column, feature_columns):
-    """Load a labeled dataset from an RFC-4180 CSV file with a header row.
+def _read_table(path, feature_columns, label_column=None):
+    """Parse the requested feature columns, and a label column if one is
+    named, of an RFC-4180 CSV file with a header row.
 
-    feature_columns are taken in the requested order. Labels must all use
-    one format (plain integers or c<N>); rows with unparseable or
-    non-finite feature cells are rejected, citing their row numbers
-    (header = row 1).
+    Returns (features as an (n, f) array, labels as a list or None).
+    Labels must all use one format (plain integers or c<N>). Rows with too
+    few cells or an unparseable or non-finite feature cell are rejected
+    together, each named by its row number (header = row 1) and cell.
     """
-    feature_columns = [str(c) for c in feature_columns]
-    if not feature_columns:
-        raise SchemaError(f"{path}: no feature columns requested")
     with open(path, encoding="utf-8-sig", newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
         if header is None:
             raise DataError(f"{path}: file is empty")
         header = [name.strip() for name in header]
-        positions = _resolve_columns(header, feature_columns + [label_column], path)
-        feat_pos = positions[:-1]
-        label_pos = positions[-1]
+        wanted = list(feature_columns) + ([] if label_column is None else [label_column])
+        positions = _resolve_columns(header, wanted, path)
+        feat_pos, label_pos = positions[: len(feature_columns)], positions[-1]
 
         rows = []
-        labels = []
+        labels = None if label_column is None else []
+        parsed_labels = {}
         label_kind = None
-        bad_rows = []
-        for row_number, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) < len(header):
-                bad_rows.append((row_number, "too few cells"))
-                continue
-            values = []
-            row_ok = True
-            for pos in feat_pos:
-                cell = row[pos].strip()
-                try:
-                    value = float(cell)
-                except ValueError:
-                    bad_rows.append((row_number, f"unparseable cell {cell!r}"))
-                    row_ok = False
-                    break
-                if not math.isfinite(value):
-                    bad_rows.append((row_number, f"non-finite cell {cell!r}"))
-                    row_ok = False
-                    break
-                values.append(value)
-            if not row_ok:
-                continue
-            label, kind = parse_label(row[label_pos])
-            if label_kind is None:
-                label_kind = kind
-            elif kind != label_kind:
-                raise SchemaError(
-                    f"{path}: mixed label formats (row {row_number} uses {kind}, "
-                    f"earlier rows use {label_kind})"
-                )
-            rows.append(values)
-            labels.append(label)
-
-    if bad_rows:
-        listed = "; ".join(f"row {n}: {why}" for n, why in bad_rows[:10])
-        more = "" if len(bad_rows) <= 10 else f" (and {len(bad_rows) - 10} more)"
-        raise DataError(f"{path}: {len(bad_rows)} unusable rows: {listed}{more}")
-    if not rows:
-        raise DataError(f"{path}: no data rows")
-
-    return Dataset(
-        features=np.array(rows, dtype=float),
-        labels=np.array(labels, dtype=np.int64),
-        feature_names=tuple(feature_columns),
-    )
-
-
-def read_feature_rows(path, feature_columns):
-    """Load only the requested feature columns (no labels), as a 2-D array."""
-    feature_columns = [str(c) for c in feature_columns]
-    with open(path, encoding="utf-8-sig", newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None:
-            raise DataError(f"{path}: file is empty")
-        header = [name.strip() for name in header]
-        feat_pos = _resolve_columns(header, feature_columns, path)
-
-        rows = []
         bad_rows = []
         for row_number, row in enumerate(reader, start=2):
             if not row:
@@ -254,17 +192,69 @@ def read_feature_rows(path, feature_columns):
                 continue
             try:
                 values = [float(row[pos]) for pos in feat_pos]
+                usable = all(map(math.isfinite, values))
             except ValueError:
-                bad_rows.append((row_number, "unparseable cell"))
+                usable = False
+            if not usable:
+                cells = (row[pos] for pos in feat_pos)
+                bad_rows.append((row_number, next(filter(None, map(_cell_fault, cells)))))
                 continue
-            if not all(math.isfinite(v) for v in values):
-                bad_rows.append((row_number, "non-finite cell"))
-                continue
+            if labels is not None:
+                cell = row[label_pos]
+                if cell not in parsed_labels:
+                    try:
+                        parsed_labels[cell] = parse_label(cell)
+                    except SchemaError as exc:
+                        raise SchemaError(f"{path}: row {row_number}: {exc}") from None
+                label, kind = parsed_labels[cell]
+                if label_kind is None:
+                    label_kind = kind
+                elif kind != label_kind:
+                    raise SchemaError(
+                        f"{path}: mixed label formats (row {row_number} uses {kind}, "
+                        f"earlier rows use {label_kind})"
+                    )
+                labels.append(label)
             rows.append(values)
 
     if bad_rows:
         listed = "; ".join(f"row {n}: {why}" for n, why in bad_rows[:10])
-        raise DataError(f"{path}: {len(bad_rows)} unusable rows: {listed}")
+        more = "" if len(bad_rows) <= 10 else f" (and {len(bad_rows) - 10} more)"
+        raise DataError(f"{path}: {len(bad_rows)} unusable rows: {listed}{more}")
     if not rows:
         raise DataError(f"{path}: no data rows")
-    return np.array(rows, dtype=float)
+    return np.array(rows, dtype=float), labels
+
+
+def _cell_fault(cell):
+    """Why a feature cell is unusable, or None when it holds a finite number."""
+    cell = cell.strip()
+    try:
+        value = float(cell)
+    except ValueError:
+        return f"unparseable cell {cell!r}"
+    return None if math.isfinite(value) else f"non-finite cell {cell!r}"
+
+
+def load_csv(path, label_column, feature_columns):
+    """Load a labeled dataset from an RFC-4180 CSV file with a header row.
+
+    feature_columns are taken in the requested order. Labels must all use
+    one format (plain integers or c<N>); rows with unparseable or
+    non-finite feature cells are rejected, citing their row numbers
+    (header = row 1) and cells.
+    """
+    feature_columns = [str(c) for c in feature_columns]
+    if not feature_columns:
+        raise SchemaError(f"{path}: no feature columns requested")
+    features, labels = _read_table(path, feature_columns, label_column)
+    return Dataset(
+        features=features,
+        labels=np.array(labels, dtype=np.int64),
+        feature_names=tuple(feature_columns),
+    )
+
+
+def read_feature_rows(path, feature_columns):
+    """Load only the requested feature columns (no labels), as a 2-D array."""
+    return _read_table(path, [str(c) for c in feature_columns])[0]

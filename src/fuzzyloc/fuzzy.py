@@ -75,10 +75,12 @@ class SimilarityParams:
     omega: float = 5.0
 
     def __post_init__(self):
-        if not (isinstance(self.h, (int, float)) and math.isfinite(self.h) and self.h > 0):
-            raise InvalidInputError(f"sensitivity factor h must be finite and > 0, got {self.h!r}")
-        if not (isinstance(self.omega, (int, float)) and math.isfinite(self.omega)):
-            raise InvalidInputError(f"offset omega must be finite, got {self.omega!r}")
+        h = _finite_real(self.h, "sensitivity factor h")
+        if not h > 0:
+            raise InvalidInputError(f"sensitivity factor h must be > 0, got {h!r}")
+        omega = _finite_real(self.omega, "offset omega")
+        object.__setattr__(self, "h", h)
+        object.__setattr__(self, "omega", omega)
 
 
 def singleton(v):
@@ -99,8 +101,9 @@ def distance_factor(d, params):
     0. Evaluated as 1 / (1 + exp(h*d - omega)), which stays monotone in
     floating point far into the tail.
     """
-    if not (isinstance(d, (int, float)) and math.isfinite(d)) or d < 0:
-        raise InvalidInputError(f"distance must be finite and >= 0, got {d!r}")
+    d = _finite_real(d, "distance")
+    if d < 0:
+        raise InvalidInputError(f"distance must be >= 0, got {d!r}")
     x = params.h * d - params.omega
     try:
         return 1.0 / (1.0 + math.exp(x))

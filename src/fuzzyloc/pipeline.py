@@ -238,16 +238,17 @@ def build_report(rb, evaluation, config_echo=None, n_train=None):
         "fallback_count": evaluation.fallback_count,
         "per_class": per_class,
         "confusion": [list(row) for row in evaluation.confusion],
-        "per_instance": [
-            {
-                "truth": t,
-                "gamma": p.gamma,
-                "label": p.label,
-                "total_firing": p.total_firing,
-                "fallback_used": p.fallback_used,
-            }
-            for t, p in zip(truths, preds)
-        ],
+        "per_instance": [{"truth": t, **prediction_fields(p)} for t, p in zip(truths, preds)],
+    }
+
+
+def prediction_fields(prediction):
+    """One prediction as report.json and `fuzzyloc predict` list it."""
+    return {
+        "gamma": prediction.gamma,
+        "label": prediction.label,
+        "total_firing": prediction.total_firing,
+        "fallback_used": prediction.fallback_used,
     }
 
 

@@ -93,6 +93,31 @@ class TestTrainPredictEvaluate:
         doc = json.loads(capsys.readouterr().out)
         assert len(doc["predictions"]) == 300
 
+    def test_predictions_match_the_report_per_instance(self, workdir):
+        tmp_path, corridor_csv = workdir
+        out = tmp_path / "run"
+        assert run_cli(
+            "run", "--input", corridor_csv, "--label-col", "room",
+            "--feature-cols", CORRIDOR_COLS, "--unseen", "5", "--out", str(out),
+        ) == 0
+        report = json.loads((out / "report.json").read_text(encoding="utf-8"))
+        held = tmp_path / "held.csv"
+        lines = open(corridor_csv, encoding="utf-8").read().splitlines()
+        room = lines[0].split(",").index("room")
+        held.write_text(
+            "\n".join([lines[0]] + [ln for ln in lines[1:] if ln.split(",")[room] == "5"]) + "\n",
+            encoding="utf-8",
+        )
+        predictions = tmp_path / "predictions.json"
+        assert run_cli(
+            "predict", "--rulebase", str(out / "rulebase.json"), "--input", str(held),
+            "--out", str(predictions),
+        ) == 0
+        listed = json.loads(predictions.read_text(encoding="utf-8"))["predictions"]
+        per_instance = report["per_instance"]
+        assert [list(p) for p in listed] == [["gamma", "label", "total_firing", "fallback_used"]] * 30
+        assert listed == [{k: v for k, v in p.items() if k != "truth"} for p in per_instance]
+
     def test_missing_rulebase_exits_2(self, workdir):
         tmp_path, corridor_csv = workdir
         assert run_cli("predict", "--rulebase", "nope.json", "--input", corridor_csv) == 2

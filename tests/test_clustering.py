@@ -199,6 +199,25 @@ def point_sets(draw, min_n=1, max_n=14):
     return np.array([pool[i] for i in picks], dtype=float)
 
 
+@st.composite
+def wide_point_sets(draw, min_n=1, max_n=14):
+    """Point sets in 1 to 32 dimensions, past numpy's 8-way unrolled sums.
+
+    Rows repeat; mirror images across the first axis put every row whose
+    first coordinate is 0 exactly as far from a row as from its mirror;
+    and a large common offset makes |x|^2 - 2 x.c + |c|^2 cancel badly.
+    """
+    n = draw(st.integers(min_n, max_n))
+    dim = draw(st.integers(1, 32))
+    offset = draw(st.sampled_from([0.0, 1e3, 1e5, 1e8]))
+    value = st.one_of(st.integers(-2, 2).map(float), st.floats(-1, 1, allow_nan=False))
+    pool = draw(st.lists(st.lists(value, min_size=dim, max_size=dim), min_size=1, max_size=n))
+    if draw(st.booleans()):
+        pool += [[-row[0]] + row[1:] for row in pool]
+    picks = draw(st.lists(st.integers(0, len(pool) - 1), min_size=n, max_size=n))
+    return offset + np.array([pool[i] for i in picks], dtype=float)
+
+
 # 1 element puts every run in a group of its own; 2**16 is the kernel's own
 blocks = st.sampled_from([1, 40, 2**16])
 seeds = st.integers(0, 2**32 - 1)
@@ -271,6 +290,95 @@ class TestLockstepKernel:
             assert_same_fit(kmeans(pts, k, 42, restarts=5), ref_kmeans(pts, k, 42, 5))
         k, fit = elbow_fit(pts, 10, 42, restarts=5)
         assert_same_fit(fit, ref_kmeans(pts, k, 42, 5))
+
+
+class TestScreenedAssignment:
+    """The matrix-product screen must never change an assignment."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(pts=wide_point_sets(), data=st.data())
+    def test_wide_points_match_scalar_reference(self, pts, data):
+        k = data.draw(st.integers(1, len(pts)), label="k")
+        restarts = data.draw(st.integers(1, 3), label="restarts")
+        seed = data.draw(seeds, label="seed")
+        assert_same_fit(kmeans(pts, k, seed, restarts=restarts), ref_kmeans(pts, k, seed, restarts))
+        if len(pts) >= 2:
+            k_max = data.draw(st.integers(2, min(len(pts), 6)), label="k_max")
+            k, fit = elbow_fit(pts, k_max, seed, restarts=restarts)
+            curve = [ref_kmeans(pts, j, seed, restarts)[2][-1] for j in range(1, k_max + 1)]
+            assert k == knee_point(curve)
+            assert_same_fit(fit, ref_kmeans(pts, k, seed, restarts))
+
+    @settings(max_examples=100, deadline=None)
+    @given(pts=wide_point_sets(), data=st.data(), block=blocks)
+    def test_wide_stacked_runs_match_one_run_each(self, pts, data, block):
+        # starts drawn from the rows, so mirror pairs and repeats give ties
+        ks = data.draw(st.lists(st.integers(1, len(pts)), min_size=1, max_size=6), label="ks")
+        starts = np.zeros((len(ks), max(ks), pts.shape[1]))
+        for j, k in enumerate(ks):
+            rows = data.draw(st.lists(st.integers(0, len(pts) - 1), min_size=k, max_size=k))
+            starts[j, :k] = pts[rows]
+        cap = data.draw(st.sampled_from([1, 2, 300]), label="max_iterations")
+        with mock.patch.object(clustering, "_BLOCK_ELEMENTS", block):
+            fits = clustering._lloyd(pts, starts, ks, max_iterations=cap)
+        for fit, k, start in zip(fits, ks, starts):
+            assert_same_fit(fit, ref_lloyd(pts, start[:k], max_iterations=cap))
+
+    def test_equidistant_points_take_the_exact_path(self):
+        # rows with first coordinate 0 lie exactly halfway between the two
+        # starts; the reference gives them to the first
+        rng = np.random.default_rng(5)
+        pts = rng.integers(-3, 4, size=(40, 12)).astype(float)
+        pts[::3, 0] = 0.0
+        starts = np.stack([pts[1], pts[1]])
+        starts[0, 0], starts[1, 0] = 2.0, -2.0
+        with mock.patch.object(
+            clustering, "_exact_dists", wraps=clustering._exact_dists
+        ) as exact:
+            (fit,) = clustering._lloyd(pts, starts[None], [2])
+        assert exact.called
+        assert_same_fit(fit, ref_lloyd(pts, starts))
+
+    def test_large_common_offset_matches_reference(self):
+        # |x|^2 is 1e17 here, so the product form loses every digit of the
+        # distances and the exact recompute decides every point
+        rng = np.random.default_rng(6)
+        pts = 1e8 + rng.normal(size=(60, 16)) * rng.uniform(0.5, 4.0, size=(1, 16))
+        for k in (2, 3, 7):
+            assert_same_fit(kmeans(pts, k, 3, restarts=2), ref_kmeans(pts, k, 3, 2))
+        k, fit = elbow_fit(pts, 8, 3, restarts=2)
+        assert_same_fit(fit, ref_kmeans(pts, k, 3, 2))
+
+    def test_separated_points_need_no_exact_recompute(self):
+        with mock.patch.object(
+            clustering, "_exact_dists", wraps=clustering._exact_dists
+        ) as exact:
+            elbow_fit(FOUR_BLOBS, k_max=10, seed=0)
+            elbow_fit(blobs([(0,) * 24, (1,) * 24], per_blob=50, sd=0.1, seed=2), 10, 0)
+        assert not exact.called
+
+    def test_run_larger_than_the_block_matches_reference(self):
+        # one run of 1,400 points x 50 clusters is past the 2**16 block, so
+        # its distances go through in slices of points
+        rng = np.random.default_rng(7)
+        pts = rng.normal(size=(1400, 9)) + rng.integers(0, 6, size=(1400, 1))
+        assert len(pts) * 50 > clustering._BLOCK_ELEMENTS
+        assert_same_fit(kmeans(pts, 50, 11), ref_kmeans(pts, 50, 11))
+
+    def test_groups_fill_the_block_by_run_point_and_max_k_dim(self):
+        # a building-sized class: 100 points in 24 dimensions, k 1..10
+        pts = blobs([(0,) * 24, (1,) * 24], per_blob=50, sd=0.3, seed=1)
+        n, dim = pts.shape
+        with mock.patch.object(clustering, "_lloyd", wraps=clustering._lloyd) as lloyd:
+            elbow_fit(pts, k_max=10, seed=0, restarts=5)
+        groups = [list(call.args[2]) for call in lloyd.call_args_list]
+        assert sum(groups, []) == [k for k in range(1, 11) for _ in range(5)]
+        for group, following in zip(groups, groups[1:] + [None]):
+            assert len(group) * n * max(group[-1], dim) <= clustering._BLOCK_ELEMENTS
+            if following:
+                grown = (len(group) + 1) * n * max(following[0], dim)
+                assert grown > clustering._BLOCK_ELEMENTS
+        assert [len(g) for g in groups] == [27, 23]
 
 
 class TestElbowFit:

@@ -1,10 +1,14 @@
+import itertools
 import math
+from types import SimpleNamespace
+from unittest import mock
 
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
+from fuzzyloc import curvature
 from fuzzyloc.curvature import feature_curvature, menger_curvature, rank_features
 from fuzzyloc.errors import InsufficientDataError, InvalidInputError
 
@@ -167,3 +171,73 @@ class TestRankFeatures:
             rank_features(data, top_n=2)
         with pytest.raises(InvalidInputError):
             rank_features(data, top_n=0)
+
+
+@st.composite
+def feature_tables(draw):
+    """(m, n) tables with 1, 2 or many columns; columns may repeat."""
+    m = draw(st.integers(3, 40))
+    n = draw(st.sampled_from([1, 2, 3, 7, 12]))
+    value = st.one_of(
+        st.integers(0, 4).map(lambda v: v / 4),
+        st.floats(-2.0, 2.0, allow_nan=False, allow_infinity=False),
+    )
+    pool = draw(st.lists(st.lists(value, min_size=m, max_size=m), min_size=1, max_size=n))
+    picks = draw(st.lists(st.integers(0, len(pool) - 1), min_size=n, max_size=n))
+    return np.array([pool[i] for i in picks], dtype=float).T
+
+
+def reference_scores(table, sort_values):
+    return [
+        feature_curvature(sorted(column) if sort_values else column) for column in table.T
+    ]
+
+
+def reference_ranks(scores):
+    order = sorted(range(len(scores)), key=lambda i: (-scores[i], i))
+    return tuple(order.index(i) + 1 for i in range(len(scores)))
+
+
+class TestWholeMatrixKernel:
+    """rank_features scores every column at once; feature_curvature is the
+    scalar reference it must follow."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(table=feature_tables(), sort_values=st.booleans())
+    def test_same_bits_as_the_scalar_loop_given_the_same_hypot(self, table, sort_values):
+        # np.hypot and math.hypot disagree by an ulp now and then; with the
+        # reference on np.hypot too, every other operation must agree exactly
+        same_hypot = SimpleNamespace(hypot=lambda x, y: float(np.hypot(x, y)))
+        ranking = rank_features(identity_normalized(table, [1] * len(table)), top_n=1,
+                                sort_values=sort_values)
+        with mock.patch.object(curvature, "math", same_hypot):
+            want = reference_scores(table, sort_values)
+        assert ranking.scores == tuple(want)
+        assert all(type(score) is float for score in ranking.scores)
+        assert ranking.ranks == reference_ranks(want)
+
+    @settings(max_examples=150, deadline=None)
+    @given(table=feature_tables(), sort_values=st.booleans())
+    def test_close_to_the_scalar_reference(self, table, sort_values):
+        # each triple's curvature moves by at most a few ulp with the hypot,
+        # and the running sum can add an ulp of itself per triple
+        m = len(table)
+        ranking = rank_features(identity_normalized(table, [1] * m), top_n=1,
+                                sort_values=sort_values)
+        want = reference_scores(table, sort_values)
+        tolerance = [(m + 8) * np.finfo(float).eps * w for w in want]
+        for got, w, tol in zip(ranking.scores, want, tolerance):
+            assert abs(got - w) <= tol
+        for i, j in itertools.permutations(range(len(want)), 2):
+            if want[i] - tolerance[i] > want[j] + tolerance[j]:
+                assert ranking.ranks[i] < ranking.ranks[j]
+
+    def test_one_column_sums_in_row_order(self):
+        # a reduction down one column would sum pairwise from 8 rows on
+        rng = np.random.default_rng(3)
+        table = rng.random((300, 1)) ** 3
+        same_hypot = SimpleNamespace(hypot=lambda x, y: float(np.hypot(x, y)))
+        with mock.patch.object(curvature, "math", same_hypot):
+            want = feature_curvature(table[:, 0])
+        got = rank_features(identity_normalized(table, [1] * 300), top_n=1).scores[0]
+        assert got == want

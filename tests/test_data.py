@@ -154,6 +154,53 @@ class TestLoadCsv:
         assert data.n_instances == 2
 
 
+class TestRejectedRows:
+    """Both readers name every rejected row by number and cell."""
+
+    TEXT = "f1,f2,label\n1,2,3\n1,oops,3\n , 2,3\nnan,2,3\n1,1e999,3\n1,2\n5,6,7\n"
+    REASONS = [
+        "row 3: unparseable cell 'oops'",
+        "row 4: unparseable cell ''",
+        "row 5: non-finite cell 'nan'",
+        "row 6: non-finite cell '1e999'",
+        "row 7: too few cells",
+    ]
+
+    def test_load_csv(self, tmp_path):
+        with pytest.raises(DataError) as err:
+            load_csv(write(tmp_path, self.TEXT), "label", ["f1", "f2"])
+        assert str(err.value).endswith("5 unusable rows: " + "; ".join(self.REASONS))
+
+    def test_read_feature_rows(self, tmp_path):
+        with pytest.raises(DataError) as err:
+            read_feature_rows(write(tmp_path, self.TEXT), ["f1", "f2"])
+        assert str(err.value).endswith("5 unusable rows: " + "; ".join(self.REASONS))
+
+    def test_first_failing_cell_in_requested_order_is_named(self, tmp_path):
+        path = write(tmp_path, "f1,f2,label\nnan,x,1\n")
+        with pytest.raises(DataError, match="row 2: unparseable cell 'x'"):
+            read_feature_rows(path, ["f2", "f1"])
+        with pytest.raises(DataError, match="row 2: non-finite cell 'nan'"):
+            load_csv(path, "label", ["f1", "f2"])
+
+    def test_long_lists_are_cut_after_ten_rows(self, tmp_path):
+        path = write(tmp_path, "f1\n" + "x\n" * 12 + "1\n")
+        with pytest.raises(DataError, match=r"12 unusable rows: .*row 11: .*\(and 2 more\)$"):
+            read_feature_rows(path, ["f1"])
+
+    def test_unparseable_label_names_its_row(self, tmp_path):
+        path = write(tmp_path, "f1,label\n1,3\n2,room4\n")
+        with pytest.raises(SchemaError, match="row 3: label 'room4'"):
+            load_csv(path, "label", ["f1"])
+
+    def test_readers_agree_on_good_rows(self, tmp_path):
+        path = write(tmp_path, "f1,label,f2\n 1.5 ,c1, -2\n\n3e2,c2,4\n")
+        data = load_csv(path, "label", ["f2", "f1"])
+        rows = read_feature_rows(path, ["f2", "f1"])
+        assert data.features.tolist() == rows.tolist() == [[-2.0, 1.5], [4.0, 300.0]]
+        assert data.labels.tolist() == [1, 2]
+
+
 class TestReadFeatureRows:
     def test_reads_requested_columns(self, tmp_path):
         path = write(tmp_path, "f1,f2,extra\n1,2,x\n3,4,y\n")

@@ -133,6 +133,37 @@ class TestDistanceFactor:
         with pytest.raises(InvalidInputError):
             SimilarityParams(h=-2.0)
 
+    @pytest.mark.parametrize("bad", [True, False, np.bool_(True), "5", None, 1j])
+    def test_wrong_types_are_named(self, bad):
+        # bool is an int, but h=True is a mistake, not a sensitivity of 1
+        message = f"must be a real number, got {type(bad).__name__}$"
+        with pytest.raises(InvalidInputError, match=f"sensitivity factor h {message}"):
+            SimilarityParams(h=bad)
+        with pytest.raises(InvalidInputError, match=f"offset omega {message}"):
+            SimilarityParams(omega=bad)
+        with pytest.raises(InvalidInputError, match=f"distance {message}"):
+            distance_factor(bad, SimilarityParams())
+
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan, np.float64("nan")])
+    def test_non_finite_values_are_called_non_finite(self, bad):
+        with pytest.raises(InvalidInputError, match="non-finite sensitivity factor h"):
+            SimilarityParams(h=bad)
+        with pytest.raises(InvalidInputError, match="non-finite offset omega"):
+            SimilarityParams(omega=bad)
+        with pytest.raises(InvalidInputError, match="non-finite distance"):
+            distance_factor(bad, SimilarityParams())
+
+    def test_numpy_real_scalars_are_taken_as_floats(self):
+        params = SimilarityParams(h=np.int64(2), omega=np.float32(0.5))
+        assert (params.h, params.omega) == (2.0, 0.5)
+        assert type(params.h) is float and type(params.omega) is float
+        assert params == SimilarityParams(h=2.0, omega=0.5)
+        assert distance_factor(np.float32(0.25), params) == distance_factor(0.25, params)
+
+    def test_negative_distance_is_refused(self):
+        with pytest.raises(InvalidInputError, match=">= 0"):
+            distance_factor(-0.5, SimilarityParams())
+
 
 class TestSimilarity:
     def test_identical_sets_reduce_to_zero_distance_factor(self):
