@@ -3,8 +3,8 @@
 Subcommands cover the whole workflow: `synth` fabricates a corridor
 dataset, `rank-features` scores columns by curvature, `train` builds a
 rule-base file, `predict`/`evaluate` apply one, and `run` chains the full
-unseen-label experiment and writes all artifacts. Exit codes: 0 ok,
-2 config or schema problem, 3 data problem, 4 internal failure.
+unseen-label experiment and writes all artifacts. Exit codes, which only
+main assigns: 0 ok, 2 config or schema problem, 3 data problem, 4 bug.
 """
 
 import argparse
@@ -22,7 +22,6 @@ from .errors import (
     EXIT_OK,
     ConfigError,
     DataError,
-    FuzzylocError,
     InvalidInputError,
 )
 # predict is not called here; it stays importable as fuzzyloc.cli.predict
@@ -51,12 +50,7 @@ def parse_label_universe(text):
         if hi < lo:
             raise ConfigError(f"label universe range {text!r} is empty")
         return tuple(range(lo, hi + 1))
-    try:
-        return tuple(int(part) for part in text.split(","))
-    except ValueError:
-        raise ConfigError(
-            f"cannot parse label universe {text!r}; use N..M or a comma-separated list"
-        ) from None
+    return _parse_ints(text, "label universe")
 
 
 def _parse_ints(text, what):
@@ -81,13 +75,6 @@ def _emit(text, out_path):
         sys.stdout.write(text)
 
 
-def _load_rulebase(path):
-    try:
-        return load_rulebase(path)
-    except OSError as exc:
-        raise ConfigError(f"cannot read rule base {path}: {exc}") from exc
-
-
 def _config_from_args(args, output_dir=None):
     return ExperimentConfig(
         input_path=args.input,
@@ -110,10 +97,7 @@ def _config_from_args(args, output_dir=None):
 
 
 def cmd_rank_features(args):
-    try:
-        dataset = load_csv(args.input, args.label_col, _parse_cols(args.feature_cols))
-    except OSError as exc:
-        raise ConfigError(f"cannot read {args.input}: {exc}") from exc
+    dataset = load_csv(args.input, args.label_col, _parse_cols(args.feature_cols))
     normalized = fit_normalization(dataset)
     top_n = args.cfs_top_n
     if top_n is None and args.cfs_epsilon is None:
@@ -155,11 +139,8 @@ def cmd_train(args):
 
 
 def cmd_predict(args):
-    rb = _load_rulebase(args.rulebase)
-    try:
-        rows = read_feature_rows(args.input, rb.feature_names)
-    except OSError as exc:
-        raise ConfigError(f"cannot read {args.input}: {exc}") from exc
+    rb = load_rulebase(args.rulebase)
+    rows = read_feature_rows(args.input, rb.feature_names)
     doc = {
         "rulebase": args.rulebase,
         "input": args.input,
@@ -170,11 +151,8 @@ def cmd_predict(args):
 
 
 def cmd_evaluate(args):
-    rb = _load_rulebase(args.rulebase)
-    try:
-        dataset = load_csv(args.input, args.label_col, rb.feature_names)
-    except OSError as exc:
-        raise ConfigError(f"cannot read {args.input}: {exc}") from exc
+    rb = load_rulebase(args.rulebase)
+    dataset = load_csv(args.input, args.label_col, rb.feature_names)
     evaluation = predict_batch(rb, dataset)
     report = build_report(
         rb,
@@ -311,18 +289,13 @@ def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except ConfigError as exc:
-        print(f"fuzzyloc: config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except InvalidInputError as exc:
+    except (ConfigError, InvalidInputError, OSError) as exc:
+        # readers raise ConfigError for their files, so an OSError is an output's
         print(f"fuzzyloc: config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except DataError as exc:
         print(f"fuzzyloc: data error: {exc}", file=sys.stderr)
         return EXIT_DATA
-    except FuzzylocError as exc:
-        print(f"fuzzyloc: internal error: {exc}", file=sys.stderr)
-        return EXIT_INTERNAL
     except Exception:
         traceback.print_exc()
         return EXIT_INTERNAL

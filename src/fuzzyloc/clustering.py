@@ -216,6 +216,8 @@ def _best_fits(pts, ks, seed, restarts):
     """
     if restarts < 1:
         raise InvalidInputError(f"restarts must be >= 1, got {restarts}")
+    if seed < 0:
+        raise InvalidInputError(f"seed must be >= 0, got {seed}")
     master = np.random.default_rng(seed)
     starts = [
         _kmeans_pp_init(pts, ks[-1], np.random.default_rng(master.integers(2**63)))

@@ -15,6 +15,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import InsufficientDataError, InvalidInputError
+from .fuzzy import _finite_real
 
 # elements per temporary of the whole-matrix curvature kernel: 256 KiB
 _BLOCK_ELEMENTS = 2**15
@@ -145,6 +146,8 @@ def rank_features(dataset, top_n=None, epsilon=None, sort_values=False):
         )
     if top_n is not None and not 1 <= top_n <= n_features:
         raise InvalidInputError(f"top_n must be in 1..{n_features}, got {top_n}")
+    if epsilon is not None:
+        epsilon = _finite_real(epsilon, "epsilon")
 
     scores = _column_curvatures(dataset.features, sort_values).tolist()
 

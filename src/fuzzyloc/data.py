@@ -3,15 +3,18 @@
 import csv
 import math
 import re
+from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
-from .errors import DataError, InvalidInputError, SchemaError
+from .errors import ConfigError, DataError, InvalidInputError, SchemaError
+from .fuzzy import _finite_real
 
 _PREFIXED_LABEL = re.compile(r"^[cC](-?\d+)$")
 _PLAIN_LABEL = re.compile(r"^[+-]?\d+$")
+LABEL_RANGE = range(-(2**63), 2**63)  # labels are held as int64
 
 
 @dataclass(frozen=True)
@@ -29,9 +32,14 @@ class Normalization:
     def __post_init__(self):
         if len(self.mins) != len(self.maxs):
             raise InvalidInputError("normalization mins/maxs length mismatch")
-        for lo, hi in zip(self.mins, self.maxs):
-            if not (math.isfinite(lo) and math.isfinite(hi) and lo <= hi):
-                raise InvalidInputError(f"bad normalization bounds ({lo}, {hi})")
+        for i, (lo, hi) in enumerate(zip(self.mins, self.maxs)):
+            lo = _finite_real(lo, f"normalization[{i}].min")
+            hi = _finite_real(hi, f"normalization[{i}].max")
+            # the span divides every value, so it must be finite too
+            if not (lo <= hi and math.isfinite(float(hi) - float(lo))):
+                raise InvalidInputError(f"bad bounds ({lo}, {hi}) for normalization[{i}]")
+        object.__setattr__(self, "mins", tuple(map(float, self.mins)))
+        object.__setattr__(self, "maxs", tuple(map(float, self.maxs)))
 
     @property
     def n_features(self):
@@ -109,9 +117,9 @@ def fit_normalization(raw):
         raise InvalidInputError("cannot fit normalization on an empty dataset")
     if raw.normalization is not None:
         raise InvalidInputError("dataset is already normalized")
-    mins = tuple(float(v) for v in raw.features.min(axis=0))
-    maxs = tuple(float(v) for v in raw.features.max(axis=0))
-    norm = Normalization(mins=mins, maxs=maxs)
+    norm = Normalization(
+        mins=tuple(raw.features.min(axis=0)), maxs=tuple(raw.features.max(axis=0))
+    )
     return Dataset(
         features=norm.apply_matrix(raw.features),
         labels=raw.labels,
@@ -129,10 +137,14 @@ def parse_label(text):
     text = text.strip()
     m = _PREFIXED_LABEL.match(text)
     if m:
-        return int(m.group(1)), "prefixed"
-    if _PLAIN_LABEL.match(text):
-        return int(text), "plain"
-    raise SchemaError(f"label {text!r} is neither an integer nor a c<N> class name")
+        value, kind = int(m.group(1)), "prefixed"
+    elif _PLAIN_LABEL.match(text):
+        value, kind = int(text), "plain"
+    else:
+        raise SchemaError(f"label {text!r} is neither an integer nor a c<N> class name")
+    if value not in LABEL_RANGE:
+        raise DataError(f"label {text!r} does not fit in a 64-bit integer")
+    return value, kind
 
 
 def _resolve_columns(header, wanted, path):
@@ -150,14 +162,31 @@ def _resolve_columns(header, wanted, path):
     return resolved
 
 
+@contextmanager
+def _open_csv(path):
+    """Yield the stripped header and a reader over the rows of a UTF-8 CSV
+    file; failures raise ConfigError (opening) or DataError, naming path."""
+    try:
+        fh = open(path, encoding="utf-8-sig", newline="")
+    except OSError as exc:
+        raise ConfigError(f"cannot read {path}: {exc.strerror or exc}") from exc
+    with fh:
+        reader = csv.reader(fh)
+        try:
+            header = next(reader, None)
+            if header is None:
+                raise DataError(f"{path}: file is empty")
+            yield [name.strip() for name in header], reader
+        except UnicodeDecodeError as exc:
+            raise DataError(f"{path}: not UTF-8 text: {exc}") from None
+        except csv.Error as exc:
+            raise DataError(f"{path}: row {reader.line_num}: {exc}") from None
+
+
 def read_csv_header(path):
     """Return the header row of a CSV file."""
-    with open(path, encoding="utf-8-sig", newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-    if header is None:
-        raise DataError(f"{path}: file is empty")
-    return [name.strip() for name in header]
+    with _open_csv(path) as (header, _):
+        return header
 
 
 def _read_table(path, feature_columns, label_column=None):
@@ -169,12 +198,7 @@ def _read_table(path, feature_columns, label_column=None):
     few cells or an unparseable or non-finite feature cell are rejected
     together, each named by its row number (header = row 1) and cell.
     """
-    with open(path, encoding="utf-8-sig", newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None:
-            raise DataError(f"{path}: file is empty")
-        header = [name.strip() for name in header]
+    with _open_csv(path) as (header, reader):
         wanted = list(feature_columns) + ([] if label_column is None else [label_column])
         positions = _resolve_columns(header, wanted, path)
         feat_pos, label_pos = positions[: len(feature_columns)], positions[-1]
@@ -204,8 +228,8 @@ def _read_table(path, feature_columns, label_column=None):
                 if cell not in parsed_labels:
                     try:
                         parsed_labels[cell] = parse_label(cell)
-                    except SchemaError as exc:
-                        raise SchemaError(f"{path}: row {row_number}: {exc}") from None
+                    except (SchemaError, DataError) as exc:
+                        raise type(exc)(f"{path}: row {row_number}: {exc}") from None
                 label, kind = parsed_labels[cell]
                 if label_kind is None:
                     label_kind = kind
@@ -227,13 +251,16 @@ def _read_table(path, feature_columns, label_column=None):
 
 
 def _cell_fault(cell):
-    """Why a feature cell is unusable, or None when it holds a finite number."""
-    cell = cell.strip()
+    """Why a feature cell is unusable, or None when it holds a finite number.
+
+    Parsed as _read_table parses it: float() keeps characters, such as
+    "\\x1c", that str.strip() drops."""
+    shown = cell.strip(" \t")
     try:
         value = float(cell)
     except ValueError:
-        return f"unparseable cell {cell!r}"
-    return None if math.isfinite(value) else f"non-finite cell {cell!r}"
+        return f"unparseable cell {shown!r}"
+    return None if math.isfinite(value) else f"non-finite cell {shown!r}"
 
 
 def load_csv(path, label_column, feature_columns):

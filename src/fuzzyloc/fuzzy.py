@@ -75,10 +75,10 @@ class SimilarityParams:
     omega: float = 5.0
 
     def __post_init__(self):
-        h = _finite_real(self.h, "sensitivity factor h")
+        h = float(_finite_real(self.h, "sensitivity factor h"))
         if not h > 0:
             raise InvalidInputError(f"sensitivity factor h must be > 0, got {h!r}")
-        omega = _finite_real(self.omega, "offset omega")
+        omega = float(_finite_real(self.omega, "offset omega"))
         object.__setattr__(self, "h", h)
         object.__setattr__(self, "omega", omega)
 
@@ -92,6 +92,12 @@ def singleton(v):
 def representative(s):
     """Crisp representative of a set: the mean of its three vertices."""
     return (s.a1 + s.a2 + s.a3) / 3.0
+
+
+def vertex_means(vertices):
+    """representative of every set in an array whose last axis holds
+    (a1, a2, a3), summed in the same order so the bits agree."""
+    return (vertices[..., 0] + vertices[..., 1] + vertices[..., 2]) / 3.0
 
 
 def distance_factor(d, params):

@@ -19,6 +19,7 @@ import numpy as np
 
 from .data import Dataset
 from .errors import DataError, InvalidInputError
+from .fuzzy import vertex_means
 
 # row x rule x dimension elements per kernel block: 128 KiB per float64 temporary
 _BLOCK_ELEMENTS = 16384
@@ -63,11 +64,9 @@ def discretize(gamma, label_universe):
     return int(below if gamma - below <= above - gamma else above)
 
 
-def _vertex_means(triangles):
-    # summed in the order of fuzzy.representative, so the bits agree
-    return (triangles[..., 0] + triangles[..., 1] + triangles[..., 2]) / 3.0
-
-
+# an overflow gives inf, which the shape floor and the distance factor turn
+# into 0; rule vertex means are finite, so no inf - inf arises
+@np.errstate(over="ignore")
 def _firing_matrix(rb, obs):
     """Firing degree of every rule for every observation.
 
@@ -80,7 +79,7 @@ def _firing_matrix(rb, obs):
     """
     ants, reps = rb.antecedents, rb.representatives
     h, omega = rb.params.h, rb.params.omega
-    obs_reps = _vertex_means(obs)
+    obs_reps = vertex_means(obs)
     out = np.empty((len(obs), len(reps)))
     step = max(1, _BLOCK_ELEMENTS // reps.size)
     for lo in range(0, len(obs), step):
@@ -96,8 +95,7 @@ def _firing_matrix(rb, obs):
         factor = np.abs(obs_reps[lo:lo + step, None] - reps)
         factor *= h
         factor -= omega
-        with np.errstate(over="ignore"):
-            np.exp(factor, out=factor)
+        np.exp(factor, out=factor)
         factor += 1.0
         np.divide(1.0, factor, out=factor)
         shape *= factor
@@ -106,35 +104,27 @@ def _firing_matrix(rb, obs):
     return out
 
 
-def _normalized(rb, raw):
+def _normalized(rb, raw, row_prefix=""):
     """Normalized selected features of raw rows, as (N, D, 3) triangles.
 
     raw is (N, F) for crisp rows or (N, F, 3) for triangles, in the rule
-    base's original feature order and raw units.
+    base's original feature order and raw units. A value that is not
+    finite, raw or once normalized, is refused, naming its feature and row
+    (row_prefix formatted with the row index starts the message).
     """
     if raw.ndim == 2:
         raw = raw[..., None]
     # min-max is monotone, so normalizing each vertex keeps lo <= mid <= hi
-    obs = rb.normalization.apply_matrix(raw.swapaxes(1, 2)).swapaxes(1, 2)
+    with np.errstate(over="ignore"):
+        obs = rb.normalization.apply_matrix(raw.swapaxes(1, 2)).swapaxes(1, 2)
+    if not (np.isfinite(raw).all() and np.isfinite(obs).all()):
+        i, j, v = np.argwhere(~(np.isfinite(raw) & np.isfinite(obs)))[0]
+        raise InvalidInputError(
+            f"{row_prefix.format(i)}feature {rb.feature_names[j]!r} is not finite "
+            f"raw or once normalized: {raw[i, j, v]}"
+        )
     obs = obs[:, rb.selected_features]
-    if not np.isfinite(obs).all():
-        finite = np.isfinite(obs).all(axis=(1, 2))
-        raise InvalidInputError(
-            f"observation {int(np.argmin(finite))} leaves the float range once normalized"
-        )
     return obs if obs.shape[2] == 3 else np.repeat(obs, 3, axis=2)
-
-
-def _check_finite(rb, raw, row_prefix):
-    """Reject a raw (N, F) matrix with a non-finite cell, naming the first one.
-
-    row_prefix is formatted with the row index to start the message.
-    """
-    if not np.isfinite(raw).all():
-        i, j = np.argwhere(~np.isfinite(raw))[0]
-        raise InvalidInputError(
-            f"{row_prefix.format(i)}feature {rb.feature_names[j]!r} is not finite: {raw[i, j]}"
-        )
 
 
 def _predictions(rb, obs):
@@ -154,8 +144,9 @@ def _predictions(rb, obs):
             # nothing fired; take the consequent of the closest rule by
             # representative distance (first one on ties) instead of
             # dividing by zero
-            gaps = rb.representatives - _vertex_means(obs[i])
-            gamma = consequents[int(np.argmin((gaps * gaps).sum(axis=1)))]
+            with np.errstate(over="ignore"):  # overflowing distances tie at inf
+                gaps = rb.representatives - vertex_means(obs[i])
+                gamma = consequents[int(np.argmin((gaps * gaps).sum(axis=1)))]
             fallback_used = True
         yield Prediction(
             gamma=float(gamma),
@@ -187,7 +178,6 @@ def predict(rb, raw_features):
     if values.ndim != 1:
         raise InvalidInputError(f"observation must be a flat vector, got shape {values.shape}")
     _check_width(rb, len(values), "observation")
-    _check_finite(rb, values[None], "")
     return next(_predictions(rb, _normalized(rb, values[None])))
 
 
@@ -201,8 +191,7 @@ def predict_rows(rb, rows):
     if rows.ndim != 2:
         raise InvalidInputError(f"rows must form a 2-D matrix, got shape {rows.shape}")
     _check_width(rb, rows.shape[1], "each row")
-    _check_finite(rb, rows, "row {}: ")
-    return _predictions(rb, _normalized(rb, rows))
+    return _predictions(rb, _normalized(rb, rows, "row {}: "))
 
 
 @dataclass(frozen=True)
@@ -256,8 +245,7 @@ def predict_batch(rb, dataset: Dataset):
     for i, truth in enumerate(truths):
         if truth not in position:
             raise DataError(f"instance {i}: truth label {truth} is outside the label universe")
-    _check_finite(rb, dataset.features, "instance {}: ")
-    predictions = list(_predictions(rb, _normalized(rb, dataset.features)))
+    predictions = list(_predictions(rb, _normalized(rb, dataset.features, "instance {}: ")))
     for truth, pred in zip(truths, predictions):
         confusion[position[truth]][position[pred.label]] += 1
 

@@ -129,10 +129,7 @@ class TrainResult(NamedTuple):
 def train_rulebase(config):
     """Run the training half of the pipeline: load, split, normalize, rules."""
     with _stage("load"):
-        try:
-            dataset = load_csv(config.input_path, config.label_column, config.feature_columns)
-        except OSError as exc:
-            raise ConfigError(f"cannot read {config.input_path}: {exc}") from exc
+        dataset = load_csv(config.input_path, config.label_column, config.feature_columns)
 
     if config.unseen_labels:
         with _stage("split"):

@@ -14,13 +14,9 @@ import numpy as np
 # elbow_k and kmeans are not called here; they stay importable as
 # fuzzyloc.rulebase.elbow_k and fuzzyloc.rulebase.kmeans
 from .clustering import elbow_fit, elbow_k, kmeans  # noqa: F401
-from .data import Normalization
-from .errors import (
-    InvalidInputError,
-    RuleBaseFormatError,
-    RuleBaseVersionError,
-)
-from .fuzzy import SimilarityParams, TriangularFuzzySet
+from .data import LABEL_RANGE, Normalization
+from .errors import ConfigError, InvalidInputError, RuleBaseFormatError, RuleBaseVersionError
+from .fuzzy import SimilarityParams, TriangularFuzzySet, _finite_real, vertex_means
 
 FORMAT_VERSION = 1
 PER_CLASS = "per-class"
@@ -41,6 +37,7 @@ class Rule:
 
     def __post_init__(self):
         object.__setattr__(self, "antecedents", tuple(self.antecedents))
+        object.__setattr__(self, "consequent", float(_finite_real(self.consequent, "consequent")))
         if not self.antecedents:
             raise InvalidInputError("rule needs at least one antecedent")
         if self.support_count < 1:
@@ -54,7 +51,8 @@ class RuleBase:
     feature_names / normalization describe the original (pre-selection)
     feature space; selected_features are indices into it, and every rule
     has one antecedent per selected feature. label_universe lists all
-    labels the deployment may emit, including ones never seen in training.
+    labels the deployment may emit, including ones never seen in training;
+    they fit in 64 bits, and every consequent lies within their span.
 
     Construction also stores the rules as read-only float64 arrays for
     inference (not fields: they do not take part in equality or the
@@ -91,6 +89,9 @@ class RuleBase:
             raise InvalidInputError("label_universe must be non-empty")
         if any(b <= a for a, b in zip(self.label_universe, self.label_universe[1:])):
             raise InvalidInputError("label_universe must be strictly increasing")
+        lowest, highest = self.label_universe[0], self.label_universe[-1]
+        if lowest not in LABEL_RANGE or highest not in LABEL_RANGE:
+            raise InvalidInputError("label_universe entries must fit in a 64-bit integer")
         if self.consequent_strategy not in STRATEGIES:
             raise InvalidInputError(f"unknown consequent strategy {self.consequent_strategy!r}")
         arity = len(self.selected_features)
@@ -102,9 +103,18 @@ class RuleBase:
         antecedents = np.array(
             [[(a.a1, a.a2, a.a3) for a in rule.antecedents] for rule in self.rules], dtype=float
         )
-        # summed in the order of fuzzy.representative, so the bits agree
-        representatives = (antecedents[..., 0] + antecedents[..., 1] + antecedents[..., 2]) / 3.0
+        with np.errstate(over="ignore"):
+            representatives = vertex_means(antecedents)
         consequents = np.array([rule.consequent for rule in self.rules], dtype=float)
+        # consequents are labels or means of labels; with finite vertex means
+        # this keeps every sum of inference within the float range
+        bad = (consequents < lowest) | (consequents > highest)
+        bad |= ~np.isfinite(representatives).all(axis=1)
+        if bad.any():
+            raise InvalidInputError(
+                f"rule {bad.argmax()} has a consequent outside the label universe "
+                f"[{lowest}, {highest}] or a vertex mean beyond the float range"
+            )
         for name, array in (
             ("antecedents", antecedents),
             ("representatives", representatives),
@@ -118,14 +128,14 @@ class RuleBase:
         return len(self.rules)
 
 
-def _cluster_rules(points, seed, k_max, restarts):
+def _cluster_rules(points, seed, k_max):
     """Cluster one point set and yield a member mask per non-empty cluster."""
     n = len(points)
     effective_k_max = min(k_max, n)
     if n < 3 or effective_k_max < 2:
         yield np.ones(n, dtype=bool)
         return
-    k, fit = elbow_fit(points, effective_k_max, seed, restarts=restarts)
+    k, fit = elbow_fit(points, effective_k_max, seed, restarts=DEFAULT_RESTARTS)
     for c in range(k):
         mask = fit.assignment == c
         if mask.any():
@@ -137,7 +147,7 @@ def _rule_from_members(members, consequent):
         TriangularFuzzySet(float(col.min()), float(col.mean()), float(col.max()))
         for col in members.T
     )
-    return Rule(antecedents=antecedents, consequent=float(consequent), support_count=len(members))
+    return Rule(antecedents=antecedents, consequent=consequent, support_count=len(members))
 
 
 def extract_rules(
@@ -148,7 +158,6 @@ def extract_rules(
     params=None,
     k_max=DEFAULT_K_MAX,
     label_universe=None,
-    restarts=DEFAULT_RESTARTS,
 ):
     """Build a rule base from a normalized training dataset.
 
@@ -192,7 +201,7 @@ def extract_rules(
     rules = []
     for subset, label in groups:
         group_points, group_labels = points[subset], labels[subset]
-        for mask in _cluster_rules(group_points, seed, k_max, restarts):
+        for mask in _cluster_rules(group_points, seed, k_max):
             if label is None:
                 consequent = group_labels[mask].astype(float).mean()
             else:
@@ -240,11 +249,6 @@ def serialize_rulebase(rb):
     return json.dumps(doc, indent=2) + "\n"
 
 
-# vertices are checked by exact type (json.loads yields exact int/float, and
-# bool is no number here): the check runs for every vertex of every load
-_JSON_NUMBERS = frozenset((int, float))
-
-
 def _check_type(value, kinds, what):
     # JSON true/false parse as bool, a subclass of int; no field is boolean
     if isinstance(value, bool) or not isinstance(value, kinds):
@@ -252,21 +256,47 @@ def _check_type(value, kinds, what):
     return value
 
 
-def _require(doc, key, kinds, context):
+def _field(doc, key, context, kinds=object):
+    if not isinstance(doc, dict):
+        raise RuleBaseFormatError(f"{context} must be an object")
     if key not in doc:
         raise RuleBaseFormatError(f"{context}: missing field {key!r}")
     return _check_type(doc[key], kinds, f"{context}: field {key!r}")
 
 
-def _require_list_of(doc, key, kinds, context):
-    values = _require(doc, key, list, context)
-    for i, value in enumerate(values):
-        _check_type(value, kinds, f"{context}: {key}[{i}]")
-    return values
+def _ints(doc, key):
+    values = _field(doc, key, "rule base", list)
+    return tuple(_check_type(v, int, f"rule base: {key}[{i}]") for i, v in enumerate(values))
+
+
+def _at(path, make, *args):
+    """make(*args), an InvalidInputError prefixed with the field path."""
+    try:
+        return make(*args)
+    except InvalidInputError as exc:
+        raise InvalidInputError(f"{path}: {exc}") from None
+
+
+def _rule(entry, path):
+    antecedents = []
+    for j, triple in enumerate(_field(entry, "antecedents", path, list)):
+        if not (isinstance(triple, list) and len(triple) == 3):
+            raise RuleBaseFormatError(f"{path}.antecedents[{j}] must be [a1, a2, a3]")
+        try:
+            fuzzy_set = TriangularFuzzySet(*triple)
+        except InvalidInputError as exc:
+            raise InvalidInputError(f"{path}.antecedents[{j}]: {exc}") from None
+        if int in map(type, triple):  # cast once checked, so re-saving writes floats
+            fuzzy_set = TriangularFuzzySet(*map(float, triple))
+        antecedents.append(fuzzy_set)
+    consequent = _field(entry, "consequent", path)
+    support = _field(entry, "support_count", path, int)
+    return _at(path, Rule, antecedents, consequent, support)
 
 
 def deserialize_rulebase(text):
-    """Parse a rule-base document, validating structure and invariants."""
+    """Parse a rule-base document, validating structure and invariants;
+    an error names the field's path, such as rules[3].antecedents[1]."""
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -274,65 +304,30 @@ def deserialize_rulebase(text):
             f"rule-base document is not valid JSON: {exc.msg} "
             f"(line {exc.lineno} column {exc.colno}, char {exc.pos})"
         ) from exc
-    if not isinstance(doc, dict):
-        raise RuleBaseFormatError("rule-base document must be a JSON object")
-
-    version = _require(doc, "format_version", int, "rule base")
+    version = _field(doc, "format_version", "rule base", int)
     if version != FORMAT_VERSION:
         raise RuleBaseVersionError(
             f"unsupported rule-base format version {version} (expected {FORMAT_VERSION})"
         )
-
-    params_doc = _require(doc, "similarity_params", dict, "rule base")
-    norm_doc = _require(doc, "normalization", list, "rule base")
-    rules_doc = _require(doc, "rules", list, "rule base")
+    params_doc = _field(doc, "similarity_params", "rule base", dict)
+    norm_list = _field(doc, "normalization", "rule base", list)
+    norm_doc = [(entry, f"normalization[{i}]") for i, entry in enumerate(norm_list)]
+    rules_doc = _field(doc, "rules", "rule base", list)
     try:
-        params = SimilarityParams(
-            h=float(_require(params_doc, "h", (int, float), "similarity_params")),
-            omega=float(_require(params_doc, "omega", (int, float), "similarity_params")),
-        )
-        names, mins, maxs = [], [], []
-        for i, entry in enumerate(norm_doc):
-            if not isinstance(entry, dict):
-                raise RuleBaseFormatError(f"normalization[{i}] must be an object")
-            names.append(str(_require(entry, "name", str, f"normalization[{i}]")))
-            mins.append(float(_require(entry, "min", (int, float), f"normalization[{i}]")))
-            maxs.append(float(_require(entry, "max", (int, float), f"normalization[{i}]")))
-        rules = []
-        for i, entry in enumerate(rules_doc):
-            if not isinstance(entry, dict):
-                raise RuleBaseFormatError(f"rules[{i}] must be an object")
-            ants_doc = _require(entry, "antecedents", list, f"rules[{i}]")
-            antecedents = []
-            for j, triple in enumerate(ants_doc):
-                if not (isinstance(triple, list) and len(triple) == 3):
-                    raise RuleBaseFormatError(f"rules[{i}].antecedents[{j}] must be [a1, a2, a3]")
-                if not _JSON_NUMBERS.issuperset(map(type, triple)):
-                    kinds = sorted({type(v).__name__ for v in triple} - {"int", "float"})
-                    raise RuleBaseFormatError(
-                        f"rules[{i}].antecedents[{j}] has a vertex of type {kinds[0]}"
-                    )
-                antecedents.append(TriangularFuzzySet(*(float(v) for v in triple)))
-            rules.append(
-                Rule(
-                    antecedents=tuple(antecedents),
-                    consequent=float(
-                        _require(entry, "consequent", (int, float), f"rules[{i}]")
-                    ),
-                    support_count=int(
-                        _require(entry, "support_count", int, f"rules[{i}]")
-                    ),
-                )
-            )
         return RuleBase(
-            rules=tuple(rules),
-            params=params,
-            feature_names=tuple(names),
-            normalization=Normalization(mins=tuple(mins), maxs=tuple(maxs)),
-            selected_features=tuple(_require_list_of(doc, "selected_features", int, "rule base")),
-            label_universe=tuple(_require_list_of(doc, "label_universe", int, "rule base")),
-            consequent_strategy=str(_require(doc, "consequent_strategy", str, "rule base")),
-            seed=int(_require(doc, "seed", int, "rule base")),
+            rules=tuple(_rule(entry, f"rules[{i}]") for i, entry in enumerate(rules_doc)),
+            params=_at("similarity_params", SimilarityParams, *(
+                _field(params_doc, key, "similarity_params") for key in ("h", "omega")
+            )),
+            feature_names=tuple(_field(entry, "name", path, str) for entry, path in norm_doc),
+            normalization=Normalization(
+                mins=tuple(_field(entry, "min", path) for entry, path in norm_doc),
+                maxs=tuple(_field(entry, "max", path) for entry, path in norm_doc),
+            ),
+            selected_features=_ints(doc, "selected_features"),
+            label_universe=_ints(doc, "label_universe"),
+            consequent_strategy=_field(doc, "consequent_strategy", "rule base", str),
+            seed=_field(doc, "seed", "rule base", int),
         )
     except (InvalidInputError, TypeError, ValueError) as exc:
         raise RuleBaseFormatError(f"rule-base document violates an invariant: {exc}") from exc
@@ -344,5 +339,12 @@ def save_rulebase(rb, path):
 
 
 def load_rulebase(path):
-    with open(path, encoding="utf-8") as fh:
-        return deserialize_rulebase(fh.read())
+    """Parse a rule-base file; ConfigError when it cannot be opened."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            text = fh.read()
+    except UnicodeDecodeError as exc:
+        raise RuleBaseFormatError(f"rule base {path} is not UTF-8 text: {exc}") from None
+    except OSError as exc:
+        raise ConfigError(f"cannot read rule base {path}: {exc.strerror or exc}") from exc
+    return deserialize_rulebase(text)

@@ -72,6 +72,13 @@ class TestKMeans:
         with pytest.raises(InvalidInputError):
             kmeans(pts, 1, seed=0, restarts=0)
 
+    def test_negative_seed_is_named(self):
+        pts = np.array([[0.0], [1.0], [2.0]])
+        with pytest.raises(InvalidInputError, match="seed must be >= 0, got -1"):
+            kmeans(pts, 1, seed=-1)
+        with pytest.raises(InvalidInputError, match="seed must be >= 0, got -3"):
+            elbow_fit(pts, k_max=2, seed=-3)
+
 
 class TestKneePoint:
     def test_sharp_elbow(self):

@@ -126,6 +126,12 @@ class TestRankFeatures:
         assert ranking.ranks == (1, 2, 3)
         assert ranking.selected_indices() == (0,)
 
+    def test_epsilon_must_be_finite(self):
+        data = identity_normalized([[0.0], [1.0], [0.0]], [1, 2, 1])
+        for bad in [float("nan"), float("inf")]:
+            with pytest.raises(InvalidInputError, match="non-finite epsilon"):
+                rank_features(data, epsilon=bad)
+
     def test_epsilon_is_strictly_greater(self):
         data = identity_normalized(
             [[0.0, 0.0], [1.0, 0.25], [0.0, 0.5], [1.0, 0.75], [0.0, 1.0]],

@@ -10,7 +10,7 @@ from fuzzyloc.data import (
     read_csv_header,
     read_feature_rows,
 )
-from fuzzyloc.errors import DataError, InvalidInputError, SchemaError
+from fuzzyloc.errors import ConfigError, DataError, InvalidInputError, SchemaError
 
 
 def write(tmp_path, text, name="data.csv"):
@@ -32,6 +32,13 @@ class TestParseLabel:
     def test_rejects_everything_else(self):
         for bad in ["", "label", "8.5", "c", "cc8", "8c"]:
             with pytest.raises(SchemaError):
+                parse_label(bad)
+
+    def test_labels_are_64_bit(self):
+        assert parse_label(str(2**63 - 1)) == (2**63 - 1, "plain")
+        assert parse_label(f"c{-(2**63)}") == (-(2**63), "prefixed")
+        for bad in [str(2**63), f"c{-(2**63) - 1}", "9" * 23]:
+            with pytest.raises(DataError, match="64-bit"):
                 parse_label(bad)
 
 
@@ -57,6 +64,23 @@ class TestNormalization:
             Normalization(mins=(2.0,), maxs=(1.0,))
         with pytest.raises(InvalidInputError):
             Normalization(mins=(float("nan"),), maxs=(1.0,))
+
+    def test_bounds_go_through_the_finite_real_check(self):
+        with pytest.raises(InvalidInputError, match=r"normalization\[1\]\.max .* got bool"):
+            Normalization(mins=(0.0, 0.0), maxs=(1.0, True))
+        with pytest.raises(InvalidInputError, match=r"non-finite normalization\[0\]\.min"):
+            Normalization(mins=(-(10**400),), maxs=(1.0,))
+        norm = Normalization(mins=(0, np.float64(-2.5)), maxs=(4, np.float32(8.0)))
+        assert [type(v) for v in norm.mins + norm.maxs] == [float] * 4
+
+    def test_span_must_stay_in_the_float_range(self):
+        with pytest.raises(InvalidInputError, match=r"bad bounds \(-1e\+308, 1e\+308\) for normalization\[0\]"):
+            Normalization(mins=(-1e308,), maxs=(1e308,))
+        raw = Dataset(
+            features=[[1.0, 1e308], [2.0, -1e308]], labels=[1, 2], feature_names=("a", "b")
+        )
+        with pytest.raises(InvalidInputError, match=r"normalization\[1\]"):
+            fit_normalization(raw)
 
     def test_fit_normalization_records_column_extrema(self):
         raw = Dataset(
@@ -188,6 +212,22 @@ class TestRejectedRows:
         with pytest.raises(DataError, match=r"12 unusable rows: .*row 11: .*\(and 2 more\)$"):
             read_feature_rows(path, ["f1"])
 
+    def test_cell_that_float_does_not_strip_is_named(self, tmp_path):
+        # str.strip() drops "\x1c" but float() does not
+        path = write(tmp_path, "f1,label\n1\x1c,1\n")
+        with pytest.raises(DataError, match=r"row 2: unparseable cell '1\\x1c'"):
+            load_csv(path, "label", ["f1"])
+
+    def test_label_beyond_64_bits_names_its_row(self, tmp_path):
+        path = write(tmp_path, "f1,label\n1,3\n2,99999999999999999999999\n")
+        with pytest.raises(DataError, match="row 3: label '9+' does not fit"):
+            load_csv(path, "label", ["f1"])
+
+    def test_oversized_field_names_its_row(self, tmp_path):
+        path = write(tmp_path, "f1,label\n1,3\n" + "1" * 200_000 + ",3\n")
+        with pytest.raises(DataError, match="row 3: field larger than field limit"):
+            load_csv(path, "label", ["f1"])
+
     def test_unparseable_label_names_its_row(self, tmp_path):
         path = write(tmp_path, "f1,label\n1,3\n2,room4\n")
         with pytest.raises(SchemaError, match="row 3: label 'room4'"):
@@ -231,3 +271,33 @@ class TestByteOrderMark:
 
     def test_read_csv_header(self, tmp_path):
         assert read_csv_header(self.write_bom(tmp_path, "b1,b2\n1,2\n")) == ["b1", "b2"]
+
+
+READERS = [
+    lambda path: load_csv(path, "label", ["b1"]),
+    lambda path: read_feature_rows(path, ["b1"]),
+    read_csv_header,
+]
+
+
+class TestFileFailures:
+    """Every reader turns its file failures into errors that name the path."""
+
+    @pytest.mark.parametrize("read", READERS)
+    def test_missing_file_is_a_config_error(self, tmp_path, read):
+        path = str(tmp_path / "absent.csv")
+        with pytest.raises(ConfigError, match=f"cannot read {path}: No such file"):
+            read(path)
+
+    @pytest.mark.parametrize("read", READERS)
+    def test_directory_is_a_config_error(self, tmp_path, read):
+        with pytest.raises(ConfigError, match=str(tmp_path)):
+            read(str(tmp_path))
+
+    @pytest.mark.parametrize("read", READERS)
+    @pytest.mark.parametrize("text", [b"b1,label\n1,\xff\n", b"\xffb1,label\n1,2\n"])
+    def test_bytes_that_are_not_utf8_are_a_data_error(self, tmp_path, read, text):
+        path = tmp_path / "latin1.csv"
+        path.write_bytes(text)
+        with pytest.raises(DataError, match=f"{path}: not UTF-8 text"):
+            read(str(path))

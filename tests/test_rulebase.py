@@ -5,7 +5,12 @@ import numpy as np
 import pytest
 
 from fuzzyloc.data import Normalization
-from fuzzyloc.errors import InvalidInputError, RuleBaseFormatError, RuleBaseVersionError
+from fuzzyloc.errors import (
+    ConfigError,
+    InvalidInputError,
+    RuleBaseFormatError,
+    RuleBaseVersionError,
+)
 from fuzzyloc.fuzzy import SimilarityParams, TriangularFuzzySet, representative
 from fuzzyloc.rulebase import (
     GLOBAL_MEAN,
@@ -162,6 +167,39 @@ class TestRuleBaseValidation:
                     seed=0,
                 )
 
+    def test_consequents_must_lie_in_the_label_universe(self):
+        rb = small_rulebase()
+        for consequent in [0.5, 3.5, 1.7e308]:
+            rule = dataclasses.replace(rb.rules[1], consequent=consequent)
+            with pytest.raises(InvalidInputError, match="rule 1 has a consequent outside the label universe"):
+                dataclasses.replace(rb, rules=(rb.rules[0], rule))
+        edge = dataclasses.replace(rb.rules[1], consequent=3.0)
+        assert dataclasses.replace(rb, rules=(rb.rules[0], edge)).consequents[1] == 3.0
+
+    def test_label_universe_must_be_64_bit(self):
+        rb = small_rulebase()
+        assert dataclasses.replace(rb, label_universe=(1, 2, 2**63 - 1)).n_rules == 2
+        for bad in [(1, 2, 2**63), (-(2**63) - 1, 1, 2)]:
+            with pytest.raises(InvalidInputError, match="64-bit"):
+                dataclasses.replace(rb, label_universe=bad)
+
+    def test_vertex_means_must_stay_in_the_float_range(self):
+        rb = small_rulebase()
+        huge = TriangularFuzzySet(1e308, 1e308, 1e308)
+        rule = Rule(antecedents=(huge,), consequent=2.0, support_count=1)
+        with pytest.raises(InvalidInputError, match="rule 1 .* vertex mean beyond the float range"):
+            dataclasses.replace(rb, rules=(rb.rules[0], rule))
+
+    def test_consequent_goes_through_the_finite_real_check(self):
+        ants = (TriangularFuzzySet(0.0, 0.5, 1.0),)
+        for bad in [float("nan"), float("inf"), 10**400]:
+            with pytest.raises(InvalidInputError, match="non-finite consequent"):
+                Rule(antecedents=ants, consequent=bad, support_count=1)
+        with pytest.raises(InvalidInputError, match="consequent must be a real number, got str"):
+            Rule(antecedents=ants, consequent="2", support_count=1)
+        rule = Rule(antecedents=ants, consequent=np.int64(2), support_count=1)
+        assert type(rule.consequent) is float
+
     def test_selected_indices_must_be_in_range_and_unique(self):
         rb = small_rulebase()
         for bad in [(1,), (-1,), (0, 0)]:
@@ -238,6 +276,27 @@ class TestSerialization:
     def test_serialized_text_is_stable(self):
         assert serialize_rulebase(small_rulebase()) == serialize_rulebase(small_rulebase())
 
+    def test_integers_are_re_saved_as_floats(self):
+        text = serialize_rulebase(small_rulebase())
+        doc = json.loads(text)
+        doc["similarity_params"] = {"h": 5, "omega": 5}
+        doc["normalization"][0].update(min=-80, max=-20)
+        doc["rules"][0].update(antecedents=[[0, 0.25, 0.5]], consequent=1)
+        doc["rules"][1]["antecedents"] = [[0.5, 0.75, 1]]
+        assert serialize_rulebase(deserialize_rulebase(json.dumps(doc))) == text
+
+    def test_missing_file_is_a_config_error(self, tmp_path):
+        path = tmp_path / "absent.json"
+        with pytest.raises(ConfigError, match=f"cannot read rule base {path}: No such file"):
+            load_rulebase(path)
+
+    def test_bytes_that_are_not_utf8_are_a_format_error(self, tmp_path):
+        path = tmp_path / "latin1.json"
+        text = serialize_rulebase(small_rulebase()).encode("utf-8")
+        path.write_bytes(text.replace(b"b1", b"b\xe91"))
+        with pytest.raises(RuleBaseFormatError, match=f"rule base {path} is not UTF-8 text"):
+            load_rulebase(path)
+
 
 class TestDeserializationErrors:
     def test_invalid_json_reports_position(self):
@@ -276,6 +335,37 @@ class TestDeserializationErrors:
         doc = json.loads(serialize_rulebase(small_rulebase()))
         doc["similarity_params"]["h"] = "five"
         with pytest.raises(RuleBaseFormatError, match="h"):
+            deserialize_rulebase(json.dumps(doc))
+
+    @pytest.mark.parametrize(
+        "path, edit",
+        [
+            (
+                r"similarity_params: non-finite sensitivity factor h",
+                lambda doc: doc["similarity_params"].update(h=float("nan")),
+            ),
+            (
+                r"non-finite normalization\[0\]\.max",
+                lambda doc: doc["normalization"][0].update(max=10**400),
+            ),
+            (
+                r"rules\[1\]\.antecedents\[0\]: non-finite",
+                lambda doc: doc["rules"][1]["antecedents"][0].__setitem__(1, float("inf")),
+            ),
+            (
+                r"rules\[0\]\.antecedents\[0\]: fuzzy set vertex must be a real number, got str",
+                lambda doc: doc["rules"][0]["antecedents"][0].__setitem__(0, "0"),
+            ),
+            (
+                r"rules\[1\]: non-finite consequent",
+                lambda doc: doc["rules"][1].update(consequent=float("nan")),
+            ),
+        ],
+    )
+    def test_errors_name_the_field_path(self, path, edit):
+        doc = json.loads(serialize_rulebase(small_rulebase()))
+        edit(doc)
+        with pytest.raises(RuleBaseFormatError, match=f"invariant: .*{path}"):
             deserialize_rulebase(json.dumps(doc))
 
     @pytest.mark.parametrize(
