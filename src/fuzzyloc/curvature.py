@@ -56,7 +56,19 @@ def menger_curvature(p, q, r):
     lpq = math.hypot(dx1, dy1)
     lqr = math.hypot(dx2, dy2)
     lpr = math.hypot(rx - px, ry - py)
-    return 2.0 * abs(cross) / (lpq * lqr * lpr)
+    product = lpq * lqr * lpr
+    if 0.0 < product < float("inf"):
+        return 2.0 * abs(cross) / product
+    # the product under- or overflowed. Curvature scales as 1 / size: divide
+    # the gaps by the largest (halving the points first if it overflows), so
+    # the longest edge is at least 1 and no quotient below leaves the range
+    scale = max(map(abs, (dx1, dy1, dx2, dy2)))
+    if scale == float("inf"):
+        return menger_curvature(*((x / 2, y / 2) for x, y in (p, q, r))) / 2
+    u1, v1, u2, v2 = dx1 / scale, dy1 / scale, dx2 / scale, dy2 / scale
+    cross = u1 * v2 - v1 * u2
+    lengths = math.hypot(u1, v1) * math.hypot(u2, v2), math.hypot(u1 + u2, v1 + v2)
+    return 0.0 if cross == 0.0 else 2.0 * abs(cross) / lengths[0] / lengths[1] / scale
 
 
 def feature_curvature(values):
@@ -83,11 +95,13 @@ def _column_curvatures(values, sort_values):
     columns that keep each temporary within _BLOCK_ELEMENTS elements.
 
     The same per-triple arithmetic with dx = 1, so cross = dy2 - dy1,
-    except that np.hypot may differ from math.hypot by an ulp. A collinear
-    triple (cross == 0) scores 0 without a branch, because its three edge
-    lengths multiply to at least 2. Each column's triples are added in row
-    order, as feature_curvature adds them: a running sum, because a
-    reduction down a single column would sum pairwise.
+    except that np.hypot may differ from math.hypot by an ulp. With dx = 1
+    every edge is at least 1, so the edge lengths multiply to at least 2:
+    the product never underflows, menger_curvature's rescaling is never
+    needed, and a collinear triple (cross == 0) scores 0 without a branch.
+    Each column's triples are added in row order, as feature_curvature adds
+    them: a running sum, because a reduction down a single column would sum
+    pairwise.
     """
     m, n = values.shape
     step = max(1, _BLOCK_ELEMENTS // m)

@@ -164,23 +164,33 @@ def _resolve_columns(header, wanted, path):
 
 @contextmanager
 def _open_csv(path):
-    """Yield the stripped header and a reader over the rows of a UTF-8 CSV
-    file; failures raise ConfigError (opening) or DataError, naming path."""
+    """Yield the stripped header and an iterator of (line, row) over the
+    rows of a UTF-8 CSV file, line being the one the row starts on (a
+    quoted cell may span lines); failures raise ConfigError (opening) or
+    DataError, naming path and line."""
     try:
         fh = open(path, encoding="utf-8-sig", newline="")
     except OSError as exc:
         raise ConfigError(f"cannot read {path}: {exc.strerror or exc}") from exc
     with fh:
         reader = csv.reader(fh)
+        ended = [0]  # the line the last complete record ended on
+
+        def records():
+            for row in reader:
+                yield ended[0] + 1, row
+                ended[0] = reader.line_num
+
         try:
-            header = next(reader, None)
+            rows = records()
+            header = next(rows, None)
             if header is None:
                 raise DataError(f"{path}: file is empty")
-            yield [name.strip() for name in header], reader
+            yield [name.strip() for name in header[1]], rows
         except UnicodeDecodeError as exc:
             raise DataError(f"{path}: not UTF-8 text: {exc}") from None
         except csv.Error as exc:
-            raise DataError(f"{path}: row {reader.line_num}: {exc}") from None
+            raise DataError(f"{path}: row {ended[0] + 1}: {exc}") from None
 
 
 def read_csv_header(path):
@@ -196,9 +206,9 @@ def _read_table(path, feature_columns, label_column=None):
     Returns (features as an (n, f) array, labels as a list or None).
     Labels must all use one format (plain integers or c<N>). Rows with too
     few cells or an unparseable or non-finite feature cell are rejected
-    together, each named by its row number (header = row 1) and cell.
+    together, each named by its line (header = line 1) and cell.
     """
-    with _open_csv(path) as (header, reader):
+    with _open_csv(path) as (header, records):
         wanted = list(feature_columns) + ([] if label_column is None else [label_column])
         positions = _resolve_columns(header, wanted, path)
         feat_pos, label_pos = positions[: len(feature_columns)], positions[-1]
@@ -208,7 +218,7 @@ def _read_table(path, feature_columns, label_column=None):
         parsed_labels = {}
         label_kind = None
         bad_rows = []
-        for row_number, row in enumerate(reader, start=2):
+        for row_number, row in records:
             if not row:
                 continue
             if len(row) < len(header):
@@ -268,8 +278,8 @@ def load_csv(path, label_column, feature_columns):
 
     feature_columns are taken in the requested order. Labels must all use
     one format (plain integers or c<N>); rows with unparseable or
-    non-finite feature cells are rejected, citing their row numbers
-    (header = row 1) and cells.
+    non-finite feature cells are rejected, citing the lines their rows
+    start on (header = line 1) and cells.
     """
     feature_columns = [str(c) for c in feature_columns]
     if not feature_columns:

@@ -7,7 +7,11 @@ mean of member labels under the global-mean strategy).
 """
 
 import json
-from dataclasses import dataclass
+import math
+from contextlib import suppress
+from dataclasses import dataclass, fields
+from functools import cached_property
+from itertools import chain, starmap
 
 import numpy as np
 
@@ -44,23 +48,68 @@ class Rule:
             raise InvalidInputError(f"support_count must be >= 1, got {self.support_count}")
 
 
-@dataclass(frozen=True)
+def _floats(values):
+    """values as float64; NaN stands for each one _finite_real refuses."""
+    if isinstance(values, np.ndarray) or set(map(type, values)) <= {int, float}:
+        with suppress(OverflowError):  # an int beyond the float range
+            return np.array(values, dtype=float)
+    return np.array([_float_or_nan(v) for v in values], dtype=float)
+
+
+def _float_or_nan(value):
+    try:
+        return float(_finite_real(value, "value"))
+    except InvalidInputError:
+        return math.nan
+
+
+def _at(path, make, *args):
+    """make(*args), an InvalidInputError prefixed with the field path."""
+    try:
+        return make(*args)
+    except InvalidInputError as exc:
+        raise InvalidInputError(f"{path}: {exc}") from None
+
+
+def _name_fault(i, triples, consequent, support, arity, lowest, highest):
+    """Raise for faulty rule i what building it from TriangularFuzzySet and
+    Rule meets first, else what the rule base's own checks found."""
+    sets = [
+        _at(f"rules[{i}].antecedents[{j}]", TriangularFuzzySet, *triple)
+        for j, triple in enumerate(triples)
+    ]
+    _at(f"rules[{i}]", Rule, sets, consequent, support)
+    if support >= 2**63:
+        raise InvalidInputError(f"rules[{i}]: support_count must be < 2**63, got {support}")
+    if len(sets) != arity:
+        raise InvalidInputError(f"rule {i} has {len(sets)} antecedents, expected {arity}")
+    raise InvalidInputError(
+        f"rule {i} has a consequent outside the label universe "
+        f"[{lowest}, {highest}] or a vertex mean beyond the float range"
+    )
+
+
+@dataclass(frozen=True, init=False, eq=False)
 class RuleBase:
     """Sparse rule base plus everything needed to reproduce its inputs.
+
+    The rules are three read-only arrays: antecedents (R, D, 3), one
+    (a1, a2, a3) per rule and selected feature, consequents (R,) and
+    supports (R,), the cluster sizes (diagnostics only). They are given
+    as array-likes, or as rules, a sequence of Rule, and checked all at
+    once; an error names the first faulty rule in order. representatives
+    (R, D) are the vertex means; rules reads the arrays back as Rules.
 
     feature_names / normalization describe the original (pre-selection)
     feature space; selected_features are indices into it, and every rule
     has one antecedent per selected feature. label_universe lists all
     labels the deployment may emit, including ones never seen in training;
     they fit in 64 bits, and every consequent lies within their span.
-
-    Construction also stores the rules as read-only float64 arrays for
-    inference (not fields: they do not take part in equality or the
-    document format): antecedents of shape (R, D, 3), consequents of
-    shape (R,) and representatives, the vertex means, of shape (R, D).
     """
 
-    rules: tuple
+    antecedents: np.ndarray
+    consequents: np.ndarray
+    supports: np.ndarray
     params: SimilarityParams
     feature_names: tuple
     normalization: Normalization
@@ -69,12 +118,24 @@ class RuleBase:
     consequent_strategy: str
     seed: int
 
-    def __post_init__(self):
-        object.__setattr__(self, "rules", tuple(self.rules))
-        object.__setattr__(self, "feature_names", tuple(self.feature_names))
-        object.__setattr__(self, "selected_features", tuple(int(i) for i in self.selected_features))
-        object.__setattr__(self, "label_universe", tuple(int(v) for v in self.label_universe))
-        if not self.rules:
+    def __init__(
+        self, *, antecedents=None, consequents=None, supports=None, rules=None, params,
+        feature_names, normalization, selected_features, label_universe,
+        consequent_strategy, seed,
+    ):
+        if rules is not None:
+            rules = tuple(rules)
+            antecedents = [[(a.a1, a.a2, a.a3) for a in rule.antecedents] for rule in rules]
+            consequents = [rule.consequent for rule in rules]
+            supports = [rule.support_count for rule in rules]
+        for name, value in dict(
+            params=params, feature_names=tuple(feature_names), normalization=normalization,
+            selected_features=tuple(int(i) for i in selected_features),
+            label_universe=tuple(int(v) for v in label_universe),
+            consequent_strategy=consequent_strategy, seed=seed,
+        ).items():
+            object.__setattr__(self, name, value)
+        if not len(consequents):
             raise InvalidInputError("rule base must contain at least one rule")
         if len(self.feature_names) != self.normalization.n_features:
             raise InvalidInputError("feature names and normalization table disagree")
@@ -95,37 +156,49 @@ class RuleBase:
         if self.consequent_strategy not in STRATEGIES:
             raise InvalidInputError(f"unknown consequent strategy {self.consequent_strategy!r}")
         arity = len(self.selected_features)
-        for idx, rule in enumerate(self.rules):
-            if len(rule.antecedents) != arity:
-                raise InvalidInputError(
-                    f"rule {idx} has {len(rule.antecedents)} antecedents, expected {arity}"
-                )
-        antecedents = np.array(
-            [[(a.a1, a.a2, a.a3) for a in rule.antecedents] for rule in self.rules], dtype=float
-        )
+        counts = np.array(list(map(len, antecedents)), dtype=int)
+        if isinstance(antecedents, np.ndarray):  # (R, D, 3), as extract_rules builds it
+            values = antecedents.ravel()
+        else:
+            values = list(chain.from_iterable(chain.from_iterable(antecedents)))
+        triples, cons = _floats(values), _floats(consequents)
+        try:
+            sups = np.array(supports, dtype=np.int64)
+        except OverflowError:  # a count beyond 64 bits; 0 marks it as bad below
+            sups = np.array([s if abs(s) < 2**63 else 0 for s in supports], dtype=np.int64)
+        if not len(counts) == len(cons) == len(sups) or len(triples) != 3 * counts.sum():
+            raise InvalidInputError("antecedents, consequents and supports disagree in shape")
+        triples = triples.reshape(-1, 3)
         with np.errstate(over="ignore"):
-            representatives = vertex_means(antecedents)
-        consequents = np.array([rule.consequent for rule in self.rules], dtype=float)
+            reps = vertex_means(triples)
         # consequents are labels or means of labels; with finite vertex means
         # this keeps every sum of inference within the float range
-        bad = (consequents < lowest) | (consequents > highest)
-        bad |= ~np.isfinite(representatives).all(axis=1)
+        bad = ~((cons >= lowest) & (cons <= highest)) | (sups < 1) | (counts != arity)
+        ordered = (triples[:, 0] <= triples[:, 1]) & (triples[:, 1] <= triples[:, 2])
+        bad[np.repeat(np.arange(len(counts)), counts)[~(ordered & np.isfinite(reps))]] = True
         if bad.any():
-            raise InvalidInputError(
-                f"rule {bad.argmax()} has a consequent outside the label universe "
-                f"[{lowest}, {highest}] or a vertex mean beyond the float range"
-            )
-        for name, array in (
-            ("antecedents", antecedents),
-            ("representatives", representatives),
-            ("consequents", consequents),
-        ):
+            i = int(bad.argmax())
+            _name_fault(i, antecedents[i], consequents[i], supports[i], arity, lowest, highest)
+        arrays = triples.reshape(-1, arity, 3), cons, sups, reps.reshape(-1, arity)
+        for name, array in zip(("antecedents", "consequents", "supports", "representatives"), arrays):
             array.flags.writeable = False
             object.__setattr__(self, name, array)
 
+    def __eq__(self, other):
+        if type(other) is not RuleBase:
+            return NotImplemented
+        pairs = ((getattr(self, f.name), getattr(other, f.name)) for f in fields(self))
+        return all(np.array_equal(a, b) if isinstance(a, np.ndarray) else a == b for a, b in pairs)
+
     @property
     def n_rules(self):
-        return len(self.rules)
+        return len(self.consequents)
+
+    @cached_property
+    def rules(self):
+        """The rules as a tuple of Rule, read from the arrays on first use."""
+        antecedents = [tuple(starmap(TriangularFuzzySet, t)) for t in self.antecedents.tolist()]
+        return tuple(map(Rule, antecedents, self.consequents.tolist(), self.supports.tolist()))
 
 
 def _cluster_rules(points, seed, k_max):
@@ -140,14 +213,6 @@ def _cluster_rules(points, seed, k_max):
         mask = fit.assignment == c
         if mask.any():
             yield mask
-
-
-def _rule_from_members(members, consequent):
-    antecedents = tuple(
-        TriangularFuzzySet(float(col.min()), float(col.mean()), float(col.max()))
-        for col in members.T
-    )
-    return Rule(antecedents=antecedents, consequent=consequent, support_count=len(members))
 
 
 def extract_rules(
@@ -198,18 +263,23 @@ def extract_rules(
         groups = [(labels == c, c) for c in sorted(set(int(v) for v in labels))]
     else:
         groups = [(slice(None), None)]
-    rules = []
+    antecedents, consequents, supports = [], [], []
     for subset, label in groups:
         group_points, group_labels = points[subset], labels[subset]
         for mask in _cluster_rules(group_points, seed, k_max):
+            # a contiguous row per feature reduces as its lone column would
+            members = np.ascontiguousarray(group_points[mask].T)
+            antecedents.append((members.min(axis=1), members.mean(axis=1), members.max(axis=1)))
             if label is None:
-                consequent = group_labels[mask].astype(float).mean()
+                consequents.append(group_labels[mask].astype(float).mean())
             else:
-                consequent = label
-            rules.append(_rule_from_members(group_points[mask], consequent))
+                consequents.append(label)
+            supports.append(members.shape[1])
 
     return RuleBase(
-        rules=tuple(rules),
+        antecedents=np.array(antecedents).swapaxes(1, 2),
+        consequents=np.array(consequents, dtype=float),
+        supports=supports,
         params=params,
         feature_names=dataset.feature_names,
         normalization=dataset.normalization,
@@ -238,12 +308,10 @@ def serialize_rulebase(rb):
         "label_universe": list(rb.label_universe),
         "seed": rb.seed,
         "rules": [
-            {
-                "antecedents": [[a.a1, a.a2, a.a3] for a in rule.antecedents],
-                "consequent": rule.consequent,
-                "support_count": rule.support_count,
-            }
-            for rule in rb.rules
+            {"antecedents": triples, "consequent": consequent, "support_count": support}
+            for triples, consequent, support in zip(
+                rb.antecedents.tolist(), rb.consequents.tolist(), rb.supports.tolist()
+            )
         ],
     }
     return json.dumps(doc, indent=2) + "\n"
@@ -269,31 +337,6 @@ def _ints(doc, key):
     return tuple(_check_type(v, int, f"rule base: {key}[{i}]") for i, v in enumerate(values))
 
 
-def _at(path, make, *args):
-    """make(*args), an InvalidInputError prefixed with the field path."""
-    try:
-        return make(*args)
-    except InvalidInputError as exc:
-        raise InvalidInputError(f"{path}: {exc}") from None
-
-
-def _rule(entry, path):
-    antecedents = []
-    for j, triple in enumerate(_field(entry, "antecedents", path, list)):
-        if not (isinstance(triple, list) and len(triple) == 3):
-            raise RuleBaseFormatError(f"{path}.antecedents[{j}] must be [a1, a2, a3]")
-        try:
-            fuzzy_set = TriangularFuzzySet(*triple)
-        except InvalidInputError as exc:
-            raise InvalidInputError(f"{path}.antecedents[{j}]: {exc}") from None
-        if int in map(type, triple):  # cast once checked, so re-saving writes floats
-            fuzzy_set = TriangularFuzzySet(*map(float, triple))
-        antecedents.append(fuzzy_set)
-    consequent = _field(entry, "consequent", path)
-    support = _field(entry, "support_count", path, int)
-    return _at(path, Rule, antecedents, consequent, support)
-
-
 def deserialize_rulebase(text):
     """Parse a rule-base document, validating structure and invariants;
     an error names the field's path, such as rules[3].antecedents[1]."""
@@ -312,10 +355,21 @@ def deserialize_rulebase(text):
     params_doc = _field(doc, "similarity_params", "rule base", dict)
     norm_list = _field(doc, "normalization", "rule base", list)
     norm_doc = [(entry, f"normalization[{i}]") for i, entry in enumerate(norm_list)]
-    rules_doc = _field(doc, "rules", "rule base", list)
+    antecedents, consequents, supports = [], [], []
+    for i, entry in enumerate(_field(doc, "rules", "rule base", list)):
+        path = f"rules[{i}]"
+        triples = _field(entry, "antecedents", path, list)
+        if not (set(map(type, triples)) <= {list} and set(map(len, triples)) <= {3}):
+            j = next(j for j, t in enumerate(triples) if type(t) is not list or len(t) != 3)
+            raise RuleBaseFormatError(f"{path}.antecedents[{j}] must be [a1, a2, a3]")
+        antecedents.append(triples)
+        consequents.append(_field(entry, "consequent", path))
+        supports.append(_field(entry, "support_count", path, int))
     try:
         return RuleBase(
-            rules=tuple(_rule(entry, f"rules[{i}]") for i, entry in enumerate(rules_doc)),
+            antecedents=antecedents,
+            consequents=consequents,
+            supports=supports,
             params=_at("similarity_params", SimilarityParams, *(
                 _field(params_doc, key, "similarity_params") for key in ("h", "omega")
             )),

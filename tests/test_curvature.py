@@ -65,6 +65,19 @@ class TestMengerCurvature:
         assert menger_curvature((1.0, 2.0), (1.0, 2.0), (3.0, 4.0)) == 0.0
         assert menger_curvature((1.0, 2.0), (1.0, 2.0), (1.0, 2.0)) == 0.0
 
+    @pytest.mark.parametrize(
+        "p, q, r",
+        [
+            # the product of the edge lengths underflows to 0
+            ((0.0, 0.0), (0.0, 1.04e-272), (3.37e-38, 0.0)),
+            # the cross product and the edge-length product overflow
+            ((0.0, 0.0), (1e200, 1e200), (2e200, -1e200)),
+        ],
+    )
+    def test_edge_products_beyond_the_float_range_are_rescaled(self, p, q, r):
+        want = float(1 / circumradius_via_circumcenter(p, q, r))
+        assert menger_curvature(p, q, r) == pytest.approx(want, rel=1e-12)
+
     @given(p=point, q=point, r=point)
     def test_never_negative(self, p, q, r):
         assert menger_curvature(p, q, r) >= 0.0

@@ -157,6 +157,19 @@ class TestLoadCsv:
         assert "row 3" in str(err.value)
         assert "row 5" in str(err.value)
 
+    def test_rows_are_named_by_the_line_they_start_on(self, tmp_path):
+        # the quoted cell of row 2 spans lines 2 and 3, so x sits on line 4
+        path = write(tmp_path, 'b1,room\n"1\n2",1\nx,1\n')
+        named = r"2 unusable rows: row 2: unparseable cell '1\\n2'; row 4: unparseable cell 'x'$"
+        with pytest.raises(DataError, match=named):
+            load_csv(path, "room", ["b1"])
+        with pytest.raises(DataError, match=named):
+            read_feature_rows(path, ["b1"])
+        # a reader error names the line its record starts on too
+        path = write(tmp_path, 'b1,room\n1,1\n"1\n2\n' + "9" * 200_000 + '",1\n')
+        with pytest.raises(DataError, match="row 3: field larger than field limit"):
+            load_csv(path, "room", ["b1"])
+
     def test_non_finite_cells_are_rejected(self, tmp_path):
         path = write(tmp_path, "f1,label\nnan,1\n")
         with pytest.raises(DataError, match="row 2"):

@@ -260,6 +260,7 @@ class TestProbes:
         _, csv_path, rb_path = base
         bad = edit_rulebase(rb_path, tmp_path, edit, raw=BIG)
         assert_exit(predict(bad, csv_path), 3, capsys, field, "non-finite")
+        assert_exit(evaluate(bad, csv_path), 3, capsys, field, "non-finite")
 
     @pytest.mark.parametrize("constant", ["NaN", "Infinity", "-Infinity"])
     def test_non_finite_consequent_exits_3(self, base, tmp_path, capsys, constant):
@@ -267,6 +268,55 @@ class TestProbes:
         edit = lambda doc: doc["rules"][1].update(consequent="@")  # noqa: E731
         bad = edit_rulebase(rb_path, tmp_path, edit, raw=constant)
         assert_exit(predict(bad, csv_path), 3, capsys, "rules[1]", "non-finite consequent")
+        assert_exit(evaluate(bad, csv_path), 3, capsys, "rules[1]", "non-finite consequent")
+
+    @pytest.mark.parametrize(
+        "raw, edit, named",
+        [
+            (None, lambda doc: doc["rules"][0]["antecedents"][1].__setitem__(0, True),
+             "rules[0].antecedents[1]: fuzzy set vertex must be a real number, got bool"),
+            (None, lambda doc: doc["rules"][0]["antecedents"][1].__setitem__(0, "0.5"),
+             "rules[0].antecedents[1]: fuzzy set vertex must be a real number, got str"),
+            ("NaN", lambda doc: doc["rules"][1]["antecedents"][0].__setitem__(1, "@"),
+             "rules[1].antecedents[0]: non-finite fuzzy set vertex: nan"),
+            ("Infinity", lambda doc: doc["rules"][1]["antecedents"][0].__setitem__(2, "@"),
+             "rules[1].antecedents[0]: non-finite fuzzy set vertex: inf"),
+            (None, lambda doc: doc["rules"][3]["antecedents"].__setitem__(2, [1, 0, 1]),
+             "rules[3].antecedents[2]: fuzzy set vertices must satisfy a1 <= a2 <= a3, "
+             "got (1, 0, 1)"),
+            (None, lambda doc: doc["rules"][0]["antecedents"].__setitem__(0, [0.1, 0.2]),
+             "rules[0].antecedents[0] must be [a1, a2, a3]"),
+            (None, lambda doc: doc["rules"][1]["antecedents"].pop(),
+             "rule 1 has 2 antecedents, expected 3"),
+            (None, lambda doc: doc["rules"][0].update(support_count=True),
+             "rules[0]: field 'support_count' has type bool"),
+            (None, lambda doc: doc["rules"][0].update(support_count=2.0),
+             "rules[0]: field 'support_count' has type float"),
+            (None, lambda doc: doc["rules"][0].update(support_count=0),
+             "rules[0]: support_count must be >= 1, got 0"),
+            # two faults: the one earlier in the document is named
+            ("NaN", lambda doc: (
+                doc["rules"][3]["antecedents"][1].__setitem__(1, "@"),
+                doc["rules"][1]["antecedents"].__setitem__(0, [0.9, 0.5, 0.1]),
+            ), "rules[1].antecedents[0]: fuzzy set vertices must satisfy a1 <= a2 <= a3, "
+               "got (0.9, 0.5, 0.1)"),
+        ],
+    )
+    def test_rule_faults_exit_3_naming_field_and_reason(
+        self, base, tmp_path, capsys, raw, edit, named
+    ):
+        # the reasons are those of the object-per-rule loader the bulk checks replaced
+        _, csv_path, rb_path = base
+        bad = edit_rulebase(rb_path, tmp_path, edit, raw=raw)
+        assert_exit(predict(bad, csv_path), 3, capsys, named)
+        assert_exit(evaluate(bad, csv_path), 3, capsys, named)
+
+    def test_support_count_beyond_64_bits_exits_3(self, base, tmp_path, capsys):
+        # supports are held as int64, so such a count is refused
+        _, csv_path, rb_path = base
+        edit = lambda doc: doc["rules"][4].update(support_count="@")  # noqa: E731
+        bad = edit_rulebase(rb_path, tmp_path, edit, raw=BIG)
+        assert_exit(predict(bad, csv_path), 3, capsys, "rules[4]: support_count must be < 2**63")
 
     def test_consequent_beyond_the_label_universe_exits_3(self, base, tmp_path, capsys):
         # finite, but the weighted sums of evaluate overflowed to Infinity

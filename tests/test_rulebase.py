@@ -1,9 +1,12 @@
 import dataclasses
 import json
+import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from fuzzyloc import rulebase
 from fuzzyloc.data import Normalization
 from fuzzyloc.errors import (
     ConfigError,
@@ -12,6 +15,7 @@ from fuzzyloc.errors import (
     RuleBaseVersionError,
 )
 from fuzzyloc.fuzzy import SimilarityParams, TriangularFuzzySet, representative
+from fuzzyloc.pipeline import ExperimentConfig, train_rulebase
 from fuzzyloc.rulebase import (
     GLOBAL_MEAN,
     PER_CLASS,
@@ -23,6 +27,7 @@ from fuzzyloc.rulebase import (
     save_rulebase,
     serialize_rulebase,
 )
+from fuzzyloc.synth import generate_synthetic, write_csv
 
 from conftest import identity_normalized, random_rulebase
 
@@ -104,6 +109,39 @@ class TestExtractRules:
         raw = Dataset(features=[[0.0], [4.0]], labels=[1, 2], feature_names=("a",))
         with pytest.raises(InvalidInputError):
             extract_rules(raw, k_max=1)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        sizes=st.lists(st.integers(1, 200), min_size=1, max_size=3),
+        dims=st.integers(1, 5),
+        strategy=st.sampled_from([PER_CLASS, GLOBAL_MEAN]),
+        k_max=st.sampled_from([1, 4]),
+        seed=st.integers(0, 2**16),
+    )
+    def test_arrays_keep_the_bits_of_per_column_reductions(
+        self, sizes, dims, strategy, k_max, seed
+    ):
+        # classes of 1 to 200 rows put clusters on both sides of numpy's
+        # 8-element threshold for pairwise summation
+        rng = np.random.default_rng(seed)
+        features = rng.random((sum(sizes), dims)) ** 3
+        labels = np.repeat(np.arange(1, len(sizes) + 1), sizes)
+        data = identity_normalized(features, labels)
+        rb = extract_rules(data, strategy=strategy, seed=seed, k_max=k_max)
+        groups = [slice(None)]
+        if strategy == PER_CLASS:
+            groups = [labels == c for c in np.unique(labels)]
+        want, consequents, supports = [], [], []
+        for group in groups:
+            points = features[group]
+            for mask in rulebase._cluster_rules(points, seed, k_max):
+                members = points[mask]
+                want.append([(col.min(), col.mean(), col.max()) for col in members.T])
+                consequents.append(labels[group][mask].astype(float).mean())
+                supports.append(len(members))
+        assert rb.antecedents.tobytes() == np.array(want).tobytes()
+        assert rb.consequents.tobytes() == np.array(consequents).tobytes()
+        assert rb.supports.tolist() == supports
 
     def test_deterministic_per_seed(self, corridor_config):
         from fuzzyloc.pipeline import train_rulebase
@@ -232,13 +270,42 @@ class TestRuleArrays:
                     # bit-identical to the scalar reference
                     assert rb.representatives[r, d] == representative(a)
 
-    def test_arrays_are_read_only_and_stay_out_of_equality(self):
+    def test_arrays_are_read_only_and_compared_exactly(self):
         rb = small_rulebase()
-        with pytest.raises(ValueError):
-            rb.antecedents[0, 0, 0] = 9.0
+        for array in (rb.antecedents, rb.consequents, rb.supports, rb.representatives):
+            with pytest.raises(ValueError):
+                array[0] = 9
         assert rb == small_rulebase()
-        fields = {f.name for f in dataclasses.fields(rb)}
-        assert fields.isdisjoint({"antecedents", "representatives", "consequents"})
+        fields = [f.name for f in dataclasses.fields(rb)]
+        assert fields[:3] == ["antecedents", "consequents", "supports"]
+        assert "representatives" not in fields and "rules" not in fields
+        nudged = rb.antecedents.copy()
+        nudged[1, 0, 2] = np.nextafter(1.0, 0.0)
+        assert dataclasses.replace(rb, antecedents=nudged) != rb
+        assert dataclasses.replace(rb, supports=[3, 5]) != rb
+        assert dataclasses.replace(rb, label_universe=(1, 2, 3, 4)) != rb
+
+    def test_rules_view_is_built_on_first_use_and_cached(self, tmp_path, corridor_rulebase):
+        path = tmp_path / "rb.json"
+        save_rulebase(corridor_rulebase, path)
+        loaded = load_rulebase(path)
+        # neither training nor loading builds the Rule objects
+        assert "rules" not in vars(corridor_rulebase) and "rules" not in vars(loaded)
+        assert loaded.rules is loaded.rules
+        assert all(type(rule) is Rule for rule in loaded.rules)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            loaded.rules = ()
+        assert RuleBase(**{
+            f.name: getattr(loaded, f.name) for f in dataclasses.fields(loaded)
+            if f.name not in ("antecedents", "consequents", "supports")
+        }, rules=loaded.rules) == loaded
+
+    def test_rules_replace_the_arrays(self):
+        rb = small_rulebase()
+        swapped = dataclasses.replace(rb, rules=rb.rules[::-1])
+        assert swapped.consequents.tolist() == [2.0, 1.0]
+        assert swapped.supports.tolist() == [4, 3]
+        assert swapped.antecedents[0, 0].tolist() == [0.5, 0.75, 1.0]
 
 
 class TestSerialization:
@@ -284,6 +351,24 @@ class TestSerialization:
         doc["rules"][0].update(antecedents=[[0, 0.25, 0.5]], consequent=1)
         doc["rules"][1]["antecedents"] = [[0.5, 0.75, 1]]
         assert serialize_rulebase(deserialize_rulebase(json.dumps(doc))) == text
+
+    def test_trained_building_file_re_saves_byte_for_byte(self, tmp_path):
+        csv_path = tmp_path / "building.csv"
+        dataset = generate_synthetic(12, 30, 8, 0.5, 5)
+        write_csv(dataset, csv_path)
+        config = ExperimentConfig(
+            input_path=str(csv_path), label_column="room",
+            feature_columns=dataset.feature_names, unseen_labels=(4, 9), seed=3,
+        )
+        path = tmp_path / "rulebase.json"
+        save_rulebase(train_rulebase(config).rule_base, path)
+        text = path.read_text(encoding="utf-8")
+        assert serialize_rulebase(load_rulebase(path)) == text
+        # the same document with every integral float written as an integer
+        integers = re.sub(r"(?m)^(\s+(?:\"\w+\": )?-?\d+)\.0(,?)$", r"\1\2", text)
+        assert integers.count("\n") == text.count("\n") and len(integers) < len(text) - 100
+        path.write_text(integers, encoding="utf-8")
+        assert serialize_rulebase(load_rulebase(path)) == text
 
     def test_missing_file_is_a_config_error(self, tmp_path):
         path = tmp_path / "absent.json"
