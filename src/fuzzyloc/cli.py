@@ -14,7 +14,7 @@ import sys
 import traceback
 
 from .curvature import rank_features
-from .data import fit_normalization, load_csv, read_feature_rows
+from .data import fit_normalization, label_universe, load_csv, read_feature_rows
 from .errors import (
     EXIT_CONFIG,
     EXIT_DATA,
@@ -42,15 +42,15 @@ _RANGE = re.compile(r"^(-?\d+)\.\.(-?\d+)$")
 
 
 def parse_label_universe(text):
-    """Accept "1..21" (inclusive range) or an explicit list "1,2,5"."""
+    """Accept "1..21" (inclusive range) or an explicit list "1,2,5" (as given)."""
     text = text.strip()
     m = _RANGE.match(text)
-    if m:
-        lo, hi = int(m.group(1)), int(m.group(2))
-        if hi < lo:
-            raise ConfigError(f"label universe range {text!r} is empty")
-        return tuple(range(lo, hi + 1))
-    return _parse_ints(text, "label universe")
+    if not m:
+        return _parse_ints(text, "label universe")
+    try:
+        return label_universe((), range(int(m.group(1)), int(m.group(2)) + 1))
+    except InvalidInputError as exc:
+        raise ConfigError(f"--label-universe {text}: {exc}") from None
 
 
 def _parse_ints(text, what):

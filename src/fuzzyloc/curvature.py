@@ -50,19 +50,17 @@ def menger_curvature(p, q, r):
     dx2 = rx - qx
     dy2 = ry - qy
     cross = dx1 * dy2 - dy1 * dx2
-    if cross == 0.0:
-        # collinear points; coincident points also land here
-        return 0.0
     lpq = math.hypot(dx1, dy1)
     lqr = math.hypot(dx2, dy2)
     lpr = math.hypot(rx - px, ry - py)
     product = lpq * lqr * lpr
     if 0.0 < product < float("inf"):
-        return 2.0 * abs(cross) / product
-    # the product under- or overflowed. Curvature scales as 1 / size: divide
-    # the gaps by the largest (halving the points first if it overflows), so
-    # the longest edge is at least 1 and no quotient below leaves the range
-    scale = max(map(abs, (dx1, dy1, dx2, dy2)))
+        return 2.0 * abs(cross) / product  # 0.0 for collinear points
+    # points coincide, or the product (and perhaps the cross product) under-
+    # or overflowed. Curvature scales as 1 / size: divide the gaps by the
+    # largest (halving the points first if it overflows), so the longest
+    # edge is at least 1 and no quotient below leaves the range
+    scale = max(map(abs, (dx1, dy1, dx2, dy2))) or 1.0  # 0: all points coincide
     if scale == float("inf"):
         return menger_curvature(*((x / 2, y / 2) for x, y in (p, q, r))) / 2
     u1, v1, u2, v2 = dx1 / scale, dy1 / scale, dx2 / scale, dy2 / scale

@@ -15,6 +15,7 @@ from .fuzzy import _finite_real
 _PREFIXED_LABEL = re.compile(r"^[cC](-?\d+)$")
 _PLAIN_LABEL = re.compile(r"^[+-]?\d+$")
 LABEL_RANGE = range(-(2**63), 2**63)  # labels are held as int64
+MAX_RANGE_LABELS = 1024  # a derived or N..M universe; a listed one is not bounded
 
 
 @dataclass(frozen=True)
@@ -145,6 +146,30 @@ def parse_label(text):
     if value not in LABEL_RANGE:
         raise DataError(f"label {text!r} does not fit in a 64-bit integer")
     return value, kind
+
+
+def label_universe(labels, given=None):
+    """The labels a model may emit, as an ascending tuple holding labels:
+    given (a sequence or a range) if passed, else the range spanning labels.
+    A range is bounded before it is expanded; InvalidInputError on a fault."""
+    labels = set(map(int, labels))
+    if given is None:
+        given = range(min(labels), max(labels) + 1) if labels else range(0)
+    # every universe label gets a row and a column of the dense confusion
+    if isinstance(given, range) and given[MAX_RANGE_LABELS:]:
+        raise InvalidInputError(
+            f"label range {given.start}..{given.stop - 1} spans more than {MAX_RANGE_LABELS} "
+            "labels; list the labels instead, as in --label-universe 1,2,5"
+        )
+    universe = tuple(map(int, given))
+    if not universe or any(b <= a for a, b in zip(universe, universe[1:])):
+        raise InvalidInputError("label_universe must be non-empty and strictly increasing")
+    if universe[0] not in LABEL_RANGE or universe[-1] not in LABEL_RANGE:
+        raise InvalidInputError("label_universe entries must fit in a 64-bit integer")
+    missing = sorted(labels.difference(universe))
+    if missing:
+        raise InvalidInputError(f"label_universe does not cover labels {missing}")
+    return universe
 
 
 def _resolve_columns(header, wanted, path):

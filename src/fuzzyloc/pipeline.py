@@ -17,8 +17,8 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from .curvature import rank_features
-from .data import fit_normalization, load_csv
-from .errors import ConfigError, FuzzylocError
+from .data import fit_normalization, label_universe as universe_of, load_csv
+from .errors import ConfigError, FuzzylocError, InvalidInputError
 from .fuzzy import SimilarityParams
 from .inference import predict_batch
 from .rulebase import DEFAULT_K_MAX, PER_CLASS, STRATEGIES, extract_rules, save_rulebase
@@ -51,9 +51,11 @@ class ExperimentConfig:
         object.__setattr__(self, "feature_columns", tuple(self.feature_columns))
         object.__setattr__(self, "unseen_labels", tuple(int(v) for v in self.unseen_labels))
         if self.label_universe is not None:
-            object.__setattr__(
-                self, "label_universe", tuple(int(v) for v in self.label_universe)
-            )
+            try:
+                universe = universe_of(self.unseen_labels, self.label_universe)
+            except InvalidInputError as exc:
+                raise ConfigError(str(exc)) from None
+            object.__setattr__(self, "label_universe", universe)
         if not self.feature_columns:
             raise ConfigError("at least one feature column is required")
         if self.cfs_top_n is not None and self.cfs_epsilon is not None:
@@ -64,10 +66,6 @@ class ExperimentConfig:
             )
         if self.k_max < 1:
             raise ConfigError(f"k_max must be >= 1, got {self.k_max}")
-        if self.label_universe is not None:
-            missing = sorted(set(self.unseen_labels) - set(self.label_universe))
-            if missing:
-                raise ConfigError(f"unseen labels {missing} are outside the label universe")
 
     @property
     def cfs_enabled(self):
@@ -112,13 +110,6 @@ def split_scenario(dataset, unseen_labels):
     return dataset.subset(~test_mask), dataset.subset(test_mask)
 
 
-def _resolve_universe(config, dataset):
-    if config.label_universe is not None:
-        return config.label_universe
-    values = [int(v) for v in dataset.labels] + list(config.unseen_labels)
-    return tuple(range(min(values), max(values) + 1))
-
-
 class TrainResult(NamedTuple):
     rule_base: object
     ranking: object  # None when feature selection is off
@@ -130,14 +121,13 @@ def train_rulebase(config):
     """Run the training half of the pipeline: load, split, normalize, rules."""
     with _stage("load"):
         dataset = load_csv(config.input_path, config.label_column, config.feature_columns)
+    universe = universe_of(dataset.labels.tolist() + [*config.unseen_labels], config.label_universe)
 
     if config.unseen_labels:
         with _stage("split"):
             train_raw, test_raw = split_scenario(dataset, config.unseen_labels)
     else:
         train_raw, test_raw = dataset, None
-
-    universe = _resolve_universe(config, dataset)
 
     with _stage("normalize"):
         train = fit_normalization(train_raw)

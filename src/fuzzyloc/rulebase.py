@@ -18,7 +18,7 @@ import numpy as np
 # elbow_k and kmeans are not called here; they stay importable as
 # fuzzyloc.rulebase.elbow_k and fuzzyloc.rulebase.kmeans
 from .clustering import elbow_fit, elbow_k, kmeans  # noqa: F401
-from .data import LABEL_RANGE, Normalization
+from .data import Normalization, label_universe as universe_of
 from .errors import ConfigError, InvalidInputError, RuleBaseFormatError, RuleBaseVersionError
 from .fuzzy import SimilarityParams, TriangularFuzzySet, _finite_real, vertex_means
 
@@ -131,7 +131,7 @@ class RuleBase:
         for name, value in dict(
             params=params, feature_names=tuple(feature_names), normalization=normalization,
             selected_features=tuple(int(i) for i in selected_features),
-            label_universe=tuple(int(v) for v in label_universe),
+            label_universe=universe_of((), label_universe),
             consequent_strategy=consequent_strategy, seed=seed,
         ).items():
             object.__setattr__(self, name, value)
@@ -146,13 +146,7 @@ class RuleBase:
                 raise InvalidInputError(f"selected feature index {i} out of range")
         if len(set(self.selected_features)) != len(self.selected_features):
             raise InvalidInputError("selected_features contains duplicates")
-        if not self.label_universe:
-            raise InvalidInputError("label_universe must be non-empty")
-        if any(b <= a for a, b in zip(self.label_universe, self.label_universe[1:])):
-            raise InvalidInputError("label_universe must be strictly increasing")
         lowest, highest = self.label_universe[0], self.label_universe[-1]
-        if lowest not in LABEL_RANGE or highest not in LABEL_RANGE:
-            raise InvalidInputError("label_universe entries must fit in a 64-bit integer")
         if self.consequent_strategy not in STRATEGIES:
             raise InvalidInputError(f"unknown consequent strategy {self.consequent_strategy!r}")
         arity = len(self.selected_features)
@@ -250,13 +244,7 @@ def extract_rules(
     selected_features = tuple(int(i) for i in selected_features)
 
     labels = dataset.labels
-    if label_universe is None:
-        label_universe = tuple(range(int(labels.min()), int(labels.max()) + 1))
-    else:
-        label_universe = tuple(int(v) for v in label_universe)
-    missing = sorted(set(int(v) for v in labels) - set(label_universe))
-    if missing:
-        raise InvalidInputError(f"label_universe does not cover training labels {missing}")
+    label_universe = universe_of(labels.tolist(), label_universe)
 
     points = dataset.features[:, selected_features]
     if strategy == PER_CLASS:

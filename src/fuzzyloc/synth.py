@@ -13,6 +13,7 @@ import numpy as np
 
 from .data import Dataset
 from .errors import InvalidInputError
+from .fuzzy import _finite_real
 
 LABEL_COLUMN = "room"
 
@@ -34,8 +35,10 @@ def generate_synthetic(n_rooms, per_room, n_beacons, noise_sd, seed):
         raise InvalidInputError(f"need at least 2 beacons, got {n_beacons}")
     if per_room < 1:
         raise InvalidInputError(f"need at least 1 instance per room, got {per_room}")
-    if noise_sd < 0:
+    if _finite_real(noise_sd, "noise_sd") < 0:
         raise InvalidInputError(f"noise_sd must be >= 0, got {noise_sd}")
+    if seed < 0:
+        raise InvalidInputError(f"seed must be >= 0, got {seed}")
 
     positions = beacon_positions(n_rooms, n_beacons)
     rooms = np.repeat(np.arange(1, n_rooms + 1), per_room)

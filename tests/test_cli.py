@@ -26,9 +26,14 @@ class TestParseLabelUniverse:
         assert parse_label_universe("3,1,8") == (3, 1, 8)
 
     def test_garbage_is_a_config_error(self):
-        for bad in ["1..", "a,b", "4..2", ""]:
+        for bad in ["1..", "a,b", "4..2", "", "1..1025", "1..99999999999999999999"]:
             with pytest.raises(ConfigError):
                 parse_label_universe(bad)
+
+    def test_a_range_is_bounded_but_a_list_is_not(self):
+        assert parse_label_universe("1..1024") == tuple(range(1, 1025))
+        listed = ",".join(map(str, range(1, 2001)))
+        assert parse_label_universe(listed) == tuple(range(1, 2001))
 
 
 class TestSynthCommand:
@@ -46,6 +51,17 @@ class TestSynthCommand:
     def test_bad_sizes_exit_2(self, tmp_path):
         out = tmp_path / "x.csv"
         assert run_cli("synth", "--rooms", "1", "--out", str(out)) == 2
+
+    @pytest.mark.parametrize(
+        "flag, value, named",
+        [("--seed", "-1", "seed"), ("--noise-sd", "nan", "noise_sd"), ("--noise-sd", "inf", "noise_sd")],
+    )
+    def test_values_it_cannot_generate_from_exit_2(self, tmp_path, capsys, flag, value, named):
+        out = tmp_path / "x.csv"
+        assert run_cli("synth", flag, value, "--out", str(out)) == 2
+        err = capsys.readouterr().err
+        assert named in err and value in err and "Traceback" not in err
+        assert not out.exists()
 
 
 class TestTrainPredictEvaluate:
@@ -155,6 +171,59 @@ class TestRunCommand:
         assert code == 0
         report = json.loads((out / "report.json").read_text(encoding="utf-8"))
         assert report["label_universe"] == list(range(1, 13))
+
+    @pytest.mark.parametrize(
+        "flags, named",
+        [
+            (["--unseen", "5", "--label-universe", "1..99999999999999999999"], "1..99999999999999999999"),
+            (["--unseen", "5", "--label-universe", "1..10000000000"], "1..10000000000"),
+            (["--unseen", "99999999999999999999"], "1..99999999999999999999"),
+            (["--unseen", "9223372036854775807"], "1..9223372036854775807"),
+            (["--unseen", "1025"], "1..1025"),
+        ],
+    )
+    def test_a_label_range_beyond_the_bound_exits_2(self, workdir, capsys, flags, named):
+        tmp_path, corridor_csv = workdir
+        argv = ["--input", corridor_csv, "--label-col", "room", "--feature-cols", CORRIDOR_COLS]
+        code = run_cli("run", *argv, *flags, "--out", str(tmp_path / "exp"))
+        assert code == 2
+        err = capsys.readouterr().err
+        assert named in err and "more than 1024" in err and "Traceback" not in err
+
+    def test_a_derived_span_beyond_the_bound_points_to_the_flag(self, tmp_path, capsys):
+        csv_path = tmp_path / "sparse.csv"
+        rows = [f"{i % 7}.0,{i % 3}.0,{label}" for i, label in enumerate([1, 2, 1500] * 5)]
+        csv_path.write_text("b1,b2,room\n" + "\n".join(rows) + "\n", encoding="utf-8")
+        argv = ["--input", str(csv_path), "--label-col", "room", "--feature-cols", "b1,b2"]
+        assert run_cli("run", *argv, "--unseen", "2", "--out", str(tmp_path / "exp")) == 2
+        err = capsys.readouterr().err
+        assert "1..1500" in err and "--label-universe" in err
+        assert not (tmp_path / "exp").exists()
+
+    def test_a_span_within_the_bound_trains(self, workdir):
+        # the corridor with room 10 relabelled 1000: a derived universe of 1,000 labels
+        tmp_path, corridor_csv = workdir
+        text = open(corridor_csv, encoding="utf-8").read()
+        relabelled = tmp_path / "relabelled.csv"
+        relabelled.write_text(text.replace(",10\n", ",1000\n"), encoding="utf-8")
+        rb_path = tmp_path / "rb.json"
+        code = run_cli(
+            "train", "--input", str(relabelled), "--label-col", "room",
+            "--feature-cols", CORRIDOR_COLS, "--unseen", "5", "--out", str(rb_path),
+        )
+        assert code == 0
+        assert json.loads(rb_path.read_text(encoding="utf-8"))["label_universe"] == list(range(1, 1001))
+
+    def test_an_unordered_universe_fails_before_any_input_is_read(self, tmp_path, capsys):
+        # the input does not exist: a check made after reading it would say so instead
+        code = run_cli(
+            "run", "--input", str(tmp_path / "absent.csv"), "--label-col", "room",
+            "--feature-cols", CORRIDOR_COLS, "--unseen", "5",
+            "--label-universe", "10,1,2,3,4,5,6,7,8,9", "--out", str(tmp_path / "exp"),
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "strictly increasing" in err and "absent.csv" not in err
 
     def test_missing_unseen_exits_2(self, workdir):
         tmp_path, corridor_csv = workdir

@@ -72,6 +72,11 @@ class TestMengerCurvature:
             ((0.0, 0.0), (0.0, 1.04e-272), (3.37e-38, 0.0)),
             # the cross product and the edge-length product overflow
             ((0.0, 0.0), (1e200, 1e200), (2e200, -1e200)),
+            # the cross product underflows to 0 as well (1.414e200 and 1.0e170)
+            ((0.0, 0.0), (1e-200, 0.0), (0.0, 1e-200)),
+            ((0.0, 0.0), (1e-170, 1e-170), (2e-170, 0.0)),
+            # so small that the curvature, 2.86e323, is beyond the float range
+            ((0.0, 0.0), (5e-324, 0.0), (0.0, 5e-324)),
         ],
     )
     def test_edge_products_beyond_the_float_range_are_rescaled(self, p, q, r):

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -5,6 +7,7 @@ from fuzzyloc.data import (
     Dataset,
     Normalization,
     fit_normalization,
+    label_universe,
     load_csv,
     parse_label,
     read_csv_header,
@@ -40,6 +43,49 @@ class TestParseLabel:
         for bad in [str(2**63), f"c{-(2**63) - 1}", "9" * 23]:
             with pytest.raises(DataError, match="64-bit"):
                 parse_label(bad)
+
+
+class TestLabelUniverse:
+    def test_derived_from_the_labels(self):
+        assert label_universe([3, 1, 3]) == (1, 2, 3)
+        assert label_universe(np.array([-1, 1], dtype=np.int64)) == (-1, 0, 1)
+
+    def test_given_must_cover_the_labels(self):
+        assert label_universe([2], (1, 2, 5)) == (1, 2, 5)
+        with pytest.raises(InvalidInputError, match=re.escape("[4, 6]")):
+            label_universe([2, 4, 6], (1, 2, 5))
+
+    @pytest.mark.parametrize(
+        "given, named",
+        [
+            ((), "non-empty"),
+            (range(3, 2), "non-empty"),
+            ((1, 3, 2), "strictly increasing"),
+            ((1, 1), "strictly increasing"),
+            ((1, 2**63), "64-bit"),
+            ((-(2**63) - 1, 1), "64-bit"),
+        ],
+    )
+    def test_bad_universes(self, given, named):
+        with pytest.raises(InvalidInputError, match=named):
+            label_universe([], given)
+
+    def test_a_range_spans_at_most_1024_labels(self):
+        assert label_universe([], range(-5, 1019)) == tuple(range(-5, 1019))
+        assert label_universe([1, 1024]) == tuple(range(1, 1025))
+        for labels, given in [([1, 1025], None), ([], range(1, 1026))]:
+            with pytest.raises(InvalidInputError, match=re.escape("1..1025 spans more than 1024")):
+                label_universe(labels, given)
+
+    def test_a_huge_range_is_refused_without_expanding_it(self):
+        with pytest.raises(InvalidInputError, match=re.escape("1..99999999999999999999")):
+            label_universe([], range(1, 10**20))
+        with pytest.raises(InvalidInputError, match=re.escape("-9223372036854775808..9223372036854775807")):
+            label_universe([-(2**63), 2**63 - 1])
+
+    def test_a_list_is_not_bounded(self):
+        listed = tuple(range(0, 4000, 2))
+        assert label_universe([0, 3998], listed) == listed
 
 
 class TestNormalization:

@@ -1,11 +1,12 @@
 import json
 import os
+import re
 
 import numpy as np
 import pytest
 
 from fuzzyloc.data import Dataset
-from fuzzyloc.errors import ConfigError, SchemaError
+from fuzzyloc.errors import ConfigError, InvalidInputError, SchemaError
 from fuzzyloc.pipeline import (
     ExperimentConfig,
     build_report,
@@ -44,14 +45,24 @@ class TestConfig:
                 cfs_epsilon=0.1,
             )
 
-    def test_unseen_must_sit_inside_an_explicit_universe(self):
-        with pytest.raises(ConfigError, match="9"):
+    @pytest.mark.parametrize(
+        "universe, named",
+        [
+            ((1, 2, 3), "[9]"),
+            ((3, 1, 8), "strictly increasing"),
+            ((), "non-empty"),
+            ((9, 2**63), "64-bit"),
+            (range(1, 1026), "1..1025"),
+        ],
+    )
+    def test_a_bad_universe_fails_when_the_config_is_built(self, universe, named):
+        with pytest.raises(ConfigError, match=re.escape(named)):
             ExperimentConfig(
                 input_path="x.csv",
                 label_column="label",
                 feature_columns=("a",),
                 unseen_labels=(9,),
-                label_universe=(1, 2, 3),
+                label_universe=universe,
             )
 
     def test_unknown_strategy(self):
@@ -117,6 +128,13 @@ class TestTrainRulebase:
         config = config_for(corridor_csv, unseen_labels=(5, 12))
         trained = train_rulebase(config)
         assert trained.rule_base.label_universe == tuple(range(1, 13))
+
+    def test_default_universe_is_bounded(self, corridor_csv):
+        config = config_for(corridor_csv, unseen_labels=(5, 1025))
+        with pytest.raises(InvalidInputError, match=re.escape("1..1025")):
+            train_rulebase(config)
+        trained = train_rulebase(config_for(corridor_csv, unseen_labels=(5, 1024)))
+        assert trained.rule_base.label_universe == tuple(range(1, 1025))
 
     def test_cfs_projects_every_downstream_stage(self, corridor_csv):
         config = config_for(corridor_csv, cfs_top_n=3)

@@ -15,6 +15,7 @@ from fuzzyloc.errors import (
     RuleBaseVersionError,
 )
 from fuzzyloc.fuzzy import SimilarityParams, TriangularFuzzySet, representative
+from fuzzyloc.inference import predict_rows
 from fuzzyloc.pipeline import ExperimentConfig, train_rulebase
 from fuzzyloc.rulebase import (
     GLOBAL_MEAN,
@@ -91,10 +92,19 @@ class TestExtractRules:
         rb = extract_rules(data, k_max=1)
         assert rb.label_universe == (2, 3, 4, 5, 6)
 
-    def test_explicit_universe_must_cover_training_labels(self):
-        data = identity_normalized([[0.0], [1.0]], [1, 5])
-        with pytest.raises(InvalidInputError, match="5"):
-            extract_rules(data, k_max=1, label_universe=(1, 2, 3))
+    @pytest.mark.parametrize(
+        "labels, universe, named",
+        [
+            ([1, 5], (1, 2, 3), "5"),
+            ([1, 5], (5, 1), "strictly increasing"),
+            ([1, 1025], None, "1..1025"),
+            ([1, 5], range(1, 2000), "1..1999"),
+        ],
+    )
+    def test_bad_universes_are_refused(self, labels, universe, named):
+        data = identity_normalized([[0.0], [1.0]], labels)
+        with pytest.raises(InvalidInputError, match=re.escape(named)):
+            extract_rules(data, k_max=1, label_universe=universe)
 
     def test_selected_features_project_the_antecedents(self):
         data = two_class_data()
@@ -325,6 +335,15 @@ class TestSerialization:
     def test_round_trip_identity(self):
         rb = small_rulebase()
         assert deserialize_rulebase(serialize_rulebase(rb)) == rb
+
+    def test_a_listed_universe_is_not_bounded(self, tmp_path):
+        # only a range is bounded; a document lists its universe
+        rb = dataclasses.replace(small_rulebase(), label_universe=tuple(range(1, 2001)))
+        path = tmp_path / "rb.json"
+        save_rulebase(rb, path)
+        loaded = load_rulebase(path)
+        assert loaded.label_universe == tuple(range(1, 2001))
+        assert [p.label for p in predict_rows(loaded, [[-65.0], [-35.0]])] == [1, 2]
 
     def test_round_trip_many_random_rulebases(self):
         rng = np.random.default_rng(2024)
