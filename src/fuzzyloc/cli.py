@@ -24,6 +24,7 @@ from .errors import (
     DataError,
     InvalidInputError,
 )
+from .fuzzy import SimilarityParams
 # predict is not called here; it stays importable as fuzzyloc.cli.predict
 # because perfbench/layers.py hooks its tracer in at that name
 from .inference import predict, predict_batch, predict_rows  # noqa: F401
@@ -203,19 +204,22 @@ def _add_io_flags(sub, with_features=True):
         )
 
 
-def _add_model_flags(sub):
-    sub.add_argument("--unseen", default=None, help="comma-separated labels held out of training")
-    sub.add_argument("--cfs-top-n", type=int, default=None, help="keep the n best-ranked features")
-    sub.add_argument(
-        "--cfs-epsilon", type=float, default=None, help="keep features scoring above this"
-    )
+def _add_cfs_flags(sub):
+    sub.add_argument("--cfs-top-n", type=int, help="keep the n best-ranked features")
+    sub.add_argument("--cfs-epsilon", type=float, help="keep features scoring above this")
     sub.add_argument(
         "--cfs-sort",
         action="store_true",
         help="score features on value-sorted panels instead of dataset order",
     )
-    sub.add_argument("--h", type=float, default=5.0, help="distance sensitivity (default: 5)")
-    sub.add_argument("--omega", type=float, default=5.0, help="distance midpoint (default: 5)")
+
+
+def _add_model_flags(sub):
+    sub.add_argument("--unseen", default=None, help="comma-separated labels held out of training")
+    _add_cfs_flags(sub)
+    for name, doc in (("h", "distance sensitivity"), ("omega", "distance midpoint")):
+        value = getattr(SimilarityParams, name)
+        sub.add_argument(f"--{name}", type=float, default=value, help=f"{doc} (default: {value:g})")
     sub.add_argument(
         "--strategy",
         choices=STRATEGIES,
@@ -243,9 +247,7 @@ def build_parser():
 
     sub = commands.add_parser("rank-features", help="score and rank feature columns by curvature")
     _add_io_flags(sub)
-    sub.add_argument("--cfs-top-n", type=int, default=None)
-    sub.add_argument("--cfs-epsilon", type=float, default=None)
-    sub.add_argument("--cfs-sort", action="store_true")
+    _add_cfs_flags(sub)
     sub.add_argument("--out", default=None, help="report path (default: stdout)")
     sub.set_defaults(func=cmd_rank_features)
 

@@ -12,6 +12,8 @@ import numpy as np
 from .errors import InvalidInputError
 
 MAX_ITERATIONS = 300
+# k-means++ restarts per k of an elbow sweep
+DEFAULT_RESTARTS = 5
 # run x point x max(cluster, dimension) elements per lockstep group of
 # Lloyd runs: 512 KiB per float64 temporary
 _BLOCK_ELEMENTS = 2**16
@@ -285,7 +287,7 @@ def knee_point(wcss_values):
     return best_k
 
 
-def elbow_fit(points, k_max, seed, restarts=5):
+def elbow_fit(points, k_max, seed, restarts=DEFAULT_RESTARTS):
     """Pick a cluster count by the knee of the WCSS-versus-k curve.
 
     Fits every k in 1..k_max as kmeans(points, k, seed, restarts) would,
@@ -302,7 +304,7 @@ def elbow_fit(points, k_max, seed, restarts=5):
     return k, fits[k - 1]
 
 
-def elbow_k(points, k_max, seed, restarts=5):
+def elbow_k(points, k_max, seed, restarts=DEFAULT_RESTARTS):
     """The k that elbow_fit picks; fewer than 2 points short-circuit to 1."""
     pts = np.asarray(points, dtype=float)
     if pts.ndim != 2:

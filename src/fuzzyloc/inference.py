@@ -13,6 +13,7 @@ the scalar functions in fuzzy.py are the reference it is tested against.
 import bisect
 import operator
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -84,14 +85,15 @@ def _firing_matrix(rb, obs):
     step = max(1, _BLOCK_ELEMENTS // reps.size)
     for lo in range(0, len(obs), step):
         block = obs[lo:lo + step, None]
-        # shape term 1 - (|gap1| + |gap2| + |gap3|) / 3, floored at 0
+        # shape term 1 - (|gap1| + |gap2| + |gap3|) / 3, floored into [0, 1]
         shape = np.abs(block[..., 0] - ants[..., 0])
         shape += np.abs(block[..., 1] - ants[..., 1])
         shape += np.abs(block[..., 2] - ants[..., 2])
         shape /= 3.0
         np.subtract(1.0, shape, out=shape)
         np.maximum(shape, 0.0, out=shape)
-        # distance factor 1 / (1 + exp(h*d - omega)); an overflowing exp gives 0
+        # distance factor 1 / (1 + exp(h*d - omega)) in [0, 1]; an overflowing exp
+        # gives 0. The product of the two stays in [0, 1] and needs no clip to 1
         factor = np.abs(obs_reps[lo:lo + step, None] - reps)
         factor *= h
         factor -= omega
@@ -99,19 +101,24 @@ def _firing_matrix(rb, obs):
         factor += 1.0
         np.divide(1.0, factor, out=factor)
         shape *= factor
-        np.minimum(shape, 1.0, out=shape)
         shape.min(axis=2, out=out[lo:lo + step])
     return out
 
 
-def _normalized(rb, raw, row_prefix=""):
+def _normalized(rb, raw, what, row_prefix=""):
     """Normalized selected features of raw rows, as (N, D, 3) triangles.
 
     raw is (N, F) for crisp rows or (N, F, 3) for triangles, in the rule
-    base's original feature order and raw units. A value that is not
-    finite, raw or once normalized, is refused, naming its feature and row
-    (row_prefix formatted with the row index starts the message).
+    base's original feature order and raw units. An F other than the rule
+    base's feature count is refused, naming what holds the features. A
+    value that is not finite, raw or once normalized, is refused, naming
+    its feature and row (row_prefix formatted with the row index starts
+    the message).
     """
+    if raw.shape[1] != len(rb.feature_names):
+        raise InvalidInputError(
+            f"{what} has {raw.shape[1]} features, rule base expects {len(rb.feature_names)}"
+        )
     if raw.ndim == 2:
         raw = raw[..., None]
     # min-max is monotone, so normalizing each vertex keeps lo <= mid <= hi
@@ -139,7 +146,6 @@ def _predictions(rb, obs):
             # fuzzy.aggregate's sums, in row order: the bits do not depend
             # on how many rows were predicted together
             gamma = sum(map(operator.mul, weights, consequents)) / total
-            fallback_used = False
         else:
             # nothing fired; take the consequent of the closest rule by
             # representative distance (first one on ties) instead of
@@ -147,29 +153,19 @@ def _predictions(rb, obs):
             with np.errstate(over="ignore"):  # overflowing distances tie at inf
                 gaps = rb.representatives - vertex_means(obs[i])
                 gamma = consequents[int(np.argmin((gaps * gaps).sum(axis=1)))]
-            fallback_used = True
         yield Prediction(
             gamma=float(gamma),
             label=discretize(gamma, rb.label_universe),
             total_firing=float(total),
-            fallback_used=fallback_used,
+            fallback_used=not total > 0.0,
             per_rule_firings=row,
-        )
-
-
-def _check_width(rb, n_features, what):
-    if n_features != len(rb.feature_names):
-        raise InvalidInputError(
-            f"{what} has {n_features} features, rule base expects {len(rb.feature_names)}"
         )
 
 
 def predict_fuzzy(rb, observation_sets):
     """Predict from one triangular fuzzy set per original feature (raw units)."""
-    observation_sets = tuple(observation_sets)
-    _check_width(rb, len(observation_sets), "observation")
     raw = np.array([[(s.a1, s.a2, s.a3) for s in observation_sets]], dtype=float)
-    return next(_predictions(rb, _normalized(rb, raw)))
+    return next(_predictions(rb, _normalized(rb, raw, "observation")))
 
 
 def predict(rb, raw_features):
@@ -177,8 +173,7 @@ def predict(rb, raw_features):
     values = np.asarray(raw_features, dtype=float)
     if values.ndim != 1:
         raise InvalidInputError(f"observation must be a flat vector, got shape {values.shape}")
-    _check_width(rb, len(values), "observation")
-    return next(_predictions(rb, _normalized(rb, values[None])))
+    return next(_predictions(rb, _normalized(rb, values[None], "observation")))
 
 
 def predict_rows(rb, rows):
@@ -190,42 +185,63 @@ def predict_rows(rb, rows):
     rows = np.asarray(rows, dtype=float)
     if rows.ndim != 2:
         raise InvalidInputError(f"rows must form a 2-D matrix, got shape {rows.shape}")
-    _check_width(rb, rows.shape[1], "each row")
-    return _predictions(rb, _normalized(rb, rows, "row {}: "))
+    return _predictions(rb, _normalized(rb, rows, "each row", "row {}: "))
 
 
 @dataclass(frozen=True)
 class BatchEvaluation:
-    """Predictions for a labeled dataset plus summary statistics.
+    """Truth labels and predictions of a labeled dataset, in row order.
 
-    accuracy is the correct fraction (NaN when the dataset is empty, see
-    no_instances); confusion is indexed [truth][predicted] over the rule
-    base's label universe; mean_abs_error averages |gamma - truth|.
+    Every score derives from them. accuracy is the correct fraction and
+    mean_abs_error averages |gamma - truth|, both NaN when the dataset is
+    empty (see no_instances); confusion, indexed [truth][predicted] over
+    the label universe, is built once, on first use.
     """
 
     truths: tuple
     predictions: tuple
     label_universe: tuple
-    accuracy: float
-    confusion: tuple
-    mean_abs_error: float
-    fallback_count: int
 
     @property
     def n_instances(self):
         return len(self.predictions)
 
     @property
-    def n_correct(self):
-        return sum(1 for t, p in zip(self.truths, self.predictions) if p.label == t)
-
-    @property
     def no_instances(self):
         return self.n_instances == 0
 
+    def n_within(self, k):
+        """How many predicted labels lie at most k from their truth."""
+        return sum(1 for t, p in zip(self.truths, self.predictions) if abs(p.label - t) <= k)
+
+    @property
+    def n_correct(self):
+        return self.n_within(0)
+
+    @property
+    def accuracy(self):
+        return self.n_correct / self.n_instances if self.predictions else float("nan")
+
+    @property
+    def mean_abs_error(self):
+        errors = [abs(p.gamma - t) for t, p in zip(self.truths, self.predictions)]
+        return sum(errors) / len(errors) if errors else float("nan")
+
+    @property
+    def fallback_count(self):
+        return sum(1 for p in self.predictions if p.fallback_used)
+
+    @cached_property
+    def confusion(self):
+        position = {label: i for i, label in enumerate(self.label_universe)}
+        counts = [[0] * len(position) for _ in position]
+        for truth, pred in zip(self.truths, self.predictions):
+            counts[position[truth]][position[pred.label]] += 1
+        return tuple(map(tuple, counts))
+
 
 def predict_batch(rb, dataset: Dataset):
-    """Predict every row of a raw labeled dataset and score the result.
+    """Predict every row of a raw labeled dataset.
 
     The dataset must carry the rule base's original feature columns (in
     order) in raw units; every truth label must belong to the rule base's
@@ -236,33 +252,13 @@ def predict_batch(rb, dataset: Dataset):
             f"dataset columns {dataset.feature_names} do not match "
             f"rule base features {rb.feature_names}"
         )
-
-    universe = rb.label_universe
-    position = {label: i for i, label in enumerate(universe)}
-    confusion = [[0] * len(universe) for _ in universe]
-
-    truths = [int(t) for t in dataset.labels]
-    for i, truth in enumerate(truths):
-        if truth not in position:
-            raise DataError(f"instance {i}: truth label {truth} is outside the label universe")
-    predictions = list(_predictions(rb, _normalized(rb, dataset.features, "instance {}: ")))
-    for truth, pred in zip(truths, predictions):
-        confusion[position[truth]][position[pred.label]] += 1
-
-    n = len(predictions)
-    if n:
-        accuracy = sum(1 for t, p in zip(truths, predictions) if p.label == t) / n
-        mean_abs_error = sum(abs(p.gamma - t) for t, p in zip(truths, predictions)) / n
-    else:
-        accuracy = float("nan")
-        mean_abs_error = float("nan")
-
+    outside = np.flatnonzero(~np.isin(dataset.labels, rb.label_universe))
+    if outside.size:
+        i, truth = outside[0], dataset.labels[outside[0]]
+        raise DataError(f"instance {i}: truth label {truth} is outside the label universe")
+    obs = _normalized(rb, dataset.features, "each instance", "instance {}: ")
     return BatchEvaluation(
-        truths=tuple(truths),
-        predictions=tuple(predictions),
-        label_universe=universe,
-        accuracy=accuracy,
-        confusion=tuple(tuple(row) for row in confusion),
-        mean_abs_error=mean_abs_error,
-        fallback_count=sum(1 for p in predictions if p.fallback_used),
+        truths=tuple(dataset.labels.tolist()),
+        predictions=tuple(_predictions(rb, obs)),
+        label_universe=rb.label_universe,
     )

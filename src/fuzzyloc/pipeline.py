@@ -10,6 +10,7 @@ byte-identical files.
 
 import json
 import os
+from collections import Counter
 from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import NamedTuple, Optional
@@ -39,8 +40,8 @@ class ExperimentConfig:
     cfs_top_n: Optional[int] = None
     cfs_epsilon: Optional[float] = None
     cfs_sort: bool = False
-    h: float = 5.0
-    omega: float = 5.0
+    h: float = SimilarityParams.h
+    omega: float = SimilarityParams.omega
     strategy: str = PER_CLASS
     k_max: int = DEFAULT_K_MAX
     seed: int = 0
@@ -191,18 +192,15 @@ def _percent(count, total):
 
 def build_report(rb, evaluation, config_echo=None, n_train=None):
     """Assemble the machine-readable report for one evaluation."""
-    truths = evaluation.truths
-    preds = evaluation.predictions
-    n = evaluation.n_instances
-
+    truths, preds, n = evaluation.truths, evaluation.predictions, evaluation.n_instances
+    tally = Counter((t, p.label == t) for t, p in zip(truths, preds))
     per_class = {}
-    for label in sorted(set(truths)):
-        pairs = [(t, p) for t, p in zip(truths, preds) if t == label]
-        correct = sum(1 for t, p in pairs if p.label == t)
+    for label in sorted({t for t, _ in tally}):
+        correct, total = tally[label, True], tally[label, True] + tally[label, False]
         per_class[str(label)] = {
-            "n_instances": len(pairs),
+            "n_instances": total,
             "n_correct": correct,
-            "accuracy_percent": _percent(correct, len(pairs)),
+            "accuracy_percent": _percent(correct, total),
         }
 
     return {
@@ -215,12 +213,8 @@ def build_report(rb, evaluation, config_echo=None, n_train=None):
         "no_instances": evaluation.no_instances,
         "n_correct": evaluation.n_correct,
         "accuracy_percent": _percent(evaluation.n_correct, n),
-        "within_1_percent": _percent(
-            sum(1 for t, p in zip(truths, preds) if abs(p.label - t) <= 1), n
-        ),
-        "within_2_percent": _percent(
-            sum(1 for t, p in zip(truths, preds) if abs(p.label - t) <= 2), n
-        ),
+        "within_1_percent": _percent(evaluation.n_within(1), n),
+        "within_2_percent": _percent(evaluation.n_within(2), n),
         "distance_diag": None if evaluation.no_instances else evaluation.mean_abs_error,
         "fallback_count": evaluation.fallback_count,
         "per_class": per_class,
@@ -242,18 +236,10 @@ def prediction_fields(prediction):
 def format_confusion(evaluation):
     """Plain-text confusion matrix, truth rows by predicted columns."""
     labels = [str(v) for v in evaluation.label_universe]
-    cells = [[str(c) for c in row] for row in evaluation.confusion]
-    width = max(
-        [len("truth\\pred")] + [len(s) for s in labels] + [len(s) for row in cells for s in row]
-    )
-
-    def fmt(items):
-        return "  ".join(s.rjust(width) for s in items)
-
-    lines = [fmt(["truth\\pred"] + labels)]
-    for label, row in zip(labels, cells):
-        lines.append(fmt([label] + row))
-    return "\n".join(lines) + "\n"
+    table = [["truth\\pred"] + labels]
+    table += [[label] + [str(c) for c in row] for label, row in zip(labels, evaluation.confusion)]
+    width = max(len(s) for row in table for s in row)
+    return "".join("  ".join(s.rjust(width) for s in row) + "\n" for row in table)
 
 
 def render_report(report):

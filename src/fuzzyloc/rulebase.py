@@ -28,7 +28,6 @@ GLOBAL_MEAN = "global-mean"
 STRATEGIES = (PER_CLASS, GLOBAL_MEAN)
 
 DEFAULT_K_MAX = 10
-DEFAULT_RESTARTS = 5
 
 
 @dataclass(frozen=True)
@@ -71,13 +70,17 @@ def _at(path, make, *args):
         raise InvalidInputError(f"{path}: {exc}") from None
 
 
+def _triangle(triple):
+    """TriangularFuzzySet(*triple) for a triple of exactly three values."""
+    if len(triple) != 3:
+        raise InvalidInputError(f"a triangle needs 3 values (a1, a2, a3), got {len(triple)}")
+    return TriangularFuzzySet(*triple)
+
+
 def _name_fault(i, triples, consequent, support, arity, lowest, highest):
     """Raise for faulty rule i what building it from TriangularFuzzySet and
     Rule meets first, else what the rule base's own checks found."""
-    sets = [
-        _at(f"rules[{i}].antecedents[{j}]", TriangularFuzzySet, *triple)
-        for j, triple in enumerate(triples)
-    ]
+    sets = [_at(f"rules[{i}].antecedents[{j}]", _triangle, t) for j, t in enumerate(triples)]
     _at(f"rules[{i}]", Rule, sets, consequent, support)
     if support >= 2**63:
         raise InvalidInputError(f"rules[{i}]: support_count must be < 2**63, got {support}")
@@ -153,8 +156,9 @@ class RuleBase:
         counts = np.array(list(map(len, antecedents)), dtype=int)
         if isinstance(antecedents, np.ndarray):  # (R, D, 3), as extract_rules builds it
             values = antecedents.ravel()
-        else:
-            values = list(chain.from_iterable(chain.from_iterable(antecedents)))
+        else:  # a triple of other than 3 values reads as NaNs, which mark its rule
+            flat = chain.from_iterable(antecedents)
+            values = list(chain.from_iterable(t if len(t) == 3 else (math.nan,) * 3 for t in flat))
         triples, cons = _floats(values), _floats(consequents)
         try:
             sups = np.array(supports, dtype=np.int64)
@@ -202,7 +206,7 @@ def _cluster_rules(points, seed, k_max):
     if n < 3 or effective_k_max < 2:
         yield np.ones(n, dtype=bool)
         return
-    k, fit = elbow_fit(points, effective_k_max, seed, restarts=DEFAULT_RESTARTS)
+    k, fit = elbow_fit(points, effective_k_max, seed)
     for c in range(k):
         mask = fit.assignment == c
         if mask.any():

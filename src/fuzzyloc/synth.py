@@ -16,6 +16,8 @@ from .errors import InvalidInputError
 from .fuzzy import _finite_real
 
 LABEL_COLUMN = "room"
+# rooms x rows per room x beacons: 80 MB per float64 table
+MAX_CELLS = 10**7
 
 
 def beacon_positions(n_rooms, n_beacons):
@@ -27,7 +29,8 @@ def generate_synthetic(n_rooms, per_room, n_beacons, noise_sd, seed):
     """Generate a raw labeled dataset of per-room RSSI readings.
 
     Deterministic per seed. Features are named b1..b<n_beacons>; labels
-    are the room indices 1..n_rooms.
+    are the room indices 1..n_rooms. A table of more than MAX_CELLS cells,
+    or one holding a non-finite reading, is refused.
     """
     if n_rooms < 3:
         raise InvalidInputError(f"need at least 3 rooms, got {n_rooms}")
@@ -39,6 +42,10 @@ def generate_synthetic(n_rooms, per_room, n_beacons, noise_sd, seed):
         raise InvalidInputError(f"noise_sd must be >= 0, got {noise_sd}")
     if seed < 0:
         raise InvalidInputError(f"seed must be >= 0, got {seed}")
+    if n_rooms * per_room * n_beacons > MAX_CELLS:
+        raise InvalidInputError(
+            f"{n_rooms} rooms x {per_room} rows x {n_beacons} beacons exceed {MAX_CELLS} cells"
+        )
 
     positions = beacon_positions(n_rooms, n_beacons)
     rooms = np.repeat(np.arange(1, n_rooms + 1), per_room)
@@ -46,10 +53,12 @@ def generate_synthetic(n_rooms, per_room, n_beacons, noise_sd, seed):
     clean = -10.0 * np.log10(np.maximum(distances, 0.1))
 
     rng = np.random.default_rng(seed)
-    noise = rng.normal(0.0, noise_sd, size=clean.shape)
+    features = clean + rng.normal(0.0, noise_sd, size=clean.shape)
+    if not np.isfinite(features).all():
+        raise InvalidInputError(f"noise_sd {noise_sd!r} makes readings non-finite")
 
     return Dataset(
-        features=clean + noise,
+        features=features,
         labels=rooms,
         feature_names=tuple(f"b{i + 1}" for i in range(n_beacons)),
     )

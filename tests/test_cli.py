@@ -2,8 +2,10 @@ import json
 
 import pytest
 
-from fuzzyloc.cli import main, parse_label_universe
+from fuzzyloc.cli import build_parser, main, parse_label_universe
 from fuzzyloc.errors import ConfigError
+from fuzzyloc.fuzzy import SimilarityParams
+from fuzzyloc.pipeline import ExperimentConfig
 
 CORRIDOR_COLS = "b1,b2,b3,b4,b5"
 
@@ -54,7 +56,17 @@ class TestSynthCommand:
 
     @pytest.mark.parametrize(
         "flag, value, named",
-        [("--seed", "-1", "seed"), ("--noise-sd", "nan", "noise_sd"), ("--noise-sd", "inf", "noise_sd")],
+        [
+            ("--seed", "-1", "seed"),
+            ("--noise-sd", "nan", "noise_sd"),
+            ("--noise-sd", "inf", "noise_sd"),
+            # finite noise whose draws overflow to inf
+            ("--noise-sd", "1e+308", "makes readings non-finite"),
+            # tables refused before anything is allocated (74.5 GiB and more)
+            ("--rooms", "10000000000", "rooms x 30 rows x 5 beacons exceed 10000000 cells"),
+            ("--per-room", "100000000000", "rows x 5 beacons exceed 10000000 cells"),
+            ("--beacons", "100000000000", "beacons exceed 10000000 cells"),
+        ],
     )
     def test_values_it_cannot_generate_from_exit_2(self, tmp_path, capsys, flag, value, named):
         out = tmp_path / "x.csv"
@@ -133,6 +145,33 @@ class TestTrainPredictEvaluate:
         per_instance = report["per_instance"]
         assert [list(p) for p in listed] == [["gamma", "label", "total_firing", "fallback_used"]] * 30
         assert listed == [{k: v for k, v in p.items() if k != "truth"} for p in per_instance]
+
+    def test_evaluate_scores_every_class_from_its_instances(self, workdir, capsys):
+        tmp_path, corridor_csv = workdir
+        rb_path = tmp_path / "rb.json"
+        assert run_cli(
+            "train", "--input", corridor_csv, "--label-col", "room",
+            "--feature-cols", CORRIDOR_COLS, "--unseen", "5", "--seed", "42", "--out", str(rb_path),
+        ) == 0
+        capsys.readouterr()
+        assert run_cli(
+            "evaluate", "--rulebase", str(rb_path), "--input", corridor_csv, "--label-col", "room"
+        ) == 0
+        report = json.loads(capsys.readouterr().out)
+        recount = {}
+        for row in report["per_instance"]:
+            counts = recount.setdefault(row["truth"], {"n_instances": 0, "n_correct": 0})
+            counts["n_instances"] += 1
+            counts["n_correct"] += row["label"] == row["truth"]
+        assert list(report["per_class"]) == [str(label) for label in range(1, 11)]
+        assert report["per_class"] == {
+            str(label): {**c, "accuracy_percent": 100.0 * c["n_correct"] / c["n_instances"]}
+            for label, c in sorted(recount.items())
+        }
+        assert report["n_correct"] == sum(c["n_correct"] for c in recount.values())
+        for k in (1, 2):
+            hits = sum(abs(r["label"] - r["truth"]) <= k for r in report["per_instance"])
+            assert report[f"within_{k}_percent"] == 100.0 * hits / 300
 
     def test_missing_rulebase_exits_2(self, workdir):
         tmp_path, corridor_csv = workdir
@@ -250,6 +289,32 @@ class TestRunCommand:
             "--feature-cols", "b1", "--unseen", "2", "--out", str(tmp_path / "exp"),
         )
         assert code == 3
+
+
+class TestFlagOwnership:
+    def test_rank_features_documents_the_selection_flags(self, capsys):
+        for command in ("rank-features", "train", "run"):
+            with pytest.raises(SystemExit) as exit_info:
+                main([command, "--help"])
+            assert exit_info.value.code == 0
+            listing = " ".join(capsys.readouterr().out.split())
+            for text in (
+                "--cfs-top-n CFS_TOP_N keep the n best-ranked features",
+                "--cfs-epsilon CFS_EPSILON keep features scoring above this",
+                "--cfs-sort score features on value-sorted panels instead of dataset order",
+            ):
+                assert text in listing, command
+
+    def test_model_flag_defaults_are_the_library_defaults(self):
+        args = build_parser().parse_args(
+            ["run", "--input", "x.csv", "--feature-cols", "b1", "--out", "o"]
+        )
+        config = ExperimentConfig(input_path="x.csv", label_column="label", feature_columns=("b1",))
+        assert (args.h, args.omega) == (config.h, config.omega) == (5.0, 5.0)
+        assert (SimilarityParams().h, SimilarityParams().omega) == (5.0, 5.0)
+        assert (args.strategy, args.k_max, args.seed) == (
+            config.strategy, config.k_max, config.seed
+        )
 
 
 class TestRankFeaturesCommand:

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 
@@ -155,10 +156,21 @@ class TestPredict:
         assert predict(rb, [-20.0]).label == 3
         assert predict(rb, [-50.0]).label == 2  # halfway between the cores
 
-    def test_arity_mismatch(self):
+    @pytest.mark.parametrize(
+        "call, message",
+        [
+            (lambda rb: predict(rb, [0.1, 0.2]), "observation has 2 features"),
+            (lambda rb: predict(rb, []), "observation has 0 features"),
+            (lambda rb: predict_fuzzy(rb, [singleton(0.1)] * 3), "observation has 3 features"),
+            (lambda rb: predict_fuzzy(rb, iter(())), "observation has 0 features"),
+            (lambda rb: list(predict_rows(rb, [[0.1, 0.2]])), "each row has 2 features"),
+            (lambda rb: list(predict_rows(rb, np.empty((0, 3)))), "each row has 3 features"),
+        ],
+    )
+    def test_arity_mismatch(self, call, message):
         rb = onedim_rulebase([((0.1, 0.2, 0.3), 2.0)])
-        with pytest.raises(InvalidInputError):
-            predict(rb, [0.1, 0.2])
+        with pytest.raises(InvalidInputError, match=f"^{message}, rule base expects 1$"):
+            call(rb)
 
     def test_non_finite_input(self):
         rb = onedim_rulebase([((0.1, 0.2, 0.3), 2.0)])
@@ -267,6 +279,13 @@ class TestPredictBatch:
         )
         with pytest.raises(DataError, match="77"):
             predict_batch(rb, stray)
+        two_strays = Dataset(
+            features=[[0.0, 0.0]] * 4, labels=[1, 78, 5, 77], feature_names=cores.feature_names
+        )
+        with pytest.raises(
+            DataError, match="^instance 1: truth label 78 is outside the label universe$"
+        ):
+            predict_batch(rb, two_strays)
 
     def test_feature_name_mismatch_is_rejected(self):
         rb, cores = self.cores_setup()
@@ -285,6 +304,34 @@ class TestPredictBatch:
         )
         with pytest.raises(InvalidInputError, match="instance 1"):
             predict_batch(rb, poisoned)
+
+    def test_scores_follow_replaced_truths_and_predictions(self):
+        rb, cores = self.cores_setup()
+        result = predict_batch(rb, cores)
+        # a far row fires nothing and falls back; the other truths are off by one
+        other = Dataset(
+            features=np.vstack([cores.features, [[50.0, 50.0]]]),
+            labels=[label + 1 if label < 9 else 8 for label in cores.labels.tolist()] + [9],
+            feature_names=cores.feature_names,
+        )
+        fresh = predict_batch(rb, other)
+        assert result.confusion  # cached before the replace
+        replaced = dataclasses.replace(result, truths=fresh.truths, predictions=fresh.predictions)
+        assert [f.name for f in dataclasses.fields(replaced)] == [
+            "truths", "predictions", "label_universe"
+        ]
+        scores = ["n_instances", "n_correct", "accuracy", "mean_abs_error", "fallback_count",
+                  "confusion"]
+        for name in scores:
+            assert getattr(replaced, name) == getattr(fresh, name) != getattr(result, name), name
+        assert replaced.n_within(1) == fresh.n_within(1) == 4
+
+    def test_confusion_is_built_once(self):
+        rb, cores = self.cores_setup()
+        result = predict_batch(rb, cores)
+        assert "confusion" not in vars(result)
+        assert result.confusion is result.confusion
+        assert vars(result)["confusion"] is result.confusion
 
     def test_mean_abs_error_matches_manual_recomputation(self):
         rb, cores = self.cores_setup()

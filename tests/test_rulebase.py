@@ -33,6 +33,9 @@ from fuzzyloc.synth import generate_synthetic, write_csv
 from conftest import identity_normalized, random_rulebase
 
 
+NEEDS_3 = "a triangle needs 3 values (a1, a2, a3), got"
+
+
 def two_class_data():
     # class 1 hugs the origin, class 2 sits near (1, 1); both tight
     features = [
@@ -196,6 +199,42 @@ class TestRuleBaseValidation:
                 normalization=Normalization(mins=(0.0, 0.0), maxs=(1.0, 1.0)),
                 selected_features=(0, 1),
                 label_universe=rb.label_universe,
+                consequent_strategy=PER_CLASS,
+                seed=0,
+            )
+
+    @pytest.mark.parametrize(
+        "antecedents, consequents, named",
+        [
+            ([[(0.1, 0.2), (0.3, 0.4, 0.5, 0.6)]], [1.0], f"rules[0].antecedents[0]: {NEEDS_3} 2"),
+            ([[(0.1, 0.2, 0.3), (0.4,) * 4]], [1.0], f"rules[0].antecedents[1]: {NEEDS_3} 4"),
+            ([[(0.1, 0.2, 0.3), ()]], [1.0], f"rules[0].antecedents[1]: {NEEDS_3} 0"),
+            (
+                [[(0.0, 0.0, 0.0)] * 2, [(0.0, 0.0, 0.0), [0.1, 0.2]]], [1.0, 2.0],
+                f"rules[1].antecedents[1]: {NEEDS_3} 2",
+            ),
+            # the first faulty rule, and its first faulty triple, is named
+            (
+                [[(0.3, 0.2, 0.1), (0.1, 0.2)]], [1.0],
+                "rules[0].antecedents[0]: fuzzy set vertices must satisfy a1 <= a2 <= a3",
+            ),
+            (
+                [[(0.0, 0.0, 0.0)] * 2, [(0.1,), (0.2,)]], [float("nan"), 2.0],
+                "rules[0]: non-finite consequent",
+            ),
+        ],
+    )
+    def test_every_triple_holds_three_values(self, antecedents, consequents, named):
+        with pytest.raises(InvalidInputError, match=f"^{re.escape(named)}"):
+            RuleBase(
+                antecedents=antecedents,
+                consequents=consequents,
+                supports=[1] * len(consequents),
+                params=SimilarityParams(),
+                feature_names=("b1", "b2"),
+                normalization=Normalization(mins=(0.0, 0.0), maxs=(1.0, 1.0)),
+                selected_features=(0, 1),
+                label_universe=(1, 2),
                 consequent_strategy=PER_CLASS,
                 seed=0,
             )

@@ -3,6 +3,7 @@ import pytest
 
 from fuzzyloc.data import load_csv
 from fuzzyloc.errors import InvalidInputError
+from fuzzyloc import synth
 from fuzzyloc.synth import beacon_positions, generate_synthetic, write_csv
 
 
@@ -56,6 +57,14 @@ class TestGenerate:
             for (d_near, m_near), (d_far, m_far) in zip(by_distance, by_distance[1:]):
                 if d_far > d_near:
                     assert m_near > m_far
+
+    def test_table_size_is_bounded(self, monkeypatch):
+        assert 40 * 100 * 24 <= synth.MAX_CELLS <= 10**7  # a 40-room building fits
+        monkeypatch.setattr(synth, "MAX_CELLS", 3 * 2 * 2)
+        assert generate_synthetic(3, 2, 2, 0.5, seed=0).features.size == 12
+        for sizes in [(4, 2, 2), (3, 3, 2), (3, 2, 3)]:
+            with pytest.raises(InvalidInputError, match="exceed 12 cells"):
+                generate_synthetic(*sizes, 0.5, seed=0)
 
     def test_size_validation(self):
         with pytest.raises(InvalidInputError):
