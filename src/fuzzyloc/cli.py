@@ -9,12 +9,11 @@ main assigns: 0 ok, 2 config or schema problem, 3 data problem, 4 bug.
 
 import argparse
 import json
-import re
 import sys
 import traceback
 
 from .curvature import rank_features
-from .data import fit_normalization, label_universe, load_csv, read_feature_rows
+from .data import fit_normalization, label_form, label_universe, load_csv, read_feature_rows
 from .errors import (
     EXIT_CONFIG,
     EXIT_DATA,
@@ -23,6 +22,7 @@ from .errors import (
     ConfigError,
     DataError,
     InvalidInputError,
+    SchemaError,
 )
 from .fuzzy import SimilarityParams
 # predict is not called here; it stays importable as fuzzyloc.cli.predict
@@ -39,26 +39,29 @@ from .pipeline import (
 from .rulebase import DEFAULT_K_MAX, PER_CLASS, STRATEGIES, load_rulebase, save_rulebase
 from .synth import LABEL_COLUMN, generate_synthetic, write_csv
 
-_RANGE = re.compile(r"^(-?\d+)\.\.(-?\d+)$")
-
-
 def parse_label_universe(text):
-    """Accept "1..21" (inclusive range) or an explicit list "1,2,5" (as given)."""
+    """Accept "1..21" (inclusive range) or an explicit list "1,2,5" (as
+    given); each label is read as a CSV label cell is, plain or c<N>."""
     text = text.strip()
-    m = _RANGE.match(text)
-    if not m:
-        return _parse_ints(text, "label universe")
+    lo, dots, hi = text.partition("..")
+    if not dots:
+        return _parse_labels(text, "--label-universe")
+    first, last = _label(lo, "--label-universe"), _label(hi, "--label-universe")
     try:
-        return label_universe((), range(int(m.group(1)), int(m.group(2)) + 1))
+        return label_universe((), range(first, last + 1))
     except InvalidInputError as exc:
         raise ConfigError(f"--label-universe {text}: {exc}") from None
 
 
-def _parse_ints(text, what):
+def _label(text, flag):
     try:
-        return tuple(int(part) for part in text.split(","))
-    except ValueError:
-        raise ConfigError(f"cannot parse {what} {text!r}; use a comma-separated integer list") from None
+        return label_form(text)[0]
+    except (SchemaError, DataError) as exc:
+        raise ConfigError(f"{flag}: {exc}") from None
+
+
+def _parse_labels(text, flag):
+    return tuple(_label(item, flag) for item in text.split(","))
 
 
 def _parse_cols(text):
@@ -81,7 +84,7 @@ def _config_from_args(args, output_dir=None):
         input_path=args.input,
         label_column=args.label_col,
         feature_columns=_parse_cols(args.feature_cols),
-        unseen_labels=_parse_ints(args.unseen, "unseen labels") if args.unseen else (),
+        unseen_labels=_parse_labels(args.unseen, "--unseen") if args.unseen else (),
         cfs_top_n=args.cfs_top_n,
         cfs_epsilon=args.cfs_epsilon,
         cfs_sort=args.cfs_sort,

@@ -10,7 +10,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import ConfigError, DataError, InvalidInputError, SchemaError
-from .fuzzy import _finite_real
+from .fuzzy import _finite_real, _integer, _integers
 
 _PREFIXED_LABEL = re.compile(r"^[cC](-?\d+)$")
 _PLAIN_LABEL = re.compile(r"^[+-]?\d+$")
@@ -81,7 +81,10 @@ class Dataset:
 
     def __post_init__(self):
         features = np.asarray(self.features, dtype=float)
-        labels = np.asarray(self.labels, dtype=np.int64)
+        labels = np.asarray(self.labels)
+        if labels.size and (labels.dtype.kind not in "iu" or labels.max() > LABEL_RANGE[-1]):
+            raise InvalidInputError(f"labels must be 64-bit integers, got dtype {labels.dtype}")
+        labels = labels.astype(np.int64, copy=False)
         if features.ndim != 2:
             raise InvalidInputError(f"features must be 2-D, got shape {features.shape}")
         if labels.ndim != 1 or len(labels) != len(features):
@@ -129,30 +132,38 @@ def fit_normalization(raw):
     )
 
 
-def parse_label(text):
-    """Parse one label cell into (integer value, format kind).
+def label_form(text):
+    """Read one label as (integer value, format kind), whatever its size.
 
-    Accepts plain integers ("8") and class-prefixed forms ("c8" / "C8");
-    kind is "plain" or "prefixed" so callers can reject mixed files.
+    Accepts plain integers ("8") and class-prefixed forms ("c8" / "C8"),
+    with no digit separators; kind is "plain" or "prefixed" so callers can
+    reject mixed files. SchemaError for any other text, and DataError for
+    one of more digits than int() converts.
     """
     text = text.strip()
     m = _PREFIXED_LABEL.match(text)
-    if m:
-        value, kind = int(m.group(1)), "prefixed"
-    elif _PLAIN_LABEL.match(text):
-        value, kind = int(text), "plain"
-    else:
+    if not (m or _PLAIN_LABEL.match(text)):
         raise SchemaError(f"label {text!r} is neither an integer nor a c<N> class name")
+    try:
+        return int(m.group(1) if m else text), "prefixed" if m else "plain"
+    except ValueError:  # over 4,300 digits by default, so far beyond 64 bits
+        raise DataError(f"label {text!r} does not fit in a 64-bit integer") from None
+
+
+def parse_label(text):
+    """label_form of one label cell, which must fit in 64 bits."""
+    value, kind = label_form(text)
     if value not in LABEL_RANGE:
-        raise DataError(f"label {text!r} does not fit in a 64-bit integer")
+        raise DataError(f"label {text.strip()!r} does not fit in a 64-bit integer")
     return value, kind
 
 
 def label_universe(labels, given=None):
     """The labels a model may emit, as an ascending tuple holding labels:
     given (a sequence or a range) if passed, else the range spanning labels.
-    A range is bounded before it is expanded; InvalidInputError on a fault."""
-    labels = set(map(int, labels))
+    Every label and entry goes through _integer, and a range is bounded
+    before it is expanded; InvalidInputError on a fault."""
+    labels = {_integer(v, "label") for v in labels}
     if given is None:
         given = range(min(labels), max(labels) + 1) if labels else range(0)
     # every universe label gets a row and a column of the dense confusion
@@ -161,7 +172,7 @@ def label_universe(labels, given=None):
             f"label range {given.start}..{given.stop - 1} spans more than {MAX_RANGE_LABELS} "
             "labels; list the labels instead, as in --label-universe 1,2,5"
         )
-    universe = tuple(map(int, given))
+    universe = _integers(given, "label_universe")
     if not universe or any(b <= a for a, b in zip(universe, universe[1:])):
         raise InvalidInputError("label_universe must be non-empty and strictly increasing")
     if universe[0] not in LABEL_RANGE or universe[-1] not in LABEL_RANGE:
@@ -249,13 +260,13 @@ def _read_table(path, feature_columns, label_column=None):
             if len(row) < len(header):
                 bad_rows.append((row_number, "too few cells"))
                 continue
+            cells = [row[pos] for pos in feat_pos]
             try:
-                values = [float(row[pos]) for pos in feat_pos]
-                usable = all(map(math.isfinite, values))
+                values = list(map(float, cells))
+                usable = "_" not in "".join(cells) and all(map(math.isfinite, values))
             except ValueError:
                 usable = False
             if not usable:
-                cells = (row[pos] for pos in feat_pos)
                 bad_rows.append((row_number, next(filter(None, map(_cell_fault, cells)))))
                 continue
             if labels is not None:
@@ -289,11 +300,14 @@ def _cell_fault(cell):
     """Why a feature cell is unusable, or None when it holds a finite number.
 
     Parsed as _read_table parses it: float() keeps characters, such as
-    "\\x1c", that str.strip() drops."""
+    "\\x1c", that str.strip() drops, and reads PEP 515 digit separators
+    ("1_5"), which no CSV number holds."""
     shown = cell.strip(" \t")
     try:
         value = float(cell)
     except ValueError:
+        value = None
+    if value is None or "_" in cell:
         return f"unparseable cell {shown!r}"
     return None if math.isfinite(value) else f"non-finite cell {shown!r}"
 

@@ -37,6 +37,25 @@ def _finite_real(v, what):
     return v
 
 
+def _integer(v, what):
+    """v as an int; raises InvalidInputError naming what.
+
+    int passes unchanged (the common case, checked first); other integers,
+    numpy integers among them, convert to int. bool is refused although it
+    is an int, and so is every non-integer, an integral float included.
+    """
+    if type(v) is int:
+        return v
+    if isinstance(v, bool) or not isinstance(v, numbers.Integral):
+        raise InvalidInputError(f"{what} must be an integer, got {type(v).__name__}")
+    return int(v)
+
+
+def _integers(values, what):
+    """A tuple of _integer of each value; the i-th is named what[i]."""
+    return tuple(_integer(v, f"{what}[{i}]") for i, v in enumerate(values))
+
+
 @dataclass(frozen=True)
 class TriangularFuzzySet:
     """Normal, convex triangular fuzzy set on the real line.

@@ -20,7 +20,7 @@ import numpy as np
 from .curvature import rank_features
 from .data import fit_normalization, label_universe as universe_of, load_csv
 from .errors import ConfigError, FuzzylocError, InvalidInputError
-from .fuzzy import SimilarityParams
+from .fuzzy import SimilarityParams, _integers
 from .inference import predict_batch
 from .rulebase import DEFAULT_K_MAX, PER_CLASS, STRATEGIES, extract_rules, save_rulebase
 
@@ -50,13 +50,13 @@ class ExperimentConfig:
 
     def __post_init__(self):
         object.__setattr__(self, "feature_columns", tuple(self.feature_columns))
-        object.__setattr__(self, "unseen_labels", tuple(int(v) for v in self.unseen_labels))
-        if self.label_universe is not None:
-            try:
-                universe = universe_of(self.unseen_labels, self.label_universe)
-            except InvalidInputError as exc:
-                raise ConfigError(str(exc)) from None
-            object.__setattr__(self, "label_universe", universe)
+        try:
+            unseen = _integers(self.unseen_labels, "unseen_labels")
+            object.__setattr__(self, "unseen_labels", unseen)
+            if self.label_universe is not None:
+                object.__setattr__(self, "label_universe", universe_of(unseen, self.label_universe))
+        except InvalidInputError as exc:
+            raise ConfigError(str(exc)) from None
         if not self.feature_columns:
             raise ConfigError("at least one feature column is required")
         if self.cfs_top_n is not None and self.cfs_epsilon is not None:

@@ -20,7 +20,7 @@ import numpy as np
 from .clustering import elbow_fit, elbow_k, kmeans  # noqa: F401
 from .data import Normalization, label_universe as universe_of
 from .errors import ConfigError, InvalidInputError, RuleBaseFormatError, RuleBaseVersionError
-from .fuzzy import SimilarityParams, TriangularFuzzySet, _finite_real, vertex_means
+from .fuzzy import SimilarityParams, TriangularFuzzySet, _finite_real, _integer, _integers, vertex_means
 
 FORMAT_VERSION = 1
 PER_CLASS = "per-class"
@@ -41,25 +41,28 @@ class Rule:
     def __post_init__(self):
         object.__setattr__(self, "antecedents", tuple(self.antecedents))
         object.__setattr__(self, "consequent", float(_finite_real(self.consequent, "consequent")))
+        object.__setattr__(self, "support_count", _integer(self.support_count, "support_count"))
         if not self.antecedents:
             raise InvalidInputError("rule needs at least one antecedent")
         if self.support_count < 1:
             raise InvalidInputError(f"support_count must be >= 1, got {self.support_count}")
+        if self.support_count >= 2**63:  # supports are held as int64
+            raise InvalidInputError(f"support_count must be < 2**63, got {self.support_count}")
 
 
 def _floats(values):
     """values as float64; NaN stands for each one _finite_real refuses."""
-    if isinstance(values, np.ndarray) or set(map(type, values)) <= {int, float}:
+    if set(map(type, values)) <= {int, float}:
         with suppress(OverflowError):  # an int beyond the float range
             return np.array(values, dtype=float)
-    return np.array([_float_or_nan(v) for v in values], dtype=float)
+    return np.array([_checked(_finite_real, v, math.nan) for v in values], dtype=float)
 
 
-def _float_or_nan(value):
-    try:
-        return float(_finite_real(value, "value"))
-    except InvalidInputError:
-        return math.nan
+def _checked(check, value, mark):
+    """check(value), or mark for a value check refuses."""
+    with suppress(InvalidInputError):
+        return check(value, "value")
+    return mark
 
 
 def _at(path, make, *args):
@@ -82,8 +85,6 @@ def _name_fault(i, triples, consequent, support, arity, lowest, highest):
     Rule meets first, else what the rule base's own checks found."""
     sets = [_at(f"rules[{i}].antecedents[{j}]", _triangle, t) for j, t in enumerate(triples)]
     _at(f"rules[{i}]", Rule, sets, consequent, support)
-    if support >= 2**63:
-        raise InvalidInputError(f"rules[{i}]: support_count must be < 2**63, got {support}")
     if len(sets) != arity:
         raise InvalidInputError(f"rule {i} has {len(sets)} antecedents, expected {arity}")
     raise InvalidInputError(
@@ -99,15 +100,18 @@ class RuleBase:
     The rules are three read-only arrays: antecedents (R, D, 3), one
     (a1, a2, a3) per rule and selected feature, consequents (R,) and
     supports (R,), the cluster sizes (diagnostics only). They are given
-    as array-likes, or as rules, a sequence of Rule, and checked all at
-    once; an error names the first faulty rule in order. representatives
-    (R, D) are the vertex means; rules reads the arrays back as Rules.
+    as nested sequences or arrays (an array is read as its nested lists),
+    or as rules, a sequence of Rule, and checked all at once, whatever
+    the source, as Rule and TriangularFuzzySet check them; an error names
+    the first faulty rule in order. representatives (R, D) are the
+    vertex means; rules reads the arrays back as Rules.
 
-    feature_names / normalization describe the original (pre-selection)
-    feature space; selected_features are indices into it, and every rule
-    has one antecedent per selected feature. label_universe lists all
-    labels the deployment may emit, including ones never seen in training;
-    they fit in 64 bits, and every consequent lies within their span.
+    feature_names (str) / normalization describe the original
+    (pre-selection) feature space; selected_features are integer indices
+    into it, and every rule has one antecedent per selected feature.
+    label_universe lists all labels the deployment may emit, including
+    ones never seen in training; they fit in 64 bits, and every consequent
+    lies within their span. seed is an integer.
     """
 
     antecedents: np.ndarray
@@ -131,17 +135,23 @@ class RuleBase:
             antecedents = [[(a.a1, a.a2, a.a3) for a in rule.antecedents] for rule in rules]
             consequents = [rule.consequent for rule in rules]
             supports = [rule.support_count for rule in rules]
+        # one intake: an array is read as the nested lists a document holds
+        antecedents, consequents, supports = (
+            v.tolist() if isinstance(v, np.ndarray) else v
+            for v in (antecedents, consequents, supports)
+        )
         for name, value in dict(
             params=params, feature_names=tuple(feature_names), normalization=normalization,
-            selected_features=tuple(int(i) for i in selected_features),
+            selected_features=_integers(selected_features, "selected_features"),
             label_universe=universe_of((), label_universe),
-            consequent_strategy=consequent_strategy, seed=seed,
+            consequent_strategy=consequent_strategy, seed=_integer(seed, "seed"),
         ).items():
             object.__setattr__(self, name, value)
-        if not len(consequents):
-            raise InvalidInputError("rule base must contain at least one rule")
         if len(self.feature_names) != self.normalization.n_features:
             raise InvalidInputError("feature names and normalization table disagree")
+        for i, name in enumerate(self.feature_names):
+            if not isinstance(name, str):
+                raise InvalidInputError(f"feature_names[{i}] must be a str, got {name!r}")
         if not self.selected_features:
             raise InvalidInputError("selected_features must be non-empty")
         for i in self.selected_features:
@@ -153,20 +163,20 @@ class RuleBase:
         if self.consequent_strategy not in STRATEGIES:
             raise InvalidInputError(f"unknown consequent strategy {self.consequent_strategy!r}")
         arity = len(self.selected_features)
-        counts = np.array(list(map(len, antecedents)), dtype=int)
-        if isinstance(antecedents, np.ndarray):  # (R, D, 3), as extract_rules builds it
-            values = antecedents.ravel()
-        else:  # a triple of other than 3 values reads as NaNs, which mark its rule
+        try:  # a triple of other than 3 values reads as NaNs, which mark its rule
+            counts = np.array(list(map(len, antecedents)), dtype=int)
             flat = chain.from_iterable(antecedents)
             values = list(chain.from_iterable(t if len(t) == 3 else (math.nan,) * 3 for t in flat))
-        triples, cons = _floats(values), _floats(consequents)
-        try:
-            sups = np.array(supports, dtype=np.int64)
-        except OverflowError:  # a count beyond 64 bits; 0 marks it as bad below
-            sups = np.array([s if abs(s) < 2**63 else 0 for s in supports], dtype=np.int64)
-        if not len(counts) == len(cons) == len(sups) or len(triples) != 3 * counts.sum():
+            triples, cons = _floats(values).reshape(-1, 3), _floats(consequents)
+            # 0 marks a count that is not an integer below 2**63, as Rule refuses it
+            sups = [_checked(_integer, s, 0) for s in supports]
+        except TypeError as exc:  # a lone value where a sequence belongs
+            raise InvalidInputError(f"antecedents, consequents and supports disagree in shape: {exc}")
+        sups = np.array([s if 0 < s < 2**63 else 0 for s in sups], dtype=np.int64)
+        if not len(counts) == len(cons) == len(sups):
             raise InvalidInputError("antecedents, consequents and supports disagree in shape")
-        triples = triples.reshape(-1, 3)
+        if not len(cons):
+            raise InvalidInputError("rule base must contain at least one rule")
         with np.errstate(over="ignore"):
             reps = vertex_means(triples)
         # consequents are labels or means of labels; with finite vertex means
@@ -242,10 +252,11 @@ def extract_rules(
         raise InvalidInputError(f"k_max must be >= 1, got {k_max}")
     if params is None:
         params = SimilarityParams()
+    seed = _integer(seed, "seed")
 
     if selected_features is None:
         selected_features = tuple(range(dataset.n_features))
-    selected_features = tuple(int(i) for i in selected_features)
+    selected_features = _integers(selected_features, "selected_features")
 
     labels = dataset.labels
     label_universe = universe_of(labels.tolist(), label_universe)
@@ -278,7 +289,7 @@ def extract_rules(
         selected_features=selected_features,
         label_universe=label_universe,
         consequent_strategy=strategy,
-        seed=int(seed),
+        seed=seed,
     )
 
 
@@ -309,29 +320,22 @@ def serialize_rulebase(rb):
     return json.dumps(doc, indent=2) + "\n"
 
 
-def _check_type(value, kinds, what):
-    # JSON true/false parse as bool, a subclass of int; no field is boolean
-    if isinstance(value, bool) or not isinstance(value, kinds):
-        raise RuleBaseFormatError(f"{what} has type {type(value).__name__}")
-    return value
-
-
-def _field(doc, key, context, kinds=object):
+def _field(doc, key, context, kind=None):
+    """doc[key], of the JSON type kind if one is given (JSON true and false
+    parse as bool, which is not int)."""
     if not isinstance(doc, dict):
         raise RuleBaseFormatError(f"{context} must be an object")
     if key not in doc:
         raise RuleBaseFormatError(f"{context}: missing field {key!r}")
-    return _check_type(doc[key], kinds, f"{context}: field {key!r}")
-
-
-def _ints(doc, key):
-    values = _field(doc, key, "rule base", list)
-    return tuple(_check_type(v, int, f"rule base: {key}[{i}]") for i, v in enumerate(values))
+    if kind is not None and type(doc[key]) is not kind:
+        raise RuleBaseFormatError(f"{context}: field {key!r} has type {type(doc[key]).__name__}")
+    return doc[key]
 
 
 def deserialize_rulebase(text):
-    """Parse a rule-base document, validating structure and invariants;
-    an error names the field's path, such as rules[3].antecedents[1]."""
+    """Parse a rule-base document: its shape is checked here, and every
+    value by RuleBase; an error names the field's path, such as
+    rules[3].antecedents[1]."""
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -339,6 +343,8 @@ def deserialize_rulebase(text):
             f"rule-base document is not valid JSON: {exc.msg} "
             f"(line {exc.lineno} column {exc.colno}, char {exc.pos})"
         ) from exc
+    except ValueError as exc:  # an integer of more digits than int() converts
+        raise RuleBaseFormatError(f"rule-base document holds a number it cannot read: {exc}") from None
     version = _field(doc, "format_version", "rule base", int)
     if version != FORMAT_VERSION:
         raise RuleBaseVersionError(
@@ -365,15 +371,15 @@ def deserialize_rulebase(text):
             params=_at("similarity_params", SimilarityParams, *(
                 _field(params_doc, key, "similarity_params") for key in ("h", "omega")
             )),
-            feature_names=tuple(_field(entry, "name", path, str) for entry, path in norm_doc),
+            feature_names=tuple(_field(entry, "name", path) for entry, path in norm_doc),
             normalization=Normalization(
                 mins=tuple(_field(entry, "min", path) for entry, path in norm_doc),
                 maxs=tuple(_field(entry, "max", path) for entry, path in norm_doc),
             ),
-            selected_features=_ints(doc, "selected_features"),
-            label_universe=_ints(doc, "label_universe"),
-            consequent_strategy=_field(doc, "consequent_strategy", "rule base", str),
-            seed=_field(doc, "seed", "rule base", int),
+            selected_features=_field(doc, "selected_features", "rule base", list),
+            label_universe=_field(doc, "label_universe", "rule base", list),
+            consequent_strategy=_field(doc, "consequent_strategy", "rule base"),
+            seed=_field(doc, "seed", "rule base"),
         )
     except (InvalidInputError, TypeError, ValueError) as exc:
         raise RuleBaseFormatError(f"rule-base document violates an invariant: {exc}") from exc

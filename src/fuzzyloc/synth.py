@@ -13,7 +13,7 @@ import numpy as np
 
 from .data import Dataset
 from .errors import InvalidInputError
-from .fuzzy import _finite_real
+from .fuzzy import _finite_real, _integer
 
 LABEL_COLUMN = "room"
 # rooms x rows per room x beacons: 80 MB per float64 table
@@ -29,9 +29,13 @@ def generate_synthetic(n_rooms, per_room, n_beacons, noise_sd, seed):
     """Generate a raw labeled dataset of per-room RSSI readings.
 
     Deterministic per seed. Features are named b1..b<n_beacons>; labels
-    are the room indices 1..n_rooms. A table of more than MAX_CELLS cells,
-    or one holding a non-finite reading, is refused.
+    are the room indices 1..n_rooms. The sizes and the seed must be
+    integers (_integer). A table of more than MAX_CELLS cells, or one
+    holding a non-finite reading, is refused.
     """
+    n_rooms, per_room, n_beacons, seed = map(
+        _integer, (n_rooms, per_room, n_beacons, seed), ("n_rooms", "per_room", "n_beacons", "seed")
+    )
     if n_rooms < 3:
         raise InvalidInputError(f"need at least 3 rooms, got {n_rooms}")
     if n_beacons < 2:

@@ -23,14 +23,24 @@ class TestParseLabelUniverse:
     def test_range_syntax(self):
         assert parse_label_universe("1..4") == (1, 2, 3, 4)
         assert parse_label_universe("-2..1") == (-2, -1, 0, 1)
+        # each end is read as a CSV label cell is
+        assert parse_label_universe("c1..C4") == (1, 2, 3, 4)
 
     def test_list_syntax(self):
         assert parse_label_universe("3,1,8") == (3, 1, 8)
+        assert parse_label_universe("c3, 1,C8") == (3, 1, 8)
 
     def test_garbage_is_a_config_error(self):
         for bad in ["1..", "a,b", "4..2", "", "1..1025", "1..99999999999999999999"]:
             with pytest.raises(ConfigError):
                 parse_label_universe(bad)
+
+    @pytest.mark.parametrize("bad, item", [
+        ("1_0", "1_0"), ("1..1_0", "1_0"), ("c1_0..c12", "c1_0"), ("1,2_0", "2_0"), ("1.5,2", "1.5"),
+    ])
+    def test_an_item_a_csv_label_cannot_be_is_named(self, bad, item):
+        with pytest.raises(ConfigError, match=f"^--label-universe: label '{item}' is neither"):
+            parse_label_universe(bad)
 
     def test_a_range_is_bounded_but_a_list_is_not(self):
         assert parse_label_universe("1..1024") == tuple(range(1, 1025))
@@ -74,6 +84,36 @@ class TestSynthCommand:
         err = capsys.readouterr().err
         assert named in err and value in err and "Traceback" not in err
         assert not out.exists()
+
+
+class TestLabelFlags:
+    @pytest.mark.parametrize("flags, unseen, universe", [
+        (["--unseen", "c3"], [3], None),
+        (["--unseen", "C3,c7"], [3, 7], None),
+        (["--unseen", "5", "--label-universe", "c1..c10"], [5], list(range(1, 11))),
+    ])
+    def test_labels_read_as_csv_label_cells(self, workdir, flags, unseen, universe):
+        tmp_path, corridor_csv = workdir
+        out = tmp_path / "exp"
+        argv = ["--input", corridor_csv, "--label-col", "room", "--feature-cols", CORRIDOR_COLS]
+        assert run_cli("run", *argv, *flags, "--out", str(out)) == 0
+        echo = json.loads((out / "report.json").read_text(encoding="utf-8"))["config_echo"]
+        assert (echo["unseen_labels"], echo["label_universe"]) == (unseen, universe)
+
+    @pytest.mark.parametrize("flags, named", [
+        (["--unseen", "1_0"], "--unseen: label '1_0'"),
+        (["--unseen", "3,c1_0"], "--unseen: label 'c1_0'"),
+        (["--unseen", "3.0"], "--unseen: label '3.0'"),
+        (["--unseen", "9" * 5000], "does not fit in a 64-bit integer"),
+        (["--unseen", "5", "--label-universe", "1..1_0"], "--label-universe: label '1_0'"),
+    ])
+    def test_items_a_csv_label_cannot_be_exit_2(self, workdir, capsys, flags, named):
+        tmp_path, corridor_csv = workdir
+        argv = ["--input", corridor_csv, "--label-col", "room", "--feature-cols", CORRIDOR_COLS]
+        assert run_cli("run", *argv, *flags, "--out", str(tmp_path / "exp")) == 2
+        err = capsys.readouterr().err
+        assert named in err and "Traceback" not in err
+        assert not (tmp_path / "exp").exists()
 
 
 class TestTrainPredictEvaluate:

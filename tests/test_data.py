@@ -40,7 +40,8 @@ class TestParseLabel:
     def test_labels_are_64_bit(self):
         assert parse_label(str(2**63 - 1)) == (2**63 - 1, "plain")
         assert parse_label(f"c{-(2**63)}") == (-(2**63), "prefixed")
-        for bad in [str(2**63), f"c{-(2**63) - 1}", "9" * 23]:
+        # 5,000 digits are more than int() converts by default
+        for bad in [str(2**63), f"c{-(2**63) - 1}", "9" * 23, "9" * 5000, "c" + "9" * 5000]:
             with pytest.raises(DataError, match="64-bit"):
                 parse_label(bad)
 
@@ -64,11 +65,21 @@ class TestLabelUniverse:
             ((1, 1), "strictly increasing"),
             ((1, 2**63), "64-bit"),
             ((-(2**63) - 1, 1), "64-bit"),
+            # an entry is never truncated or parsed into an int
+            ((1.7, 2.2), r"label_universe\[0\] must be an integer, got float"),
+            (("1", "2", "3"), r"label_universe\[0\] must be an integer, got str"),
+            ((True, 2, 3), r"label_universe\[0\] must be an integer, got bool"),
+            ((1, np.float64(2.0)), r"label_universe\[1\] must be an integer, got float64"),
         ],
     )
     def test_bad_universes(self, given, named):
         with pytest.raises(InvalidInputError, match=named):
             label_universe([], given)
+
+    @pytest.mark.parametrize("labels, named", [([2.5], "float"), ([True], "bool"), (["2"], "str")])
+    def test_bad_labels(self, labels, named):
+        with pytest.raises(InvalidInputError, match=f"label must be an integer, got {named}"):
+            label_universe(labels, (1, 2, 3))
 
     def test_a_range_spans_at_most_1024_labels(self):
         assert label_universe([], range(-5, 1019)) == tuple(range(-5, 1019))
@@ -165,6 +176,21 @@ class TestDataset:
             Dataset(features=[[1.0], [2.0]], labels=[1], feature_names=("a",))
         with pytest.raises(InvalidInputError):
             Dataset(features=[[1.0]], labels=[1], feature_names=("a", "b"))
+
+    @pytest.mark.parametrize("labels, dtype", [
+        ([1.5, 2.5], "float64"), ([1.0, 2.0], "float64"), ([True, False], "bool"), (["3", "4"], "<U1"),
+        (np.array([2**63, 1], dtype=np.uint64), "uint64"),
+    ])
+    def test_labels_are_integers_and_never_cast(self, labels, dtype):
+        with pytest.raises(InvalidInputError, match=f"labels must be 64-bit integers, got dtype {dtype}"):
+            Dataset(features=[[0.0], [1.0]], labels=labels, feature_names=("a",))
+
+    def test_integer_labels_of_any_width_become_int64(self):
+        for labels in ([3, 4], np.array([3, 4], dtype=np.uint8), np.array([3, 4], dtype=np.int64)):
+            data = Dataset(features=[[0.0], [1.0]], labels=labels, feature_names=("a",))
+            assert data.labels.dtype == np.int64 and data.labels.tolist() == [3, 4]
+        empty = Dataset(features=np.zeros((0, 1)), labels=[], feature_names=("a",))
+        assert empty.labels.dtype == np.int64
 
 
 class TestLoadCsv:
@@ -270,6 +296,15 @@ class TestRejectedRows:
         path = write(tmp_path, "f1\n" + "x\n" * 12 + "1\n")
         with pytest.raises(DataError, match=r"12 unusable rows: .*row 11: .*\(and 2 more\)$"):
             read_feature_rows(path, ["f1"])
+
+    @pytest.mark.parametrize("cell", ["1_5", "1_000.5", "1e1_0"])
+    def test_cell_with_digit_separators_is_named(self, tmp_path, cell):
+        # float() reads PEP 515 underscores, as 1_5 = 15.0; no CSV number holds them
+        path = write(tmp_path, f"f1,f2,label\n1,2,1\n3,{cell},2\n")
+        with pytest.raises(DataError, match=f"1 unusable rows: row 3: unparseable cell '{cell}'$"):
+            load_csv(path, "label", ["f1", "f2"])
+        with pytest.raises(DataError, match=f"row 3: unparseable cell '{cell}'$"):
+            read_feature_rows(path, ["f2"])
 
     def test_cell_that_float_does_not_strip_is_named(self, tmp_path):
         # str.strip() drops "\x1c" but float() does not

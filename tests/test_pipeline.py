@@ -65,6 +65,22 @@ class TestConfig:
                 label_universe=universe,
             )
 
+    @pytest.mark.parametrize("unseen, named", [
+        ((2.7,), "unseen_labels[0] must be an integer, got float"),
+        ((1, "3"), "unseen_labels[1] must be an integer, got str"),
+        ((True,), "unseen_labels[0] must be an integer, got bool"),
+    ])
+    def test_unseen_labels_are_integers(self, unseen, named):
+        with pytest.raises(ConfigError, match=re.escape(named)):
+            ExperimentConfig(
+                input_path="x.csv", label_column="label", feature_columns=("a",), unseen_labels=unseen
+            )
+        config = ExperimentConfig(
+            input_path="x.csv", label_column="label", feature_columns=("a",),
+            unseen_labels=np.array([3, 7], dtype=np.int16),
+        )
+        assert config.unseen_labels == (3, 7) and type(config.unseen_labels[0]) is int
+
     def test_unknown_strategy(self):
         with pytest.raises(ConfigError):
             ExperimentConfig(

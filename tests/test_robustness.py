@@ -349,6 +349,14 @@ class TestProbes:
         assert_exit(argv, 3, capsys, bad, "row 4", "64-bit")
 
     @pytest.mark.parametrize("command", ["rank-features", "run"])
+    def test_label_of_more_digits_than_int_converts_exits_3(self, base, tmp_path, capsys, command):
+        # int() refuses over 4,300 digits with a bare ValueError
+        _, csv_path, _ = base
+        bad = edit_csv(csv_path, tmp_path, {(4, "room"): "9" * 5000})
+        argv = rank(bad) if command == "rank-features" else run(bad, tmp_path / "exp")
+        assert_exit(argv, 3, capsys, bad, "row 4", "64-bit")
+
+    @pytest.mark.parametrize("command", ["rank-features", "run"])
     def test_column_span_beyond_the_float_range_exits_2(self, base, tmp_path, capsys, command):
         _, csv_path, _ = base
         bad = edit_csv(csv_path, tmp_path, {(2, "b2"): "1e308", (3, "b2"): "-1e308"})

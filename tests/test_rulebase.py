@@ -35,6 +35,79 @@ from conftest import identity_normalized, random_rulebase
 
 NEEDS_3 = "a triangle needs 3 values (a1, a2, a3), got"
 
+# what a caller or a document may hand over in place of a valid value
+ODD_VALUES = st.sampled_from([
+    True, False, 1.5, float("nan"), "3", None, np.bool_(True), np.str_("x"), 10**400, -(10**400),
+])
+DTYPES = st.sampled_from(
+    ["int8", "int64", "uint64", "float16", "float32", "float64", "bool", "complex128", "U4", "object"]
+)
+
+
+def _cast(values, dtype):
+    """values as an ndarray of dtype, or of objects where numpy cannot cast them."""
+    with np.errstate(all="ignore"):  # a cast may wrap or overflow; the value is the point
+        try:
+            return np.array(values).astype(dtype)
+        except ValueError:  # such as "b1" as an integer
+            return np.array(values, dtype=object)
+
+
+def _put(values, entry, i):
+    values = list(values)
+    values[i % len(values)] = entry
+    return values
+
+
+@st.composite
+def rulebase_keywords(draw):
+    """RuleBase keywords: valid values, one or two of them replaced by odd ones
+    (a bool, float, string, None, numpy scalar or 400-digit integer, in a
+    list or in place of one, a ragged triple, or an ndarray of any dtype)."""
+    n_rules, arity = draw(st.integers(1, 3)), draw(st.integers(1, 2))
+    names = draw(st.lists(st.sampled_from(["b1", "b2", "b3"]), min_size=arity, max_size=3))
+    reals = st.floats(-2.0, 2.0, allow_nan=False)
+    triple = st.lists(reals, min_size=3, max_size=3).map(sorted)
+    consequent = st.one_of(st.integers(1, 3), st.floats(1.0, 3.0))
+
+    def rows(entry, size=n_rules):
+        return st.lists(entry, min_size=size, max_size=size)
+
+    def odd(value):
+        return st.one_of(ODD_VALUES, value.map(lambda v: np.array(v)[()]))
+
+    good = dict(
+        antecedents=rows(rows(triple, arity)),
+        consequents=rows(consequent),
+        supports=rows(st.integers(1, 2**63 - 1)),
+        feature_names=st.just(names),
+        selected_features=st.permutations(range(len(names))).map(lambda p: p[:arity]),
+        label_universe=st.sampled_from([(1, 2, 3), (-1, 1, 2, 3, 40)]),
+        consequent_strategy=st.sampled_from([PER_CLASS, GLOBAL_MEAN]),
+        seed=st.integers(-(2**62), 2**62),
+    )
+    # an odd entry of each list
+    entries = dict(
+        antecedents=rows(st.one_of(triple, st.lists(st.one_of(reals, odd(reals)), max_size=4)), arity),
+        consequents=odd(consequent),
+        supports=st.one_of(st.integers(-1, 2**63 + 1), odd(st.integers(1, 100))),
+        feature_names=odd(st.just("b1")),
+        selected_features=odd(st.integers(0, 2)),
+        label_universe=odd(st.integers(1, 3)),
+    )
+    keywords = {key: draw(values) for key, values in good.items()}
+    for key in draw(st.sets(st.sampled_from(sorted(good)), min_size=1, max_size=2)):
+        if key in entries:
+            keywords[key] = draw(st.one_of(
+                st.builds(_put, st.just(keywords[key]), entries[key], st.integers(0, 4)),
+                st.builds(_cast, st.just(keywords[key]), DTYPES),
+            ))
+        else:
+            keywords[key] = draw(odd(st.just(keywords[key])))
+    names = keywords["feature_names"]
+    zeros, ones = (0.0,) * len(names), (1.0,) * len(names)
+    return dict(keywords, params=SimilarityParams(), normalization=Normalization(zeros, ones))
+
 
 def two_class_data():
     # class 1 hugs the origin, class 2 sits near (1, 1); both tight
@@ -102,12 +175,31 @@ class TestExtractRules:
             ([1, 5], (5, 1), "strictly increasing"),
             ([1, 1025], None, "1..1025"),
             ([1, 5], range(1, 2000), "1..1999"),
+            # an entry is never truncated or parsed into an int
+            ([1, 2], (1.7, 2.2), "label_universe[0] must be an integer, got float"),
+            ([1, 2], (1, "2"), "label_universe[1] must be an integer, got str"),
+            ([1, 2], (True, 2), "label_universe[0] must be an integer, got bool"),
         ],
     )
     def test_bad_universes_are_refused(self, labels, universe, named):
         data = identity_normalized([[0.0], [1.0]], labels)
         with pytest.raises(InvalidInputError, match=re.escape(named)):
             extract_rules(data, k_max=1, label_universe=universe)
+
+    @pytest.mark.parametrize(
+        "keywords, named",
+        [
+            (dict(seed=1.5), "seed must be an integer, got float"),
+            (dict(seed="7"), "seed must be an integer, got str"),
+            (dict(selected_features=(0.9,)), "selected_features[0] must be an integer, got float"),
+            (dict(selected_features=(1, True)), "selected_features[1] must be an integer, got bool"),
+        ],
+    )
+    def test_seed_and_selection_are_integers(self, keywords, named):
+        with pytest.raises(InvalidInputError, match=re.escape(named)):
+            extract_rules(two_class_data(), k_max=1, **keywords)
+        rb = extract_rules(two_class_data(), k_max=1, seed=np.int64(7), selected_features=np.array([1]))
+        assert (type(rb.seed), type(rb.selected_features[0])) == (int, int)
 
     def test_selected_features_project_the_antecedents(self):
         data = two_class_data()
@@ -222,6 +314,28 @@ class TestRuleBaseValidation:
                 [[(0.0, 0.0, 0.0)] * 2, [(0.1,), (0.2,)]], [float("nan"), 2.0],
                 "rules[0]: non-finite consequent",
             ),
+            # an array is read as the lists it holds, so it meets the same checks
+            (np.zeros((1, 2, 2)), [1.0], f"rules[0].antecedents[0]: {NEEDS_3} 2"),
+            (np.zeros((1, 3, 2)), [1.0], f"rules[0].antecedents[0]: {NEEDS_3} 2"),
+            (
+                np.array([[("0.1", "0.2", "0.3")] * 2]), [1.0],
+                "rules[0].antecedents[0]: fuzzy set vertex must be a real number, got str",
+            ),
+            (
+                np.zeros((1, 2, 3)), np.array([True]),
+                "rules[0]: consequent must be a real number, got bool",
+            ),
+            # a lone value where a sequence belongs
+            (
+                np.zeros((1, 2)), [1.0],
+                "antecedents, consequents and supports disagree in shape: "
+                "object of type 'float' has no len()",
+            ),
+            (
+                np.zeros((1, 2, 3)), 1.0,
+                "antecedents, consequents and supports disagree in shape: "
+                "'float' object is not iterable",
+            ),
         ],
     )
     def test_every_triple_holds_three_values(self, antecedents, consequents, named):
@@ -229,7 +343,7 @@ class TestRuleBaseValidation:
             RuleBase(
                 antecedents=antecedents,
                 consequents=consequents,
-                supports=[1] * len(consequents),
+                supports=[1] * len(antecedents),
                 params=SimilarityParams(),
                 feature_names=("b1", "b2"),
                 normalization=Normalization(mins=(0.0, 0.0), maxs=(1.0, 1.0)),
@@ -286,6 +400,57 @@ class TestRuleBaseValidation:
             Rule(antecedents=ants, consequent="2", support_count=1)
         rule = Rule(antecedents=ants, consequent=np.int64(2), support_count=1)
         assert type(rule.consequent) is float
+
+    @pytest.mark.parametrize(
+        "field, value, named",
+        [
+            ("supports", [1.5, 4], "rules[0]: support_count must be an integer, got float"),
+            ("supports", [3, True], "rules[1]: support_count must be an integer, got bool"),
+            ("supports", ["3", 4], "rules[0]: support_count must be an integer, got str"),
+            ("supports", [None, 4], "rules[0]: support_count must be an integer, got NoneType"),
+            ("supports", [-(10**400), 4], "rules[0]: support_count must be >= 1"),
+            (
+                "supports", np.array([3, 2**64 - 1], dtype=np.uint64),
+                "rules[1]: support_count must be < 2**63",
+            ),
+            ("supports", np.array([3.0, 4.0]), "rules[0]: support_count must be an integer, got float"),
+            ("consequents", np.array([True, True]), "rules[0]: consequent must be a real number, got bool"),
+            ("seed", 1.5, "seed must be an integer, got float"),
+            ("seed", "7", "seed must be an integer, got str"),
+            ("seed", True, "seed must be an integer, got bool"),
+            ("seed", None, "seed must be an integer, got NoneType"),
+            ("feature_names", (5,), "feature_names[0] must be a str, got 5"),
+            ("selected_features", (0.9,), "selected_features[0] must be an integer, got float"),
+            ("label_universe", (1.7, 2.2, 3), "label_universe[0] must be an integer, got float"),
+            ("label_universe", ("1", "2", "3"), "label_universe[0] must be an integer, got str"),
+            ("label_universe", (True, 2, 3), "label_universe[0] must be an integer, got bool"),
+        ],
+    )
+    def test_every_value_meets_one_check_whatever_the_source(self, field, value, named):
+        with pytest.raises(InvalidInputError, match=f"^{re.escape(named)}"):
+            dataclasses.replace(small_rulebase(), **{field: value})
+
+    def test_a_rule_base_holds_a_rule(self):
+        for empty in [dict(rules=()), dict(antecedents=np.zeros((0, 1, 3)), consequents=[], supports=[])]:
+            with pytest.raises(InvalidInputError, match="^rule base must contain at least one rule$"):
+                dataclasses.replace(small_rulebase(), **empty)
+
+    def test_numpy_integers_become_ints(self):
+        rb = dataclasses.replace(
+            small_rulebase(), seed=np.int64(7), selected_features=np.array([0]),
+            label_universe=np.arange(1, 4, dtype=np.uint8), supports=np.array([3, 4], dtype=np.int16),
+        )
+        assert rb == dataclasses.replace(small_rulebase(), seed=7)
+        assert {type(v) for v in (rb.seed, *rb.selected_features, *rb.label_universe)} == {int}
+
+    def test_support_count_goes_through_the_integer_check(self):
+        ants = (TriangularFuzzySet(0.0, 0.5, 1.0),)
+        for bad, named in [(2.5, "float"), (True, "bool"), ("3", "str"), (None, "NoneType")]:
+            with pytest.raises(InvalidInputError, match=f"support_count must be an integer, got {named}"):
+                Rule(antecedents=ants, consequent=1.0, support_count=bad)
+        with pytest.raises(InvalidInputError, match=re.escape("support_count must be < 2**63")):
+            Rule(antecedents=ants, consequent=1.0, support_count=2**63)
+        assert type(Rule(antecedents=ants, consequent=1.0, support_count=np.int64(3)).support_count) is int
 
     def test_selected_indices_must_be_in_range_and_unique(self):
         rb = small_rulebase()
@@ -393,6 +558,20 @@ class TestSerialization:
             # floats must survive exactly, including awkward ones
             assert serialize_rulebase(again) == serialize_rulebase(rb)
 
+    @settings(max_examples=300, deadline=None)
+    @given(keywords=rulebase_keywords())
+    def test_every_accepted_rule_base_loads_back_equal(self, keywords):
+        # one definition of a valid rule base: what the constructor accepts,
+        # from lists or arrays of any dtype, the reader accepts back
+        try:
+            rb = RuleBase(**keywords)
+        except InvalidInputError:
+            return
+        text = serialize_rulebase(rb)
+        again = deserialize_rulebase(text)
+        assert again == rb
+        assert serialize_rulebase(again) == text
+
     def test_file_round_trip(self, tmp_path, corridor_rulebase):
         path = tmp_path / "rb.json"
         save_rulebase(corridor_rulebase, path)
@@ -445,6 +624,11 @@ class TestDeserializationErrors:
     def test_invalid_json_reports_position(self):
         with pytest.raises(RuleBaseFormatError, match="line 1"):
             deserialize_rulebase("{not json")
+
+    def test_an_integer_too_long_to_convert_is_a_format_error(self):
+        text = serialize_rulebase(small_rulebase()).replace('"seed": 42', '"seed": ' + "9" * 5000)
+        with pytest.raises(RuleBaseFormatError, match="holds a number it cannot read: Exceeds the limit"):
+            deserialize_rulebase(text)
 
     def test_non_object_document(self):
         with pytest.raises(RuleBaseFormatError, match="object"):
@@ -502,6 +686,20 @@ class TestDeserializationErrors:
             (
                 r"rules\[1\]: non-finite consequent",
                 lambda doc: doc["rules"][1].update(consequent=float("nan")),
+            ),
+            # the constructor checks these values; the reader checks only the shape
+            (r"seed must be an integer, got float", lambda doc: doc.update(seed=1.5)),
+            (r"seed must be an integer, got str", lambda doc: doc.update(seed="7")),
+            (r"seed must be an integer, got NoneType", lambda doc: doc.update(seed=None)),
+            (r"feature_names\[0\] must be a str, got 5", lambda doc: doc["normalization"][0].update(name=5)),
+            (r"unknown consequent strategy 5", lambda doc: doc.update(consequent_strategy=5)),
+            (
+                r"selected_features\[0\] must be an integer, got float",
+                lambda doc: doc.update(selected_features=[0.0]),
+            ),
+            (
+                r"label_universe\[1\] must be an integer, got str",
+                lambda doc: doc.update(label_universe=[1, "2", 3]),
             ),
         ],
     )

@@ -76,6 +76,21 @@ class TestGenerate:
         with pytest.raises(InvalidInputError):
             generate_synthetic(5, 5, 3, -0.1, seed=0)
 
+    @pytest.mark.parametrize("sizes, named", [
+        ((3.5, 2, 2, 0), "n_rooms must be an integer, got float"),
+        ((3, 2.5, 2, 0), "per_room must be an integer, got float"),
+        ((3, 2, 2.0, 0), "n_beacons must be an integer, got float"),
+        ((3, 2, 2, 1.5), "seed must be an integer, got float"),
+        ((3, True, 2, 0), "per_room must be an integer, got bool"),
+        (("3", 2, 2, 0), "n_rooms must be an integer, got str"),
+    ])
+    def test_sizes_and_seed_are_integers(self, sizes, named):
+        n_rooms, per_room, n_beacons, seed = sizes
+        with pytest.raises(InvalidInputError, match=named):
+            generate_synthetic(n_rooms, per_room, n_beacons, 0.5, seed)
+        data = generate_synthetic(np.int64(3), np.int32(2), np.uint8(2), 0.5, np.int64(0))
+        assert data.labels.tolist() == [1, 1, 2, 2, 3, 3]
+
 
 class TestWriteCsv:
     def test_round_trips_through_load_csv_exactly(self, tmp_path):
