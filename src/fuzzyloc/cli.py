@@ -21,8 +21,7 @@ from .errors import (
     EXIT_OK,
     ConfigError,
     DataError,
-    InvalidInputError,
-    SchemaError,
+    prefixed,
 )
 from .fuzzy import SimilarityParams
 # predict is not called here; it stays importable as fuzzyloc.cli.predict
@@ -47,17 +46,13 @@ def parse_label_universe(text):
     if not dots:
         return _parse_labels(text, "--label-universe")
     first, last = _label(lo, "--label-universe"), _label(hi, "--label-universe")
-    try:
+    with prefixed(f"--label-universe {text}"):
         return label_universe((), range(first, last + 1))
-    except InvalidInputError as exc:
-        raise ConfigError(f"--label-universe {text}: {exc}") from None
 
 
 def _label(text, flag):
-    try:
+    with prefixed(flag, as_type=ConfigError):
         return label_form(text)[0]
-    except (SchemaError, DataError) as exc:
-        raise ConfigError(f"{flag}: {exc}") from None
 
 
 def _parse_labels(text, flag):
@@ -294,7 +289,7 @@ def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, InvalidInputError, OSError) as exc:
+    except (ConfigError, OSError) as exc:
         # readers raise ConfigError for their files, so an OSError is an output's
         print(f"fuzzyloc: config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

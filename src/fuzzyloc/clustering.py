@@ -10,6 +10,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import InvalidInputError
+from .fuzzy import _seed
 
 MAX_ITERATIONS = 300
 # k-means++ restarts per k of an elbow sweep
@@ -218,9 +219,7 @@ def _best_fits(pts, ks, seed, restarts):
     """
     if restarts < 1:
         raise InvalidInputError(f"restarts must be >= 1, got {restarts}")
-    if seed < 0:
-        raise InvalidInputError(f"seed must be >= 0, got {seed}")
-    master = np.random.default_rng(seed)
+    master = np.random.default_rng(_seed(seed))
     starts = [
         _kmeans_pp_init(pts, ks[-1], np.random.default_rng(master.integers(2**63)))
         for _ in range(restarts)

@@ -9,7 +9,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import ConfigError, DataError, InvalidInputError, SchemaError
+from .errors import ConfigError, DataError, InvalidInputError, SchemaError, prefixed
 from .fuzzy import _finite_real, _integer, _integers
 
 _PREFIXED_LABEL = re.compile(r"^[cC](-?\d+)$")
@@ -188,7 +188,9 @@ def _resolve_columns(header, wanted, path):
     for idx, name in enumerate(header):
         positions.setdefault(name, []).append(idx)
     resolved = []
-    for name in wanted:
+    for i, name in enumerate(wanted):
+        if name in wanted[:i]:
+            raise SchemaError(f"{path}: column {name!r} is requested twice")
         hits = positions.get(name, [])
         if not hits:
             raise SchemaError(f"{path}: column {name!r} not present in header")
@@ -272,10 +274,8 @@ def _read_table(path, feature_columns, label_column=None):
             if labels is not None:
                 cell = row[label_pos]
                 if cell not in parsed_labels:
-                    try:
+                    with prefixed(f"{path}: row {row_number}"):
                         parsed_labels[cell] = parse_label(cell)
-                    except (SchemaError, DataError) as exc:
-                        raise type(exc)(f"{path}: row {row_number}: {exc}") from None
                 label, kind = parsed_labels[cell]
                 if label_kind is None:
                     label_kind = kind

@@ -1,4 +1,11 @@
-"""Exception types and the process exit codes the CLI maps them to."""
+"""Exception types, the process exit codes the CLI maps them to, and the
+one way to add context to an error.
+
+The class alone decides the exit code: ConfigError and its subclasses
+exit 2, DataError and its subclasses exit 3, anything else exits 4.
+"""
+
+from contextlib import contextmanager
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -10,12 +17,12 @@ class FuzzylocError(Exception):
     """Base class for every error raised by this package."""
 
 
-class InvalidInputError(FuzzylocError):
-    """An operation was called with arguments that violate its contract."""
-
-
 class ConfigError(FuzzylocError):
     """Unusable experiment configuration or CLI invocation."""
+
+
+class InvalidInputError(ConfigError):
+    """An operation was called with arguments that violate its contract."""
 
 
 class SchemaError(ConfigError):
@@ -40,3 +47,13 @@ class RuleBaseFormatError(DataError):
 
 class RuleBaseVersionError(DataError):
     """Rule-base document was written with an unsupported format version."""
+
+
+@contextmanager
+def prefixed(prefix, catch=FuzzylocError, as_type=None):
+    """Re-raise an error of the catch type(s) raised in the block as
+    as_type (by default its own class), its message prefixed with prefix."""
+    try:
+        yield
+    except catch as exc:
+        raise (as_type or type(exc))(f"{prefix}: {exc}") from exc

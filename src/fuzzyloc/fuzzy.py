@@ -51,6 +51,17 @@ def _integer(v, what):
     return int(v)
 
 
+def _seed(v):
+    """v as a seed: an _integer in 0..2**63 - 1, a non-negative int64.
+    The message never shows an integer beyond 64 bits, which str() may
+    refuse to format."""
+    v = _integer(v, "seed")
+    if not 0 <= v < 2**63:
+        got = v if v.bit_length() <= 64 else "an integer beyond 64 bits"
+        raise InvalidInputError(f"seed must be {'>= 0' if v < 0 else '< 2**63'}, got {got}")
+    return v
+
+
 def _integers(values, what):
     """A tuple of _integer of each value; the i-th is named what[i]."""
     return tuple(_integer(v, f"{what}[{i}]") for i, v in enumerate(values))

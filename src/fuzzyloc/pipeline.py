@@ -11,7 +11,6 @@ byte-identical files.
 import json
 import os
 from collections import Counter
-from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
@@ -19,8 +18,8 @@ import numpy as np
 
 from .curvature import rank_features
 from .data import fit_normalization, label_universe as universe_of, load_csv
-from .errors import ConfigError, FuzzylocError, InvalidInputError
-from .fuzzy import SimilarityParams, _integers
+from .errors import ConfigError, prefixed
+from .fuzzy import SimilarityParams, _finite_real, _integer, _integers, _seed
 from .inference import predict_batch
 from .rulebase import DEFAULT_K_MAX, PER_CLASS, STRATEGIES, extract_rules, save_rulebase
 
@@ -31,7 +30,12 @@ CONFUSION_FILENAME = "confusion.txt"
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Everything a run needs; echoed verbatim into the report."""
+    """Everything a run needs; echoed verbatim into the report.
+
+    Every setting is checked, and held as a plain int, float or tuple,
+    when the config is built; only the bounds that depend on the data,
+    such as cfs_top_n <= the feature count, wait for the run.
+    """
 
     input_path: str
     label_column: str
@@ -49,14 +53,22 @@ class ExperimentConfig:
     output_dir: Optional[str] = None
 
     def __post_init__(self):
-        object.__setattr__(self, "feature_columns", tuple(self.feature_columns))
-        try:
-            unseen = _integers(self.unseen_labels, "unseen_labels")
-            object.__setattr__(self, "unseen_labels", unseen)
-            if self.label_universe is not None:
-                object.__setattr__(self, "label_universe", universe_of(unseen, self.label_universe))
-        except InvalidInputError as exc:
-            raise ConfigError(str(exc)) from None
+        unseen = _integers(self.unseen_labels, "unseen_labels")
+        params = SimilarityParams(self.h, self.omega)
+        checked = dict(
+            feature_columns=tuple(self.feature_columns), unseen_labels=unseen, h=params.h,
+            omega=params.omega, k_max=_integer(self.k_max, "k_max"), seed=_seed(self.seed),
+        )
+        if self.label_universe is not None:
+            checked["label_universe"] = universe_of(unseen, self.label_universe)
+        if self.cfs_top_n is not None:
+            checked["cfs_top_n"] = _integer(self.cfs_top_n, "cfs_top_n")
+        if self.cfs_epsilon is not None:
+            checked["cfs_epsilon"] = _finite_real(self.cfs_epsilon, "cfs_epsilon")
+        for name, value in checked.items():
+            object.__setattr__(self, name, value)
+        if type(self.cfs_sort) is not bool:
+            raise ConfigError(f"cfs_sort must be a bool, got {type(self.cfs_sort).__name__}")
         if not self.feature_columns:
             raise ConfigError("at least one feature column is required")
         if self.cfs_top_n is not None and self.cfs_epsilon is not None:
@@ -67,6 +79,8 @@ class ExperimentConfig:
             )
         if self.k_max < 1:
             raise ConfigError(f"k_max must be >= 1, got {self.k_max}")
+        if self.cfs_top_n is not None and self.cfs_top_n < 1:
+            raise ConfigError(f"cfs_top_n must be >= 1, got {self.cfs_top_n}")
 
     @property
     def cfs_enabled(self):
@@ -91,15 +105,6 @@ class ExperimentConfig:
         }
 
 
-@contextmanager
-def _stage(name):
-    """Tag pipeline errors with the stage they came from."""
-    try:
-        yield
-    except FuzzylocError as exc:
-        raise type(exc)(f"{name}: {exc}") from exc
-
-
 def split_scenario(dataset, unseen_labels):
     """Hold out every instance of the unseen classes as the test set."""
     unseen = set(int(v) for v in unseen_labels)
@@ -120,23 +125,23 @@ class TrainResult(NamedTuple):
 
 def train_rulebase(config):
     """Run the training half of the pipeline: load, split, normalize, rules."""
-    with _stage("load"):
+    with prefixed("load"):
         dataset = load_csv(config.input_path, config.label_column, config.feature_columns)
     universe = universe_of(dataset.labels.tolist() + [*config.unseen_labels], config.label_universe)
 
     if config.unseen_labels:
-        with _stage("split"):
+        with prefixed("split"):
             train_raw, test_raw = split_scenario(dataset, config.unseen_labels)
     else:
         train_raw, test_raw = dataset, None
 
-    with _stage("normalize"):
+    with prefixed("normalize"):
         train = fit_normalization(train_raw)
 
     ranking = None
     selected = None
     if config.cfs_enabled:
-        with _stage("feature-selection"):
+        with prefixed("feature-selection"):
             ranking = rank_features(
                 train,
                 top_n=config.cfs_top_n,
@@ -149,7 +154,7 @@ def train_rulebase(config):
                     f"epsilon {config.cfs_epsilon} filtered out every feature"
                 )
 
-    with _stage("rules"):
+    with prefixed("rules"):
         rb = extract_rules(
             train,
             selected_features=selected,
@@ -173,7 +178,7 @@ def run_experiment(config):
     if not config.unseen_labels:
         raise ConfigError("an unseen-label experiment needs at least one unseen label")
     trained = train_rulebase(config)
-    with _stage("predict"):
+    with prefixed("predict"):
         evaluation = predict_batch(trained.rule_base, trained.test_raw)
     report = build_report(
         trained.rule_base,

@@ -19,8 +19,12 @@ import numpy as np
 # fuzzyloc.rulebase.elbow_k and fuzzyloc.rulebase.kmeans
 from .clustering import elbow_fit, elbow_k, kmeans  # noqa: F401
 from .data import Normalization, label_universe as universe_of
-from .errors import ConfigError, InvalidInputError, RuleBaseFormatError, RuleBaseVersionError
-from .fuzzy import SimilarityParams, TriangularFuzzySet, _finite_real, _integer, _integers, vertex_means
+from .errors import (
+    ConfigError, InvalidInputError, RuleBaseFormatError, RuleBaseVersionError, prefixed,
+)
+from .fuzzy import (
+    SimilarityParams, TriangularFuzzySet, _finite_real, _integer, _integers, _seed, vertex_means,
+)
 
 FORMAT_VERSION = 1
 PER_CLASS = "per-class"
@@ -67,10 +71,8 @@ def _checked(check, value, mark):
 
 def _at(path, make, *args):
     """make(*args), an InvalidInputError prefixed with the field path."""
-    try:
+    with prefixed(path, InvalidInputError):
         return make(*args)
-    except InvalidInputError as exc:
-        raise InvalidInputError(f"{path}: {exc}") from None
 
 
 def _triangle(triple):
@@ -106,12 +108,12 @@ class RuleBase:
     the first faulty rule in order. representatives (R, D) are the
     vertex means; rules reads the arrays back as Rules.
 
-    feature_names (str) / normalization describe the original
+    feature_names (distinct str) / normalization describe the original
     (pre-selection) feature space; selected_features are integer indices
     into it, and every rule has one antecedent per selected feature.
     label_universe lists all labels the deployment may emit, including
     ones never seen in training; they fit in 64 bits, and every consequent
-    lies within their span. seed is an integer.
+    lies within their span. seed is a _seed, in 0..2**63 - 1.
     """
 
     antecedents: np.ndarray
@@ -144,7 +146,7 @@ class RuleBase:
             params=params, feature_names=tuple(feature_names), normalization=normalization,
             selected_features=_integers(selected_features, "selected_features"),
             label_universe=universe_of((), label_universe),
-            consequent_strategy=consequent_strategy, seed=_integer(seed, "seed"),
+            consequent_strategy=consequent_strategy, seed=_seed(seed),
         ).items():
             object.__setattr__(self, name, value)
         if len(self.feature_names) != self.normalization.n_features:
@@ -152,6 +154,8 @@ class RuleBase:
         for i, name in enumerate(self.feature_names):
             if not isinstance(name, str):
                 raise InvalidInputError(f"feature_names[{i}] must be a str, got {name!r}")
+        if len(set(self.feature_names)) != len(self.feature_names):
+            raise InvalidInputError("feature_names contains duplicates")
         if not self.selected_features:
             raise InvalidInputError("selected_features must be non-empty")
         for i in self.selected_features:
@@ -252,7 +256,7 @@ def extract_rules(
         raise InvalidInputError(f"k_max must be >= 1, got {k_max}")
     if params is None:
         params = SimilarityParams()
-    seed = _integer(seed, "seed")
+    seed = _seed(seed)
 
     if selected_features is None:
         selected_features = tuple(range(dataset.n_features))
@@ -272,7 +276,9 @@ def extract_rules(
         for mask in _cluster_rules(group_points, seed, k_max):
             # a contiguous row per feature reduces as its lone column would
             members = np.ascontiguousarray(group_points[mask].T)
-            antecedents.append((members.min(axis=1), members.mean(axis=1), members.max(axis=1)))
+            lo, hi = members.min(axis=1), members.max(axis=1)
+            # the mean of equal values can round an ulp past them
+            antecedents.append((lo, np.clip(members.mean(axis=1), lo, hi), hi))
             if label is None:
                 consequents.append(group_labels[mask].astype(float).mean())
             else:
@@ -363,7 +369,8 @@ def deserialize_rulebase(text):
         antecedents.append(triples)
         consequents.append(_field(entry, "consequent", path))
         supports.append(_field(entry, "support_count", path, int))
-    try:
+    violation = "rule-base document violates an invariant"
+    with prefixed(violation, (InvalidInputError, TypeError, ValueError), RuleBaseFormatError):
         return RuleBase(
             antecedents=antecedents,
             consequents=consequents,
@@ -381,8 +388,6 @@ def deserialize_rulebase(text):
             consequent_strategy=_field(doc, "consequent_strategy", "rule base"),
             seed=_field(doc, "seed", "rule base"),
         )
-    except (InvalidInputError, TypeError, ValueError) as exc:
-        raise RuleBaseFormatError(f"rule-base document violates an invariant: {exc}") from exc
 
 
 def save_rulebase(rb, path):

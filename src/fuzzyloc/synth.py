@@ -13,7 +13,7 @@ import numpy as np
 
 from .data import Dataset
 from .errors import InvalidInputError
-from .fuzzy import _finite_real, _integer
+from .fuzzy import _finite_real, _integer, _seed
 
 LABEL_COLUMN = "room"
 # rooms x rows per room x beacons: 80 MB per float64 table
@@ -29,13 +29,14 @@ def generate_synthetic(n_rooms, per_room, n_beacons, noise_sd, seed):
     """Generate a raw labeled dataset of per-room RSSI readings.
 
     Deterministic per seed. Features are named b1..b<n_beacons>; labels
-    are the room indices 1..n_rooms. The sizes and the seed must be
-    integers (_integer). A table of more than MAX_CELLS cells, or one
-    holding a non-finite reading, is refused.
+    are the room indices 1..n_rooms. The sizes must be integers
+    (_integer) and the seed a _seed. A table of more than MAX_CELLS
+    cells, or one holding a non-finite reading, is refused.
     """
-    n_rooms, per_room, n_beacons, seed = map(
-        _integer, (n_rooms, per_room, n_beacons, seed), ("n_rooms", "per_room", "n_beacons", "seed")
+    n_rooms, per_room, n_beacons = map(
+        _integer, (n_rooms, per_room, n_beacons), ("n_rooms", "per_room", "n_beacons")
     )
+    seed = _seed(seed)
     if n_rooms < 3:
         raise InvalidInputError(f"need at least 3 rooms, got {n_rooms}")
     if n_beacons < 2:
@@ -44,8 +45,6 @@ def generate_synthetic(n_rooms, per_room, n_beacons, noise_sd, seed):
         raise InvalidInputError(f"need at least 1 instance per room, got {per_room}")
     if _finite_real(noise_sd, "noise_sd") < 0:
         raise InvalidInputError(f"noise_sd must be >= 0, got {noise_sd}")
-    if seed < 0:
-        raise InvalidInputError(f"seed must be >= 0, got {seed}")
     if n_rooms * per_room * n_beacons > MAX_CELLS:
         raise InvalidInputError(
             f"{n_rooms} rooms x {per_room} rows x {n_beacons} beacons exceed {MAX_CELLS} cells"

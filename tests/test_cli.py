@@ -1,11 +1,15 @@
 import json
 
+import numpy as np
 import pytest
 
 from fuzzyloc.cli import build_parser, main, parse_label_universe
+from fuzzyloc.data import Dataset
 from fuzzyloc.errors import ConfigError
 from fuzzyloc.fuzzy import SimilarityParams
 from fuzzyloc.pipeline import ExperimentConfig
+from fuzzyloc.rulebase import load_rulebase
+from fuzzyloc.synth import generate_synthetic, write_csv
 
 CORRIDOR_COLS = "b1,b2,b3,b4,b5"
 
@@ -238,6 +242,21 @@ class TestRunCommand:
         assert (out / "report.json").exists()
         assert (out / "confusion.txt").exists()
         assert "accuracy" in capsys.readouterr().out
+
+    def test_integer_readings_train(self, tmp_path, capsys):
+        # RSSI logs hold integer dBm, so a beacon often reads one value
+        # across a cluster, whose mean may round an ulp past that value
+        data = generate_synthetic(10, 30, 5, 0.5, seed=0)
+        path = tmp_path / "rounded.csv"
+        write_csv(Dataset(np.round(data.features), data.labels, data.feature_names), path)
+        out = tmp_path / "exp"
+        code = run_cli(
+            "run", "--input", str(path), "--label-col", "room",
+            "--feature-cols", CORRIDOR_COLS, "--unseen", "5", "--out", str(out),
+        )
+        assert code == 0, capsys.readouterr().err
+        a1, a2, a3 = np.moveaxis(load_rulebase(out / "rulebase.json").antecedents, -1, 0)
+        assert ((a1 <= a2) & (a2 <= a3)).all() and (a2[a1 == a3] == a1[a1 == a3]).all()
 
     def test_label_universe_flag_reaches_the_report(self, workdir, capsys):
         tmp_path, corridor_csv = workdir

@@ -1,3 +1,4 @@
+import re
 from unittest import mock
 
 import numpy as np
@@ -78,6 +79,10 @@ class TestKMeans:
             kmeans(pts, 1, seed=-1)
         with pytest.raises(InvalidInputError, match="seed must be >= 0, got -3"):
             elbow_fit(pts, k_max=2, seed=-3)
+        with pytest.raises(InvalidInputError, match="seed must be an integer, got float"):
+            kmeans(pts, 2, seed=1.5)
+        with pytest.raises(InvalidInputError, match=re.escape("seed must be < 2**63")):
+            kmeans(pts, 2, seed=2**63)
 
 
 class TestKneePoint:

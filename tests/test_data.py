@@ -212,10 +212,18 @@ class TestLoadCsv:
         with pytest.raises(SchemaError, match="f9"):
             load_csv(path, "label", ["f1", "f9"])
 
-    def test_duplicate_column_is_rejected(self, tmp_path):
-        path = write(tmp_path, "f1,f1,label\n1,2,3\n")
-        with pytest.raises(SchemaError, match="f1"):
-            load_csv(path, "label", ["f1"])
+    @pytest.mark.parametrize("header, features, named", [
+        ("f1,f1,label", ["f1"], "column 'f1' appears 2 times in header"),
+        ("f1,f2,label", ["f1", "f1"], "column 'f1' is requested twice"),
+        ("f1,f2,label", ["f1", "label"], "column 'label' is requested twice"),
+    ])
+    def test_duplicate_column_is_rejected(self, tmp_path, header, features, named):
+        path = write(tmp_path, f"{header}\n1,2,3\n")
+        with pytest.raises(SchemaError, match=re.escape(f"{path}: {named}")):
+            load_csv(path, "label", features)
+        if "label" not in features:
+            with pytest.raises(SchemaError, match=re.escape(f"{path}: {named}")):
+                read_feature_rows(path, features)
 
     def test_mixed_label_formats_are_rejected(self, tmp_path):
         path = write(tmp_path, "f1,label\n1,c3\n2,4\n")

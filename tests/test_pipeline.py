@@ -90,6 +90,47 @@ class TestConfig:
                 strategy="mystery",
             )
 
+    @pytest.mark.parametrize("setting, named", [
+        (dict(k_max=2.5), "k_max must be an integer, got float"),
+        (dict(k_max=True), "k_max must be an integer, got bool"),
+        (dict(k_max=0), "k_max must be >= 1, got 0"),
+        (dict(cfs_top_n=2.5), "cfs_top_n must be an integer, got float"),
+        (dict(cfs_top_n=True), "cfs_top_n must be an integer, got bool"),
+        (dict(cfs_top_n=0), "cfs_top_n must be >= 1, got 0"),
+        (dict(cfs_epsilon=float("nan")), "non-finite cfs_epsilon: nan"),
+        (dict(cfs_epsilon="0.1"), "cfs_epsilon must be a real number, got str"),
+        (dict(cfs_sort="yes"), "cfs_sort must be a bool, got str"),
+        (dict(seed=1.5), "seed must be an integer, got float"),
+        (dict(seed=-1, k_max=1), "seed must be >= 0, got -1"),
+        (dict(seed=2**63), "seed must be < 2**63, got 9223372036854775808"),
+        (dict(seed=10**5000), "seed must be < 2**63, got an integer beyond 64 bits"),
+        (dict(h=True), "sensitivity factor h must be a real number, got bool"),
+        (dict(h=-1.0), "sensitivity factor h must be > 0, got -1.0"),
+        (dict(omega=float("inf")), "non-finite offset omega: inf"),
+    ])
+    def test_every_setting_is_checked_when_the_config_is_built(self, setting, named):
+        # x.csv does not exist: the setting is refused before any input is read
+        with pytest.raises(ConfigError, match=f"^{re.escape(named)}$"):
+            ExperimentConfig(input_path="x.csv", label_column="label", feature_columns=("a",), **setting)
+
+    def test_numeric_settings_are_held_as_plain_numbers(self):
+        config = ExperimentConfig(
+            input_path="x.csv", label_column="label", feature_columns=("a",),
+            k_max=np.int64(3), seed=np.uint32(4), cfs_top_n=np.int8(2), h=np.float32(2.5), omega=1,
+        )
+        assert (config.k_max, config.seed, config.cfs_top_n, config.h, config.omega) == (3, 4, 2, 2.5, 1.0)
+        assert {type(config.k_max), type(config.seed), type(config.cfs_top_n)} == {int}
+        assert {type(config.h), type(config.omega)} == {float}
+        assert json.loads(json.dumps(config.echo()))["clustering"] == {
+            "strategy": "per-class", "k_max": 3, "seed": 4,
+        }
+
+    def test_numpy_settings_reach_the_artifacts(self, corridor_csv, tmp_path):
+        out = tmp_path / "exp"
+        run_experiment(config_for(corridor_csv, k_max=np.int64(3), seed=np.int64(1), output_dir=str(out)))
+        report = json.loads((out / "report.json").read_text(encoding="utf-8"))
+        assert report["config_echo"]["clustering"] == {"strategy": "per-class", "k_max": 3, "seed": 1}
+
 
 class TestSplitScenario:
     def make(self):

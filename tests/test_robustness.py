@@ -337,9 +337,12 @@ class TestProbes:
         bad = edit_rulebase(rb_path, tmp_path, edit)
         assert_exit(predict(bad, csv_path), 3, capsys, "rule 1")
 
-    def test_negative_seed_exits_2(self, base, tmp_path, capsys):
+    # with --k-max 1 no clustering runs, so the config itself refuses the seed
+    @pytest.mark.parametrize("flags", [[], ["--k-max", "1"]])
+    def test_negative_seed_exits_2(self, base, tmp_path, capsys, flags):
         _, csv_path, _ = base
-        assert_exit(run(csv_path, tmp_path / "exp") + ["--seed", "-1"], 2, capsys, "seed", "-1")
+        argv = run(csv_path, tmp_path / "exp") + ["--seed", "-1", *flags]
+        assert_exit(argv, 2, capsys, "config error: seed must be >= 0, got -1")
 
     @pytest.mark.parametrize("command", ["rank-features", "run"])
     def test_label_beyond_int64_exits_3(self, base, tmp_path, capsys, command):

@@ -241,12 +241,39 @@ class TestExtractRules:
             points = features[group]
             for mask in rulebase._cluster_rules(points, seed, k_max):
                 members = points[mask]
-                want.append([(col.min(), col.mean(), col.max()) for col in members.T])
+                want.append([
+                    (col.min(), np.clip(col.mean(), col.min(), col.max()), col.max())
+                    for col in members.T
+                ])
                 consequents.append(labels[group][mask].astype(float).mean())
                 supports.append(len(members))
         assert rb.antecedents.tobytes() == np.array(want).tobytes()
         assert rb.consequents.tobytes() == np.array(consequents).tobytes()
         assert rb.supports.tolist() == supports
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        pool=st.lists(
+            st.sampled_from([0.0, 1 / 9, 1 / 7, 1 / 6, 0.1, 1 / 3, 0.7, 1.0]), min_size=1, max_size=3
+        ),
+        n=st.integers(1, 80),
+        dims=st.integers(1, 4),
+        strategy=st.sampled_from([PER_CLASS, GLOBAL_MEAN]),
+        k_max=st.sampled_from([1, 4]),
+        seed=st.integers(0, 2**16),
+    )
+    def test_repeated_values_give_ordered_triples(self, pool, n, dims, strategy, k_max, seed):
+        # a mean of n equal values can round an ulp past them, as the
+        # mean of 30 copies of 1/9 does; integer readings repeat like this
+        rng = np.random.default_rng(seed)
+        features = rng.choice(pool, size=(n, dims))
+        constant = rng.random(dims) < 0.5
+        features[:, constant] = features[0, constant]
+        labels = rng.integers(1, 3, size=n)
+        rb = extract_rules(identity_normalized(features, labels), strategy=strategy, seed=seed, k_max=k_max)
+        a1, a2, a3 = np.moveaxis(rb.antecedents, -1, 0)
+        assert ((a1 <= a2) & (a2 <= a3)).all()
+        assert (a2[a1 == a3] == a1[a1 == a3]).all()
 
     def test_deterministic_per_seed(self, corridor_config):
         from fuzzyloc.pipeline import train_rulebase
@@ -419,6 +446,12 @@ class TestRuleBaseValidation:
             ("seed", "7", "seed must be an integer, got str"),
             ("seed", True, "seed must be an integer, got bool"),
             ("seed", None, "seed must be an integer, got NoneType"),
+            ("seed", -1, "seed must be >= 0, got -1"),
+            ("seed", 2**63, "seed must be < 2**63, got 9223372036854775808"),
+            pytest.param(
+                "seed", 10**5000, "seed must be < 2**63, got an integer beyond 64 bits",
+                id="seed-of-5001-digits",
+            ),
             ("feature_names", (5,), "feature_names[0] must be a str, got 5"),
             ("selected_features", (0.9,), "selected_features[0] must be an integer, got float"),
             ("label_universe", (1.7, 2.2, 3), "label_universe[0] must be an integer, got float"),
@@ -429,6 +462,14 @@ class TestRuleBaseValidation:
     def test_every_value_meets_one_check_whatever_the_source(self, field, value, named):
         with pytest.raises(InvalidInputError, match=f"^{re.escape(named)}"):
             dataclasses.replace(small_rulebase(), **{field: value})
+
+    def test_feature_names_are_distinct(self):
+        # a repeated name would read one CSV column twice at predict time
+        with pytest.raises(InvalidInputError, match="^feature_names contains duplicates$"):
+            dataclasses.replace(
+                small_rulebase(), feature_names=("b1", "b1"),
+                normalization=Normalization(mins=(-80.0, -80.0), maxs=(-20.0, -20.0)),
+            )
 
     def test_a_rule_base_holds_a_rule(self):
         for empty in [dict(rules=()), dict(antecedents=np.zeros((0, 1, 3)), consequents=[], supports=[])]:
@@ -691,6 +732,11 @@ class TestDeserializationErrors:
             (r"seed must be an integer, got float", lambda doc: doc.update(seed=1.5)),
             (r"seed must be an integer, got str", lambda doc: doc.update(seed="7")),
             (r"seed must be an integer, got NoneType", lambda doc: doc.update(seed=None)),
+            (r"seed must be >= 0, got -1", lambda doc: doc.update(seed=-1)),
+            (
+                r"feature_names contains duplicates",
+                lambda doc: doc["normalization"].append(dict(doc["normalization"][0])),
+            ),
             (r"feature_names\[0\] must be a str, got 5", lambda doc: doc["normalization"][0].update(name=5)),
             (r"unknown consequent strategy 5", lambda doc: doc.update(consequent_strategy=5)),
             (
