@@ -10,7 +10,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import InvalidInputError
-from .fuzzy import _seed
+from .fuzzy import _integer, _seed, _shown
 
 MAX_ITERATIONS = 300
 # k-means++ restarts per k of an elbow sweep
@@ -40,21 +40,64 @@ def wcss(points, assignment, centroids):
     return float(((pts - cents[assignment]) ** 2).sum())
 
 
-def _kmeans_pp_init(pts, k, rng):
-    n = len(pts)
-    centroids = np.empty((k, pts.shape[1]))
-    centroids[0] = pts[rng.integers(n)]
-    d2 = ((pts - centroids[0]) ** 2).sum(axis=1)
-    for i in range(1, k):
-        total = d2.sum()
-        if total > 0.0:
-            probs = d2 / total
-            choice = rng.choice(n, p=probs)
-        else:
-            choice = rng.integers(n)
-        centroids[i] = pts[choice]
-        d2 = np.minimum(d2, ((pts - centroids[i]) ** 2).sum(axis=1))
-    return centroids
+def _lower_to(d2, pts, cents):
+    """Lower d2 (runs, n) in place to every point's squared distance to
+    its run's centroid in cents (runs, dim), where that is less. Each
+    distance is the reference's subtract, square and sum over a contiguous
+    last axis, computed in slices of at most _BLOCK_ELEMENTS elements."""
+    runs, n = d2.shape
+    step = max(1, _BLOCK_ELEMENTS // (runs * pts.shape[1]))
+    for lo in range(0, n, step):
+        near = np.square(pts[lo : lo + step] - cents[:, None]).sum(axis=2)
+        np.minimum(d2[:, lo : lo + step], near, out=d2[:, lo : lo + step])
+
+
+def _kmeans_pp_init(pts, k, rngs):
+    """k-means++ starts of k centroids for every generator in rngs, drawn
+    together: (len(rngs), k, dim).
+
+    Row r picks the points, and makes the random calls, of a draw of its
+    own with rngs[r]: rng.integers(n) for the first centroid, then
+    rng.choice(n, p=d2 / total) while the total of the squared distances
+    d2 to the nearest centroid so far is > 0, else rng.integers(n). Once
+    it has checked p, choice picks searchsorted(cdf, rng.random(),
+    side="right") over cdf = cumsum(p) / its last entry. That cdf is
+    non-decreasing, so the index is the count of its entries <= the
+    draw, which is taken here for every row at once.
+
+    choice also refused a p holding NaN or not summing to 1, as a point
+    set with a non-finite value or squared distances beyond the float
+    range gives. No total exceeds the first, since a point's distance to
+    its nearest centroid only shrinks, so that refusal binds only on the
+    first totals, and is made there, whatever k is.
+    """
+    n, dim = pts.shape
+    starts = np.empty((len(rngs), k, dim))
+    starts[:, 0] = pts[[rng.integers(n) for rng in rngs]]
+    d2 = np.full((len(rngs), n), np.inf)
+    # a non-finite point gives NaN and an overflow +inf, which are refused
+    # below, and a row whose total is 0 divides 0 by 0: no warnings
+    with np.errstate(over="ignore", invalid="ignore"):
+        _lower_to(d2, pts, starts[:, 0])
+        totals = d2.sum(axis=1)
+        if not np.isfinite(totals).all():
+            raise InvalidInputError(
+                "points must be finite, with squared distances within the float range"
+            )
+        for i in range(1, k):
+            positive = totals > 0.0
+            u = np.array(
+                [rng.random() if p else rng.integers(n) for rng, p in zip(rngs, positive.tolist())]
+            )
+            cdf = np.cumsum(d2 / totals[:, None], axis=1)
+            cdf /= cdf[:, -1:]
+            # a row whose total is 0 has a NaN cdf and took rng.integers(n)
+            picks = np.where(positive, (cdf <= u[:, None]).sum(axis=1), u.astype(np.intp))
+            starts[:, i] = pts[picks]
+            if i < k - 1:
+                _lower_to(d2, pts, starts[:, i])
+                totals = d2.sum(axis=1)
+    return starts
 
 
 def _exact_dists(pts, cents):
@@ -143,8 +186,11 @@ def _lloyd(pts, starts, ks, max_iterations=MAX_ITERATIONS):
     first ks[j] rows. Later rows are padding; they are set to +inf, so
     their distances are +inf and no point is ever assigned to them.
     A run stops when its assignment stops changing or after
-    max_iterations, and then leaves the stack. Returns one KMeansResult
-    per run, each with the bits a run on its own would give: assignments
+    max_iterations, and then leaves the stack. Each iteration's WCSS goes
+    into one (iteration, run) log, and once the stack is empty every run's
+    KMeansResult is built from the log and the final assignments and
+    centroids, copied out of the kernel's buffers so that no two results
+    share memory. Each has the bits a run on its own would give: assignments
     are the exact argmin (see _assign), WCSS is the same numpy reduction
     over the same axes, and each centroid is its members' sum in point
     order (np.bincount adds rows in order, as members.mean(axis=0) does)
@@ -158,8 +204,10 @@ def _lloyd(pts, starts, ks, max_iterations=MAX_ITERATIONS):
     # row d is coordinate d of every point once per run, in the order of cells
     weights = np.tile(pts.T, runs)
     assignment = np.zeros((runs, n), dtype=np.intp)
-    histories = [[] for _ in range(runs)]
-    results = [None] * runs
+    # WCSS after each lockstep iteration, one column per run, and the
+    # count of iterations each run made
+    log = np.empty((max_iterations, runs))
+    iterations = np.zeros(runs, dtype=np.intp)
     active = np.arange(runs)
     for iteration in range(max_iterations):
         live = len(active)
@@ -184,7 +232,7 @@ def _lloyd(pts, starts, ks, max_iterations=MAX_ITERATIONS):
         # (pts - assigned centroid) ** 2 per run, summed as one contiguous block
         diff = np.take(cents.reshape(-1, dim), cells, axis=0).reshape(live, n, dim)
         np.subtract(pts, diff, out=diff)
-        wcss_values = np.square(diff, out=diff).sum(axis=(1, 2))
+        log[iteration, active] = np.square(diff, out=diff).sum(axis=(1, 2))
         if iteration == 0:
             done = np.zeros(live, dtype=bool)
         else:
@@ -193,16 +241,15 @@ def _lloyd(pts, starts, ks, max_iterations=MAX_ITERATIONS):
             done[:] = True
         assignment[active] = new
         centroids[active] = cents
-        for j, run in enumerate(active):
-            histories[run].append(float(wcss_values[j]))
-            if done[j]:
-                results[run] = KMeansResult(
-                    new[j].copy(), cents[j, : ks[run]].copy(), tuple(histories[run])
-                )
+        iterations[active[done]] = iteration + 1
         active = active[~done]
         if not len(active):
             break
-    return results
+    histories = log[: iterations.max()].T.tolist()
+    return [
+        KMeansResult(assignment[j].copy(), centroids[j, :k].copy(), tuple(histories[j][:m]))
+        for j, (k, m) in enumerate(zip(ks, iterations.tolist()))
+    ]
 
 
 def _best_fits(pts, ks, seed, restarts):
@@ -211,19 +258,19 @@ def _best_fits(pts, ks, seed, restarts):
     Restart r of every k starts from the first k centroids of one
     k-means++ draw of max(ks) centroids with restart r's seed: a draw of k
     makes the same random calls as the first k steps of a longer one, so
-    every k starts where a fit of that k alone would. All k x restarts
+    every k starts where a fit of that k alone would. The draws of all
+    restarts are made together (see _kmeans_pp_init). All k x restarts
     runs go through _lloyd in k order, in groups of at most
     _BLOCK_ELEMENTS run x point x max(cluster, dimension) elements (at
     least one run each), which bounds the group's distance matrix and its
     (run, point, dimension) temporaries; ties keep the earlier restart.
     """
+    restarts = _integer(restarts, "restarts")
     if restarts < 1:
-        raise InvalidInputError(f"restarts must be >= 1, got {restarts}")
+        raise InvalidInputError(f"restarts must be >= 1, got {_shown(restarts)}")
     master = np.random.default_rng(_seed(seed))
-    starts = [
-        _kmeans_pp_init(pts, ks[-1], np.random.default_rng(master.integers(2**63)))
-        for _ in range(restarts)
-    ]
+    rngs = [np.random.default_rng(s) for s in master.integers(2**63, size=restarts)]
+    starts = _kmeans_pp_init(pts, ks[-1], rngs)
     dim = pts.shape[1]
     groups, group = [], []
     for k in ks:
@@ -236,11 +283,10 @@ def _best_fits(pts, ks, seed, restarts):
 
     best = {}
     for group in groups:
-        stack = np.zeros((len(group), group[-1][0], dim))
-        for j, (k, r) in enumerate(group):
-            stack[j, :k] = starts[r][:k]
-        fits = _lloyd(pts, stack, [k for k, _ in group])
-        for (k, _), fit in zip(group, fits):
+        group_ks, group_restarts = zip(*group)
+        # slots past a run's k are padding, which _lloyd sets to +inf
+        fits = _lloyd(pts, starts[list(group_restarts), : group_ks[-1]], group_ks)
+        for k, fit in zip(group_ks, fits):
             if k not in best or fit.wcss_history[-1] < best[k].wcss_history[-1]:
                 best[k] = fit
     return [best[k] for k in ks]
@@ -251,14 +297,17 @@ def kmeans(points, k, seed, restarts=1):
 
     restarts > 1 runs that many independently seeded k-means++ starts and
     keeps the lowest-WCSS result (restart seeds derive from the master
-    seed, so the whole call stays deterministic).
+    seed, so the whole call stays deterministic). Points with a
+    non-finite value or squared distances beyond the float range are
+    refused (see _kmeans_pp_init).
     """
     pts = np.asarray(points, dtype=float)
     if pts.ndim != 2 or len(pts) == 0:
         raise InvalidInputError("points must be a non-empty 2-D array")
     n = len(pts)
+    k = _integer(k, "k")
     if not 1 <= k <= n:
-        raise InvalidInputError(f"k must be in 1..{n}, got {k}")
+        raise InvalidInputError(f"k must be in 1..{n}, got {_shown(k)}")
     return _best_fits(pts, [k], seed, restarts)[0]
 
 
@@ -296,8 +345,9 @@ def elbow_fit(points, k_max, seed, restarts=DEFAULT_RESTARTS):
     pts = np.asarray(points, dtype=float)
     if pts.ndim != 2:
         raise InvalidInputError("points must be a 2-D array")
+    k_max = _integer(k_max, "k_max")
     if not 2 <= k_max <= len(pts):
-        raise InvalidInputError(f"k_max must be in 2..{len(pts)}, got {k_max}")
+        raise InvalidInputError(f"k_max must be in 2..{len(pts)}, got {_shown(k_max)}")
     fits = _best_fits(pts, range(1, k_max + 1), seed, restarts)
     k = knee_point([fit.wcss_history[-1] for fit in fits])
     return k, fits[k - 1]

@@ -10,7 +10,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import ConfigError, DataError, InvalidInputError, SchemaError, prefixed
-from .fuzzy import _finite_real, _integer, _integers
+from .fuzzy import _finite_real, _integer, _integers, _shown
 
 _PREFIXED_LABEL = re.compile(r"^[cC](-?\d+)$")
 _PLAIN_LABEL = re.compile(r"^[+-]?\d+$")
@@ -179,7 +179,8 @@ def label_universe(labels, given=None):
         raise InvalidInputError("label_universe entries must fit in a 64-bit integer")
     missing = sorted(labels.difference(universe))
     if missing:
-        raise InvalidInputError(f"label_universe does not cover labels {missing}")
+        shown = ", ".join(str(_shown(v)) for v in missing)
+        raise InvalidInputError(f"label_universe does not cover labels [{shown}]")
     return universe
 
 

@@ -32,8 +32,8 @@ def _finite_real(v, what):
         finite = math.isfinite(v)
     except OverflowError:  # an int beyond the float range
         finite = False
-    if not finite:
-        raise InvalidInputError(f"non-finite {what}: {v!r}")
+    if not finite:  # v is an int or a float, whose str() is its repr()
+        raise InvalidInputError(f"non-finite {what}: {_shown(v)}")
     return v
 
 
@@ -51,14 +51,17 @@ def _integer(v, what):
     return int(v)
 
 
+def _shown(v):
+    """v as a message shows it: an int beyond 64 bits, which str() may
+    refuse to format, as the words "an integer beyond 64 bits"."""
+    return "an integer beyond 64 bits" if isinstance(v, int) and v.bit_length() > 64 else v
+
+
 def _seed(v):
-    """v as a seed: an _integer in 0..2**63 - 1, a non-negative int64.
-    The message never shows an integer beyond 64 bits, which str() may
-    refuse to format."""
+    """v as a seed: an _integer in 0..2**63 - 1, a non-negative int64."""
     v = _integer(v, "seed")
     if not 0 <= v < 2**63:
-        got = v if v.bit_length() <= 64 else "an integer beyond 64 bits"
-        raise InvalidInputError(f"seed must be {'>= 0' if v < 0 else '< 2**63'}, got {got}")
+        raise InvalidInputError(f"seed must be {'>= 0' if v < 0 else '< 2**63'}, got {_shown(v)}")
     return v
 
 

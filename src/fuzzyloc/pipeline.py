@@ -19,7 +19,7 @@ import numpy as np
 from .curvature import rank_features
 from .data import fit_normalization, label_universe as universe_of, load_csv
 from .errors import ConfigError, prefixed
-from .fuzzy import SimilarityParams, _finite_real, _integer, _integers, _seed
+from .fuzzy import SimilarityParams, _finite_real, _integer, _integers, _seed, _shown
 from .inference import predict_batch
 from .rulebase import DEFAULT_K_MAX, PER_CLASS, STRATEGIES, extract_rules, save_rulebase
 
@@ -78,9 +78,9 @@ class ExperimentConfig:
                 f"unknown strategy {self.strategy!r}, expected one of {STRATEGIES}"
             )
         if self.k_max < 1:
-            raise ConfigError(f"k_max must be >= 1, got {self.k_max}")
+            raise ConfigError(f"k_max must be >= 1, got {_shown(self.k_max)}")
         if self.cfs_top_n is not None and self.cfs_top_n < 1:
-            raise ConfigError(f"cfs_top_n must be >= 1, got {self.cfs_top_n}")
+            raise ConfigError(f"cfs_top_n must be >= 1, got {_shown(self.cfs_top_n)}")
 
     @property
     def cfs_enabled(self):

@@ -23,7 +23,8 @@ from .errors import (
     ConfigError, InvalidInputError, RuleBaseFormatError, RuleBaseVersionError, prefixed,
 )
 from .fuzzy import (
-    SimilarityParams, TriangularFuzzySet, _finite_real, _integer, _integers, _seed, vertex_means,
+    SimilarityParams, TriangularFuzzySet, _finite_real, _integer, _integers, _seed, _shown,
+    vertex_means,
 )
 
 FORMAT_VERSION = 1
@@ -48,10 +49,11 @@ class Rule:
         object.__setattr__(self, "support_count", _integer(self.support_count, "support_count"))
         if not self.antecedents:
             raise InvalidInputError("rule needs at least one antecedent")
+        shown = _shown(self.support_count)
         if self.support_count < 1:
-            raise InvalidInputError(f"support_count must be >= 1, got {self.support_count}")
+            raise InvalidInputError(f"support_count must be >= 1, got {shown}")
         if self.support_count >= 2**63:  # supports are held as int64
-            raise InvalidInputError(f"support_count must be < 2**63, got {self.support_count}")
+            raise InvalidInputError(f"support_count must be < 2**63, got {shown}")
 
 
 def _floats(values):
@@ -80,6 +82,13 @@ def _triangle(triple):
     if len(triple) != 3:
         raise InvalidInputError(f"a triangle needs 3 values (a1, a2, a3), got {len(triple)}")
     return TriangularFuzzySet(*triple)
+
+
+def _check_indices(selected_features, n_features):
+    """Refuse a selected-feature index outside 0..n_features - 1."""
+    for i in selected_features:
+        if not 0 <= i < n_features:
+            raise InvalidInputError(f"selected feature index {_shown(i)} out of range")
 
 
 def _name_fault(i, triples, consequent, support, arity, lowest, highest):
@@ -158,9 +167,7 @@ class RuleBase:
             raise InvalidInputError("feature_names contains duplicates")
         if not self.selected_features:
             raise InvalidInputError("selected_features must be non-empty")
-        for i in self.selected_features:
-            if not 0 <= i < len(self.feature_names):
-                raise InvalidInputError(f"selected feature index {i} out of range")
+        _check_indices(self.selected_features, len(self.feature_names))
         if len(set(self.selected_features)) != len(self.selected_features):
             raise InvalidInputError("selected_features contains duplicates")
         lowest, highest = self.label_universe[0], self.label_universe[-1]
@@ -252,8 +259,9 @@ def extract_rules(
         raise InvalidInputError("rule extraction requires a min-max normalized dataset")
     if strategy not in STRATEGIES:
         raise InvalidInputError(f"unknown consequent strategy {strategy!r}")
+    k_max = _integer(k_max, "k_max")
     if k_max < 1:
-        raise InvalidInputError(f"k_max must be >= 1, got {k_max}")
+        raise InvalidInputError(f"k_max must be >= 1, got {_shown(k_max)}")
     if params is None:
         params = SimilarityParams()
     seed = _seed(seed)
@@ -261,6 +269,7 @@ def extract_rules(
     if selected_features is None:
         selected_features = tuple(range(dataset.n_features))
     selected_features = _integers(selected_features, "selected_features")
+    _check_indices(selected_features, dataset.n_features)
 
     labels = dataset.labels
     label_universe = universe_of(labels.tolist(), label_universe)

@@ -1,4 +1,5 @@
 import re
+from collections import Counter
 from unittest import mock
 
 import numpy as np
@@ -8,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 from fuzzyloc import clustering
 from fuzzyloc.clustering import elbow_fit, elbow_k, kmeans, knee_point, wcss
 from fuzzyloc.errors import InvalidInputError
+from fuzzyloc.synth import generate_synthetic
 
 
 def blobs(centers, per_blob, sd, seed):
@@ -83,6 +85,58 @@ class TestKMeans:
             kmeans(pts, 2, seed=1.5)
         with pytest.raises(InvalidInputError, match=re.escape("seed must be < 2**63")):
             kmeans(pts, 2, seed=2**63)
+
+
+# a point set no fit takes: a non-finite value, or squared distances past the
+# float range (1e200 squared is 1e400)
+UNFIT = "points must be finite, with squared distances within the float range"
+
+
+class TestIntake:
+    PTS = np.array([[0.0], [1.0], [2.0]])
+
+    @pytest.mark.parametrize(
+        "fit, named",
+        [
+            (lambda pts: kmeans(pts, 2.5, 0), "k must be an integer, got float"),
+            (lambda pts: kmeans(pts, True, 0), "k must be an integer, got bool"),
+            (lambda pts: kmeans(pts, 1, 0, restarts=2.0), "restarts must be an integer, got float"),
+            (lambda pts: kmeans(pts, 1, 0, restarts=True), "restarts must be an integer, got bool"),
+            (lambda pts: elbow_fit(pts, 3.0, 0), "k_max must be an integer, got float"),
+            (lambda pts: elbow_fit(pts, True, 0), "k_max must be an integer, got bool"),
+            (lambda pts: elbow_fit(pts, 2, 0, restarts="5"), "restarts must be an integer, got str"),
+            (lambda pts: elbow_k(pts, 3.0, 0), "k_max must be an integer, got float"),
+            # str() refuses an int of more than 4,300 digits
+            (lambda pts: kmeans(pts, 10**5000, 0), "k must be in 1..3, got an integer beyond 64 bits"),
+            (
+                lambda pts: kmeans(pts, 1, 0, restarts=-(10**5000)),
+                "restarts must be >= 1, got an integer beyond 64 bits",
+            ),
+            (lambda pts: elbow_fit(pts, 10**5000, 0), "k_max must be in 2..3, got an integer beyond 64 bits"),
+            (lambda pts: elbow_k(pts, -(10**5000), 0), "k_max must be in 2..3, got an integer beyond 64 bits"),
+        ],
+    )
+    def test_counts_are_integers_and_messages_show_them(self, fit, named):
+        with pytest.raises(InvalidInputError, match=f"^{re.escape(named)}$"):
+            fit(self.PTS)
+
+    def test_numpy_integers_are_counts(self):
+        got = kmeans(self.PTS, np.int64(2), 0, restarts=np.int32(2))
+        assert_same_fit(got, ref_kmeans(self.PTS, 2, 0, 2))
+        assert elbow_fit(self.PTS, np.uint8(3), 0)[0] == elbow_fit(self.PTS, 3, 0)[0]
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 1e200])
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_points_beyond_the_float_range_are_refused(self, bad, k):
+        pts = np.array([[0.0, 0.0], [1.0, 1.0], [bad, 0.0], [2.0, 2.0]])
+        fits = [
+            lambda: kmeans(pts, k, 0, restarts=3),
+            lambda: elbow_fit(pts, k + 1, 0),
+            lambda: elbow_k(pts, k + 1, 0),
+        ]
+        for fit in fits:
+            with pytest.raises(InvalidInputError, match=f"^{UNFIT}$"):
+                fit()
 
 
 class TestKneePoint:
@@ -302,6 +356,91 @@ class TestLockstepKernel:
             assert_same_fit(kmeans(pts, k, 42, restarts=5), ref_kmeans(pts, k, 42, 5))
         k, fit = elbow_fit(pts, 10, 42, restarts=5)
         assert_same_fit(fit, ref_kmeans(pts, k, 42, 5))
+
+
+@st.composite
+def draw_point_sets(draw):
+    """Up to 300 points in 1 to 12 dimensions, rows of a pool that is often
+    small, so that a draw can run out of new rows and its totals reach 0."""
+    n = draw(st.integers(1, 300), label="n")
+    dim = draw(st.integers(1, 12), label="dim")
+    size = draw(st.integers(1, 4) | st.integers(1, n), label="pool size")
+    noise = draw(st.sampled_from([0.0, 1e-3, 1.0, 1e3]), label="noise")
+    offset = draw(st.sampled_from([0.0, 1e8]), label="offset")
+    rng = np.random.default_rng(draw(seeds, label="rows"))
+    pool = rng.integers(-2, 3, size=(size, dim)) + noise * rng.normal(size=(size, dim))
+    return offset + pool[rng.integers(size, size=n)]
+
+
+class TestBatchedDraw:
+    @settings(max_examples=100, deadline=None)
+    @given(pts=draw_point_sets(), data=st.data(), block=blocks)
+    def test_each_row_is_a_choice_draw_of_its_own(self, pts, data, block):
+        k = data.draw(st.integers(1, min(len(pts), 40)), label="k")
+        restarts = data.draw(st.integers(1, 5), label="restarts")
+        master = np.random.default_rng(data.draw(seeds, label="seed"))
+        restart_seeds = [master.integers(2**63) for _ in range(restarts)]
+        rngs = [np.random.default_rng(s) for s in restart_seeds]
+        with mock.patch.object(clustering, "_BLOCK_ELEMENTS", block):
+            starts = clustering._kmeans_pp_init(pts, k, rngs)
+        assert starts.shape == (restarts, k, pts.shape[1])
+        for got, rng, s in zip(starts, rngs, restart_seeds):
+            own = np.random.default_rng(s)
+            assert np.array_equal(got, ref_kmeans_pp_init(pts, k, own))
+            # the same random calls: both generators end in the same state
+            assert rng.bit_generator.state == own.bit_generator.state
+
+    def test_changing_one_result_changes_no_other(self):
+        pts = blobs([(0, 0, 0), (4, 4, 4)], per_blob=10, sd=1.0, seed=2)
+        starts = np.stack([pts[[0, 10, 5]], pts[[3, 3, 3]], pts[[1, 11, 19]]])
+        fits = clustering._lloyd(pts, starts, [2, 1, 3]) + clustering._best_fits(pts, [1, 2, 3], 0, 2)
+        arrays = [a for fit in fits for a in (fit.assignment, fit.centroids)]
+        # no view of a buffer of the kernel's, nor of another result's
+        assert all(a.flags.owndata for a in arrays)
+        kept = [a.copy() for a in arrays]
+        for i, a in enumerate(arrays):
+            a[...] = -1
+            assert all(np.array_equal(b, c) for b, c in zip(arrays[i + 1 :], kept[i + 1 :]))
+
+
+class TestFixedCost:
+    """Counts, not timings, of the work one elbow sweep of a corridor-sized
+    class does, so that a per-draw or per-run cost cannot come back
+    unnoticed."""
+
+    def test_one_generator_per_restart_and_one_assignment_per_iteration(self):
+        corridor = generate_synthetic(n_rooms=10, per_room=30, n_beacons=5, noise_sd=0.5, seed=42)
+        pts = corridor.features[corridor.labels == 5]
+        assert pts.shape == (30, 5)
+        calls, fits = Counter(), []
+        default_rng, lloyd = np.random.default_rng, clustering._lloyd
+
+        class CountedGenerator:
+            def __init__(self, seed):
+                calls["generators"] += 1
+                self.rng = default_rng(seed)
+
+            def __getattr__(self, name):
+                calls[name] += 1
+                return getattr(self.rng, name)
+
+        def counted_lloyd(*args, **kwargs):
+            fits.extend(lloyd(*args, **kwargs))
+            return fits[-len(args[2]) :]
+
+        with (
+            mock.patch.object(np.random, "default_rng", CountedGenerator),
+            mock.patch.object(clustering, "_lloyd", counted_lloyd),
+            mock.patch.object(clustering, "_assign", wraps=clustering._assign) as assign,
+            mock.patch.object(clustering, "_sequential_update") as replay,
+        ):
+            elbow_fit(pts, 10, 42, restarts=5)
+        assert calls["choice"] == 0
+        assert calls["generators"] == 5 + 1
+        # 50 runs fit one lockstep group, which iterates as long as its
+        # longest run; no cluster goes empty, so no run is replayed
+        assert len(fits) == 50 and not replay.called
+        assert assign.call_count == max(len(fit.wcss_history) for fit in fits)
 
 
 class TestScreenedAssignment:

@@ -195,6 +195,8 @@ class TestRankFeatures:
             rank_features(data, top_n=2)
         with pytest.raises(InvalidInputError):
             rank_features(data, top_n=0)
+        with pytest.raises(InvalidInputError, match="^top_n must be in 1..1, got an integer beyond 64 bits$"):
+            rank_features(data, top_n=10**5000)
 
 
 @st.composite

@@ -94,6 +94,11 @@ class TestLabelUniverse:
         with pytest.raises(InvalidInputError, match=re.escape("-9223372036854775808..9223372036854775807")):
             label_universe([-(2**63), 2**63 - 1])
 
+    def test_uncovered_labels_are_listed_without_integers_beyond_64_bits(self):
+        # str() refuses an int of more than 4,300 digits
+        with pytest.raises(InvalidInputError, match=re.escape("cover labels [3, an integer beyond 64 bits]") + "$"):
+            label_universe([1, 3, 10**5000], (1, 2))
+
     def test_a_list_is_not_bounded(self):
         listed = tuple(range(0, 4000, 2))
         assert label_universe([0, 3998], listed) == listed

@@ -76,6 +76,15 @@ class TestTriangularFuzzySet:
         with pytest.raises(InvalidInputError, match="non-finite"):
             singleton(bad)
 
+    def test_an_integer_beyond_64_bits_is_named_in_words(self):
+        # str() refuses an int of more than 4,300 digits
+        words = "an integer beyond 64 bits"
+        for bad in (10**400, -(10**5000)):
+            with pytest.raises(InvalidInputError, match=f"^non-finite fuzzy set vertex: {words}$"):
+                TriangularFuzzySet(bad, 1, 2)
+            with pytest.raises(InvalidInputError, match=f"^non-finite sensitivity factor h: {words}$"):
+                SimilarityParams(h=bad)
+
     def test_singleton_collapses_all_vertices(self):
         s = singleton(3.5)
         assert (s.a1, s.a2, s.a3) == (3.5, 3.5, 3.5)

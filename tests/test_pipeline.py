@@ -94,9 +94,11 @@ class TestConfig:
         (dict(k_max=2.5), "k_max must be an integer, got float"),
         (dict(k_max=True), "k_max must be an integer, got bool"),
         (dict(k_max=0), "k_max must be >= 1, got 0"),
+        (dict(k_max=-(10**5000)), "k_max must be >= 1, got an integer beyond 64 bits"),
         (dict(cfs_top_n=2.5), "cfs_top_n must be an integer, got float"),
         (dict(cfs_top_n=True), "cfs_top_n must be an integer, got bool"),
         (dict(cfs_top_n=0), "cfs_top_n must be >= 1, got 0"),
+        (dict(cfs_top_n=-(10**5000)), "cfs_top_n must be >= 1, got an integer beyond 64 bits"),
         (dict(cfs_epsilon=float("nan")), "non-finite cfs_epsilon: nan"),
         (dict(cfs_epsilon="0.1"), "cfs_epsilon must be a real number, got str"),
         (dict(cfs_sort="yes"), "cfs_sort must be a bool, got str"),

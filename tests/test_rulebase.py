@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import re
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -200,6 +201,31 @@ class TestExtractRules:
             extract_rules(two_class_data(), k_max=1, **keywords)
         rb = extract_rules(two_class_data(), k_max=1, seed=np.int64(7), selected_features=np.array([1]))
         assert (type(rb.seed), type(rb.selected_features[0])) == (int, int)
+
+    @pytest.mark.parametrize(
+        "keywords, named",
+        [
+            (dict(k_max=2.5), "k_max must be an integer, got float"),
+            (dict(k_max=True), "k_max must be an integer, got bool"),
+            (dict(selected_features=(0, 99)), "selected feature index 99 out of range"),
+            (dict(selected_features=(-1,)), "selected feature index -1 out of range"),
+            # str() refuses an int of more than 4,300 digits
+            pytest.param(
+                dict(k_max=-(10**5000)), "k_max must be >= 1, got an integer beyond 64 bits",
+                id="k_max-of-5001-digits",
+            ),
+            pytest.param(
+                dict(selected_features=(10**5000,)),
+                "selected feature index an integer beyond 64 bits out of range",
+                id="index-of-5001-digits",
+            ),
+        ],
+    )
+    def test_k_max_and_indices_are_checked_before_training(self, keywords, named):
+        with mock.patch.object(rulebase, "elbow_fit") as fit:
+            with pytest.raises(InvalidInputError, match=f"^{re.escape(named)}$"):
+                extract_rules(two_class_data(), **keywords)
+        assert not fit.called
 
     def test_selected_features_project_the_antecedents(self):
         data = two_class_data()
@@ -491,11 +517,18 @@ class TestRuleBaseValidation:
                 Rule(antecedents=ants, consequent=1.0, support_count=bad)
         with pytest.raises(InvalidInputError, match=re.escape("support_count must be < 2**63")):
             Rule(antecedents=ants, consequent=1.0, support_count=2**63)
+        # str() refuses an int of more than 4,300 digits
+        beyond = "an integer beyond 64 bits"
+        for bad, named in [(10**5000, f"< 2**63, got {beyond}"), (-(10**5000), f">= 1, got {beyond}")]:
+            with pytest.raises(InvalidInputError, match=re.escape(f"support_count must be {named}")):
+                Rule(antecedents=ants, consequent=1.0, support_count=bad)
+        with pytest.raises(InvalidInputError, match=f"^non-finite consequent: {beyond}$"):
+            Rule(antecedents=ants, consequent=10**5000, support_count=1)
         assert type(Rule(antecedents=ants, consequent=1.0, support_count=np.int64(3)).support_count) is int
 
     def test_selected_indices_must_be_in_range_and_unique(self):
         rb = small_rulebase()
-        for bad in [(1,), (-1,), (0, 0)]:
+        for bad in [(1,), (-1,), (0, 0), (10**5000,)]:
             with pytest.raises(InvalidInputError):
                 RuleBase(
                     rules=rb.rules,
