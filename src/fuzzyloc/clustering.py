@@ -15,13 +15,13 @@ from .fuzzy import _integer, _seed, _shown
 MAX_ITERATIONS = 300
 # k-means++ restarts per k of an elbow sweep
 DEFAULT_RESTARTS = 5
+# restarts one kmeans call may ask for; each builds a generator and a run
+MAX_RESTARTS = 1000
 # run x point x max(cluster, dimension) elements per lockstep group of
 # Lloyd runs: 512 KiB per float64 temporary
 _BLOCK_ELEMENTS = 2**16
 _EPS = np.finfo(float).eps
 _TINY = np.finfo(float).tiny
-# squared norms beyond this could overflow an exact distance
-_HUGE = np.finfo(float).max / 16
 
 
 class KMeansResult(NamedTuple):
@@ -38,6 +38,30 @@ def wcss(points, assignment, centroids):
     if len(assignment) != len(pts):
         raise InvalidInputError("one assignment per point required")
     return float(((pts - cents[assignment]) ** 2).sum())
+
+
+def _points(points):
+    """points as the (n, dim) float array every fit takes, or refused.
+
+    The one check of a point set, made before any random call, so its
+    answer does not depend on the seed, k or the restart count. The set
+    must be a non-empty 2-D array with 32 n max|x|^2 finite. A centroid is
+    a mean of points, so |c|^2 <= max|x|^2, and that bound keeps every
+    later sum finite: squared distances (<= 4 max|x|^2), k-means++ totals
+    and WCSS (<= 4 n max|x|^2), the coordinate sums of a centroid
+    update, and _assign's screened distances and its rounding bound,
+    whose |x|^2 + |c|^2 stays below max / 16.
+    """
+    pts = np.asarray(points, dtype=float)
+    if pts.ndim != 2 or pts.size == 0:
+        raise InvalidInputError("points must be a non-empty 2-D array")
+    with np.errstate(over="ignore"):
+        bound = 32 * len(pts) * np.square(pts).sum(axis=1).max()
+    if not np.isfinite(bound):
+        raise InvalidInputError(
+            "points must be finite, with squared distances within the float range"
+        )
+    return pts
 
 
 def _lower_to(d2, pts, cents):
@@ -65,25 +89,17 @@ def _kmeans_pp_init(pts, k, rngs):
     non-decreasing, so the index is the count of its entries <= the
     draw, which is taken here for every row at once.
 
-    choice also refused a p holding NaN or not summing to 1, as a point
-    set with a non-finite value or squared distances beyond the float
-    range gives. No total exceeds the first, since a point's distance to
-    its nearest centroid only shrinks, so that refusal binds only on the
-    first totals, and is made there, whatever k is.
+    choice also refused a p holding NaN or not summing to 1. Every total
+    here is finite, since pts passed _points, so that refusal cannot bind.
     """
     n, dim = pts.shape
     starts = np.empty((len(rngs), k, dim))
     starts[:, 0] = pts[[rng.integers(n) for rng in rngs]]
     d2 = np.full((len(rngs), n), np.inf)
-    # a non-finite point gives NaN and an overflow +inf, which are refused
-    # below, and a row whose total is 0 divides 0 by 0: no warnings
-    with np.errstate(over="ignore", invalid="ignore"):
-        _lower_to(d2, pts, starts[:, 0])
-        totals = d2.sum(axis=1)
-        if not np.isfinite(totals).all():
-            raise InvalidInputError(
-                "points must be finite, with squared distances within the float range"
-            )
+    _lower_to(d2, pts, starts[:, 0])
+    totals = d2.sum(axis=1)
+    # a row whose total is 0 divides 0 by 0: no warnings
+    with np.errstate(invalid="ignore"):
         for i in range(1, k):
             positive = totals > 0.0
             u = np.array(
@@ -120,9 +136,8 @@ def _assign(pts, sq_norms, cents, real):
     8 (dim + 4) (eps (|x|^2 + max|c|^2) + tiny), a bound on the rounding
     of both, so wherever the best screened distance beats the second by
     more than twice the bound it is also the exact argmin. The other
-    (run, point) pairs, and any with a non-finite or overflow-sized
-    value, are recomputed exactly, which settles ties as the reference
-    does. Points go through in slices of at most _BLOCK_ELEMENTS
+    (run, point) pairs are recomputed exactly, which settles ties as the
+    reference does. Points go through in slices of at most _BLOCK_ELEMENTS
     distances.
     """
     n, dim = pts.shape
@@ -140,15 +155,15 @@ def _assign(pts, sq_norms, cents, real):
         d += xx
         d += cc[:, None]
         d = d.reshape(runs, width, len(x))
-        scale = xx + cmax
-        bound = np.where(scale < _HUGE, 8 * (dim + 4) * (_EPS * scale + _TINY), np.inf)
+        bound = 8 * (dim + 4) * (_EPS * (xx + cmax) + _TINY)
         near = d <= (d.min(axis=1) + 2 * bound)[:, None]
         # every slot within twice the bound of the minimum adds width + its
         # index, so the sum lies in [width, 2 width) when exactly one slot
-        # does, and then names it; NaNs leave no slot near
+        # does, and then names it; the minimum is always near, since every
+        # value is finite for points that _points accepts
         code = np.arange(width, 2.0 * width) @ near
         best = code.astype(np.intp) - width
-        j, i = np.nonzero((code < width) | (code >= 2 * width))
+        j, i = np.nonzero(code >= 2 * width)
         chunk = max(1, _BLOCK_ELEMENTS // (width * dim))
         for at in range(0, len(i), chunk):
             ii, jj = i[at : at + chunk], j[at : at + chunk]
@@ -265,9 +280,6 @@ def _best_fits(pts, ks, seed, restarts):
     least one run each), which bounds the group's distance matrix and its
     (run, point, dimension) temporaries; ties keep the earlier restart.
     """
-    restarts = _integer(restarts, "restarts")
-    if restarts < 1:
-        raise InvalidInputError(f"restarts must be >= 1, got {_shown(restarts)}")
     master = np.random.default_rng(_seed(seed))
     rngs = [np.random.default_rng(s) for s in master.integers(2**63, size=restarts)]
     starts = _kmeans_pp_init(pts, ks[-1], rngs)
@@ -297,17 +309,17 @@ def kmeans(points, k, seed, restarts=1):
 
     restarts > 1 runs that many independently seeded k-means++ starts and
     keeps the lowest-WCSS result (restart seeds derive from the master
-    seed, so the whole call stays deterministic). Points with a
-    non-finite value or squared distances beyond the float range are
-    refused (see _kmeans_pp_init).
+    seed, so the whole call stays deterministic), at most MAX_RESTARTS of
+    them. Point sets that _points refuses are refused whatever the seed.
     """
-    pts = np.asarray(points, dtype=float)
-    if pts.ndim != 2 or len(pts) == 0:
-        raise InvalidInputError("points must be a non-empty 2-D array")
-    n = len(pts)
+    pts = _points(points)
     k = _integer(k, "k")
-    if not 1 <= k <= n:
-        raise InvalidInputError(f"k must be in 1..{n}, got {_shown(k)}")
+    if not 1 <= k <= len(pts):
+        raise InvalidInputError(f"k must be in 1..{len(pts)}, got {_shown(k)}")
+    restarts = _integer(restarts, "restarts")
+    if not 1 <= restarts <= MAX_RESTARTS:
+        bound = ">= 1" if restarts < 1 else f"<= {MAX_RESTARTS}"
+        raise InvalidInputError(f"restarts must be {bound}, got {_shown(restarts)}")
     return _best_fits(pts, [k], seed, restarts)[0]
 
 
@@ -321,7 +333,8 @@ def knee_point(wcss_values):
     ws = [float(w) for w in wcss_values]
     if not ws:
         raise InvalidInputError("empty WCSS curve")
-    if len(ws) == 1:
+    # every point of a curve of one or two lies on its chord
+    if len(ws) <= 2:
         return 1
     x1, y1 = 1.0, ws[0]
     x2, y2 = float(len(ws)), ws[-1]
@@ -335,29 +348,23 @@ def knee_point(wcss_values):
     return best_k
 
 
-def elbow_fit(points, k_max, seed, restarts=DEFAULT_RESTARTS):
+def elbow_fit(points, k_max, seed):
     """Pick a cluster count by the knee of the WCSS-versus-k curve.
 
-    Fits every k in 1..k_max as kmeans(points, k, seed, restarts) would,
-    in one sweep, and returns (k, fit): the knee of the curve and that
-    k's fit, equal to what kmeans would return for it.
+    Fits every k in 1..k_max (k_max in 1..n) as kmeans(points, k, seed,
+    DEFAULT_RESTARTS) would, in one sweep, and returns (k, fit): the knee
+    of the curve and that k's fit, equal to what kmeans would return for
+    it. A sweep of one or two k picks k = 1 (see knee_point).
     """
-    pts = np.asarray(points, dtype=float)
-    if pts.ndim != 2:
-        raise InvalidInputError("points must be a 2-D array")
+    pts = _points(points)
     k_max = _integer(k_max, "k_max")
-    if not 2 <= k_max <= len(pts):
-        raise InvalidInputError(f"k_max must be in 2..{len(pts)}, got {_shown(k_max)}")
-    fits = _best_fits(pts, range(1, k_max + 1), seed, restarts)
+    if not 1 <= k_max <= len(pts):
+        raise InvalidInputError(f"k_max must be in 1..{len(pts)}, got {_shown(k_max)}")
+    fits = _best_fits(pts, range(1, k_max + 1), seed, DEFAULT_RESTARTS)
     k = knee_point([fit.wcss_history[-1] for fit in fits])
     return k, fits[k - 1]
 
 
-def elbow_k(points, k_max, seed, restarts=DEFAULT_RESTARTS):
-    """The k that elbow_fit picks; fewer than 2 points short-circuit to 1."""
-    pts = np.asarray(points, dtype=float)
-    if pts.ndim != 2:
-        raise InvalidInputError("points must be a 2-D array")
-    if len(pts) < 2:
-        return 1
-    return elbow_fit(pts, k_max, seed, restarts)[0]
+def elbow_k(points, k_max, seed):
+    """The k that elbow_fit picks."""
+    return elbow_fit(points, k_max, seed)[0]

@@ -222,12 +222,7 @@ class RuleBase:
 
 def _cluster_rules(points, seed, k_max):
     """Cluster one point set and yield a member mask per non-empty cluster."""
-    n = len(points)
-    effective_k_max = min(k_max, n)
-    if n < 3 or effective_k_max < 2:
-        yield np.ones(n, dtype=bool)
-        return
-    k, fit = elbow_fit(points, effective_k_max, seed)
+    k, fit = elbow_fit(points, min(k_max, len(points)), seed)
     for c in range(k):
         mask = fit.assignment == c
         if mask.any():
@@ -248,7 +243,9 @@ def extract_rules(
     strategy "per-class" clusters every class separately so each rule's
     consequent is an actual training label; "global-mean" clusters the
     whole dataset and uses the mean member label as the (real-valued)
-    consequent. Classes with fewer than 3 instances form a single cluster.
+    consequent. Each class (or the whole set) is clustered by elbow_fit with
+    k_max capped at its size, so a class of fewer than 3 instances forms a
+    single cluster: a sweep of one or two k has its knee at k = 1.
     label_universe defaults to the contiguous integer range spanning the
     training labels; pass it explicitly when held-out labels must be
     predictable.

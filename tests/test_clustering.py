@@ -1,5 +1,7 @@
+import ast
 import re
 from collections import Counter
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -7,7 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from fuzzyloc import clustering
-from fuzzyloc.clustering import elbow_fit, elbow_k, kmeans, knee_point, wcss
+from fuzzyloc.clustering import DEFAULT_RESTARTS, MAX_RESTARTS, elbow_fit, elbow_k, kmeans, knee_point, wcss
 from fuzzyloc.errors import InvalidInputError
 from fuzzyloc.synth import generate_synthetic
 
@@ -73,7 +75,22 @@ class TestKMeans:
         with pytest.raises(InvalidInputError):
             kmeans(np.empty((0, 2)), 1, seed=0)
         with pytest.raises(InvalidInputError):
+            kmeans(np.empty((2, 0)), 1, seed=0)
+        with pytest.raises(InvalidInputError):
             kmeans(pts, 1, seed=0, restarts=0)
+
+    @pytest.mark.parametrize(
+        "restarts, shown", [(MAX_RESTARTS + 1, MAX_RESTARTS + 1), (10**30, "an integer beyond 64 bits")]
+    )
+    def test_restart_count_is_bounded_before_any_generator(self, restarts, shown):
+        pts = np.array([[0.0], [1.0]])
+        named = f"restarts must be <= {MAX_RESTARTS}, got {shown}"
+        with (
+            mock.patch.object(np.random, "default_rng") as rng,
+            pytest.raises(InvalidInputError, match=f"^{re.escape(named)}$"),
+        ):
+            kmeans(pts, 1, seed=0, restarts=restarts)
+        assert not rng.called
 
     def test_negative_seed_is_named(self):
         pts = np.array([[0.0], [1.0], [2.0]])
@@ -104,7 +121,7 @@ class TestIntake:
             (lambda pts: kmeans(pts, 1, 0, restarts=True), "restarts must be an integer, got bool"),
             (lambda pts: elbow_fit(pts, 3.0, 0), "k_max must be an integer, got float"),
             (lambda pts: elbow_fit(pts, True, 0), "k_max must be an integer, got bool"),
-            (lambda pts: elbow_fit(pts, 2, 0, restarts="5"), "restarts must be an integer, got str"),
+            (lambda pts: kmeans(pts, 1, 0, restarts="5"), "restarts must be an integer, got str"),
             (lambda pts: elbow_k(pts, 3.0, 0), "k_max must be an integer, got float"),
             # str() refuses an int of more than 4,300 digits
             (lambda pts: kmeans(pts, 10**5000, 0), "k must be in 1..3, got an integer beyond 64 bits"),
@@ -112,8 +129,8 @@ class TestIntake:
                 lambda pts: kmeans(pts, 1, 0, restarts=-(10**5000)),
                 "restarts must be >= 1, got an integer beyond 64 bits",
             ),
-            (lambda pts: elbow_fit(pts, 10**5000, 0), "k_max must be in 2..3, got an integer beyond 64 bits"),
-            (lambda pts: elbow_k(pts, -(10**5000), 0), "k_max must be in 2..3, got an integer beyond 64 bits"),
+            (lambda pts: elbow_fit(pts, 10**5000, 0), "k_max must be in 1..3, got an integer beyond 64 bits"),
+            (lambda pts: elbow_k(pts, -(10**5000), 0), "k_max must be in 1..3, got an integer beyond 64 bits"),
         ],
     )
     def test_counts_are_integers_and_messages_show_them(self, fit, named):
@@ -125,18 +142,97 @@ class TestIntake:
         assert_same_fit(got, ref_kmeans(self.PTS, 2, 0, 2))
         assert elbow_fit(self.PTS, np.uint8(3), 0)[0] == elbow_fit(self.PTS, 3, 0)[0]
 
-    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 1e200])
+    @pytest.mark.parametrize(
+        "pts",
+        [np.array([[0.0, 0.0], [1.0, 1.0], [bad, 0.0], [2.0, 2.0]]) for bad in (np.nan, np.inf, -np.inf, 1e200)]
+        + [
+            # squared distances fit, but a first centroid at the far point
+            # makes a k-means++ total of 3 x 1.69e308: a draw's check refused
+            # this set for some seeds only
+            np.array([[0.0], [0.0], [0.0], [1.3e154]]),
+            # squared distances of 0 and 1, but coordinate sums past the range
+            np.array([[1.7e308, 0.0], [1.7e308, 1.0]]),
+        ],
+    )
     @pytest.mark.parametrize("k", [1, 2])
-    def test_points_beyond_the_float_range_are_refused(self, bad, k):
-        pts = np.array([[0.0, 0.0], [1.0, 1.0], [bad, 0.0], [2.0, 2.0]])
-        fits = [
-            lambda: kmeans(pts, k, 0, restarts=3),
-            lambda: elbow_fit(pts, k + 1, 0),
-            lambda: elbow_k(pts, k + 1, 0),
+    def test_points_beyond_the_float_range_are_refused(self, pts, k):
+        for seed in range(20):
+            fits = [
+                lambda: kmeans(pts, k, seed, restarts=3),
+                lambda: elbow_fit(pts, k, seed),
+                lambda: elbow_k(pts, k, seed),
+            ]
+            for fit in fits:
+                with pytest.raises(InvalidInputError, match=f"^{UNFIT}$"):
+                    fit()
+
+
+@st.composite
+def edge_point_sets(draw):
+    """Point sets whose largest squared norm lies near the intake's bound,
+    max / (32 n), on either side of it, sometimes with a non-finite value."""
+    n = draw(st.integers(1, 8), label="n")
+    dim = draw(st.integers(1, 3), label="dim")
+    edge = np.sqrt(np.finfo(float).max / (32 * n))
+    scale = draw(st.sampled_from([1e-300, 0.5, 1.0, 1e6]) | st.floats(0.9, 8.0), label="scale")
+    value = st.sampled_from([-1.0, 0.0, 1.0]) | st.floats(-1, 1, allow_nan=False)
+    rows = draw(st.lists(st.lists(value, min_size=dim, max_size=dim), min_size=n, max_size=n))
+    pts = np.array(rows)
+    norm = np.sqrt(np.square(pts).sum(axis=1).max())
+    if norm > 0:
+        pts *= scale * edge / norm
+    if draw(st.booleans()):
+        pts[draw(st.integers(0, n - 1)), 0] = draw(st.sampled_from([np.nan, np.inf, -np.inf]))
+    return pts
+
+
+class TestOneIntake:
+    # pyproject turns every RuntimeWarning into an error, so a fit that
+    # overflows anywhere fails here
+    @settings(max_examples=150, deadline=None)
+    @given(pts=edge_point_sets(), data=st.data())
+    def test_an_accepted_set_fits_at_every_seed_and_a_refused_one_at_none(self, pts, data):
+        try:
+            clustering._points(pts)
+        except InvalidInputError:
+            accepted = False
+        else:
+            accepted = True
+        n = len(pts)
+        for seed in data.draw(st.lists(seeds, min_size=1, max_size=3), label="seeds"):
+            k = data.draw(st.integers(1, min(n, 4)), label="k")
+            restarts = data.draw(st.integers(1, 3), label="restarts")
+            if accepted:
+                fit = kmeans(pts, k, seed, restarts=restarts)
+                assert np.isfinite(fit.centroids).all() and np.isfinite(fit.wcss_history).all()
+                elbow_fit(pts, k, seed)
+            else:
+                for refused in (lambda: kmeans(pts, k, seed, restarts), lambda: elbow_fit(pts, k, seed)):
+                    with pytest.raises(InvalidInputError, match=f"^{UNFIT}$"):
+                        refused()
+
+    def test_one_function_raises_the_point_set_refusals(self):
+        # the messages as raised, so that the check outlives a rewording
+        messages = set()
+        for pts in (np.empty((0, 2)), np.array([[np.nan]])):
+            with pytest.raises(InvalidInputError) as refused:
+                kmeans(pts, 1, 0)
+            messages.add(str(refused.value))
+        tree = ast.parse(Path(clustering.__file__).read_text(encoding="utf-8"))
+        sites = [
+            (func.name, node.value)
+            for func in ast.walk(tree)
+            if isinstance(func, ast.FunctionDef)
+            for raised in ast.walk(func)
+            if isinstance(raised, ast.Raise)
+            for node in ast.walk(raised)
+            if isinstance(node, ast.Constant) and node.value in messages
         ]
-        for fit in fits:
-            with pytest.raises(InvalidInputError, match=f"^{UNFIT}$"):
-                fit()
+        assert len(sites) == len(messages) == 2
+        assert len({name for name, _ in sites}) == 1
+        # and no message is kept anywhere else, say in a constant to raise later
+        constants = [n for n in ast.walk(tree) if isinstance(n, ast.Constant) and n.value in messages]
+        assert len(constants) == 2
 
 
 class TestKneePoint:
@@ -164,19 +260,30 @@ class TestKneePoint:
         with pytest.raises(InvalidInputError):
             knee_point([])
 
+    @given(
+        a=st.floats(0, 1e300, allow_nan=False, allow_infinity=False),
+        ratio=st.floats(0, 1, allow_nan=False),
+    )
+    def test_two_point_curve_has_its_knee_at_one(self, a, ratio):
+        # both points lie on the chord; rounding once put the knee at 2
+        assert knee_point([a, a * ratio]) == 1
+
 
 class TestElbowK:
     def test_finds_four_blobs(self):
         assert elbow_k(FOUR_BLOBS, k_max=10, seed=0) == 4
 
-    def test_single_or_few_points_short_circuit(self):
-        assert elbow_k(np.array([[1.0]]), k_max=10, seed=0) == 1
-        assert elbow_k(np.empty((0, 3)), k_max=5, seed=0) == 1
+    def test_single_or_few_points_pick_one(self):
+        assert elbow_k(np.array([[1.0]]), k_max=1, seed=0) == 1
+        assert elbow_k(np.array([[1.0], [9.0]]), k_max=2, seed=0) == 1
+        with pytest.raises(InvalidInputError, match="^points must be a non-empty 2-D array$"):
+            elbow_k(np.empty((0, 3)), k_max=5, seed=0)
 
     def test_k_max_validation(self):
         pts = np.array([[0.0], [1.0], [2.0]])
+        assert elbow_k(pts, k_max=1, seed=0) == 1
         with pytest.raises(InvalidInputError):
-            elbow_k(pts, k_max=1, seed=0)
+            elbow_k(pts, k_max=0, seed=0)
         with pytest.raises(InvalidInputError):
             elbow_k(pts, k_max=4, seed=0)
 
@@ -301,17 +408,20 @@ class TestLockstepKernel:
         assert_same_fit(got, ref_kmeans(pts, k, seed, restarts))
 
     @settings(max_examples=100, deadline=None)
-    @given(pts=point_sets(min_n=2), data=st.data(), block=blocks)
+    @given(pts=point_sets(), data=st.data(), block=blocks)
     def test_sweep_matches_reference_and_reuses_the_knee_fit(self, pts, data, block):
-        k_max = data.draw(st.integers(2, len(pts)), label="k_max")
+        k_max = data.draw(st.integers(1, len(pts)), label="k_max")
         restarts = data.draw(st.integers(1, 5), label="restarts")
         seed = data.draw(seeds, label="seed")
-        with mock.patch.object(clustering, "_BLOCK_ELEMENTS", block):
-            k, fit = elbow_fit(pts, k_max, seed, restarts=restarts)
+        with (
+            mock.patch.object(clustering, "_BLOCK_ELEMENTS", block),
+            mock.patch.object(clustering, "DEFAULT_RESTARTS", restarts),
+        ):
+            k, fit = elbow_fit(pts, k_max, seed)
             fresh = kmeans(pts, k, seed, restarts=restarts)
+            assert k == elbow_k(pts, k_max, seed)
         curve = [ref_kmeans(pts, j, seed, restarts)[2][-1] for j in range(1, k_max + 1)]
         assert k == knee_point(curve)
-        assert k == elbow_k(pts, k_max, seed, restarts=restarts)
         assert_same_fit(fit, (fresh.assignment, fresh.centroids, fresh.wcss_history))
         assert_same_fit(fit, ref_kmeans(pts, k, seed, restarts))
 
@@ -354,8 +464,8 @@ class TestLockstepKernel:
         pts = blobs([(0, 0, 0, 0, 0), (3, 1, 0, 2, 1)], per_blob=15, sd=1.0, seed=8)
         for k in range(1, 11):
             assert_same_fit(kmeans(pts, k, 42, restarts=5), ref_kmeans(pts, k, 42, 5))
-        k, fit = elbow_fit(pts, 10, 42, restarts=5)
-        assert_same_fit(fit, ref_kmeans(pts, k, 42, 5))
+        k, fit = elbow_fit(pts, 10, 42)
+        assert_same_fit(fit, ref_kmeans(pts, k, 42, DEFAULT_RESTARTS))
 
 
 @st.composite
@@ -434,9 +544,9 @@ class TestFixedCost:
             mock.patch.object(clustering, "_assign", wraps=clustering._assign) as assign,
             mock.patch.object(clustering, "_sequential_update") as replay,
         ):
-            elbow_fit(pts, 10, 42, restarts=5)
+            elbow_fit(pts, 10, 42)
         assert calls["choice"] == 0
-        assert calls["generators"] == 5 + 1
+        assert calls["generators"] == DEFAULT_RESTARTS + 1
         # 50 runs fit one lockstep group, which iterates as long as its
         # longest run; no cluster goes empty, so no run is replayed
         assert len(fits) == 50 and not replay.called
@@ -453,12 +563,12 @@ class TestScreenedAssignment:
         restarts = data.draw(st.integers(1, 3), label="restarts")
         seed = data.draw(seeds, label="seed")
         assert_same_fit(kmeans(pts, k, seed, restarts=restarts), ref_kmeans(pts, k, seed, restarts))
-        if len(pts) >= 2:
-            k_max = data.draw(st.integers(2, min(len(pts), 6)), label="k_max")
-            k, fit = elbow_fit(pts, k_max, seed, restarts=restarts)
-            curve = [ref_kmeans(pts, j, seed, restarts)[2][-1] for j in range(1, k_max + 1)]
-            assert k == knee_point(curve)
-            assert_same_fit(fit, ref_kmeans(pts, k, seed, restarts))
+        k_max = data.draw(st.integers(1, min(len(pts), 6)), label="k_max")
+        with mock.patch.object(clustering, "DEFAULT_RESTARTS", restarts):
+            k, fit = elbow_fit(pts, k_max, seed)
+        curve = [ref_kmeans(pts, j, seed, restarts)[2][-1] for j in range(1, k_max + 1)]
+        assert k == knee_point(curve)
+        assert_same_fit(fit, ref_kmeans(pts, k, seed, restarts))
 
     @settings(max_examples=100, deadline=None)
     @given(pts=wide_point_sets(), data=st.data(), block=blocks)
@@ -497,7 +607,8 @@ class TestScreenedAssignment:
         pts = 1e8 + rng.normal(size=(60, 16)) * rng.uniform(0.5, 4.0, size=(1, 16))
         for k in (2, 3, 7):
             assert_same_fit(kmeans(pts, k, 3, restarts=2), ref_kmeans(pts, k, 3, 2))
-        k, fit = elbow_fit(pts, 8, 3, restarts=2)
+        with mock.patch.object(clustering, "DEFAULT_RESTARTS", 2):
+            k, fit = elbow_fit(pts, 8, 3)
         assert_same_fit(fit, ref_kmeans(pts, k, 3, 2))
 
     def test_separated_points_need_no_exact_recompute(self):
@@ -521,9 +632,9 @@ class TestScreenedAssignment:
         pts = blobs([(0,) * 24, (1,) * 24], per_blob=50, sd=0.3, seed=1)
         n, dim = pts.shape
         with mock.patch.object(clustering, "_lloyd", wraps=clustering._lloyd) as lloyd:
-            elbow_fit(pts, k_max=10, seed=0, restarts=5)
+            elbow_fit(pts, k_max=10, seed=0)
         groups = [list(call.args[2]) for call in lloyd.call_args_list]
-        assert sum(groups, []) == [k for k in range(1, 11) for _ in range(5)]
+        assert sum(groups, []) == [k for k in range(1, 11) for _ in range(DEFAULT_RESTARTS)]
         for group, following in zip(groups, groups[1:] + [None]):
             assert len(group) * n * max(group[-1], dim) <= clustering._BLOCK_ELEMENTS
             if following:
@@ -542,12 +653,17 @@ class TestElbowFit:
     def test_validation(self):
         pts = np.array([[0.0], [1.0], [2.0]])
         with pytest.raises(InvalidInputError):
-            elbow_fit(pts, k_max=1, seed=0)
+            elbow_fit(pts, k_max=0, seed=0)
         with pytest.raises(InvalidInputError):
             elbow_fit(pts, k_max=4, seed=0)
         with pytest.raises(InvalidInputError):
             elbow_fit(np.array([[1.0]]), k_max=2, seed=0)
         with pytest.raises(InvalidInputError):
-            elbow_fit(pts, k_max=2, seed=0, restarts=0)
-        with pytest.raises(InvalidInputError):
             elbow_fit(pts.ravel(), k_max=2, seed=0)
+
+    @pytest.mark.parametrize("seed", [0, 7, 2**63 - 1])
+    def test_k_max_one_is_the_one_cluster_fit(self, seed):
+        k, fit = elbow_fit(FOUR_BLOBS, 1, seed)
+        assert k == 1
+        want = kmeans(FOUR_BLOBS, 1, seed, restarts=DEFAULT_RESTARTS)
+        assert_same_fit(fit, (want.assignment, want.centroids, want.wcss_history))

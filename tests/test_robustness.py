@@ -337,7 +337,7 @@ class TestProbes:
         bad = edit_rulebase(rb_path, tmp_path, edit)
         assert_exit(predict(bad, csv_path), 3, capsys, "rule 1")
 
-    # with --k-max 1 no clustering runs, so the config itself refuses the seed
+    # the config itself refuses the seed, before any clustering, whatever --k-max is
     @pytest.mark.parametrize("flags", [[], ["--k-max", "1"]])
     def test_negative_seed_exits_2(self, base, tmp_path, capsys, flags):
         _, csv_path, _ = base

@@ -158,6 +158,28 @@ class TestExtractRules:
         assert rb.n_rules == 2
         assert [r.support_count for r in rb.rules] == [2, 2]
 
+    @pytest.mark.parametrize("strategy", [PER_CLASS, GLOBAL_MEAN])
+    @pytest.mark.parametrize("k_max", [1, 2, 10])
+    def test_classes_of_one_and_two_rows_give_one_rule_each(self, strategy, k_max):
+        # a sweep of one or two k has its knee at k = 1, so every row of a
+        # class lands in its one rule: (min, clipped mean, max) of the rows
+        features = np.random.default_rng(3).random((3, 4)) ** 3
+        labels = [4, 9, 9] if strategy == PER_CLASS else [4, 4]
+        features = features[: len(labels)]
+        rb = extract_rules(identity_normalized(features, labels), strategy=strategy, k_max=k_max, seed=5)
+        groups = [features[:1], features[1:]] if strategy == PER_CLASS else [features]
+        triples = []
+        for rows in groups:
+            lo, hi = rows.min(axis=0), rows.max(axis=0)
+            triples.append(np.stack([lo, np.clip(rows.mean(axis=0), lo, hi), hi], axis=1))
+        want = dataclasses.replace(
+            rb,
+            antecedents=triples,
+            consequents=[4.0, 9.0] if strategy == PER_CLASS else [4.0],
+            supports=[len(rows) for rows in groups],
+        )
+        assert serialize_rulebase(rb) == serialize_rulebase(want)
+
     def test_global_mean_strategy_averages_member_labels(self):
         data = identity_normalized([[0.0], [0.01], [0.99], [1.0]], [1, 3, 8, 8])
         rb = extract_rules(data, strategy=GLOBAL_MEAN, k_max=3, seed=0)
