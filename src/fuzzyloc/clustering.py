@@ -27,7 +27,7 @@ _TINY = np.finfo(float).tiny
 class KMeansResult(NamedTuple):
     assignment: np.ndarray  # (n,) cluster index per point
     centroids: np.ndarray  # (k, dim)
-    wcss_history: tuple  # WCSS after each Lloyd iteration of the winning restart
+    wcss: float  # wcss(points, assignment, centroids)
 
 
 def wcss(points, assignment, centroids):
@@ -201,15 +201,13 @@ def _lloyd(pts, starts, ks, max_iterations=MAX_ITERATIONS):
     first ks[j] rows. Later rows are padding; they are set to +inf, so
     their distances are +inf and no point is ever assigned to them.
     A run stops when its assignment stops changing or after
-    max_iterations, and then leaves the stack. Each iteration's WCSS goes
-    into one (iteration, run) log, and once the stack is empty every run's
-    KMeansResult is built from the log and the final assignments and
+    max_iterations, and then leaves the stack. Once the stack is empty
+    every run's KMeansResult is built from its final assignments and
     centroids, copied out of the kernel's buffers so that no two results
-    share memory. Each has the bits a run on its own would give: assignments
-    are the exact argmin (see _assign), WCSS is the same numpy reduction
-    over the same axes, and each centroid is its members' sum in point
-    order (np.bincount adds rows in order, as members.mean(axis=0) does)
-    divided by their count.
+    share memory, and their wcss. Each has the bits a run on its own would
+    give: assignments are the exact argmin (see _assign), and each
+    centroid is its members' sum in point order (np.bincount adds rows in
+    order, as members.mean(axis=0) does) divided by their count.
     """
     n, dim = pts.shape
     runs, width = starts.shape[:2]
@@ -218,18 +216,14 @@ def _lloyd(pts, starts, ks, max_iterations=MAX_ITERATIONS):
     sq_norms = np.square(pts).sum(axis=1)
     # row d is coordinate d of every point once per run, in the order of cells
     weights = np.tile(pts.T, runs)
-    assignment = np.zeros((runs, n), dtype=np.intp)
-    # WCSS after each lockstep iteration, one column per run, and the
-    # count of iterations each run made
-    log = np.empty((max_iterations, runs))
-    iterations = np.zeros(runs, dtype=np.intp)
+    # no assignment is -1, so no run stops after its first iteration
+    assignment = np.full((runs, n), -1, dtype=np.intp)
     active = np.arange(runs)
-    for iteration in range(max_iterations):
+    for _ in range(max_iterations):
         live = len(active)
         before = centroids[active]
-        rows = np.arange(live)[:, None]
         new = _assign(pts, sq_norms, before, real[active])
-        cells = (rows * width + new).ravel()
+        cells = (np.arange(live)[:, None] * width + new).ravel()
         counts = np.bincount(cells, minlength=live * width).reshape(live, width, 1)
         sums = np.empty((dim, live * width))
         for d in range(dim):
@@ -242,28 +236,15 @@ def _lloyd(pts, starts, ks, max_iterations=MAX_ITERATIONS):
         for j in np.flatnonzero(replay):
             k = ks[active[j]]
             new[j], cents[j, :k] = _sequential_update(pts, sq_norms, before[j, :k], new[j])
-        if replay.any():
-            cells = (rows * width + new).ravel()
-        # (pts - assigned centroid) ** 2 per run, summed as one contiguous block
-        diff = np.take(cents.reshape(-1, dim), cells, axis=0).reshape(live, n, dim)
-        np.subtract(pts, diff, out=diff)
-        log[iteration, active] = np.square(diff, out=diff).sum(axis=(1, 2))
-        if iteration == 0:
-            done = np.zeros(live, dtype=bool)
-        else:
-            done = (new == assignment[active]).all(axis=1)
-        if iteration == max_iterations - 1:
-            done[:] = True
+        done = (new == assignment[active]).all(axis=1)
         assignment[active] = new
         centroids[active] = cents
-        iterations[active[done]] = iteration + 1
         active = active[~done]
         if not len(active):
             break
-    histories = log[: iterations.max()].T.tolist()
     return [
-        KMeansResult(assignment[j].copy(), centroids[j, :k].copy(), tuple(histories[j][:m]))
-        for j, (k, m) in enumerate(zip(ks, iterations.tolist()))
+        KMeansResult(a.copy(), c[:k].copy(), wcss(pts, a, c[:k]))
+        for a, c, k in zip(assignment, centroids, ks)
     ]
 
 
@@ -299,7 +280,7 @@ def _best_fits(pts, ks, seed, restarts):
         # slots past a run's k are padding, which _lloyd sets to +inf
         fits = _lloyd(pts, starts[list(group_restarts), : group_ks[-1]], group_ks)
         for k, fit in zip(group_ks, fits):
-            if k not in best or fit.wcss_history[-1] < best[k].wcss_history[-1]:
+            if k not in best or fit.wcss < best[k].wcss:
                 best[k] = fit
     return [best[k] for k in ks]
 
@@ -361,7 +342,7 @@ def elbow_fit(points, k_max, seed):
     if not 1 <= k_max <= len(pts):
         raise InvalidInputError(f"k_max must be in 1..{len(pts)}, got {_shown(k_max)}")
     fits = _best_fits(pts, range(1, k_max + 1), seed, DEFAULT_RESTARTS)
-    k = knee_point([fit.wcss_history[-1] for fit in fits])
+    k = knee_point([fit.wcss for fit in fits])
     return k, fits[k - 1]
 
 

@@ -158,25 +158,33 @@ def parse_label(text):
     return value, kind
 
 
+def _check_label_bounds(first, last):
+    """Refuse a universe whose first or last entry is beyond int64."""
+    if first not in LABEL_RANGE or last not in LABEL_RANGE:
+        raise InvalidInputError("label_universe entries must fit in a 64-bit integer")
+
+
 def label_universe(labels, given=None):
     """The labels a model may emit, as an ascending tuple holding labels:
     given (a sequence or a range) if passed, else the range spanning labels.
-    Every label and entry goes through _integer, and a range is bounded
-    before it is expanded; InvalidInputError on a fault."""
+    Every label and entry goes through _integer, and a range's ends are
+    checked, then its span, before it is expanded; InvalidInputError on a
+    fault."""
     labels = {_integer(v, "label") for v in labels}
     if given is None:
         given = range(min(labels), max(labels) + 1) if labels else range(0)
-    # every universe label gets a row and a column of the dense confusion
-    if isinstance(given, range) and given[MAX_RANGE_LABELS:]:
-        raise InvalidInputError(
-            f"label range {given.start}..{given.stop - 1} spans more than {MAX_RANGE_LABELS} "
-            "labels; list the labels instead, as in --label-universe 1,2,5"
-        )
+    if isinstance(given, range) and given:
+        _check_label_bounds(given[0], given[-1])
+        # every universe label gets a row and a column of the dense confusion
+        if given[MAX_RANGE_LABELS:]:
+            raise InvalidInputError(
+                f"label range {given[0]}..{given[-1]} spans more than {MAX_RANGE_LABELS} "
+                "labels; list the labels instead, as in --label-universe 1,2,5"
+            )
     universe = _integers(given, "label_universe")
     if not universe or any(b <= a for a, b in zip(universe, universe[1:])):
         raise InvalidInputError("label_universe must be non-empty and strictly increasing")
-    if universe[0] not in LABEL_RANGE or universe[-1] not in LABEL_RANGE:
-        raise InvalidInputError("label_universe entries must fit in a 64-bit integer")
+    _check_label_bounds(universe[0], universe[-1])
     missing = sorted(labels.difference(universe))
     if missing:
         shown = ", ".join(str(_shown(v)) for v in missing)

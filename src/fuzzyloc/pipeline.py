@@ -107,7 +107,7 @@ class ExperimentConfig:
 
 def split_scenario(dataset, unseen_labels):
     """Hold out every instance of the unseen classes as the test set."""
-    unseen = set(int(v) for v in unseen_labels)
+    unseen = set(_integers(unseen_labels, "unseen_labels"))
     if not unseen:
         raise ConfigError("unseen label set must be non-empty")
     test_mask = np.isin(dataset.labels, sorted(unseen))

@@ -85,7 +85,9 @@ def _triangle(triple):
 
 
 def _check_indices(selected_features, n_features):
-    """Refuse a selected-feature index outside 0..n_features - 1."""
+    """Refuse an empty selection or an index outside 0..n_features - 1."""
+    if not selected_features:
+        raise InvalidInputError("selected_features must be non-empty")
     for i in selected_features:
         if not 0 <= i < n_features:
             raise InvalidInputError(f"selected feature index {_shown(i)} out of range")
@@ -165,8 +167,6 @@ class RuleBase:
                 raise InvalidInputError(f"feature_names[{i}] must be a str, got {name!r}")
         if len(set(self.feature_names)) != len(self.feature_names):
             raise InvalidInputError("feature_names contains duplicates")
-        if not self.selected_features:
-            raise InvalidInputError("selected_features must be non-empty")
         _check_indices(self.selected_features, len(self.feature_names))
         if len(set(self.selected_features)) != len(self.selected_features):
             raise InvalidInputError("selected_features contains duplicates")

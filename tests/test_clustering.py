@@ -32,7 +32,7 @@ class TestKMeans:
         b = kmeans(FOUR_BLOBS, 4, seed=11)
         assert np.array_equal(a.assignment, b.assignment)
         assert np.array_equal(a.centroids, b.centroids)
-        assert a.wcss_history == b.wcss_history
+        assert a.wcss == b.wcss
 
     def test_k_equals_one_uses_global_mean(self):
         result = kmeans(FOUR_BLOBS, 1, seed=0)
@@ -43,22 +43,28 @@ class TestKMeans:
         pts = np.array([[0.0], [1.0], [5.0], [9.0]])
         result = kmeans(pts, 4, seed=0)
         assert sorted(result.assignment) == [0, 1, 2, 3]
-        assert result.wcss_history[-1] == 0.0
+        assert result.wcss == 0.0
 
     def test_recovers_separated_blobs(self):
         result = kmeans(FOUR_BLOBS, 4, seed=5, restarts=5)
         sizes = sorted(np.bincount(result.assignment, minlength=4))
         assert sizes == [50, 50, 50, 50]
 
-    def test_wcss_history_is_monotone_nonincreasing(self):
-        result = kmeans(FOUR_BLOBS, 3, seed=9)
-        hist = result.wcss_history
-        assert all(a >= b for a, b in zip(hist, hist[1:]))
+    def test_wcss_after_each_iteration_cap_follows_the_reference_and_never_rises(self):
+        start = ref_kmeans_pp_init(FOUR_BLOBS, 3, np.random.default_rng(9))
+        history = ref_lloyd(FOUR_BLOBS, start)[2]
+        assert len(history) > 2
+        capped = [
+            clustering._lloyd(FOUR_BLOBS, start[None], [3], max_iterations=cap)[0].wcss
+            for cap in range(1, len(history) + 1)
+        ]
+        assert tuple(capped) == history
+        assert all(a >= b for a, b in zip(capped, capped[1:]))
 
     def test_restarts_never_hurt(self):
         for seed in range(5):
-            single = kmeans(FOUR_BLOBS, 4, seed=seed).wcss_history[-1]
-            multi = kmeans(FOUR_BLOBS, 4, seed=seed, restarts=5).wcss_history[-1]
+            single = kmeans(FOUR_BLOBS, 4, seed=seed).wcss
+            multi = kmeans(FOUR_BLOBS, 4, seed=seed, restarts=5).wcss
             assert multi <= single + 1e-9
 
     def test_duplicate_points_collapse_without_crashing(self):
@@ -204,7 +210,7 @@ class TestOneIntake:
             restarts = data.draw(st.integers(1, 3), label="restarts")
             if accepted:
                 fit = kmeans(pts, k, seed, restarts=restarts)
-                assert np.isfinite(fit.centroids).all() and np.isfinite(fit.wcss_history).all()
+                assert np.isfinite(fit.centroids).all() and np.isfinite(fit.wcss)
                 elbow_fit(pts, k, seed)
             else:
                 for refused in (lambda: kmeans(pts, k, seed, restarts), lambda: elbow_fit(pts, k, seed)):
@@ -352,10 +358,12 @@ def ref_kmeans(pts, k, seed, restarts=1):
 
 
 def assert_same_fit(got, want):
+    """got, a KMeansResult, is the fit want = (assignment, centroids, WCSS
+    history) ends in, bit for bit."""
     assignment, centroids, history = want
     assert np.array_equal(got.assignment, assignment)
     assert np.array_equal(got.centroids, centroids)
-    assert got.wcss_history == history
+    assert got.wcss == history[-1]
 
 
 @st.composite
@@ -422,7 +430,7 @@ class TestLockstepKernel:
             assert k == elbow_k(pts, k_max, seed)
         curve = [ref_kmeans(pts, j, seed, restarts)[2][-1] for j in range(1, k_max + 1)]
         assert k == knee_point(curve)
-        assert_same_fit(fit, (fresh.assignment, fresh.centroids, fresh.wcss_history))
+        assert_same_fit(fit, (fresh.assignment, fresh.centroids, [fresh.wcss]))
         assert_same_fit(fit, ref_kmeans(pts, k, seed, restarts))
 
     @settings(max_examples=100, deadline=None)
@@ -459,6 +467,17 @@ class TestLockstepKernel:
         pts = rng.normal(size=(300, 1)) * 10.0 ** rng.uniform(-3, 3, size=(300, 1))
         for k in (1, 2, 5):
             assert_same_fit(kmeans(pts, k, 9, restarts=3), ref_kmeans(pts, k, 9, 3))
+
+    @settings(max_examples=100, deadline=None)
+    @given(pts=point_sets(), data=st.data())
+    def test_a_fit_holds_the_wcss_of_its_own_state(self, pts, data):
+        k = data.draw(st.integers(1, len(pts)), label="k")
+        restarts = data.draw(st.integers(1, 5), label="restarts")
+        seed = data.draw(seeds, label="seed")
+        for fit in (kmeans(pts, k, seed, restarts=restarts), elbow_fit(pts, k, seed)[1]):
+            assert fit._fields == ("assignment", "centroids", "wcss")
+            assert type(fit.wcss) is float
+            assert fit.wcss == wcss(pts, fit.assignment, fit.centroids)
 
     def test_corridor_sized_class_matches_reference(self):
         pts = blobs([(0, 0, 0, 0, 0), (3, 1, 0, 2, 1)], per_blob=15, sd=1.0, seed=8)
@@ -522,7 +541,7 @@ class TestFixedCost:
         corridor = generate_synthetic(n_rooms=10, per_room=30, n_beacons=5, noise_sd=0.5, seed=42)
         pts = corridor.features[corridor.labels == 5]
         assert pts.shape == (30, 5)
-        calls, fits = Counter(), []
+        calls, runs = Counter(), []
         default_rng, lloyd = np.random.default_rng, clustering._lloyd
 
         class CountedGenerator:
@@ -534,9 +553,9 @@ class TestFixedCost:
                 calls[name] += 1
                 return getattr(self.rng, name)
 
-        def counted_lloyd(*args, **kwargs):
-            fits.extend(lloyd(*args, **kwargs))
-            return fits[-len(args[2]) :]
+        def counted_lloyd(pts, starts, ks, **kwargs):
+            runs.extend(start[:k].copy() for start, k in zip(starts, ks))
+            return lloyd(pts, starts, ks, **kwargs)
 
         with (
             mock.patch.object(np.random, "default_rng", CountedGenerator),
@@ -549,8 +568,17 @@ class TestFixedCost:
         assert calls["generators"] == DEFAULT_RESTARTS + 1
         # 50 runs fit one lockstep group, which iterates as long as its
         # longest run; no cluster goes empty, so no run is replayed
-        assert len(fits) == 50 and not replay.called
-        assert assign.call_count == max(len(fit.wcss_history) for fit in fits)
+        assert len(runs) == 50 and not replay.called
+        assert assign.call_count == max(len(ref_lloyd(pts, start)[2]) for start in runs)
+
+    @pytest.mark.parametrize("k", [1, 2, 4])
+    def test_a_run_iterates_as_often_as_the_reference(self, k):
+        # a one-cluster run too makes a second iteration to see that
+        # nothing changed
+        start = ref_kmeans_pp_init(FOUR_BLOBS, k, np.random.default_rng(3))
+        with mock.patch.object(clustering, "_assign", wraps=clustering._assign) as assign:
+            clustering._lloyd(FOUR_BLOBS, start[None], [k])
+        assert assign.call_count == len(ref_lloyd(FOUR_BLOBS, start)[2])
 
 
 class TestScreenedAssignment:
@@ -666,4 +694,4 @@ class TestElbowFit:
         k, fit = elbow_fit(FOUR_BLOBS, 1, seed)
         assert k == 1
         want = kmeans(FOUR_BLOBS, 1, seed, restarts=DEFAULT_RESTARTS)
-        assert_same_fit(fit, (want.assignment, want.centroids, want.wcss_history))
+        assert_same_fit(fit, (want.assignment, want.centroids, [want.wcss]))

@@ -197,6 +197,13 @@ class TestRankFeatures:
             rank_features(data, top_n=0)
         with pytest.raises(InvalidInputError, match="^top_n must be in 1..1, got an integer beyond 64 bits$"):
             rank_features(data, top_n=10**5000)
+        # three features, so that a truncated 2.5 or a True would fit
+        data = identity_normalized([[0.0, 0.0, 0.0], [1.0, 1.0, 1.0], [0.0, 1.0, 0.0]], [1, 2, 1])
+        for bad, name in [(2.5, "float"), (True, "bool"), ("2", "str")]:
+            with pytest.raises(InvalidInputError, match=f"^top_n must be an integer, got {name}$"):
+                rank_features(data, top_n=bad)
+        ranking = rank_features(data, top_n=np.int64(2))
+        assert type(ranking.top_n) is int and sum(ranking.selected) == 2
 
 
 @st.composite

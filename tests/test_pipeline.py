@@ -69,12 +69,19 @@ class TestConfig:
         ((2.7,), "unseen_labels[0] must be an integer, got float"),
         ((1, "3"), "unseen_labels[1] must be an integer, got str"),
         ((True,), "unseen_labels[0] must be an integer, got bool"),
+        (("3",), "unseen_labels[0] must be an integer, got str"),
     ])
     def test_unseen_labels_are_integers(self, unseen, named):
         with pytest.raises(ConfigError, match=re.escape(named)):
             ExperimentConfig(
                 input_path="x.csv", label_column="label", feature_columns=("a",), unseen_labels=unseen
             )
+        # split_scenario neither truncates a label nor parses one
+        dataset = Dataset(features=[[0.0], [1.0], [2.0]], labels=[1, 2, 3], feature_names=("a",))
+        with pytest.raises(InvalidInputError, match=f"^{re.escape(named)}$"):
+            split_scenario(dataset, unseen)
+        train, test = split_scenario(dataset, np.array([3], dtype=np.int16))
+        assert (train.labels.tolist(), test.labels.tolist()) == ([1, 2], [3])
         config = ExperimentConfig(
             input_path="x.csv", label_column="label", feature_columns=("a",),
             unseen_labels=np.array([3, 7], dtype=np.int16),

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from fuzzyloc import rulebase
-from fuzzyloc.data import Normalization
+from fuzzyloc.data import Normalization, fit_normalization
 from fuzzyloc.errors import (
     ConfigError,
     InvalidInputError,
@@ -247,6 +247,14 @@ class TestExtractRules:
         with mock.patch.object(rulebase, "elbow_fit") as fit:
             with pytest.raises(InvalidInputError, match=f"^{re.escape(named)}$"):
                 extract_rules(two_class_data(), **keywords)
+        assert not fit.called
+
+    @pytest.mark.parametrize("per_room", [2, 5])
+    def test_an_empty_selection_is_refused_before_training(self, per_room):
+        data = fit_normalization(generate_synthetic(3, per_room, 4, 0.5, 1))
+        with mock.patch.object(rulebase, "elbow_fit") as fit:
+            with pytest.raises(InvalidInputError, match="^selected_features must be non-empty$"):
+                extract_rules(data, selected_features=())
         assert not fit.called
 
     def test_selected_features_project_the_antecedents(self):
