@@ -10,7 +10,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import InvalidInputError
-from .fuzzy import _integer, _seed, _shown
+from .fuzzy import _integer, _seed
 
 MAX_ITERATIONS = 300
 # k-means++ restarts per k of an elbow sweep
@@ -294,13 +294,8 @@ def kmeans(points, k, seed, restarts=1):
     them. Point sets that _points refuses are refused whatever the seed.
     """
     pts = _points(points)
-    k = _integer(k, "k")
-    if not 1 <= k <= len(pts):
-        raise InvalidInputError(f"k must be in 1..{len(pts)}, got {_shown(k)}")
-    restarts = _integer(restarts, "restarts")
-    if not 1 <= restarts <= MAX_RESTARTS:
-        bound = ">= 1" if restarts < 1 else f"<= {MAX_RESTARTS}"
-        raise InvalidInputError(f"restarts must be {bound}, got {_shown(restarts)}")
+    k = _integer(k, "k", 1, len(pts))
+    restarts = _integer(restarts, "restarts", 1, MAX_RESTARTS)
     return _best_fits(pts, [k], seed, restarts)[0]
 
 
@@ -338,9 +333,7 @@ def elbow_fit(points, k_max, seed):
     it. A sweep of one or two k picks k = 1 (see knee_point).
     """
     pts = _points(points)
-    k_max = _integer(k_max, "k_max")
-    if not 1 <= k_max <= len(pts):
-        raise InvalidInputError(f"k_max must be in 1..{len(pts)}, got {_shown(k_max)}")
+    k_max = _integer(k_max, "k_max", 1, len(pts))
     fits = _best_fits(pts, range(1, k_max + 1), seed, DEFAULT_RESTARTS)
     k = knee_point([fit.wcss for fit in fits])
     return k, fits[k - 1]

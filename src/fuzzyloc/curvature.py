@@ -15,7 +15,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import InsufficientDataError, InvalidInputError
-from .fuzzy import _finite_real, _integer, _shown
+from .fuzzy import _finite_real, _integer
 
 # elements per temporary of the whole-matrix curvature kernel: 256 KiB
 _BLOCK_ELEMENTS = 2**15
@@ -157,9 +157,7 @@ def rank_features(dataset, top_n=None, epsilon=None, sort_values=False):
             f"feature ranking needs at least 3 instances, got {dataset.n_instances}"
         )
     if top_n is not None:
-        top_n = _integer(top_n, "top_n")
-        if not 1 <= top_n <= n_features:
-            raise InvalidInputError(f"top_n must be in 1..{n_features}, got {_shown(top_n)}")
+        top_n = _integer(top_n, "top_n", 1, n_features)
     if epsilon is not None:
         epsilon = _finite_real(epsilon, "epsilon")
 

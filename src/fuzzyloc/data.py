@@ -10,11 +10,11 @@ from typing import Optional
 import numpy as np
 
 from .errors import ConfigError, DataError, InvalidInputError, SchemaError, prefixed
-from .fuzzy import _finite_real, _integer, _integers, _shown
+from .fuzzy import INT64_MAX, _finite_real, _integer, _integers, _shown
 
 _PREFIXED_LABEL = re.compile(r"^[cC](-?\d+)$")
 _PLAIN_LABEL = re.compile(r"^[+-]?\d+$")
-LABEL_RANGE = range(-(2**63), 2**63)  # labels are held as int64
+LABEL_RANGE = range(-INT64_MAX - 1, INT64_MAX + 1)  # labels are held as int64
 MAX_RANGE_LABELS = 1024  # a derived or N..M universe; a listed one is not bounded
 
 

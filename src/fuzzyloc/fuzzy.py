@@ -16,6 +16,9 @@ from dataclasses import dataclass
 
 from .errors import InvalidInputError, ZeroFiringError
 
+# the largest int64: labels, supports and seeds are held as int64
+INT64_MAX = 2**63 - 1
+
 
 def _finite_real(v, what):
     """v as a finite real number; raises InvalidInputError naming what.
@@ -37,18 +40,30 @@ def _finite_real(v, what):
     return v
 
 
-def _integer(v, what):
-    """v as an int; raises InvalidInputError naming what.
+def _integer(v, what, lo=None, hi=None):
+    """v as an int in lo..hi, where a bound of None is open; raises
+    InvalidInputError naming what.
 
     int passes unchanged (the common case, checked first); other integers,
     numpy integers among them, convert to int. bool is refused although it
-    is an int, and so is every non-integer, an integral float included.
+    is an int, and so is every non-integer, an integral float included. A
+    refusal reads "{what} must be >= {lo}, got {v}" (or "<= {hi}"), the
+    value as _shown shows it.
     """
-    if type(v) is int:
-        return v
-    if isinstance(v, bool) or not isinstance(v, numbers.Integral):
-        raise InvalidInputError(f"{what} must be an integer, got {type(v).__name__}")
-    return int(v)
+    if type(v) is not int:
+        if isinstance(v, bool) or not isinstance(v, numbers.Integral):
+            raise InvalidInputError(f"{what} must be an integer, got {type(v).__name__}")
+        v = int(v)
+    if lo is not None and v < lo:
+        raise InvalidInputError(f"{what} must be >= {lo}, got {_shown(v)}")
+    if hi is not None and v > hi:
+        raise InvalidInputError(f"{what} must be <= {hi}, got {_shown(v)}")
+    return v
+
+
+def _integers(values, what, lo=None, hi=None):
+    """A tuple of _integer of each value in lo..hi; the i-th is named what[i]."""
+    return tuple(_integer(v, f"{what}[{i}]", lo, hi) for i, v in enumerate(values))
 
 
 def _shown(v):
@@ -58,16 +73,8 @@ def _shown(v):
 
 
 def _seed(v):
-    """v as a seed: an _integer in 0..2**63 - 1, a non-negative int64."""
-    v = _integer(v, "seed")
-    if not 0 <= v < 2**63:
-        raise InvalidInputError(f"seed must be {'>= 0' if v < 0 else '< 2**63'}, got {_shown(v)}")
-    return v
-
-
-def _integers(values, what):
-    """A tuple of _integer of each value; the i-th is named what[i]."""
-    return tuple(_integer(v, f"{what}[{i}]") for i, v in enumerate(values))
+    """v as a seed: an _integer in 0..INT64_MAX, a non-negative int64."""
+    return _integer(v, "seed", 0, INT64_MAX)
 
 
 @dataclass(frozen=True)

@@ -10,7 +10,6 @@ byte-identical files.
 
 import json
 import os
-from collections import Counter
 from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
@@ -19,7 +18,7 @@ import numpy as np
 from .curvature import rank_features
 from .data import fit_normalization, label_universe as universe_of, load_csv
 from .errors import ConfigError, prefixed
-from .fuzzy import SimilarityParams, _finite_real, _integer, _integers, _seed, _shown
+from .fuzzy import INT64_MAX, SimilarityParams, _finite_real, _integer, _integers, _seed
 from .inference import predict_batch
 from .rulebase import DEFAULT_K_MAX, PER_CLASS, STRATEGIES, extract_rules, save_rulebase
 
@@ -53,16 +52,17 @@ class ExperimentConfig:
     output_dir: Optional[str] = None
 
     def __post_init__(self):
-        unseen = _integers(self.unseen_labels, "unseen_labels")
+        unseen = _integers(self.unseen_labels, "unseen_labels", -INT64_MAX - 1, INT64_MAX)
         params = SimilarityParams(self.h, self.omega)
         checked = dict(
             feature_columns=tuple(self.feature_columns), unseen_labels=unseen, h=params.h,
-            omega=params.omega, k_max=_integer(self.k_max, "k_max"), seed=_seed(self.seed),
+            omega=params.omega, k_max=_integer(self.k_max, "k_max", 1, INT64_MAX),
+            seed=_seed(self.seed),
         )
         if self.label_universe is not None:
             checked["label_universe"] = universe_of(unseen, self.label_universe)
         if self.cfs_top_n is not None:
-            checked["cfs_top_n"] = _integer(self.cfs_top_n, "cfs_top_n")
+            checked["cfs_top_n"] = _integer(self.cfs_top_n, "cfs_top_n", 1, INT64_MAX)
         if self.cfs_epsilon is not None:
             checked["cfs_epsilon"] = _finite_real(self.cfs_epsilon, "cfs_epsilon")
         for name, value in checked.items():
@@ -77,10 +77,6 @@ class ExperimentConfig:
             raise ConfigError(
                 f"unknown strategy {self.strategy!r}, expected one of {STRATEGIES}"
             )
-        if self.k_max < 1:
-            raise ConfigError(f"k_max must be >= 1, got {_shown(self.k_max)}")
-        if self.cfs_top_n is not None and self.cfs_top_n < 1:
-            raise ConfigError(f"cfs_top_n must be >= 1, got {_shown(self.cfs_top_n)}")
 
     @property
     def cfs_enabled(self):
@@ -107,7 +103,7 @@ class ExperimentConfig:
 
 def split_scenario(dataset, unseen_labels):
     """Hold out every instance of the unseen classes as the test set."""
-    unseen = set(_integers(unseen_labels, "unseen_labels"))
+    unseen = set(_integers(unseen_labels, "unseen_labels", -INT64_MAX - 1, INT64_MAX))
     if not unseen:
         raise ConfigError("unseen label set must be non-empty")
     test_mask = np.isin(dataset.labels, sorted(unseen))
@@ -198,15 +194,16 @@ def _percent(count, total):
 def build_report(rb, evaluation, config_echo=None, n_train=None):
     """Assemble the machine-readable report for one evaluation."""
     truths, preds, n = evaluation.truths, evaluation.predictions, evaluation.n_instances
-    tally = Counter((t, p.label == t) for t, p in zip(truths, preds))
     per_class = {}
-    for label in sorted({t for t, _ in tally}):
-        correct, total = tally[label, True], tally[label, True] + tally[label, False]
-        per_class[str(label)] = {
-            "n_instances": total,
-            "n_correct": correct,
-            "accuracy_percent": _percent(correct, total),
-        }
+    # a truth row of the confusion counts its label's instances, the diagonal cell its correct ones
+    for i, (label, row) in enumerate(zip(evaluation.label_universe, evaluation.confusion)):
+        total = sum(row)
+        if total:
+            per_class[str(label)] = {
+                "n_instances": total,
+                "n_correct": row[i],
+                "accuracy_percent": _percent(row[i], total),
+            }
 
     return {
         "config_echo": config_echo,

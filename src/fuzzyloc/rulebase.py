@@ -23,7 +23,7 @@ from .errors import (
     ConfigError, InvalidInputError, RuleBaseFormatError, RuleBaseVersionError, prefixed,
 )
 from .fuzzy import (
-    SimilarityParams, TriangularFuzzySet, _finite_real, _integer, _integers, _seed, _shown,
+    INT64_MAX, SimilarityParams, TriangularFuzzySet, _finite_real, _integer, _integers, _seed,
     vertex_means,
 )
 
@@ -46,14 +46,10 @@ class Rule:
     def __post_init__(self):
         object.__setattr__(self, "antecedents", tuple(self.antecedents))
         object.__setattr__(self, "consequent", float(_finite_real(self.consequent, "consequent")))
-        object.__setattr__(self, "support_count", _integer(self.support_count, "support_count"))
+        support_count = _integer(self.support_count, "support_count", 1, INT64_MAX)
+        object.__setattr__(self, "support_count", support_count)
         if not self.antecedents:
             raise InvalidInputError("rule needs at least one antecedent")
-        shown = _shown(self.support_count)
-        if self.support_count < 1:
-            raise InvalidInputError(f"support_count must be >= 1, got {shown}")
-        if self.support_count >= 2**63:  # supports are held as int64
-            raise InvalidInputError(f"support_count must be < 2**63, got {shown}")
 
 
 def _floats(values):
@@ -64,10 +60,10 @@ def _floats(values):
     return np.array([_checked(_finite_real, v, math.nan) for v in values], dtype=float)
 
 
-def _checked(check, value, mark):
-    """check(value), or mark for a value check refuses."""
+def _checked(check, value, mark, *bounds):
+    """check(value, "value", *bounds), or mark for a value check refuses."""
     with suppress(InvalidInputError):
-        return check(value, "value")
+        return check(value, "value", *bounds)
     return mark
 
 
@@ -85,12 +81,12 @@ def _triangle(triple):
 
 
 def _check_indices(selected_features, n_features):
-    """Refuse an empty selection or an index outside 0..n_features - 1."""
-    if not selected_features:
+    """selected_features as _integers in 0..n_features - 1; an empty
+    selection is refused."""
+    selected = _integers(selected_features, "selected_features", 0, n_features - 1)
+    if not selected:
         raise InvalidInputError("selected_features must be non-empty")
-    for i in selected_features:
-        if not 0 <= i < n_features:
-            raise InvalidInputError(f"selected feature index {_shown(i)} out of range")
+    return selected
 
 
 def _name_fault(i, triples, consequent, support, arity, lowest, highest):
@@ -124,7 +120,7 @@ class RuleBase:
     into it, and every rule has one antecedent per selected feature.
     label_universe lists all labels the deployment may emit, including
     ones never seen in training; they fit in 64 bits, and every consequent
-    lies within their span. seed is a _seed, in 0..2**63 - 1.
+    lies within their span. seed is a _seed, in 0..INT64_MAX.
     """
 
     antecedents: np.ndarray
@@ -179,11 +175,11 @@ class RuleBase:
             flat = chain.from_iterable(antecedents)
             values = list(chain.from_iterable(t if len(t) == 3 else (math.nan,) * 3 for t in flat))
             triples, cons = _floats(values).reshape(-1, 3), _floats(consequents)
-            # 0 marks a count that is not an integer below 2**63, as Rule refuses it
-            sups = [_checked(_integer, s, 0) for s in supports]
+            # 0 marks a count that Rule refuses
+            sups = [_checked(_integer, s, 0, 1, INT64_MAX) for s in supports]
         except TypeError as exc:  # a lone value where a sequence belongs
             raise InvalidInputError(f"antecedents, consequents and supports disagree in shape: {exc}")
-        sups = np.array([s if 0 < s < 2**63 else 0 for s in sups], dtype=np.int64)
+        sups = np.array(sups, dtype=np.int64)
         if not len(counts) == len(cons) == len(sups):
             raise InvalidInputError("antecedents, consequents and supports disagree in shape")
         if not len(cons):
@@ -256,17 +252,14 @@ def extract_rules(
         raise InvalidInputError("rule extraction requires a min-max normalized dataset")
     if strategy not in STRATEGIES:
         raise InvalidInputError(f"unknown consequent strategy {strategy!r}")
-    k_max = _integer(k_max, "k_max")
-    if k_max < 1:
-        raise InvalidInputError(f"k_max must be >= 1, got {_shown(k_max)}")
+    k_max = _integer(k_max, "k_max", 1, INT64_MAX)
     if params is None:
         params = SimilarityParams()
     seed = _seed(seed)
 
     if selected_features is None:
         selected_features = tuple(range(dataset.n_features))
-    selected_features = _integers(selected_features, "selected_features")
-    _check_indices(selected_features, dataset.n_features)
+    selected_features = _check_indices(selected_features, dataset.n_features)
 
     labels = dataset.labels
     label_universe = universe_of(labels.tolist(), label_universe)

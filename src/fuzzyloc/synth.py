@@ -13,7 +13,7 @@ import numpy as np
 
 from .data import Dataset
 from .errors import InvalidInputError
-from .fuzzy import _finite_real, _integer, _seed
+from .fuzzy import _finite_real, _integer, _seed, _shown
 
 LABEL_COLUMN = "room"
 # rooms x rows per room x beacons: 80 MB per float64 table
@@ -29,25 +29,21 @@ def generate_synthetic(n_rooms, per_room, n_beacons, noise_sd, seed):
     """Generate a raw labeled dataset of per-room RSSI readings.
 
     Deterministic per seed. Features are named b1..b<n_beacons>; labels
-    are the room indices 1..n_rooms. The sizes must be integers
-    (_integer) and the seed a _seed. A table of more than MAX_CELLS
-    cells, or one holding a non-finite reading, is refused.
+    are the room indices 1..n_rooms. The sizes must be integers of at
+    least 3 rooms, 1 row per room and 2 beacons (_integer), and the seed a
+    _seed. A table of more than MAX_CELLS cells, or one holding a
+    non-finite reading, is refused.
     """
-    n_rooms, per_room, n_beacons = map(
-        _integer, (n_rooms, per_room, n_beacons), ("n_rooms", "per_room", "n_beacons")
-    )
+    n_rooms = _integer(n_rooms, "n_rooms", 3)
+    per_room = _integer(per_room, "per_room", 1)
+    n_beacons = _integer(n_beacons, "n_beacons", 2)
     seed = _seed(seed)
-    if n_rooms < 3:
-        raise InvalidInputError(f"need at least 3 rooms, got {n_rooms}")
-    if n_beacons < 2:
-        raise InvalidInputError(f"need at least 2 beacons, got {n_beacons}")
-    if per_room < 1:
-        raise InvalidInputError(f"need at least 1 instance per room, got {per_room}")
     if _finite_real(noise_sd, "noise_sd") < 0:
         raise InvalidInputError(f"noise_sd must be >= 0, got {noise_sd}")
     if n_rooms * per_room * n_beacons > MAX_CELLS:
         raise InvalidInputError(
-            f"{n_rooms} rooms x {per_room} rows x {n_beacons} beacons exceed {MAX_CELLS} cells"
+            f"{_shown(n_rooms)} rooms x {_shown(per_room)} rows x {_shown(n_beacons)} beacons "
+            f"exceed {MAX_CELLS} cells"
         )
 
     positions = beacon_positions(n_rooms, n_beacons)

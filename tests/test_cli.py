@@ -271,20 +271,25 @@ class TestRunCommand:
         assert report["label_universe"] == list(range(1, 13))
 
     @pytest.mark.parametrize(
-        "flags",
+        "flags, named",
         [
-            ["--unseen", "5", "--label-universe", "1..99999999999999999999"],
-            # the universe spans the CSV labels and the unseen one
-            ["--unseen", "99999999999999999999"],
+            (
+                ["--unseen", "5", "--label-universe", "1..99999999999999999999"],
+                "label_universe entries must fit in a 64-bit integer",
+            ),
+            (
+                ["--unseen", "99999999999999999999"],
+                "unseen_labels[0] must be <= 9223372036854775807, got an integer beyond 64 bits",
+            ),
         ],
     )
-    def test_a_label_beyond_64_bits_exits_2(self, workdir, capsys, flags):
+    def test_a_label_beyond_64_bits_exits_2(self, workdir, capsys, flags, named):
         tmp_path, corridor_csv = workdir
         argv = ["--input", corridor_csv, "--label-col", "room", "--feature-cols", CORRIDOR_COLS]
         code = run_cli("run", *argv, *flags, "--out", str(tmp_path / "exp"))
         assert code == 2
         err = capsys.readouterr().err
-        assert err.endswith("label_universe entries must fit in a 64-bit integer\n") and "Traceback" not in err
+        assert err.endswith(f"{named}\n") and "Traceback" not in err
 
     @pytest.mark.parametrize(
         "flags, named",

@@ -106,7 +106,9 @@ class TestKMeans:
             elbow_fit(pts, k_max=2, seed=-3)
         with pytest.raises(InvalidInputError, match="seed must be an integer, got float"):
             kmeans(pts, 2, seed=1.5)
-        with pytest.raises(InvalidInputError, match=re.escape("seed must be < 2**63")):
+        with pytest.raises(
+            InvalidInputError, match="^seed must be <= 9223372036854775807, got 9223372036854775808$"
+        ):
             kmeans(pts, 2, seed=2**63)
 
 
@@ -130,13 +132,13 @@ class TestIntake:
             (lambda pts: kmeans(pts, 1, 0, restarts="5"), "restarts must be an integer, got str"),
             (lambda pts: elbow_k(pts, 3.0, 0), "k_max must be an integer, got float"),
             # str() refuses an int of more than 4,300 digits
-            (lambda pts: kmeans(pts, 10**5000, 0), "k must be in 1..3, got an integer beyond 64 bits"),
+            (lambda pts: kmeans(pts, 10**5000, 0), "k must be <= 3, got an integer beyond 64 bits"),
             (
                 lambda pts: kmeans(pts, 1, 0, restarts=-(10**5000)),
                 "restarts must be >= 1, got an integer beyond 64 bits",
             ),
-            (lambda pts: elbow_fit(pts, 10**5000, 0), "k_max must be in 1..3, got an integer beyond 64 bits"),
-            (lambda pts: elbow_k(pts, -(10**5000), 0), "k_max must be in 1..3, got an integer beyond 64 bits"),
+            (lambda pts: elbow_fit(pts, 10**5000, 0), "k_max must be <= 3, got an integer beyond 64 bits"),
+            (lambda pts: elbow_k(pts, -(10**5000), 0), "k_max must be >= 1, got an integer beyond 64 bits"),
         ],
     )
     def test_counts_are_integers_and_messages_show_them(self, fit, named):

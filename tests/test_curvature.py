@@ -195,7 +195,7 @@ class TestRankFeatures:
             rank_features(data, top_n=2)
         with pytest.raises(InvalidInputError):
             rank_features(data, top_n=0)
-        with pytest.raises(InvalidInputError, match="^top_n must be in 1..1, got an integer beyond 64 bits$"):
+        with pytest.raises(InvalidInputError, match="^top_n must be <= 1, got an integer beyond 64 bits$"):
             rank_features(data, top_n=10**5000)
         # three features, so that a truncated 2.5 or a True would fit
         data = identity_normalized([[0.0, 0.0, 0.0], [1.0, 1.0, 1.0], [0.0, 1.0, 0.0]], [1, 2, 1])

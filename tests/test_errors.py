@@ -1,6 +1,8 @@
 """The class of an error alone decides its exit code, and context is added
 to an error in one way, errors.prefixed: no except clause outside
-cli.main names a fuzzyloc error class."""
+cli.main names a fuzzyloc error class. A refused integer is shown in one
+way too: fuzzy._integer formats it, and _shown is called elsewhere only by
+the messages that list several integers at once."""
 
 import ast
 import inspect
@@ -30,15 +32,21 @@ EXIT_CODES = {
 }
 
 
-def handlers_naming_error_classes(source):
-    """(function, line) of each except clause in a module's source that
-    names a class of fuzzyloc.errors; function is the enclosing def, or None."""
-    tree = ast.parse(source)
+def enclosing_functions(tree):
+    """The name of the outermost def enclosing each node of tree."""
     owners = {}
     for node in ast.walk(tree):
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
             for child in ast.walk(node):
                 owners.setdefault(child, node.name)  # ast.walk reaches outer defs first
+    return owners
+
+
+def handlers_naming_error_classes(source):
+    """(function, line) of each except clause in a module's source that
+    names a class of fuzzyloc.errors; function is the enclosing def, or None."""
+    tree = ast.parse(source)
+    owners = enclosing_functions(tree)
     for node in ast.walk(tree):
         if isinstance(node, ast.ExceptHandler) and node.type is not None:
             names = {n.id for n in ast.walk(node.type) if isinstance(n, ast.Name)}
@@ -53,6 +61,22 @@ def test_only_main_catches_a_fuzzyloc_error(module):
     if module.name == "cli.py":
         found = [(owner, line) for owner, line in found if owner != "main"]
     assert found == []
+
+
+def test_only_fuzzy_and_multi_integer_messages_call_shown():
+    # the missing-label list and the table-size refusal each show several
+    # integers; every single-integer refusal comes from fuzzy._integer
+    allowed = {("data.py", "label_universe"), ("synth.py", "generate_synthetic")}
+    found = set()
+    for module in sorted(PACKAGE.glob("*.py")):
+        if module.name == "fuzzy.py":
+            continue
+        tree = ast.parse(module.read_text(encoding="utf-8"))
+        owners = enclosing_functions(tree)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "_shown":
+                found.add((module.name, owners.get(node)))
+    assert found == allowed
 
 
 def test_every_error_class_has_an_exit_code():

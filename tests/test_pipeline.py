@@ -70,6 +70,11 @@ class TestConfig:
         ((1, "3"), "unseen_labels[1] must be an integer, got str"),
         ((True,), "unseen_labels[0] must be an integer, got bool"),
         (("3",), "unseen_labels[0] must be an integer, got str"),
+        ((10**20,), "unseen_labels[0] must be <= 9223372036854775807, got an integer beyond 64 bits"),
+        (
+            (-(10**5000),),
+            "unseen_labels[0] must be >= -9223372036854775808, got an integer beyond 64 bits",
+        ),
     ])
     def test_unseen_labels_are_integers(self, unseen, named):
         with pytest.raises(ConfigError, match=re.escape(named)):
@@ -80,8 +85,9 @@ class TestConfig:
         dataset = Dataset(features=[[0.0], [1.0], [2.0]], labels=[1, 2, 3], feature_names=("a",))
         with pytest.raises(InvalidInputError, match=f"^{re.escape(named)}$"):
             split_scenario(dataset, unseen)
-        train, test = split_scenario(dataset, np.array([3], dtype=np.int16))
-        assert (train.labels.tolist(), test.labels.tolist()) == ([1, 2], [3])
+        for accepted in [np.array([3], dtype=np.int16), (np.int64(3),)]:
+            train, test = split_scenario(dataset, accepted)
+            assert (train.labels.tolist(), test.labels.tolist()) == ([1, 2], [3])
         config = ExperimentConfig(
             input_path="x.csv", label_column="label", feature_columns=("a",),
             unseen_labels=np.array([3, 7], dtype=np.int16),
@@ -111,8 +117,8 @@ class TestConfig:
         (dict(cfs_sort="yes"), "cfs_sort must be a bool, got str"),
         (dict(seed=1.5), "seed must be an integer, got float"),
         (dict(seed=-1, k_max=1), "seed must be >= 0, got -1"),
-        (dict(seed=2**63), "seed must be < 2**63, got 9223372036854775808"),
-        (dict(seed=10**5000), "seed must be < 2**63, got an integer beyond 64 bits"),
+        (dict(seed=2**63), "seed must be <= 9223372036854775807, got 9223372036854775808"),
+        (dict(seed=10**5000), "seed must be <= 9223372036854775807, got an integer beyond 64 bits"),
         (dict(h=True), "sensitivity factor h must be a real number, got bool"),
         (dict(h=-1.0), "sensitivity factor h must be > 0, got -1.0"),
         (dict(omega=float("inf")), "non-finite offset omega: inf"),

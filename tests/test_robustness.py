@@ -316,7 +316,10 @@ class TestProbes:
         _, csv_path, rb_path = base
         edit = lambda doc: doc["rules"][4].update(support_count="@")  # noqa: E731
         bad = edit_rulebase(rb_path, tmp_path, edit, raw=BIG)
-        assert_exit(predict(bad, csv_path), 3, capsys, "rules[4]: support_count must be < 2**63")
+        assert_exit(
+            predict(bad, csv_path), 3, capsys,
+            "rules[4]: support_count must be <= 9223372036854775807, got an integer beyond 64 bits",
+        )
 
     def test_consequent_beyond_the_label_universe_exits_3(self, base, tmp_path, capsys):
         # finite, but the weighted sums of evaluate overflowed to Infinity

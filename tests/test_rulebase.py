@@ -229,8 +229,8 @@ class TestExtractRules:
         [
             (dict(k_max=2.5), "k_max must be an integer, got float"),
             (dict(k_max=True), "k_max must be an integer, got bool"),
-            (dict(selected_features=(0, 99)), "selected feature index 99 out of range"),
-            (dict(selected_features=(-1,)), "selected feature index -1 out of range"),
+            (dict(selected_features=(0, 99)), "selected_features[1] must be <= 1, got 99"),
+            (dict(selected_features=(-1,)), "selected_features[0] must be >= 0, got -1"),
             # str() refuses an int of more than 4,300 digits
             pytest.param(
                 dict(k_max=-(10**5000)), "k_max must be >= 1, got an integer beyond 64 bits",
@@ -238,7 +238,7 @@ class TestExtractRules:
             ),
             pytest.param(
                 dict(selected_features=(10**5000,)),
-                "selected feature index an integer beyond 64 bits out of range",
+                "selected_features[0] must be <= 1, got an integer beyond 64 bits",
                 id="index-of-5001-digits",
             ),
         ],
@@ -494,7 +494,7 @@ class TestRuleBaseValidation:
             ("supports", [-(10**400), 4], "rules[0]: support_count must be >= 1"),
             (
                 "supports", np.array([3, 2**64 - 1], dtype=np.uint64),
-                "rules[1]: support_count must be < 2**63",
+                "rules[1]: support_count must be <= 9223372036854775807, got 18446744073709551615",
             ),
             ("supports", np.array([3.0, 4.0]), "rules[0]: support_count must be an integer, got float"),
             ("consequents", np.array([True, True]), "rules[0]: consequent must be a real number, got bool"),
@@ -503,9 +503,9 @@ class TestRuleBaseValidation:
             ("seed", True, "seed must be an integer, got bool"),
             ("seed", None, "seed must be an integer, got NoneType"),
             ("seed", -1, "seed must be >= 0, got -1"),
-            ("seed", 2**63, "seed must be < 2**63, got 9223372036854775808"),
+            ("seed", 2**63, "seed must be <= 9223372036854775807, got 9223372036854775808"),
             pytest.param(
-                "seed", 10**5000, "seed must be < 2**63, got an integer beyond 64 bits",
+                "seed", 10**5000, "seed must be <= 9223372036854775807, got an integer beyond 64 bits",
                 id="seed-of-5001-digits",
             ),
             ("feature_names", (5,), "feature_names[0] must be a str, got 5"),
@@ -545,11 +545,13 @@ class TestRuleBaseValidation:
         for bad, named in [(2.5, "float"), (True, "bool"), ("3", "str"), (None, "NoneType")]:
             with pytest.raises(InvalidInputError, match=f"support_count must be an integer, got {named}"):
                 Rule(antecedents=ants, consequent=1.0, support_count=bad)
-        with pytest.raises(InvalidInputError, match=re.escape("support_count must be < 2**63")):
+        with pytest.raises(
+            InvalidInputError, match="^support_count must be <= 9223372036854775807, got 9223372036854775808$"
+        ):
             Rule(antecedents=ants, consequent=1.0, support_count=2**63)
         # str() refuses an int of more than 4,300 digits
         beyond = "an integer beyond 64 bits"
-        for bad, named in [(10**5000, f"< 2**63, got {beyond}"), (-(10**5000), f">= 1, got {beyond}")]:
+        for bad, named in [(10**5000, f"<= 9223372036854775807, got {beyond}"), (-(10**5000), f">= 1, got {beyond}")]:
             with pytest.raises(InvalidInputError, match=re.escape(f"support_count must be {named}")):
                 Rule(antecedents=ants, consequent=1.0, support_count=bad)
         with pytest.raises(InvalidInputError, match=f"^non-finite consequent: {beyond}$"):

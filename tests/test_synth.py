@@ -82,7 +82,7 @@ class TestGenerate:
         ((3, 2, 2.0, 0), "n_beacons must be an integer, got float"),
         ((3, 2, 2, 1.5), "seed must be an integer, got float"),
         ((3, 2, 2, -1), "seed must be >= 0, got -1"),
-        ((3, 2, 2, 2**63), "seed must be < 2\\*\\*63, got 9223372036854775808"),
+        ((3, 2, 2, 2**63), "seed must be <= 9223372036854775807, got 9223372036854775808"),
         ((3, True, 2, 0), "per_room must be an integer, got bool"),
         (("3", 2, 2, 0), "n_rooms must be an integer, got str"),
     ])
