@@ -13,7 +13,7 @@ import sys
 import traceback
 
 from .curvature import rank_features
-from .data import fit_normalization, label_form, label_universe, load_csv, read_feature_rows
+from .data import fit_normalization, label_universe, load_csv, parse_label, read_feature_rows
 from .errors import (
     EXIT_CONFIG,
     EXIT_DATA,
@@ -52,7 +52,7 @@ def parse_label_universe(text):
 
 def _label(text, flag):
     with prefixed(flag, as_type=ConfigError):
-        return label_form(text)[0]
+        return parse_label(text)[0]
 
 
 def _parse_labels(text, flag):

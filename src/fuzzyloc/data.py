@@ -10,7 +10,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import ConfigError, DataError, InvalidInputError, SchemaError, prefixed
-from .fuzzy import INT64_MAX, _finite_real, _integer, _integers, _shown
+from .fuzzy import INT64_MAX, _finite_real, _integers
 
 _PREFIXED_LABEL = re.compile(r"^[cC](-?\d+)$")
 _PLAIN_LABEL = re.compile(r"^[+-]?\d+$")
@@ -132,63 +132,55 @@ def fit_normalization(raw):
     )
 
 
-def label_form(text):
-    """Read one label as (integer value, format kind), whatever its size.
+def parse_label(text):
+    """Read one label as (integer value, format kind).
 
     Accepts plain integers ("8") and class-prefixed forms ("c8" / "C8"),
     with no digit separators; kind is "plain" or "prefixed" so callers can
     reject mixed files. SchemaError for any other text, and DataError for
-    one of more digits than int() converts.
+    a label beyond 64 bits, whatever its digit count.
     """
     text = text.strip()
     m = _PREFIXED_LABEL.match(text)
     if not (m or _PLAIN_LABEL.match(text)):
         raise SchemaError(f"label {text!r} is neither an integer nor a c<N> class name")
     try:
-        return int(m.group(1) if m else text), "prefixed" if m else "plain"
+        value = int(m.group(1) if m else text)
     except ValueError:  # over 4,300 digits by default, so far beyond 64 bits
-        raise DataError(f"label {text!r} does not fit in a 64-bit integer") from None
-
-
-def parse_label(text):
-    """label_form of one label cell, which must fit in 64 bits."""
-    value, kind = label_form(text)
+        value = LABEL_RANGE.stop
     if value not in LABEL_RANGE:
-        raise DataError(f"label {text.strip()!r} does not fit in a 64-bit integer")
-    return value, kind
+        raise DataError(f"label {text!r} does not fit in a 64-bit integer")
+    return value, "prefixed" if m else "plain"
 
 
-def _check_label_bounds(first, last):
-    """Refuse a universe whose first or last entry is beyond int64."""
-    if first not in LABEL_RANGE or last not in LABEL_RANGE:
-        raise InvalidInputError("label_universe entries must fit in a 64-bit integer")
+def _labels(values, what):
+    """values as a tuple of _integers in LABEL_RANGE, the i-th named what[i]."""
+    return _integers(values, what, LABEL_RANGE[0], LABEL_RANGE[-1])
 
 
 def label_universe(labels, given=None):
     """The labels a model may emit, as an ascending tuple holding labels:
     given (a sequence or a range) if passed, else the range spanning labels.
-    Every label and entry goes through _integer, and a range's ends are
-    checked, then its span, before it is expanded; InvalidInputError on a
-    fault."""
-    labels = {_integer(v, "label") for v in labels}
+    Every label and entry, and first a range's ends, go through _labels,
+    and a range's span is checked before it is expanded; InvalidInputError
+    on a fault."""
+    labels = set(_labels(labels, "labels"))
     if given is None:
         given = range(min(labels), max(labels) + 1) if labels else range(0)
     if isinstance(given, range) and given:
-        _check_label_bounds(given[0], given[-1])
+        _labels((given[0], given[-1]), "label range ends")
         # every universe label gets a row and a column of the dense confusion
         if given[MAX_RANGE_LABELS:]:
             raise InvalidInputError(
                 f"label range {given[0]}..{given[-1]} spans more than {MAX_RANGE_LABELS} "
                 "labels; list the labels instead, as in --label-universe 1,2,5"
             )
-    universe = _integers(given, "label_universe")
+    universe = _labels(given, "label_universe")
     if not universe or any(b <= a for a, b in zip(universe, universe[1:])):
         raise InvalidInputError("label_universe must be non-empty and strictly increasing")
-    _check_label_bounds(universe[0], universe[-1])
     missing = sorted(labels.difference(universe))
     if missing:
-        shown = ", ".join(str(_shown(v)) for v in missing)
-        raise InvalidInputError(f"label_universe does not cover labels [{shown}]")
+        raise InvalidInputError(f"label_universe does not cover labels {missing}")
     return universe
 
 

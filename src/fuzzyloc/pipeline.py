@@ -16,9 +16,9 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from .curvature import rank_features
-from .data import fit_normalization, label_universe as universe_of, load_csv
+from .data import _labels, fit_normalization, label_universe as universe_of, load_csv
 from .errors import ConfigError, prefixed
-from .fuzzy import INT64_MAX, SimilarityParams, _finite_real, _integer, _integers, _seed
+from .fuzzy import INT64_MAX, SimilarityParams, _finite_real, _integer, _seed
 from .inference import predict_batch
 from .rulebase import DEFAULT_K_MAX, PER_CLASS, STRATEGIES, extract_rules, save_rulebase
 
@@ -52,7 +52,7 @@ class ExperimentConfig:
     output_dir: Optional[str] = None
 
     def __post_init__(self):
-        unseen = _integers(self.unseen_labels, "unseen_labels", -INT64_MAX - 1, INT64_MAX)
+        unseen = _labels(self.unseen_labels, "unseen_labels")
         params = SimilarityParams(self.h, self.omega)
         checked = dict(
             feature_columns=tuple(self.feature_columns), unseen_labels=unseen, h=params.h,
@@ -103,7 +103,7 @@ class ExperimentConfig:
 
 def split_scenario(dataset, unseen_labels):
     """Hold out every instance of the unseen classes as the test set."""
-    unseen = set(_integers(unseen_labels, "unseen_labels", -INT64_MAX - 1, INT64_MAX))
+    unseen = set(_labels(unseen_labels, "unseen_labels"))
     if not unseen:
         raise ConfigError("unseen label set must be non-empty")
     test_mask = np.isin(dataset.labels, sorted(unseen))

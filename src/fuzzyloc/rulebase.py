@@ -93,13 +93,15 @@ def _name_fault(i, triples, consequent, support, arity, lowest, highest):
     """Raise for faulty rule i what building it from TriangularFuzzySet and
     Rule meets first, else what the rule base's own checks found."""
     sets = [_at(f"rules[{i}].antecedents[{j}]", _triangle, t) for j, t in enumerate(triples)]
-    _at(f"rules[{i}]", Rule, sets, consequent, support)
+    rule = _at(f"rules[{i}]", Rule, sets, consequent, support)
     if len(sets) != arity:
-        raise InvalidInputError(f"rule {i} has {len(sets)} antecedents, expected {arity}")
-    raise InvalidInputError(
-        f"rule {i} has a consequent outside the label universe "
-        f"[{lowest}, {highest}] or a vertex mean beyond the float range"
-    )
+        raise InvalidInputError(f"rules[{i}]: {len(sets)} antecedents, expected {arity}")
+    if not lowest <= rule.consequent <= highest:
+        raise InvalidInputError(
+            f"rules[{i}]: consequent {rule.consequent!r} lies outside the label universe "
+            f"[{lowest}, {highest}]"
+        )
+    raise InvalidInputError(f"rules[{i}]: a vertex mean is beyond the float range")
 
 
 @dataclass(frozen=True, init=False, eq=False)
@@ -362,12 +364,12 @@ def deserialize_rulebase(text):
     for i, entry in enumerate(_field(doc, "rules", "rule base", list)):
         path = f"rules[{i}]"
         triples = _field(entry, "antecedents", path, list)
-        if not (set(map(type, triples)) <= {list} and set(map(len, triples)) <= {3}):
-            j = next(j for j, t in enumerate(triples) if type(t) is not list or len(t) != 3)
+        if not set(map(type, triples)) <= {list}:
+            j = next(j for j, t in enumerate(triples) if type(t) is not list)
             raise RuleBaseFormatError(f"{path}.antecedents[{j}] must be [a1, a2, a3]")
         antecedents.append(triples)
         consequents.append(_field(entry, "consequent", path))
-        supports.append(_field(entry, "support_count", path, int))
+        supports.append(_field(entry, "support_count", path))
     violation = "rule-base document violates an invariant"
     with prefixed(violation, (InvalidInputError, TypeError, ValueError), RuleBaseFormatError):
         return RuleBase(

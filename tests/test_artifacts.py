@@ -1,0 +1,42 @@
+"""tools/artifacts.py writes every benchmark workload's artifacts, and two
+runs of the same checkout write byte-identical trees."""
+
+import subprocess
+import sys
+from pathlib import Path
+
+TOOL = Path(__file__).resolve().parents[1] / "tools" / "artifacts.py"
+WORKLOADS = ("building-40", "building-global", "corridor-sweep", "predict-stream")
+
+
+def tree(root):
+    """{path relative to root: bytes} of every file below root."""
+    return {p.relative_to(root): p.read_bytes() for p in sorted(root.rglob("*")) if p.is_file()}
+
+
+def write_artifacts(outdir, cwd):
+    # the runs start from different directories; the echoed paths must not show it
+    subprocess.run(
+        [sys.executable, str(TOOL), str(outdir), "--size", "tiny", "--seeds", "1"],
+        cwd=cwd, capture_output=True, check=True,
+    )
+    return tree(outdir)
+
+
+def test_two_runs_write_identical_trees(tmp_path):
+    (tmp_path / "a").mkdir()
+    (tmp_path / "b" / "deeper").mkdir(parents=True)
+    first = write_artifacts(tmp_path / "out-a", tmp_path / "a")
+    second = write_artifacts(tmp_path / "out-b", tmp_path / "b" / "deeper")
+    assert first == second
+    assert {path.parts[0] for path in first} == set(WORKLOADS)
+    names = {path.name for path in first}
+    assert names == {"rulebase.json", "report.json", "confusion.txt", "predictions.json"}
+    # building-global keeps each of its four input variants
+    assert {p.parts[2] for p in first if p.parts[0] == "building-global"} == {"v0", "v1", "v2", "v3"}
+
+
+def test_a_non_empty_outdir_is_a_usage_error(tmp_path):
+    (tmp_path / "stale.json").write_text("{}", encoding="utf-8")
+    done = subprocess.run([sys.executable, str(TOOL), str(tmp_path)], capture_output=True, text=True)
+    assert done.returncode == 2 and "is not empty" in done.stderr

@@ -1,11 +1,13 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from fuzzyloc.cli import build_parser, main, parse_label_universe
-from fuzzyloc.data import Dataset
-from fuzzyloc.errors import ConfigError
+from fuzzyloc.cli import _parse_labels, build_parser, main, parse_label_universe
+from fuzzyloc.data import Dataset, parse_label
+from fuzzyloc.errors import ConfigError, DataError
 from fuzzyloc.fuzzy import SimilarityParams
 from fuzzyloc.pipeline import ExperimentConfig
 from fuzzyloc.rulebase import load_rulebase
@@ -50,6 +52,80 @@ class TestParseLabelUniverse:
         assert parse_label_universe("1..1024") == tuple(range(1, 1025))
         listed = ",".join(map(str, range(1, 2001)))
         assert parse_label_universe(listed) == tuple(range(1, 2001))
+
+
+DIGITS = "0123456789"
+BEYOND = "99999999999999999999"  # 20 digits, past 2**63
+
+
+@st.composite
+def label_texts(draw):
+    """A label as a CSV cell or a flag item may hold it: optional
+    surrounding whitespace, a plain (optionally signed) or c/C-prefixed
+    form, and 1 to 5,000 digits."""
+    digits = draw(st.one_of(
+        st.integers(0, 2**64).map(str),  # around the 64-bit bounds
+        st.builds(
+            lambda head, fill, n: (head + fill * n)[:5000],
+            st.text(DIGITS, min_size=1, max_size=20), st.sampled_from(DIGITS), st.integers(0, 5000),
+        ),
+    ))
+    pad = st.sampled_from(["", " ", "\t", " \t "])
+    form = draw(st.sampled_from(["", "+", "-", "c", "C", "c-", "C-"]))
+    return draw(pad) + form + digits + draw(pad)
+
+
+def int64_value(text):
+    """The integer a well-formed label text names, or None beyond 64 bits."""
+    number = text.strip().lstrip("cC")
+    digits = number.lstrip("+-")
+    if len(digits.lstrip("0")) > 19:
+        return None
+    value = -int(digits) if number.startswith("-") else int(digits)
+    return value if -(2**63) <= value < 2**63 else None
+
+
+class TestLabelParity:
+    @settings(max_examples=300, deadline=None)
+    @given(text=label_texts())
+    def test_a_csv_cell_and_a_flag_item_read_alike(self, text):
+        value = int64_value(text)
+        if value is not None:
+            assert parse_label(text)[0] == value
+            assert _parse_labels(text, "--unseen") == (value,)
+            return
+        refusal = f"label {text.strip()!r} does not fit in a 64-bit integer"
+        with pytest.raises(DataError) as cell:
+            parse_label(text)
+        with pytest.raises(ConfigError) as item:
+            _parse_labels(text, "--unseen")
+        assert str(cell.value) == refusal
+        assert (type(item.value), str(item.value)) == (ConfigError, f"--unseen: {refusal}")
+
+    @pytest.mark.parametrize("flags, bad_cell, named", [
+        (["--unseen", BEYOND], False, f"config error: --unseen: label '{BEYOND}'"),
+        (["--unseen", "9" * 5000], False, f"config error: --unseen: label '{'9' * 5000}'"),
+        (["--unseen", "5", "--label-universe", f"1..{BEYOND}"], False,
+         f"config error: --label-universe: label '{BEYOND}'"),
+        (["--unseen", "5", "--label-universe", f"1,5,{BEYOND}"], False,
+         f"config error: --label-universe: label '{BEYOND}'"),
+        (["--unseen", "5"], True, f"data error: load: {{csv}}: row 2: label '{BEYOND}'"),
+    ])
+    def test_a_label_beyond_64_bits_is_refused_where_it_is_read(
+        self, workdir, capsys, flags, bad_cell, named
+    ):
+        tmp_path, csv_path = workdir
+        if bad_cell:
+            lines = Path(csv_path).read_text(encoding="utf-8").splitlines()
+            lines[1] = f"{lines[1].rpartition(',')[0]},{BEYOND}"
+            csv_path = tmp_path / "beyond.csv"
+            csv_path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        argv = ["--input", csv_path, "--label-col", "room", "--feature-cols", CORRIDOR_COLS]
+        code = run_cli("run", *map(str, argv), *flags, "--out", str(tmp_path / "exp"))
+        assert code == (3 if bad_cell else 2)
+        named = named.format(csv=csv_path)
+        assert capsys.readouterr().err == f"fuzzyloc: {named} does not fit in a 64-bit integer\n"
+        assert not (tmp_path / "exp").exists()
 
 
 class TestSynthCommand:
@@ -269,27 +345,6 @@ class TestRunCommand:
         assert code == 0
         report = json.loads((out / "report.json").read_text(encoding="utf-8"))
         assert report["label_universe"] == list(range(1, 13))
-
-    @pytest.mark.parametrize(
-        "flags, named",
-        [
-            (
-                ["--unseen", "5", "--label-universe", "1..99999999999999999999"],
-                "label_universe entries must fit in a 64-bit integer",
-            ),
-            (
-                ["--unseen", "99999999999999999999"],
-                "unseen_labels[0] must be <= 9223372036854775807, got an integer beyond 64 bits",
-            ),
-        ],
-    )
-    def test_a_label_beyond_64_bits_exits_2(self, workdir, capsys, flags, named):
-        tmp_path, corridor_csv = workdir
-        argv = ["--input", corridor_csv, "--label-col", "room", "--feature-cols", CORRIDOR_COLS]
-        code = run_cli("run", *argv, *flags, "--out", str(tmp_path / "exp"))
-        assert code == 2
-        err = capsys.readouterr().err
-        assert err.endswith(f"{named}\n") and "Traceback" not in err
 
     @pytest.mark.parametrize(
         "flags, named",

@@ -63,8 +63,9 @@ class TestLabelUniverse:
             (range(3, 2), "non-empty"),
             ((1, 3, 2), "strictly increasing"),
             ((1, 1), "strictly increasing"),
-            ((1, 2**63), "64-bit"),
-            ((-(2**63) - 1, 1), "64-bit"),
+            ((1, 2**63), r"^label_universe\[1\] must be <= 9223372036854775807, got 9223372036854775808$"),
+            ((-(2**63) - 1, 1), r"^label_universe\[0\] must be >= -9223372036854775808, got -9223372036854775809$"),
+            ((1, 5, 10**20), r"^label_universe\[2\] must be <= 9223372036854775807, got an integer beyond 64 bits$"),
             # an entry is never truncated or parsed into an int
             ((1.7, 2.2), r"label_universe\[0\] must be an integer, got float"),
             (("1", "2", "3"), r"label_universe\[0\] must be an integer, got str"),
@@ -78,7 +79,7 @@ class TestLabelUniverse:
 
     @pytest.mark.parametrize("labels, named", [([2.5], "float"), ([True], "bool"), (["2"], "str")])
     def test_bad_labels(self, labels, named):
-        with pytest.raises(InvalidInputError, match=f"label must be an integer, got {named}"):
+        with pytest.raises(InvalidInputError, match=re.escape(f"labels[0] must be an integer, got {named}")):
             label_universe(labels, (1, 2, 3))
 
     def test_a_range_spans_at_most_1024_labels(self):
@@ -88,19 +89,26 @@ class TestLabelUniverse:
             with pytest.raises(InvalidInputError, match=re.escape("1..1025 spans more than 1024")):
                 label_universe(labels, given)
 
-    def test_a_huge_range_is_refused_without_expanding_it(self):
+    @pytest.mark.parametrize("huge, named", [
+        (range(1, 10**20), "label range ends[1] must be <= 9223372036854775807"),
+        (range(10**5000), "label range ends[1] must be <= 9223372036854775807"),
+        (range(-(10**5000), 0), "label range ends[0] must be >= -9223372036854775808"),
+    ])
+    def test_a_huge_range_is_refused_without_expanding_it(self, huge, named):
         # an end beyond 64 bits is refused before the span, which formats both
         # ends; str() refuses an int of more than 4,300 digits
-        for huge in (range(1, 10**20), range(10**5000), range(-(10**5000), 0)):
-            with pytest.raises(InvalidInputError, match="^label_universe entries must fit in a 64-bit integer$"):
-                label_universe([], huge)
+        with pytest.raises(InvalidInputError, match=f"^{re.escape(named)}, got an integer beyond 64 bits$"):
+            label_universe([], huge)
         with pytest.raises(InvalidInputError, match=re.escape("-9223372036854775808..9223372036854775807")):
             label_universe([-(2**63), 2**63 - 1])
 
-    def test_uncovered_labels_are_listed_without_integers_beyond_64_bits(self):
-        # str() refuses an int of more than 4,300 digits
-        with pytest.raises(InvalidInputError, match=re.escape("cover labels [3, an integer beyond 64 bits]") + "$"):
+    def test_a_label_beyond_64_bits_is_refused_before_the_cover_check(self):
+        # so the list of uncovered labels only ever formats int64 values
+        named = "labels[2] must be <= 9223372036854775807, got an integer beyond 64 bits"
+        with pytest.raises(InvalidInputError, match=f"^{re.escape(named)}$"):
             label_universe([1, 3, 10**5000], (1, 2))
+        with pytest.raises(InvalidInputError, match=re.escape("cover labels [3, 9223372036854775807]") + "$"):
+            label_universe([1, 3, 2**63 - 1], (1, 2))
 
     def test_a_list_is_not_bounded(self):
         listed = tuple(range(0, 4000, 2))

@@ -2,7 +2,7 @@
 to an error in one way, errors.prefixed: no except clause outside
 cli.main names a fuzzyloc error class. A refused integer is shown in one
 way too: fuzzy._integer formats it, and _shown is called elsewhere only by
-the messages that list several integers at once."""
+the one message that shows several integers at once."""
 
 import ast
 import inspect
@@ -64,9 +64,9 @@ def test_only_main_catches_a_fuzzyloc_error(module):
 
 
 def test_only_fuzzy_and_multi_integer_messages_call_shown():
-    # the missing-label list and the table-size refusal each show several
-    # integers; every single-integer refusal comes from fuzzy._integer
-    allowed = {("data.py", "label_universe"), ("synth.py", "generate_synthetic")}
+    # the table-size refusal shows several integers; every single-integer
+    # refusal comes from fuzzy._integer, and every label is an int64
+    allowed = {("synth.py", "generate_synthetic")}
     found = set()
     for module in sorted(PACKAGE.glob("*.py")):
         if module.name == "fuzzy.py":

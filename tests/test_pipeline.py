@@ -51,7 +51,7 @@ class TestConfig:
             ((1, 2, 3), "[9]"),
             ((3, 1, 8), "strictly increasing"),
             ((), "non-empty"),
-            ((9, 2**63), "64-bit"),
+            ((9, 2**63), "label_universe[1] must be <= 9223372036854775807, got 9223372036854775808"),
             (range(1, 1026), "1..1025"),
         ],
     )

@@ -285,13 +285,15 @@ class TestProbes:
              "rules[3].antecedents[2]: fuzzy set vertices must satisfy a1 <= a2 <= a3, "
              "got (1, 0, 1)"),
             (None, lambda doc: doc["rules"][0]["antecedents"].__setitem__(0, [0.1, 0.2]),
+             "rules[0].antecedents[0]: a triangle needs 3 values (a1, a2, a3), got 2"),
+            (None, lambda doc: doc["rules"][0]["antecedents"].__setitem__(0, {"a1": 0.1}),
              "rules[0].antecedents[0] must be [a1, a2, a3]"),
             (None, lambda doc: doc["rules"][1]["antecedents"].pop(),
-             "rule 1 has 2 antecedents, expected 3"),
+             "rules[1]: 2 antecedents, expected 3"),
             (None, lambda doc: doc["rules"][0].update(support_count=True),
-             "rules[0]: field 'support_count' has type bool"),
+             "rules[0]: support_count must be an integer, got bool"),
             (None, lambda doc: doc["rules"][0].update(support_count=2.0),
-             "rules[0]: field 'support_count' has type float"),
+             "rules[0]: support_count must be an integer, got float"),
             (None, lambda doc: doc["rules"][0].update(support_count=0),
              "rules[0]: support_count must be >= 1, got 0"),
             # two faults: the one earlier in the document is named
@@ -300,6 +302,15 @@ class TestProbes:
                 doc["rules"][1]["antecedents"].__setitem__(0, [0.9, 0.5, 0.1]),
             ), "rules[1].antecedents[0]: fuzzy set vertices must satisfy a1 <= a2 <= a3, "
                "got (0.9, 0.5, 0.1)"),
+            (None, lambda doc: (
+                doc["rules"][3]["antecedents"].__setitem__(1, [0.1, 0.2]),
+                doc["rules"][1]["antecedents"].__setitem__(0, [0.9, 0.5, 0.1]),
+            ), "rules[1].antecedents[0]: fuzzy set vertices must satisfy a1 <= a2 <= a3, "
+               "got (0.9, 0.5, 0.1)"),
+            (None, lambda doc: (
+                doc["rules"][5].update(support_count=2.0),
+                doc["rules"][0].update(consequent=7),
+            ), "rules[0]: consequent 7.0 lies outside the label universe [1, 6]"),
         ],
     )
     def test_rule_faults_exit_3_naming_field_and_reason(
@@ -326,19 +337,25 @@ class TestProbes:
         _, csv_path, rb_path = base
         edit = lambda doc: doc["rules"][0].update(consequent=1.7e308)  # noqa: E731
         bad = edit_rulebase(rb_path, tmp_path, edit)
-        assert_exit(evaluate(bad, csv_path), 3, capsys, "rule 0", "label universe")
+        assert_exit(
+            evaluate(bad, csv_path), 3, capsys,
+            "rules[0]: consequent 1.7e+308 lies outside the label universe [1, 6]",
+        )
 
     def test_label_universe_beyond_64_bits_exits_3(self, base, tmp_path, capsys):
         _, csv_path, rb_path = base
         bad = edit_rulebase(rb_path, tmp_path, lambda doc: doc["label_universe"].append("@"), BIG)
-        assert_exit(predict(bad, csv_path), 3, capsys, "label_universe")
+        assert_exit(
+            predict(bad, csv_path), 3, capsys,
+            "label_universe[6] must be <= 9223372036854775807, got an integer beyond 64 bits",
+        )
 
     def test_vertex_mean_beyond_the_float_range_exits_3(self, base, tmp_path, capsys):
         # with an overflowing observation it met inf - inf: NaN total_firing
         _, csv_path, rb_path = base
         edit = lambda doc: doc["rules"][1]["antecedents"].__setitem__(0, [1e308] * 3)  # noqa: E731
         bad = edit_rulebase(rb_path, tmp_path, edit)
-        assert_exit(predict(bad, csv_path), 3, capsys, "rule 1")
+        assert_exit(predict(bad, csv_path), 3, capsys, "rules[1]: a vertex mean is beyond the float range")
 
     # the config itself refuses the seed, before any clustering, whatever --k-max is
     @pytest.mark.parametrize("flags", [[], ["--k-max", "1"]])

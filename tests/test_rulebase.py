@@ -366,7 +366,7 @@ def small_rulebase():
 class TestRuleBaseValidation:
     def test_antecedent_arity_must_match_selection(self):
         rb = small_rulebase()
-        with pytest.raises(InvalidInputError):
+        with pytest.raises(InvalidInputError, match=re.escape("rules[0]: 1 antecedents, expected 2")):
             RuleBase(
                 rules=rb.rules,
                 params=rb.params,
@@ -455,23 +455,37 @@ class TestRuleBaseValidation:
         rb = small_rulebase()
         for consequent in [0.5, 3.5, 1.7e308]:
             rule = dataclasses.replace(rb.rules[1], consequent=consequent)
-            with pytest.raises(InvalidInputError, match="rule 1 has a consequent outside the label universe"):
+            named = f"rules[1]: consequent {consequent!r} lies outside the label universe [1, 3]"
+            with pytest.raises(InvalidInputError, match=f"^{re.escape(named)}$"):
                 dataclasses.replace(rb, rules=(rb.rules[0], rule))
         edge = dataclasses.replace(rb.rules[1], consequent=3.0)
         assert dataclasses.replace(rb, rules=(rb.rules[0], edge)).consequents[1] == 3.0
 
-    def test_label_universe_must_be_64_bit(self):
+    @pytest.mark.parametrize("bad, named", [
+        ((1, 2, 2**63), "label_universe[2] must be <= 9223372036854775807, got 9223372036854775808"),
+        ((-(2**63) - 1, 1, 2), "label_universe[0] must be >= -9223372036854775808, got -9223372036854775809"),
+        ((1, 2, 10**5000), "label_universe[2] must be <= 9223372036854775807, got an integer beyond 64 bits"),
+    ])
+    def test_label_universe_must_be_64_bit(self, bad, named):
         rb = small_rulebase()
         assert dataclasses.replace(rb, label_universe=(1, 2, 2**63 - 1)).n_rules == 2
-        for bad in [(1, 2, 2**63), (-(2**63) - 1, 1, 2)]:
-            with pytest.raises(InvalidInputError, match="64-bit"):
-                dataclasses.replace(rb, label_universe=bad)
+        with pytest.raises(InvalidInputError, match=f"^{re.escape(named)}$"):
+            dataclasses.replace(rb, label_universe=bad)
 
-    def test_vertex_means_must_stay_in_the_float_range(self):
+    # finite and ordered vertices whose sum overflows
+    @pytest.mark.parametrize("triple", [(1e308, 1e308, 1e308), (1e308, 1.5e308, 1.7e308)])
+    def test_vertex_means_must_stay_in_the_float_range(self, triple):
         rb = small_rulebase()
-        huge = TriangularFuzzySet(1e308, 1e308, 1e308)
-        rule = Rule(antecedents=(huge,), consequent=2.0, support_count=1)
-        with pytest.raises(InvalidInputError, match="rule 1 .* vertex mean beyond the float range"):
+        rule = Rule(antecedents=(TriangularFuzzySet(*triple),), consequent=2.0, support_count=1)
+        named = "rules[1]: a vertex mean is beyond the float range"
+        with pytest.raises(InvalidInputError, match=f"^{re.escape(named)}$"):
+            dataclasses.replace(rb, rules=(rb.rules[0], rule))
+
+    def test_a_consequent_outside_the_universe_is_named_before_a_vertex_mean(self):
+        rb = small_rulebase()
+        huge = TriangularFuzzySet(1e308, 1.5e308, 1.7e308)
+        rule = Rule(antecedents=(huge,), consequent=4.0, support_count=1)
+        with pytest.raises(InvalidInputError, match=re.escape("rules[1]: consequent 4.0 lies outside")):
             dataclasses.replace(rb, rules=(rb.rules[0], rule))
 
     def test_consequent_goes_through_the_finite_real_check(self):

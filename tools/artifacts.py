@@ -1,0 +1,88 @@
+"""Write the deterministic artifacts of every benchmark workload into one tree.
+
+    python3 tools/artifacts.py OUTDIR [--root CHECKOUT] [--seeds 1 2 42] [--size full|tiny]
+
+Imports fuzzyloc from CHECKOUT/src and WORKLOADS from
+CHECKOUT/perfbench/workloads.py (CHECKOUT defaults to the checkout holding
+this file) and writes nothing into the checkout. For each workload, seed
+and input variant (variant_seed draws each variant's seed), it runs
+set_up(), one train_pass() and then `fuzzyloc predict` through cli.main on
+each serving target. It keeps rulebase.json, report.json, confusion.txt
+and the predictions JSON under OUTDIR/<workload>/s<seed>/, one v<variant>
+folder deeper for a workload with several variants.
+
+Every run works in the same relative path below a fresh temporary
+directory, so the paths that report.json and the predictions echo are the
+same whichever checkout runs: checkouts that write the same artifacts give
+trees that `diff -r` finds identical.
+"""
+
+import argparse
+import os
+import shutil
+import sys
+import tempfile
+from pathlib import Path
+
+KEPT = ("rulebase.json", "report.json", "confusion.txt", "predictions.json")
+
+
+def import_checkout(root):
+    """fuzzyloc.cli and perfbench's workloads module, both from root."""
+    sys.dont_write_bytecode = True  # the checkout is only read
+    sys.path[:0] = [str(root / "src"), str(root / "perfbench")]
+    import fuzzyloc.cli
+    import workloads
+
+    for module in (fuzzyloc.cli, workloads):
+        if root not in Path(module.__file__).resolve().parents:
+            raise SystemExit(f"artifacts: {module.__name__} was imported from {module.__file__}")
+    return fuzzyloc.cli, workloads
+
+
+def run_variant(cli, wl):
+    """Train the workload and label each target's rows with its rule base."""
+    wl.set_up()
+    wl.train_pass()
+    for target in wl.targets:
+        out = os.path.join(os.path.dirname(target.rulebase_path), "predictions.json")
+        argv = ["predict", "--rulebase", target.rulebase_path, "--input", target.query_path,
+                "--out", out]
+        if cli.main(argv) != 0:
+            raise SystemExit(f"artifacts: fuzzyloc {' '.join(argv)} failed")
+
+
+def main(argv=None):
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("outdir", help="directory to write the artifact tree into (new or empty)")
+    parser.add_argument("--root", default=Path(__file__).resolve().parents[1], type=Path,
+                        help="checkout to import fuzzyloc and the workloads from")
+    parser.add_argument("--seeds", nargs="+", type=int, default=[1, 2, 42])
+    parser.add_argument("--size", choices=("full", "tiny"), default="full")
+    args = parser.parse_args(argv)
+    outdir = Path(args.outdir).resolve()
+    if outdir.exists() and any(outdir.iterdir()):
+        parser.error(f"{outdir} is not empty")
+    cli, workloads = import_checkout(args.root.resolve())
+
+    home, work = os.getcwd(), tempfile.mkdtemp(prefix="artifacts-")
+    try:
+        os.chdir(work)
+        for name, kind in workloads.WORKLOADS.items():
+            for seed in args.seeds:
+                for variant in range(kind.variants):
+                    rel = Path(name, f"s{seed}", *([f"v{variant}"] if kind.variants > 1 else []))
+                    run_variant(cli, kind(args.size, workloads.variant_seed(seed, variant), str(rel)))
+                    for path in sorted(rel.rglob("*")):
+                        if path.name in KEPT:
+                            (outdir / path).parent.mkdir(parents=True, exist_ok=True)
+                            shutil.copyfile(path, outdir / path)
+                    print(f"artifacts: {rel}", file=sys.stderr)
+    finally:
+        os.chdir(home)
+        shutil.rmtree(work, ignore_errors=True)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
