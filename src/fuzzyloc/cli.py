@@ -13,7 +13,9 @@ import sys
 import traceback
 
 from .curvature import rank_features
-from .data import fit_normalization, label_universe, load_csv, parse_label, read_feature_rows
+from .data import (
+    _plain_number, fit_normalization, label_universe, load_csv, parse_label, read_feature_rows
+)
 from .errors import (
     EXIT_CONFIG,
     EXIT_DATA,
@@ -57,6 +59,22 @@ def _label(text, flag):
 
 def _parse_labels(text, flag):
     return tuple(_label(item, flag) for item in text.split(","))
+
+
+def _number(kind):
+    """An argparse type that reads a flag's text as kind, refusing the
+    text a CSV number cell may not hold (see data._plain_number)."""
+
+    def read(text):
+        if not _plain_number(text):
+            raise ValueError(text)
+        return kind(text)
+
+    read.__name__ = kind.__name__  # argparse: "invalid int value: '4_2'"
+    return read
+
+
+_INT, _FLOAT = _number(int), _number(float)
 
 
 def _parse_cols(text):
@@ -203,8 +221,8 @@ def _add_io_flags(sub, with_features=True):
 
 
 def _add_cfs_flags(sub):
-    sub.add_argument("--cfs-top-n", type=int, help="keep the n best-ranked features")
-    sub.add_argument("--cfs-epsilon", type=float, help="keep features scoring above this")
+    sub.add_argument("--cfs-top-n", type=_INT, help="keep the n best-ranked features")
+    sub.add_argument("--cfs-epsilon", type=_FLOAT, help="keep features scoring above this")
     sub.add_argument(
         "--cfs-sort",
         action="store_true",
@@ -217,7 +235,7 @@ def _add_model_flags(sub):
     _add_cfs_flags(sub)
     for name, doc in (("h", "distance sensitivity"), ("omega", "distance midpoint")):
         value = getattr(SimilarityParams, name)
-        sub.add_argument(f"--{name}", type=float, default=value, help=f"{doc} (default: {value:g})")
+        sub.add_argument(f"--{name}", type=_FLOAT, default=value, help=f"{doc} (default: {value:g})")
     sub.add_argument(
         "--strategy",
         choices=STRATEGIES,
@@ -225,9 +243,9 @@ def _add_model_flags(sub):
         help="rule consequent strategy (default: per-class)",
     )
     sub.add_argument(
-        "--k-max", type=int, default=DEFAULT_K_MAX, help="largest cluster count tried per class"
+        "--k-max", type=_INT, default=DEFAULT_K_MAX, help="largest cluster count tried per class"
     )
-    sub.add_argument("--seed", type=int, default=0, help="clustering seed (default: 0)")
+    sub.add_argument("--seed", type=_INT, default=0, help="clustering seed (default: 0)")
     sub.add_argument(
         "--label-universe",
         default=None,
@@ -274,11 +292,11 @@ def build_parser():
     sub.set_defaults(func=cmd_run)
 
     sub = commands.add_parser("synth", help="generate a synthetic corridor RSSI dataset")
-    sub.add_argument("--rooms", type=int, default=10, help="rooms along the corridor (default: 10)")
-    sub.add_argument("--per-room", type=int, default=30, help="instances per room (default: 30)")
-    sub.add_argument("--beacons", type=int, default=5, help="beacon count (default: 5)")
-    sub.add_argument("--noise-sd", type=float, default=0.5, help="noise std dev (default: 0.5)")
-    sub.add_argument("--seed", type=int, default=42, help="generator seed (default: 42)")
+    sub.add_argument("--rooms", type=_INT, default=10, help="rooms along the corridor (default: 10)")
+    sub.add_argument("--per-room", type=_INT, default=30, help="instances per room (default: 30)")
+    sub.add_argument("--beacons", type=_INT, default=5, help="beacon count (default: 5)")
+    sub.add_argument("--noise-sd", type=_FLOAT, default=0.5, help="noise std dev (default: 0.5)")
+    sub.add_argument("--seed", type=_INT, default=42, help="generator seed (default: 42)")
     sub.add_argument("--out", required=True, help="CSV file to write")
     sub.set_defaults(func=cmd_synth)
 

@@ -179,13 +179,14 @@ def _sequential_update(pts, sq_norms, centroids, assignment):
     assigned centroid, then assignments are recomputed before the next
     cluster is updated. The lockstep kernel replays a run through this
     step in an iteration that leaves one of its clusters empty: no other
-    order of operations gives the same bits.
+    order of operations gives the same bits. A centroid is its members'
+    sum in point order over their count, as in _lloyd.
     """
     centroids = centroids.copy()
     for c in range(len(centroids)):
         members = pts[assignment == c]
         if len(members):
-            centroids[c] = members.mean(axis=0)
+            centroids[c] = np.add.accumulate(members, axis=0)[-1] / len(members)
         else:
             worst = ((pts - centroids[assignment]) ** 2).sum(axis=1).argmax()
             centroids[c] = pts[worst]
@@ -207,7 +208,8 @@ def _lloyd(pts, starts, ks, max_iterations=MAX_ITERATIONS):
     share memory, and their wcss. Each has the bits a run on its own would
     give: assignments are the exact argmin (see _assign), and each
     centroid is its members' sum in point order (np.bincount adds rows in
-    order, as members.mean(axis=0) does) divided by their count.
+    order) divided by their count, in every dimension. Only an iteration
+    that leaves a cluster empty replays the run through _sequential_update.
     """
     n, dim = pts.shape
     runs, width = starts.shape[:2]
@@ -230,9 +232,7 @@ def _lloyd(pts, starts, ks, max_iterations=MAX_ITERATIONS):
             sums[d] = np.bincount(cells, weights=weights[d, : live * n], minlength=live * width)
         sums = sums.T.reshape(live, width, dim)
         cents = np.where(counts > 0, sums / np.maximum(counts, 1), before)
-        # with one dimension, members.mean(axis=0) sums pairwise rather than
-        # in point order, so those runs take the sequential step every time
-        replay = ((counts[:, :, 0] == 0) & real[active]).any(axis=1) | (dim == 1)
+        replay = ((counts[:, :, 0] == 0) & real[active]).any(axis=1)
         for j in np.flatnonzero(replay):
             k = ks[active[j]]
             new[j], cents[j, :k] = _sequential_update(pts, sq_norms, before[j, :k], new[j])

@@ -12,8 +12,8 @@ import numpy as np
 from .errors import ConfigError, DataError, InvalidInputError, SchemaError, prefixed
 from .fuzzy import INT64_MAX, _finite_real, _integers
 
-_PREFIXED_LABEL = re.compile(r"^[cC](-?\d+)$")
-_PLAIN_LABEL = re.compile(r"^[+-]?\d+$")
+_PREFIXED_LABEL = re.compile(r"^[cC](-?[0-9]+)$")
+_PLAIN_LABEL = re.compile(r"^[+-]?[0-9]+$")
 LABEL_RANGE = range(-INT64_MAX - 1, INT64_MAX + 1)  # labels are held as int64
 MAX_RANGE_LABELS = 1024  # a derived or N..M universe; a listed one is not bounded
 
@@ -136,8 +136,8 @@ def parse_label(text):
     """Read one label as (integer value, format kind).
 
     Accepts plain integers ("8") and class-prefixed forms ("c8" / "C8"),
-    with no digit separators; kind is "plain" or "prefixed" so callers can
-    reject mixed files. SchemaError for any other text, and DataError for
+    in ASCII digits with no digit separators; kind is "plain" or
+    "prefixed" so callers can reject mixed files. SchemaError for any other text, and DataError for
     a label beyond 64 bits, whatever its digit count.
     """
     text = text.strip()
@@ -266,7 +266,7 @@ def _read_table(path, feature_columns, label_column=None):
             cells = [row[pos] for pos in feat_pos]
             try:
                 values = list(map(float, cells))
-                usable = "_" not in "".join(cells) and all(map(math.isfinite, values))
+                usable = _plain_number("".join(cells)) and all(map(math.isfinite, values))
             except ValueError:
                 usable = False
             if not usable:
@@ -297,18 +297,25 @@ def _read_table(path, feature_columns, label_column=None):
     return np.array(rows, dtype=float), labels
 
 
+def _plain_number(text):
+    """Whether text is free of what float() and int() read but no CSV
+    number holds: characters beyond ASCII, such as Arabic-Indic or
+    fullwidth digits, and PEP 515 digit separators ("1_5")."""
+    return text.isascii() and "_" not in text
+
+
 def _cell_fault(cell):
     """Why a feature cell is unusable, or None when it holds a finite number.
 
     Parsed as _read_table parses it: float() keeps characters, such as
-    "\\x1c", that str.strip() drops, and reads PEP 515 digit separators
-    ("1_5"), which no CSV number holds."""
+    "\\x1c", that str.strip() drops, and reads text that _plain_number
+    refuses."""
     shown = cell.strip(" \t")
     try:
         value = float(cell)
     except ValueError:
         value = None
-    if value is None or "_" in cell:
+    if value is None or not _plain_number(cell):
         return f"unparseable cell {shown!r}"
     return None if math.isfinite(value) else f"non-finite cell {shown!r}"
 

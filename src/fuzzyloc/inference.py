@@ -247,6 +247,11 @@ def predict_batch(rb, dataset: Dataset):
     order) in raw units; every truth label must belong to the rule base's
     label universe so the confusion matrix can count it.
     """
+    if dataset.normalization is not None:
+        raise InvalidInputError(
+            "prediction takes raw rows: the rule base normalizes them itself, "
+            "so a normalized dataset would be normalized twice"
+        )
     if dataset.feature_names != rb.feature_names:
         raise InvalidInputError(
             f"dataset columns {dataset.feature_names} do not match "

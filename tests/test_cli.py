@@ -186,6 +186,10 @@ class TestLabelFlags:
         (["--unseen", "3.0"], "--unseen: label '3.0'"),
         (["--unseen", "9" * 5000], "does not fit in a 64-bit integer"),
         (["--unseen", "5", "--label-universe", "1..1_0"], "--label-universe: label '1_0'"),
+        # int() reads Arabic-Indic and fullwidth digits; no CSV label holds them
+        (["--unseen", "\u0663"], "--unseen: label '\u0663'"),
+        (["--unseen", "3,c\u0661\u0662"], "--unseen: label 'c\u0661\u0662'"),
+        (["--unseen", "5", "--label-universe", "1..\uff15"], "--label-universe: label '\uff15'"),
     ])
     def test_items_a_csv_label_cannot_be_exit_2(self, workdir, capsys, flags, named):
         tmp_path, corridor_csv = workdir
@@ -422,6 +426,37 @@ class TestRunCommand:
             "--feature-cols", "b1", "--unseen", "2", "--out", str(tmp_path / "exp"),
         )
         assert code == 3
+
+
+class TestNumberFlags:
+    @pytest.mark.parametrize("command, flag, kind", [
+        ("run", "--seed", "int"),
+        ("run", "--k-max", "int"),
+        ("run", "--cfs-top-n", "int"),
+        ("run", "--h", "float"),
+        ("run", "--omega", "float"),
+        ("run", "--cfs-epsilon", "float"),
+        ("synth", "--rooms", "int"),
+        ("synth", "--per-room", "int"),
+        ("synth", "--beacons", "int"),
+        ("synth", "--noise-sd", "float"),
+        ("synth", "--seed", "int"),
+    ])
+    @pytest.mark.parametrize("text", ["1_0", "\uff15", "\u0664\u0662"])
+    def test_numbers_a_csv_cell_cannot_hold_exit_2(self, tmp_path, capsys, command, flag, kind, text):
+        # int() and float() read PEP 515 separators and non-ASCII digits, as
+        # they would in a CSV cell; a flag refuses them just as the reader does
+        out = tmp_path / "out"
+        argv = [command, flag, text, "--out", str(out)]
+        if command == "run":
+            argv += ["--input", "x.csv", "--feature-cols", "b1"]
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv)
+        assert exit_info.value.code == 2
+        assert f"argument {flag}: invalid {kind} value: {text!r}" in capsys.readouterr().err
+        assert not out.exists()
+        argv[2] = "10"
+        assert getattr(build_parser().parse_args(argv), flag[2:].replace("-", "_")) == 10
 
 
 class TestFlagOwnership:

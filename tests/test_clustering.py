@@ -1,4 +1,5 @@
 import ast
+import functools
 import re
 from collections import Counter
 from pathlib import Path
@@ -302,6 +303,8 @@ class TestElbowK:
 # -- scalar reference: k-means as it ran before the lockstep kernel ---------
 # One run at a time, a Python loop over clusters per iteration, and one
 # k-means++ draw per (k, restart). The kernel must give the same bits.
+# A centroid is its members' sum in point order over their count; for two
+# or more dimensions that is members.mean(axis=0), bit for bit.
 
 
 def ref_kmeans_pp_init(pts, k, rng):
@@ -336,7 +339,7 @@ def ref_lloyd(pts, centroids, max_iterations=300):
         for c in range(k):
             members = pts[new_assignment == c]
             if len(members):
-                centroids[c] = members.mean(axis=0)
+                centroids[c] = functools.reduce(np.add, members) / len(members)
             else:
                 worst = ((pts - centroids[new_assignment]) ** 2).sum(axis=1).argmax()
                 centroids[c] = pts[worst]
@@ -462,9 +465,10 @@ class TestLockstepKernel:
         assert replay.called
         assert_same_fit(fit, ref_lloyd(pts, starts[0]))
 
-    def test_one_dimension_matches_pairwise_means(self):
-        # members.mean(axis=0) of an (m, 1) array sums pairwise, which the
-        # point-order bincount does not reproduce once m reaches 8 and more
+    def test_one_dimension_sums_in_point_order(self):
+        # one-dimensional runs take the bincount path like any other; their
+        # centroids are point-order means, not members.mean(axis=0), which
+        # sums an (m, 1) array pairwise and differs once m reaches 8
         rng = np.random.default_rng(4)
         pts = rng.normal(size=(300, 1)) * 10.0 ** rng.uniform(-3, 3, size=(300, 1))
         for k in (1, 2, 5):
@@ -572,6 +576,20 @@ class TestFixedCost:
         # longest run; no cluster goes empty, so no run is replayed
         assert len(runs) == 50 and not replay.called
         assert assign.call_count == max(len(ref_lloyd(pts, start)[2]) for start in runs)
+
+    def test_one_feature_sweeps_never_take_the_sequential_step(self):
+        # a one-feature rule base clusters single columns; continuous values
+        # leave no cluster empty, so no run is replayed cluster by cluster
+        corridor = generate_synthetic(n_rooms=10, per_room=30, n_beacons=5, noise_sd=0.5, seed=42)
+        with mock.patch.object(
+            clustering, "_sequential_update", wraps=clustering._sequential_update
+        ) as replay:
+            for room in range(1, 11):
+                for feature in (0, 3):
+                    pts = corridor.features[corridor.labels == room][:, [feature]]
+                    k, fit = elbow_fit(pts, 10, 42)
+                    assert_same_fit(fit, ref_kmeans(pts, k, 42, DEFAULT_RESTARTS))
+        assert not replay.called
 
     @pytest.mark.parametrize("k", [1, 2, 4])
     def test_a_run_iterates_as_often_as_the_reference(self, k):

@@ -33,7 +33,8 @@ class TestParseLabel:
         assert parse_label("C21") == (21, "prefixed")
 
     def test_rejects_everything_else(self):
-        for bad in ["", "label", "8.5", "c", "cc8", "8c"]:
+        # int() reads Arabic-Indic and fullwidth digits; no label holds them
+        for bad in ["", "label", "8.5", "c", "cc8", "8c", "\u0663", "\uff15", "c\u0661\u0662"]:
             with pytest.raises(SchemaError):
                 parse_label(bad)
 
@@ -321,9 +322,10 @@ class TestRejectedRows:
         with pytest.raises(DataError, match=r"12 unusable rows: .*row 11: .*\(and 2 more\)$"):
             read_feature_rows(path, ["f1"])
 
-    @pytest.mark.parametrize("cell", ["1_5", "1_000.5", "1e1_0"])
+    @pytest.mark.parametrize("cell", ["1_5", "1_000.5", "1e1_0", "\u0661\u0662", "\uff15.5"])
     def test_cell_with_digit_separators_is_named(self, tmp_path, cell):
-        # float() reads PEP 515 underscores, as 1_5 = 15.0; no CSV number holds them
+        # float() reads PEP 515 underscores, as 1_5 = 15.0, and non-ASCII
+        # digits, as Arabic-Indic 12 = 12.0; no CSV number holds them
         path = write(tmp_path, f"f1,f2,label\n1,2,1\n3,{cell},2\n")
         with pytest.raises(DataError, match=f"1 unusable rows: row 3: unparseable cell '{cell}'$"):
             load_csv(path, "label", ["f1", "f2"])

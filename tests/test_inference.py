@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from fuzzyloc import inference
 from fuzzyloc.cli import main
-from fuzzyloc.data import Dataset, Normalization
+from fuzzyloc.data import Dataset, Normalization, fit_normalization
 from fuzzyloc.errors import DataError, InvalidInputError
 from fuzzyloc.fuzzy import (
     SimilarityParams,
@@ -286,6 +286,17 @@ class TestPredictBatch:
             DataError, match="^instance 1: truth label 78 is outside the label universe$"
         ):
             predict_batch(rb, two_strays)
+
+    def test_a_normalized_dataset_is_refused(self):
+        # the rule base normalizes raw rows itself; a dataset already
+        # normalized would be normalized twice and scored without complaint
+        rb, cores = self.cores_setup()
+        with pytest.raises(
+            InvalidInputError,
+            match="^prediction takes raw rows: the rule base normalizes them itself, "
+            "so a normalized dataset would be normalized twice$",
+        ):
+            predict_batch(rb, fit_normalization(cores))
 
     def test_feature_name_mismatch_is_rejected(self):
         rb, cores = self.cores_setup()
