@@ -11,6 +11,7 @@ import argparse
 import json
 import sys
 import traceback
+from functools import cache
 
 from .curvature import rank_features
 from .data import (
@@ -32,7 +33,7 @@ from .inference import predict, predict_batch, predict_rows  # noqa: F401
 from .pipeline import (
     ExperimentConfig,
     build_report,
-    prediction_fields,
+    render_predictions,
     render_report,
     run_experiment,
     train_rulebase,
@@ -158,12 +159,7 @@ def cmd_train(args):
 def cmd_predict(args):
     rb = load_rulebase(args.rulebase)
     rows = read_feature_rows(args.input, rb.feature_names)
-    doc = {
-        "rulebase": args.rulebase,
-        "input": args.input,
-        "predictions": [prediction_fields(p) for p in predict_rows(rb, rows)],
-    }
-    _emit(json.dumps(doc, indent=2) + "\n", args.out)
+    _emit(render_predictions(args.rulebase, args.input, predict_rows(rb, rows)), args.out)
     return EXIT_OK
 
 
@@ -265,31 +261,26 @@ def build_parser():
     _add_io_flags(sub)
     _add_cfs_flags(sub)
     sub.add_argument("--out", default=None, help="report path (default: stdout)")
-    sub.set_defaults(func=cmd_rank_features)
 
     sub = commands.add_parser("train", help="build a rule-base file from labeled CSV data")
     _add_io_flags(sub)
     _add_model_flags(sub)
     sub.add_argument("--out", required=True, help="rule-base file to write")
-    sub.set_defaults(func=cmd_train)
 
     sub = commands.add_parser("predict", help="predict labels for unlabeled rows")
     sub.add_argument("--rulebase", required=True, help="rule-base file from `train` or `run`")
     sub.add_argument("--input", required=True, help="CSV with the rule base's feature columns")
     sub.add_argument("--out", default=None, help="predictions path (default: stdout)")
-    sub.set_defaults(func=cmd_predict)
 
     sub = commands.add_parser("evaluate", help="score a rule base against labeled rows")
     sub.add_argument("--rulebase", required=True, help="rule-base file from `train` or `run`")
     _add_io_flags(sub, with_features=False)
     sub.add_argument("--out", default=None, help="report path (default: stdout)")
-    sub.set_defaults(func=cmd_evaluate)
 
     sub = commands.add_parser("run", help="full experiment: train on seen labels, test on unseen")
     _add_io_flags(sub)
     _add_model_flags(sub)
     sub.add_argument("--out", required=True, help="directory for rule base, report and confusion")
-    sub.set_defaults(func=cmd_run)
 
     sub = commands.add_parser("synth", help="generate a synthetic corridor RSSI dataset")
     sub.add_argument("--rooms", type=_INT, default=10, help="rooms along the corridor (default: 10)")
@@ -298,15 +289,23 @@ def build_parser():
     sub.add_argument("--noise-sd", type=_FLOAT, default=0.5, help="noise std dev (default: 0.5)")
     sub.add_argument("--seed", type=_INT, default=42, help="generator seed (default: 42)")
     sub.add_argument("--out", required=True, help="CSV file to write")
-    sub.set_defaults(func=cmd_synth)
 
     return parser
 
 
+@cache
+def _parser():
+    """The parser every call of main parses with, built on the first."""
+    return build_parser()
+
+
 def main(argv=None):
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
+    # looked up per call, not bound into the cached parser, so the command
+    # run is the one the module holds under its cmd_ name at that moment
+    command = globals()["cmd_" + args.command.replace("-", "_")]
     try:
-        return args.func(args)
+        return command(args)
     except (ConfigError, OSError) as exc:
         # readers raise ConfigError for their files, so an OSError is an output's
         print(f"fuzzyloc: config error: {exc}", file=sys.stderr)

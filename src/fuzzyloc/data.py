@@ -5,6 +5,7 @@ import math
 import re
 from contextlib import contextmanager
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -53,16 +54,27 @@ class Normalization:
             return 0.0
         return (value - lo) / (hi - lo)
 
+    @cached_property
+    def _arrays(self):
+        """Read-only (mins, divisors, constant) arrays, built on first use;
+        a divisor is its feature's span, or 1.0 where the feature is
+        constant."""
+        mins = np.array(self.mins)
+        spans = np.array(self.maxs) - mins
+        constant = ~(spans > 0.0)
+        arrays = mins, np.where(constant, 1.0, spans), constant
+        for array in arrays:
+            array.flags.writeable = False
+        return arrays
+
     def apply_matrix(self, features):
         """Normalize an array whose last axis holds the features, unclamped.
 
         Elementwise the same arithmetic as apply_value, so the bits agree.
         """
-        mins = np.asarray(self.mins, dtype=float)
-        spans = np.asarray(self.maxs, dtype=float) - mins
-        nonconstant = spans > 0.0
-        out = (np.asarray(features, dtype=float) - mins) / np.where(nonconstant, spans, 1.0)
-        return np.where(nonconstant, out, 0.0)
+        mins, divisors, constant = self._arrays
+        out = (np.asarray(features, dtype=float) - mins) / divisors
+        return np.where(constant, 0.0, out)
 
 
 @dataclass(frozen=True, eq=False)
@@ -243,9 +255,10 @@ def _read_table(path, feature_columns, label_column=None):
     named, of an RFC-4180 CSV file with a header row.
 
     Returns (features as an (n, f) array, labels as a list or None).
-    Labels must all use one format (plain integers or c<N>). Rows with too
-    few cells or an unparseable or non-finite feature cell are rejected
-    together, each named by its line (header = line 1) and cell.
+    Labels must all use one format (plain integers or c<N>). Rows with
+    fewer or more cells than the header, or an unparseable or non-finite
+    feature cell, are rejected together, each named by its line (header =
+    line 1) and cell.
     """
     with _open_csv(path) as (header, records):
         wanted = list(feature_columns) + ([] if label_column is None else [label_column])
@@ -260,8 +273,11 @@ def _read_table(path, feature_columns, label_column=None):
         for row_number, row in records:
             if not row:
                 continue
-            if len(row) < len(header):
-                bad_rows.append((row_number, "too few cells"))
+            if len(row) != len(header):
+                # a longer row is refused too: a decimal comma splits a cell
+                # and moves every later cell one column over
+                few = len(row) < len(header)
+                bad_rows.append((row_number, "too few cells" if few else "too many cells"))
                 continue
             cells = [row[pos] for pos in feat_pos]
             try:

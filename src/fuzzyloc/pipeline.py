@@ -11,6 +11,7 @@ byte-identical files.
 import json
 import os
 from dataclasses import dataclass
+from operator import attrgetter
 from typing import NamedTuple, Optional
 
 import numpy as np
@@ -225,14 +226,36 @@ def build_report(rb, evaluation, config_echo=None, n_train=None):
     }
 
 
+# A listed prediction's fields in order, each with the %-conversion that
+# writes its value as json.dumps does: repr for a finite float, %d for the
+# label, and %s for the flag, which comes last, given as JSON's true or false.
+_PREDICTION_FIELDS = {"gamma": "%r", "label": "%d", "total_firing": "%r", "fallback_used": "%s"}
+_field_values = attrgetter(*_PREDICTION_FIELDS)
+_PREDICTION_ROW = "    {\n%s\n    }" % ",\n".join(
+    f'      "{name}": {conversion}' for name, conversion in _PREDICTION_FIELDS.items()
+)
+
+
 def prediction_fields(prediction):
     """One prediction as report.json and `fuzzyloc predict` list it."""
-    return {
-        "gamma": prediction.gamma,
-        "label": prediction.label,
-        "total_firing": prediction.total_firing,
-        "fallback_used": prediction.fallback_used,
-    }
+    return dict(zip(_PREDICTION_FIELDS, _field_values(prediction)))
+
+
+def render_predictions(rulebase_path, input_path, predictions):
+    """The `fuzzyloc predict` document, byte for byte json.dumps(doc,
+    indent=2) + "\n" of {"rulebase": ..., "input": ..., "predictions":
+    [prediction_fields(p), ...]} for predictions with finite floats, as
+    every Prediction's are; the stdlib's encoder is pure Python once it
+    indents, so each prediction is written by one %-template."""
+    rows = ",\n".join([
+        _PREDICTION_ROW % (*values, ("false", "true")[flag])
+        for *values, flag in map(_field_values, predictions)
+    ])
+    listed = f"[\n{rows}\n  ]" if rows else "[]"
+    return (
+        f'{{\n  "rulebase": {json.dumps(rulebase_path)},\n  "input": {json.dumps(input_path)},\n'
+        f'  "predictions": {listed}\n}}\n'
+    )
 
 
 def format_confusion(evaluation):

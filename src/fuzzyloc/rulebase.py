@@ -304,9 +304,12 @@ def serialize_rulebase(rb):
     """Render a rule base as a JSON document (UTF-8 text, trailing newline).
 
     Numbers round-trip exactly: floats are written in their shortest
-    form that parses back to the same binary64 value.
+    form that parses back to the same binary64 value. The text is byte
+    for byte json.dumps(doc, indent=2) + "\n"; the stdlib's encoder is
+    pure Python once it indents, so only the fields before "rules" go
+    through it, and each rule is written by one %-template.
     """
-    doc = {
+    head = {
         "format_version": FORMAT_VERSION,
         "similarity_params": {"h": rb.params.h, "omega": rb.params.omega},
         "normalization": [
@@ -317,14 +320,22 @@ def serialize_rulebase(rb):
         "consequent_strategy": rb.consequent_strategy,
         "label_universe": list(rb.label_universe),
         "seed": rb.seed,
-        "rules": [
-            {"antecedents": triples, "consequent": consequent, "support_count": support}
-            for triples, consequent, support in zip(
-                rb.antecedents.tolist(), rb.consequents.tolist(), rb.supports.tolist()
-            )
-        ],
     }
-    return json.dumps(doc, indent=2) + "\n"
+    triple = "        [\n" + ",\n".join(["          %r"] * 3) + "\n        ]"
+    rule = (
+        '    {\n      "antecedents": [\n' + ",\n".join([triple] * len(rb.selected_features))
+        + '\n      ],\n      "consequent": %r,\n      "support_count": %d\n    }'
+    )
+    rules = ",\n".join(
+        rule % (*vertices, consequent, support)
+        for vertices, consequent, support in zip(
+            rb.antecedents.reshape(rb.n_rules, -1).tolist(),
+            rb.consequents.tolist(),
+            rb.supports.tolist(),
+        )
+    )
+    # a rule base holds at least one rule, so "rules" is never []
+    return json.dumps(head, indent=2)[:-2] + f',\n  "rules": [\n{rules}\n  ]\n}}\n'
 
 
 def _field(doc, key, context, kind=None):

@@ -1,6 +1,8 @@
-"""tools/artifacts.py writes every benchmark workload's artifacts, and two
-runs of the same checkout write byte-identical trees."""
+"""tools/artifacts.py writes every benchmark workload's artifacts, two
+runs of the same checkout write byte-identical trees, and every predictions
+and rule-base document in them is json.dumps(doc, indent=2) + "\\n"."""
 
+import json
 import subprocess
 import sys
 from pathlib import Path
@@ -34,6 +36,12 @@ def test_two_runs_write_identical_trees(tmp_path):
     assert names == {"rulebase.json", "report.json", "confusion.txt", "predictions.json"}
     # building-global keeps each of its four input variants
     assert {p.parts[2] for p in first if p.parts[0] == "building-global"} == {"v0", "v1", "v2", "v3"}
+    # the template-written documents are the stdlib's form of what they hold
+    written = [p for p in first if p.name in ("predictions.json", "rulebase.json")]
+    assert len(written) == 2 * len({p.parent for p in first})
+    for path in written:
+        text = first[path].decode("utf-8")
+        assert text == json.dumps(json.loads(text), indent=2) + "\n", path
 
 
 def test_a_non_empty_outdir_is_a_usage_error(tmp_path):

@@ -1,16 +1,19 @@
+import dataclasses
 import json
+import shutil
 from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from fuzzyloc import cli
 from fuzzyloc.cli import _parse_labels, build_parser, main, parse_label_universe
 from fuzzyloc.data import Dataset, parse_label
 from fuzzyloc.errors import ConfigError, DataError
 from fuzzyloc.fuzzy import SimilarityParams
-from fuzzyloc.pipeline import ExperimentConfig
-from fuzzyloc.rulebase import load_rulebase
+from fuzzyloc.pipeline import ExperimentConfig, train_rulebase
+from fuzzyloc.rulebase import load_rulebase, save_rulebase
 from fuzzyloc.synth import generate_synthetic, write_csv
 
 CORRIDOR_COLS = "b1,b2,b3,b4,b5"
@@ -306,6 +309,61 @@ class TestTrainPredictEvaluate:
         bad = tmp_path / "bad.json"
         bad.write_text("{", encoding="utf-8")
         assert run_cli("predict", "--rulebase", str(bad), "--input", corridor_csv) == 3
+
+
+class TestParserReuse:
+    """main builds its parser once per process, and every call through the
+    reused parser gives what a freshly built one gives."""
+
+    @staticmethod
+    def outcome(argv, out_dir, capsys):
+        """(exit code, stdout, stderr, {name: bytes} of out_dir) after one main call."""
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse exits on a flag error
+            code = exc.code
+        out, err = capsys.readouterr()
+        return code, out, err, {p.name: p.read_bytes() for p in sorted(out_dir.iterdir())}
+
+    def test_a_reused_parser_gives_what_a_fresh_one_gives(
+        self, tmp_path, corridor_csv, corridor_config, capsys, monkeypatch
+    ):
+        first, second = tmp_path / "first.json", tmp_path / "second.json"
+        save_rulebase(train_rulebase(corridor_config).rule_base, first)
+        config = dataclasses.replace(corridor_config, unseen_labels=(3,), seed=7)
+        save_rulebase(train_rulebase(config).rule_base, second)
+        out_dir = tmp_path / "out"
+        other = out_dir / "other.csv"
+        calls = [
+            ["predict", "--rulebase", str(first), "--input", corridor_csv,
+             "--out", str(out_dir / "predictions.json")],
+            ["synth", "--rooms", "four", "--out", str(other)],
+            ["synth", "--rooms", "4", "--per-room", "6", "--seed", "3", "--out", str(other)],
+            ["predict", "--rulebase", str(second), "--input", str(other)],
+        ]
+        built = []
+        monkeypatch.setattr(cli, "build_parser", lambda real=build_parser: built.append(1) or real())
+
+        def run_all(fresh):
+            shutil.rmtree(out_dir, ignore_errors=True)
+            out_dir.mkdir()
+            cli._parser.cache_clear()
+            outcomes = []
+            for argv in calls:
+                if fresh:
+                    cli._parser.cache_clear()
+                outcomes.append(self.outcome(argv, out_dir, capsys))
+            return outcomes
+
+        fresh = run_all(fresh=True)
+        assert len(built) == len(calls)
+        reused = run_all(fresh=False)
+        assert len(built) == len(calls) + 1
+        cli._parser.cache_clear()
+        assert reused == fresh
+        assert [code for code, *_ in reused] == [0, 2, 0, 0]
+        assert "argument --rooms: invalid int value: 'four'" in reused[1][2]
+        assert json.loads(reused[3][1])["input"] == str(other)
 
 
 class TestRunCommand:

@@ -289,26 +289,28 @@ class TestLoadCsv:
 
 
 class TestRejectedRows:
-    """Both readers name every rejected row by number and cell."""
+    """Both readers name every rejected row by number and cell. Row 9 holds
+    decimal commas: -51,5 and -61,2 would read as f1 -51, f2 5 and label -61."""
 
-    TEXT = "f1,f2,label\n1,2,3\n1,oops,3\n , 2,3\nnan,2,3\n1,1e999,3\n1,2\n5,6,7\n"
+    TEXT = "f1,f2,label\n1,2,3\n1,oops,3\n , 2,3\nnan,2,3\n1,1e999,3\n1,2\n5,6,7\n-51,5,-61,2\n"
     REASONS = [
         "row 3: unparseable cell 'oops'",
         "row 4: unparseable cell ''",
         "row 5: non-finite cell 'nan'",
         "row 6: non-finite cell '1e999'",
         "row 7: too few cells",
+        "row 9: too many cells",
     ]
 
     def test_load_csv(self, tmp_path):
         with pytest.raises(DataError) as err:
             load_csv(write(tmp_path, self.TEXT), "label", ["f1", "f2"])
-        assert str(err.value).endswith("5 unusable rows: " + "; ".join(self.REASONS))
+        assert str(err.value).endswith("6 unusable rows: " + "; ".join(self.REASONS))
 
     def test_read_feature_rows(self, tmp_path):
         with pytest.raises(DataError) as err:
             read_feature_rows(write(tmp_path, self.TEXT), ["f1", "f2"])
-        assert str(err.value).endswith("5 unusable rows: " + "; ".join(self.REASONS))
+        assert str(err.value).endswith("6 unusable rows: " + "; ".join(self.REASONS))
 
     def test_first_failing_cell_in_requested_order_is_named(self, tmp_path):
         path = write(tmp_path, "f1,f2,label\nnan,x,1\n")

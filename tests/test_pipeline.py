@@ -4,13 +4,16 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from fuzzyloc.data import Dataset
 from fuzzyloc.errors import ConfigError, InvalidInputError, SchemaError
+from fuzzyloc.inference import Prediction
 from fuzzyloc.pipeline import (
     ExperimentConfig,
     build_report,
     format_confusion,
+    render_predictions,
     render_report,
     run_experiment,
     split_scenario,
@@ -286,3 +289,38 @@ class TestConfusionText:
         row5 = lines[5].split()
         assert row5[0] == "5"
         assert sum(int(v) for v in row5[1:]) == 30
+
+
+FLOATS = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([-0.0, 0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e308, -1e308]),
+)
+LABELS = st.one_of(st.integers(-(2**63), 2**63 - 1), st.sampled_from([-(2**63), 2**63 - 1]))
+PATHS = st.one_of(
+    st.text(),
+    st.text(st.sampled_from(['"', "\\", "\x00", "\x1f", "\n", "\t", "\x7f", "\u00e9", "\u2603",
+                             "\U0001f600", "a", "/"])),
+)
+
+
+class TestRenderPredictions:
+    """The predictions document is json.dumps(doc, indent=2) + "\\n", byte for byte."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        predictions=st.lists(st.builds(Prediction, FLOATS, LABELS, FLOATS, st.booleans()), max_size=5),
+        rulebase_path=PATHS,
+        input_path=PATHS,
+    )
+    def test_equals_the_stdlib_encoding(self, predictions, rulebase_path, input_path):
+        doc = {
+            "rulebase": rulebase_path,
+            "input": input_path,
+            "predictions": [
+                {"gamma": p.gamma, "label": p.label, "total_firing": p.total_firing,
+                 "fallback_used": p.fallback_used}
+                for p in predictions
+            ],
+        }
+        text = render_predictions(rulebase_path, input_path, predictions)
+        assert text == json.dumps(doc, indent=2) + "\n"

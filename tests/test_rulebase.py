@@ -692,6 +692,33 @@ class TestSerialization:
         assert again == rb
         assert serialize_rulebase(again) == text
 
+    @settings(max_examples=200, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), names=st.lists(st.text(), min_size=4, max_size=4, unique=True))
+    def test_the_text_is_the_stdlib_encoding(self, seed, names):
+        rb = random_rulebase(np.random.default_rng(seed))
+        rb = dataclasses.replace(rb, feature_names=tuple(names[:len(rb.feature_names)]))
+        doc = {
+            "format_version": 1,
+            "similarity_params": {"h": rb.params.h, "omega": rb.params.omega},
+            "normalization": [
+                {"name": name, "min": lo, "max": hi}
+                for name, lo, hi in zip(rb.feature_names, rb.normalization.mins, rb.normalization.maxs)
+            ],
+            "selected_features": list(rb.selected_features),
+            "consequent_strategy": rb.consequent_strategy,
+            "label_universe": list(rb.label_universe),
+            "seed": rb.seed,
+            "rules": [
+                {
+                    "antecedents": [[a.a1, a.a2, a.a3] for a in rule.antecedents],
+                    "consequent": rule.consequent,
+                    "support_count": rule.support_count,
+                }
+                for rule in rb.rules
+            ],
+        }
+        assert serialize_rulebase(rb) == json.dumps(doc, indent=2) + "\n"
+
     def test_file_round_trip(self, tmp_path, corridor_rulebase):
         path = tmp_path / "rb.json"
         save_rulebase(corridor_rulebase, path)
