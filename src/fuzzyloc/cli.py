@@ -253,36 +253,42 @@ def _add_model_flags(sub):
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="fuzzyloc",
+        allow_abbrev=False,
         description="Sparse fuzzy-rule prediction of unseen integer labels from RSSI-style tables.",
     )
     commands = parser.add_subparsers(dest="command", required=True)
 
-    sub = commands.add_parser("rank-features", help="score and rank feature columns by curvature")
+    def command(name, help):
+        # a subparser does not inherit allow_abbrev; an abbreviated flag such
+        # as --h (read as --help) would otherwise run as the flag it abbreviates
+        return commands.add_parser(name, help=help, allow_abbrev=False)
+
+    sub = command("rank-features", "score and rank feature columns by curvature")
     _add_io_flags(sub)
     _add_cfs_flags(sub)
     sub.add_argument("--out", default=None, help="report path (default: stdout)")
 
-    sub = commands.add_parser("train", help="build a rule-base file from labeled CSV data")
+    sub = command("train", "build a rule-base file from labeled CSV data")
     _add_io_flags(sub)
     _add_model_flags(sub)
     sub.add_argument("--out", required=True, help="rule-base file to write")
 
-    sub = commands.add_parser("predict", help="predict labels for unlabeled rows")
+    sub = command("predict", "predict labels for unlabeled rows")
     sub.add_argument("--rulebase", required=True, help="rule-base file from `train` or `run`")
     sub.add_argument("--input", required=True, help="CSV with the rule base's feature columns")
     sub.add_argument("--out", default=None, help="predictions path (default: stdout)")
 
-    sub = commands.add_parser("evaluate", help="score a rule base against labeled rows")
+    sub = command("evaluate", "score a rule base against labeled rows")
     sub.add_argument("--rulebase", required=True, help="rule-base file from `train` or `run`")
     _add_io_flags(sub, with_features=False)
     sub.add_argument("--out", default=None, help="report path (default: stdout)")
 
-    sub = commands.add_parser("run", help="full experiment: train on seen labels, test on unseen")
+    sub = command("run", "full experiment: train on seen labels, test on unseen")
     _add_io_flags(sub)
     _add_model_flags(sub)
     sub.add_argument("--out", required=True, help="directory for rule base, report and confusion")
 
-    sub = commands.add_parser("synth", help="generate a synthetic corridor RSSI dataset")
+    sub = command("synth", "generate a synthetic corridor RSSI dataset")
     sub.add_argument("--rooms", type=_INT, default=10, help="rooms along the corridor (default: 10)")
     sub.add_argument("--per-room", type=_INT, default=30, help="instances per room (default: 30)")
     sub.add_argument("--beacons", type=_INT, default=5, help="beacon count (default: 5)")

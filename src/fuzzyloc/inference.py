@@ -20,9 +20,9 @@ import numpy as np
 
 from .data import Dataset
 from .errors import DataError, InvalidInputError
-from .fuzzy import vertex_means
+from .fuzzy import TriangularFuzzySet, vertex_means
 
-# row x rule x dimension elements per kernel block: 128 KiB per float64 temporary
+# row x rule x dimension elements per kernel block: 128 KiB per float64 gap plane
 _BLOCK_ELEMENTS = 16384
 
 
@@ -75,34 +75,69 @@ def _firing_matrix(rb, obs):
     lo == mid == hi; the result has shape (N, R). Each element repeats
     fuzzy.similarity and the min of fuzzy.firing_degree operation for
     operation, so only np.exp against math.exp can move the last bit.
-    Rows go through in blocks of at most _BLOCK_ELEMENTS elements (one row
-    at least), which bounds every temporary at 128 KiB.
+
+    The work follows the layout of rb.planes, the longer of the rule and
+    dimension axes innermost. Rows go through in blocks of at most
+    _BLOCK_ELEMENTS row-rule-dimension elements (one row at least), whose
+    four gap planes (three vertices and the vertex mean) fill one buffer of
+    at most 4 x 128 KiB that every block reuses. With the rules innermost,
+    the min over dimensions is elementwise across (rows, R) slices.
     """
-    ants, reps = rb.antecedents, rb.representatives
-    h, omega = rb.params.h, rb.params.omega
-    obs_reps = vertex_means(obs)
-    out = np.empty((len(obs), len(reps)))
-    step = max(1, _BLOCK_ELEMENTS // reps.size)
+    planes, h, omega = rb.planes, rb.params.h, rb.params.omega
+    rules_last = planes.shape[2] == rb.n_rules
+    # (4, N, D): the three vertices and the vertex mean of every observation
+    stacked = np.concatenate([obs, vertex_means(obs)[..., None]], axis=2).transpose(2, 0, 1)
+    stacked = np.ascontiguousarray(stacked)
+    stacked = stacked[..., None] if rules_last else stacked[:, :, None]
+    out = np.empty((len(obs), rb.n_rules))
+    step = max(1, _BLOCK_ELEMENTS // planes[0].size)
+    gaps = np.empty((4, min(step, len(obs))) + planes.shape[1:])
     for lo in range(0, len(obs), step):
-        block = obs[lo:lo + step, None]
+        block = gaps[:, :len(out) - lo]
+        # spreading the rows over the buffer first, then subtracting a plane
+        # that repeats per row, runs long inner loops where one broadcast
+        # subtraction would run one per row and dimension
+        np.copyto(block, stacked[:, lo:lo + step])
+        np.subtract(block, planes[:, None], out=block)
+        np.abs(block, out=block)
+        shape, factor = block[0], block[3]
         # shape term 1 - (|gap1| + |gap2| + |gap3|) / 3, floored into [0, 1]
-        shape = np.abs(block[..., 0] - ants[..., 0])
-        shape += np.abs(block[..., 1] - ants[..., 1])
-        shape += np.abs(block[..., 2] - ants[..., 2])
+        shape += block[1]
+        shape += block[2]
         shape /= 3.0
         np.subtract(1.0, shape, out=shape)
         np.maximum(shape, 0.0, out=shape)
         # distance factor 1 / (1 + exp(h*d - omega)) in [0, 1]; an overflowing exp
         # gives 0. The product of the two stays in [0, 1] and needs no clip to 1
-        factor = np.abs(obs_reps[lo:lo + step, None] - reps)
         factor *= h
         factor -= omega
         np.exp(factor, out=factor)
         factor += 1.0
         np.divide(1.0, factor, out=factor)
         shape *= factor
-        shape.min(axis=2, out=out[lo:lo + step])
+        shape.min(axis=1 if rules_last else 2, out=out[lo:lo + step])
     return out
+
+
+def _float_array(values, what):
+    """values as a float64 array; a value numpy cannot read as a float is
+    refused, naming its index and its type."""
+    try:
+        return np.asarray(values, dtype=float)
+    except (TypeError, ValueError, OverflowError):
+        pass
+    # a ragged nesting reads as an array of sequences, refused by float() too
+    cells = np.array(values, dtype=object)
+    for index in np.ndindex(cells.shape):
+        at = "".join(f"[{i}]" for i in index)
+        try:
+            float(cells[index])
+        except OverflowError:  # an int beyond the float range
+            raise InvalidInputError(f"{what}{at} is beyond the float range") from None
+        except (TypeError, ValueError):
+            kind = type(cells[index]).__name__
+            raise InvalidInputError(f"{what}{at} is not a number (type {kind})") from None
+    raise InvalidInputError(f"{what} cannot be read as an array of floats")
 
 
 def _normalized(rb, raw, what, row_prefix=""):
@@ -164,13 +199,19 @@ def _predictions(rb, obs):
 
 def predict_fuzzy(rb, observation_sets):
     """Predict from one triangular fuzzy set per original feature (raw units)."""
-    raw = np.array([[(s.a1, s.a2, s.a3) for s in observation_sets]], dtype=float)
+    sets = list(observation_sets)
+    for i, s in enumerate(sets):
+        if not isinstance(s, TriangularFuzzySet):
+            raise InvalidInputError(
+                f"observation_sets[{i}] is not a TriangularFuzzySet (type {type(s).__name__})"
+            )
+    raw = np.array([[(s.a1, s.a2, s.a3) for s in sets]], dtype=float)
     return next(_predictions(rb, _normalized(rb, raw, "observation")))
 
 
 def predict(rb, raw_features):
     """Predict from one crisp feature vector in raw (pre-normalization) units."""
-    values = np.asarray(raw_features, dtype=float)
+    values = _float_array(raw_features, "observation")
     if values.ndim != 1:
         raise InvalidInputError(f"observation must be a flat vector, got shape {values.shape}")
     return next(_predictions(rb, _normalized(rb, values[None], "observation")))
@@ -182,7 +223,7 @@ def predict_rows(rb, rows):
     Returns an iterator of Predictions in row order; the firing matrix is
     computed on the first step, the Predictions one at a time after that.
     """
-    rows = np.asarray(rows, dtype=float)
+    rows = _float_array(rows, "rows")
     if rows.ndim != 2:
         raise InvalidInputError(f"rows must form a 2-D matrix, got shape {rows.shape}")
     return _predictions(rb, _normalized(rb, rows, "each row", "row {}: "))

@@ -212,6 +212,19 @@ class RuleBase:
         return len(self.consequents)
 
     @cached_property
+    def planes(self):
+        """a1, a2, a3 and the vertex mean of every antecedent as one read-only
+        (4, D, R) array, built on first use for the firing kernel; when D > R
+        the last two axes swap to (4, R, D), so the longer one is innermost.
+        It is derived from the arrays: never serialized, no part of equality."""
+        planes = np.concatenate([self.antecedents, self.representatives[..., None]], axis=2).T
+        if planes.shape[1] > planes.shape[2]:
+            planes = planes.swapaxes(1, 2)
+        planes = np.ascontiguousarray(planes)
+        planes.flags.writeable = False
+        return planes
+
+    @cached_property
     def rules(self):
         """The rules as a tuple of Rule, read from the arrays on first use."""
         antecedents = [tuple(starmap(TriangularFuzzySet, t)) for t in self.antecedents.tolist()]

@@ -567,3 +567,60 @@ class TestRankFeaturesCommand:
         assert code == 0
         doc = json.loads(capsys.readouterr().out)
         assert all(f["selected"] for f in doc["features"])
+
+
+def _full_flag_argv(sub):
+    """argv that gives every optional flag of a subparser in full, with a
+    value its type reads."""
+    argv = []
+    for action in sub._actions:
+        flags = [f for f in action.option_strings if f.startswith("--") and f != "--help"]
+        if not flags:
+            continue
+        argv.append(flags[0])
+        if action.nargs != 0:
+            argv.append(action.choices[0] if action.choices else "1")
+    return argv
+
+
+class TestAbbreviatedFlags:
+    """A prefix of a flag is refused, not taken for the flag it abbreviates."""
+
+    def test_an_abbreviated_help_exits_2_and_writes_nothing(self, workdir, capsys):
+        tmp, csv = workdir
+        rb_path, out = tmp / "rb.json", tmp / "p.json"
+        train = ["train", "--input", csv, "--label-col", "room", "--feature-cols", CORRIDOR_COLS]
+        assert run_cli(*train, "--out", str(rb_path)) == 0
+        capsys.readouterr()
+        with pytest.raises(SystemExit) as exit_info:
+            run_cli("predict", "--rulebase", str(rb_path), "--input", csv, "--out", str(out), "--h")
+        assert exit_info.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "unrecognized arguments: --h" in captured.err
+        assert not out.exists()
+
+    def test_an_abbreviated_option_exits_2(self, workdir, capsys):
+        tmp, csv = workdir
+        out = tmp / "rb.json"
+        with pytest.raises(SystemExit) as exit_info:
+            run_cli("train", "--input", csv, "--label-col", "room", "--feature-cols", CORRIDOR_COLS,
+                    "--out", str(out), "--unsee", "5")
+        assert exit_info.value.code == 2
+        assert "unrecognized arguments: --unsee 5" in capsys.readouterr().err
+        assert not out.exists()
+        with pytest.raises(SystemExit) as exit_info:
+            run_cli("synth", "--room", "4", "--out", str(tmp / "s.csv"))
+        assert exit_info.value.code == 2
+
+    def test_every_full_flag_still_parses(self):
+        parser = build_parser()
+        (commands,) = [a for a in parser._actions if a.dest == "command"]
+        assert sorted(commands.choices) == [
+            "evaluate", "predict", "rank-features", "run", "synth", "train"
+        ]
+        for name, sub in commands.choices.items():
+            argv = _full_flag_argv(sub)
+            args = parser.parse_args([name] + argv)
+            given = {a.dest for a in sub._actions if set(a.option_strings) & set(argv)}
+            assert given == set(vars(args)) - {"command"}, name

@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -547,3 +548,123 @@ class TestOnePredictionPath:
             predict_rows(corridor_rulebase, [[0.0, 1.0]])
         with pytest.raises(InvalidInputError, match="row 1"):
             predict_rows(corridor_rulebase, [[-50.0] * 5, [-50.0, math.nan, 0.0, 0.0, 0.0]])
+
+
+class TestTypedRefusals:
+    """A value the library entry points cannot read is an InvalidInputError
+    naming its position and type, not a bare ValueError or AttributeError."""
+
+    @pytest.fixture()
+    def rb(self):
+        return random_rulebase(np.random.default_rng(3))
+
+    def test_text_in_an_observation(self, rb):
+        width = len(rb.feature_names)
+        with pytest.raises(InvalidInputError, match=r"^observation\[0\] is not a number \(type str\)$"):
+            predict(rb, ["x", "y", "z", "w"][:width])
+        with pytest.raises(InvalidInputError, match=r"^observation\[1\] is not a number \(type list\)$"):
+            predict(rb, [1.0, [2.0, 3.0]])
+        with pytest.raises(InvalidInputError, match=r"^observation\[0\] is beyond the float range$"):
+            predict(rb, [10**400] * width)
+
+    def test_text_in_a_row(self, rb):
+        rows = [[0.0] * len(rb.feature_names), [0.0] * len(rb.feature_names)]
+        rows[1][-1] = "-61,2"
+        at = rf"rows\[1\]\[{len(rows[1]) - 1}\]"
+        with pytest.raises(InvalidInputError, match=rf"^{at} is not a number \(type str\)$"):
+            predict_rows(rb, rows)
+
+    def test_a_set_that_is_not_a_triangle(self, rb):
+        sets = [singleton(0.0), singleton(0.0), 5]
+        with pytest.raises(
+            InvalidInputError, match=r"^observation_sets\[2\] is not a TriangularFuzzySet \(type int\)$"
+        ):
+            predict_fuzzy(rb, sets)
+
+    def test_numeric_text_still_reads_as_before(self, rb):
+        row = [0.5] * len(rb.feature_names)
+        assert predict(rb, [str(v) for v in row]) == predict(rb, row)
+
+
+@np.errstate(over="ignore")
+def row_major_firings(rb, obs):
+    """The (rows, R, D) firing expression the rule-major kernel replaced,
+    over every row at once: the bits _firing_matrix must keep."""
+    ants, reps = rb.antecedents, rb.representatives
+    block = obs[:, None]
+    shape = np.abs(block[..., 0] - ants[..., 0])
+    shape += np.abs(block[..., 1] - ants[..., 1])
+    shape += np.abs(block[..., 2] - ants[..., 2])
+    shape /= 3.0
+    np.subtract(1.0, shape, out=shape)
+    np.maximum(shape, 0.0, out=shape)
+    factor = np.abs((obs[..., 0] + obs[..., 1] + obs[..., 2])[:, None] / 3.0 - reps)
+    factor *= rb.params.h
+    factor -= rb.params.omega
+    np.exp(factor, out=factor)
+    factor += 1.0
+    np.divide(1.0, factor, out=factor)
+    shape *= factor
+    return shape.min(axis=2)
+
+
+@st.composite
+def kernel_cases(draw):
+    """A rule base whose rules outnumber, undercut or match its dimensions,
+    and normalized rows that are crisp, triangular, far from every rule or
+    placed where exp overflows."""
+    dims = draw(st.integers(1, 6))
+    n_rules = {
+        "more rules": draw(st.integers(dims + 1, dims + 8)),
+        "more dims": draw(st.integers(1, max(1, dims - 1))),
+        "square": dims,
+    }[draw(st.sampled_from(["more rules", "more dims", "square"]))]
+    unit = st.floats(-0.5, 1.5)
+    antecedents = [
+        [sorted(draw(st.tuples(unit, unit, unit))) for _ in range(dims)] for _ in range(n_rules)
+    ]
+    h = draw(st.one_of(st.floats(0.1, 50.0), st.floats(800.0, 5000.0)))
+    omega = draw(st.floats(-10.0, 50.0))
+    rb = RuleBase(
+        antecedents=antecedents,
+        consequents=[1.0] * n_rules,
+        supports=[1] * n_rules,
+        params=SimilarityParams(h=h, omega=omega),
+        feature_names=tuple(f"f{i}" for i in range(dims)),
+        normalization=Normalization(mins=(0.0,) * dims, maxs=(1.0,) * dims),
+        selected_features=tuple(range(dims)),
+        label_universe=(1,),
+        consequent_strategy=PER_CLASS,
+        seed=0,
+    )
+    far = st.one_of(st.floats(-1e4, -50.0), st.floats(50.0, 1e4))
+    rows = []
+    for kind in draw(st.lists(st.sampled_from(["crisp", "triangle", "far", "overflow"]), max_size=12)):
+        values = far if kind == "far" else unit
+        row = [sorted(draw(st.tuples(values, values, values))) for _ in range(dims)]
+        if kind in ("crisp", "far"):
+            row = [[v[1]] * 3 for v in row]
+        if kind == "overflow":
+            # h*d - omega beyond exp's range for one rule in dimension 0
+            d = (draw(st.floats(711.0, 744.0)) + omega) / h
+            row[0] = [rb.representatives[draw(st.integers(0, n_rules - 1)), 0] + d] * 3
+        rows.append(row)
+    return rb, np.array(rows, dtype=float).reshape(len(rows), dims, 3)
+
+
+class TestRuleMajorKernelBits:
+    @settings(max_examples=300, deadline=None)
+    @given(case=kernel_cases())
+    def test_firings_equal_the_row_major_expression_bit_for_bit(self, case):
+        rb, obs = case
+        want = row_major_firings(rb, obs).view(np.int64)
+        for block_elements in (1, 105, 10**7):
+            with mock.patch.object(inference, "_BLOCK_ELEMENTS", block_elements):
+                got = inference._firing_matrix(rb, obs)
+            assert got.shape == (len(obs), rb.n_rules)
+            assert np.array_equal(got.view(np.int64), want), block_elements
+
+    def test_an_empty_batch_gives_no_rows(self, corridor_rulebase):
+        rb = corridor_rulebase
+        got = inference._firing_matrix(rb, np.empty((0, len(rb.selected_features), 3)))
+        assert got.shape == (0, rb.n_rules)

@@ -642,6 +642,59 @@ class TestRuleArrays:
         assert swapped.antecedents[0, 0].tolist() == [0.5, 0.75, 1.0]
 
 
+class TestPlanes:
+    """The firing kernel's planes are derived from the arrays: built once,
+    read-only, and no part of a rule base's identity."""
+
+    def test_planes_hold_the_vertices_and_vertex_means_longer_axis_last(self):
+        rng = np.random.default_rng(11)
+        for _ in range(30):
+            rb = random_rulebase(rng)
+            n_rules, dims = rb.n_rules, len(rb.selected_features)
+            want = np.concatenate([rb.antecedents, rb.representatives[..., None]], axis=2)
+            if dims > n_rules:
+                assert rb.planes.shape == (4, n_rules, dims)
+                assert np.array_equal(rb.planes, want.transpose(2, 0, 1))
+            else:
+                assert rb.planes.shape == (4, dims, n_rules)
+                assert np.array_equal(rb.planes, want.transpose(2, 1, 0))
+            assert rb.planes.flags.c_contiguous
+
+    def test_planes_are_read_only_and_built_once(self):
+        rb = small_rulebase()
+        assert "planes" not in vars(rb)
+        planes = rb.planes
+        assert rb.planes is planes
+        with pytest.raises(ValueError):
+            planes[0, 0, 0] = 9.0
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            rb.planes = planes
+        assert "planes" not in [f.name for f in dataclasses.fields(rb)]
+
+    def test_a_round_trip_has_equal_planes(self, corridor_rulebase):
+        loaded = deserialize_rulebase(serialize_rulebase(corridor_rulebase))
+        assert np.array_equal(loaded.planes, corridor_rulebase.planes)
+
+    def test_equality_and_bytes_do_not_depend_on_built_planes(self):
+        for seed in range(10):
+            built = random_rulebase(np.random.default_rng(seed))
+            fresh = random_rulebase(np.random.default_rng(seed))
+            built.planes
+            assert "planes" in vars(built) and "planes" not in vars(fresh)
+            assert built == fresh and fresh == built
+            assert serialize_rulebase(built) == serialize_rulebase(fresh)
+            assert "planes" not in vars(fresh)
+
+    def test_rules_built_rule_bases_get_planes(self):
+        # small_rulebase is built from rules=, as perfbench/micro.py builds its own
+        rb = small_rulebase()
+        from_arrays = RuleBase(**{
+            f.name: getattr(rb, f.name) for f in dataclasses.fields(rb)
+        })
+        assert np.array_equal(rb.planes, from_arrays.planes)
+        assert rb.planes.tolist() == [[[0.0, 0.5]], [[0.25, 0.75]], [[0.5, 1.0]], [[0.25, 0.75]]]
+
+
 class TestSerialization:
     def test_document_shape(self):
         doc = json.loads(serialize_rulebase(small_rulebase()))
