@@ -32,6 +32,7 @@ from .fuzzy import (
 from .inference import (
     BatchEvaluation,
     Prediction,
+    Predictions,
     discretize,
     predict,
     predict_batch,
@@ -64,6 +65,7 @@ __all__ = [
     "InvalidInputError",
     "Normalization",
     "Prediction",
+    "Predictions",
     "Rule",
     "RuleBase",
     "RuleBaseFormatError",

@@ -12,7 +12,9 @@ All functions here are pure; the dataclasses are immutable.
 
 import math
 import numbers
+import operator
 from dataclasses import dataclass
+from functools import reduce
 
 from .errors import InvalidInputError, ZeroFiringError
 
@@ -187,17 +189,17 @@ def firing_degree(per_dim_similarities):
 def aggregate(firings, consequents):
     """Firing-weighted mean of the rule consequents.
 
-    Raises ZeroFiringError when no rule fired (total weight zero); callers
-    that can fall back to a nearest rule handle that case themselves.
+    Both sums run left to right from their first term, the order of the
+    prediction kernel's np.add.accumulate, so the bits do not depend on
+    the interpreter's sum(). Raises ZeroFiringError when no rule fired
+    (total weight zero); callers that can fall back to a nearest rule
+    handle that case themselves.
     """
-    firings = list(firings)
-    consequents = list(consequents)
+    firings, consequents = list(firings), list(consequents)
     if not firings or len(firings) != len(consequents):
-        raise InvalidInputError(
-            f"need equal-length non-empty firing/consequent vectors, got "
-            f"{len(firings)} and {len(consequents)}"
-        )
-    total = sum(firings)
+        raise InvalidInputError("need equal-length non-empty firing/consequent vectors, got "
+                                f"{len(firings)} and {len(consequents)}")
+    total = reduce(operator.add, firings)
     if total <= 0.0:
         raise ZeroFiringError("total firing degree is zero")
-    return sum(t * g for t, g in zip(firings, consequents)) / total
+    return reduce(operator.add, map(operator.mul, firings, consequents)) / total

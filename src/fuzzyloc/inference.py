@@ -11,14 +11,13 @@ the scalar functions in fuzzy.py are the reference it is tested against.
 """
 
 import bisect
-import operator
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Optional
 
 import numpy as np
 
-from .data import Dataset
+from .data import Dataset, _plain_number
 from .errors import DataError, InvalidInputError
 from .fuzzy import TriangularFuzzySet, vertex_means
 
@@ -46,7 +45,46 @@ class Prediction:
     label: int
     total_firing: float
     fallback_used: bool
-    per_rule_firings: Optional[np.ndarray] = field(default=None, compare=False)
+    per_rule_firings: np.ndarray = field(compare=False)
+
+
+@dataclass(frozen=True, eq=False)
+class Predictions(Sequence):
+    """The outcomes of one prediction call, one row per observation in order.
+
+    gammas, labels and totals are the (N,) columns of Prediction's gamma,
+    label and total_firing, firings the (N, R) firing matrix behind them;
+    all are made read-only. Indexing and iteration give Prediction objects
+    with plain Python fields.
+    """
+
+    gammas: np.ndarray
+    labels: np.ndarray
+    totals: np.ndarray
+    firings: np.ndarray
+
+    def __post_init__(self):
+        for array in (self.gammas, self.labels, self.totals, self.firings):
+            array.setflags(write=False)
+
+    @property
+    def fallback(self):
+        """The (N,) fallback_used column: the rows where no rule fired."""
+        return ~(self.totals > 0.0)
+
+    def __len__(self):
+        return len(self.gammas)
+
+    def __getitem__(self, i):
+        gamma, label, total = self.gammas.item(i), self.labels.item(i), self.totals.item(i)
+        return Prediction(gamma, label, total, not total > 0.0, self.firings[i])
+
+    def __iter__(self):
+        return map(Prediction, *self.columns(), self.firings)
+
+    def columns(self):
+        """gammas, labels, totals and fallback as lists of Python values."""
+        return self.gammas.tolist(), self.labels.tolist(), self.totals.tolist(), self.fallback.tolist()
 
 
 def discretize(gamma, label_universe):
@@ -65,11 +103,11 @@ def discretize(gamma, label_universe):
     return int(below if gamma - below <= above - gamma else above)
 
 
-# an overflow gives inf, which the shape floor and the distance factor turn
-# into 0; rule vertex means are finite, so no inf - inf arises
-@np.errstate(over="ignore")
 def _firing_matrix(rb, obs):
-    """Firing degree of every rule for every observation.
+    """Firing degree of every rule for every observation, under
+    np.errstate(over="ignore") as _outcomes holds it: an overflow gives
+    inf, which the shape floor and the distance factor turn into 0; rule
+    vertex means are finite, so no inf - inf arises.
 
     obs holds normalized triangles of shape (N, D, 3), a crisp value being
     lo == mid == hi; the result has shape (N, R). Each element repeats
@@ -120,24 +158,29 @@ def _firing_matrix(rb, obs):
 
 
 def _float_array(values, what):
-    """values as a float64 array; a value numpy cannot read as a float is
-    refused, naming its index and its type."""
+    """values as a float64 array. A cell that float() cannot read, or text
+    that the CSV reader refuses (data._plain_number: non-ASCII digits, "_"
+    separators), is refused, naming its index and its type."""
     try:
-        return np.asarray(values, dtype=float)
-    except (TypeError, ValueError, OverflowError):
+        array = np.asarray(values)
+        if array.dtype.kind in "biuf":
+            return array.astype(float, copy=False)
+    except ValueError:  # a ragged nesting, whose sequence cells float() refuses below
         pass
-    # a ragged nesting reads as an array of sequences, refused by float() too
+    # text or other objects: each cell as the CSV reader reads a number
     cells = np.array(values, dtype=object)
     for index in np.ndindex(cells.shape):
-        at = "".join(f"[{i}]" for i in index)
+        at, cell = "".join(f"[{i}]" for i in index), cells[index]
         try:
-            float(cells[index])
+            if isinstance(cell, str) and not _plain_number(cell):
+                raise ValueError(cell)
+            float(cell)
         except OverflowError:  # an int beyond the float range
             raise InvalidInputError(f"{what}{at} is beyond the float range") from None
         except (TypeError, ValueError):
-            kind = type(cells[index]).__name__
+            kind = type(cell).__name__
             raise InvalidInputError(f"{what}{at} is not a number (type {kind})") from None
-    raise InvalidInputError(f"{what} cannot be read as an array of floats")
+    return cells.astype(float)
 
 
 def _normalized(rb, raw, what, row_prefix=""):
@@ -148,53 +191,52 @@ def _normalized(rb, raw, what, row_prefix=""):
     base's feature count is refused, naming what holds the features. A
     value that is not finite, raw or once normalized, is refused, naming
     its feature and row (row_prefix formatted with the row index starts
-    the message).
+    the message). Runs under _outcomes' np.errstate, where an overflow
+    gives inf, refused here.
     """
     if raw.shape[1] != len(rb.feature_names):
-        raise InvalidInputError(
-            f"{what} has {raw.shape[1]} features, rule base expects {len(rb.feature_names)}"
-        )
+        raise InvalidInputError(f"{what} has {raw.shape[1]} features, "
+                                f"rule base expects {len(rb.feature_names)}")
     if raw.ndim == 2:
         raw = raw[..., None]
     # min-max is monotone, so normalizing each vertex keeps lo <= mid <= hi
-    with np.errstate(over="ignore"):
-        obs = rb.normalization.apply_matrix(raw.swapaxes(1, 2)).swapaxes(1, 2)
+    obs = rb.normalization.apply_matrix(raw.swapaxes(1, 2)).swapaxes(1, 2)
     if not (np.isfinite(raw).all() and np.isfinite(obs).all()):
         i, j, v = np.argwhere(~(np.isfinite(raw) & np.isfinite(obs)))[0]
-        raise InvalidInputError(
-            f"{row_prefix.format(i)}feature {rb.feature_names[j]!r} is not finite "
-            f"raw or once normalized: {raw[i, j, v]}"
-        )
+        raise InvalidInputError(f"{row_prefix.format(i)}feature {rb.feature_names[j]!r} is not "
+                                f"finite raw or once normalized: {raw[i, j, v]}")
     obs = obs[:, rb.selected_features]
     return obs if obs.shape[2] == 3 else np.repeat(obs, 3, axis=2)
 
 
-def _predictions(rb, obs):
-    """Yield one Prediction per normalized observation, in order."""
+# over: see _firing_matrix and _normalized, and an overflowing fallback
+# distance gives inf, which ties far rules; invalid: a row that fired
+# nothing divides 0 by 0, and the NaN is replaced
+@np.errstate(over="ignore", invalid="ignore")
+def _outcomes(rb, raw, what, row_prefix=""):
+    """The Predictions of raw rows, in order; raw, what and row_prefix are
+    _normalized's.
+
+    Each row's total and weighted sum run left to right over the rules
+    (np.add.accumulate), the order of fuzzy.aggregate, so the bits depend
+    neither on the interpreter's sum() nor on how many rows are predicted
+    together. A row where nothing fired takes the consequent of the
+    closest rule by representative distance (first one on ties) instead.
+    """
+    obs = _normalized(rb, raw, what, row_prefix)
     firings = _firing_matrix(rb, obs)
-    firings.flags.writeable = False
-    consequents = rb.consequents.tolist()
-    for i, row in enumerate(firings):
-        weights = row.tolist()
-        total = sum(weights)
-        if total > 0.0:
-            # fuzzy.aggregate's sums, in row order: the bits do not depend
-            # on how many rows were predicted together
-            gamma = sum(map(operator.mul, weights, consequents)) / total
-        else:
-            # nothing fired; take the consequent of the closest rule by
-            # representative distance (first one on ties) instead of
-            # dividing by zero
-            with np.errstate(over="ignore"):  # overflowing distances tie at inf
-                gaps = rb.representatives - vertex_means(obs[i])
-                gamma = consequents[int(np.argmin((gaps * gaps).sum(axis=1)))]
-        yield Prediction(
-            gamma=float(gamma),
-            label=discretize(gamma, rb.label_universe),
-            total_firing=float(total),
-            fallback_used=not total > 0.0,
-            per_rule_firings=row,
-        )
+    # copying the totals frees their running sums, and the weighted sums run in
+    # place, so at most one (N, R) array joins the firing matrix
+    totals = np.add.accumulate(firings, axis=1)[:, -1].copy()
+    weighted = firings * rb.consequents
+    gammas = np.add.accumulate(weighted, axis=1, out=weighted)[:, -1] / totals
+    labels = []
+    for i, (gamma, total) in enumerate(zip(gammas.tolist(), totals.tolist())):
+        if not total > 0.0:
+            gaps = rb.representatives - vertex_means(obs[i])
+            gamma = gammas[i] = rb.consequents[np.argmin((gaps * gaps).sum(axis=1))]
+        labels.append(discretize(gamma, rb.label_universe))
+    return Predictions(gammas, np.array(labels, dtype=np.int64), totals, firings)
 
 
 def predict_fuzzy(rb, observation_sets):
@@ -202,11 +244,10 @@ def predict_fuzzy(rb, observation_sets):
     sets = list(observation_sets)
     for i, s in enumerate(sets):
         if not isinstance(s, TriangularFuzzySet):
-            raise InvalidInputError(
-                f"observation_sets[{i}] is not a TriangularFuzzySet (type {type(s).__name__})"
-            )
+            raise InvalidInputError(f"observation_sets[{i}] is not a TriangularFuzzySet "
+                                    f"(type {type(s).__name__})")
     raw = np.array([[(s.a1, s.a2, s.a3) for s in sets]], dtype=float)
-    return next(_predictions(rb, _normalized(rb, raw, "observation")))
+    return _outcomes(rb, raw, "observation")[0]
 
 
 def predict(rb, raw_features):
@@ -214,34 +255,36 @@ def predict(rb, raw_features):
     values = _float_array(raw_features, "observation")
     if values.ndim != 1:
         raise InvalidInputError(f"observation must be a flat vector, got shape {values.shape}")
-    return next(_predictions(rb, _normalized(rb, values[None], "observation")))
+    return _outcomes(rb, values[None], "observation")[0]
 
 
 def predict_rows(rb, rows):
-    """Predict every row of a raw (N, F) feature matrix.
-
-    Returns an iterator of Predictions in row order; the firing matrix is
-    computed on the first step, the Predictions one at a time after that.
-    """
+    """Predict every row of a raw (N, F) feature matrix, as Predictions in row order."""
     rows = _float_array(rows, "rows")
     if rows.ndim != 2:
         raise InvalidInputError(f"rows must form a 2-D matrix, got shape {rows.shape}")
-    return _predictions(rb, _normalized(rb, rows, "each row", "row {}: "))
+    return _outcomes(rb, rows, "each row", "row {}: ")
 
 
 @dataclass(frozen=True)
 class BatchEvaluation:
-    """Truth labels and predictions of a labeled dataset, in row order.
+    """Truth labels and the Predictions of a labeled dataset, in row order.
 
-    Every score derives from them. accuracy is the correct fraction and
-    mean_abs_error averages |gamma - truth|, both NaN when the dataset is
-    empty (see no_instances); confusion, indexed [truth][predicted] over
-    the label universe, is built once, on first use.
+    Every score is an array expression over them, and every truth and
+    predicted label belongs to the ascending label_universe. accuracy is
+    the correct fraction and mean_abs_error averages |gamma - truth| (a
+    left-to-right running sum), both NaN when the dataset is empty (see
+    no_instances); confusion, indexed [truth][predicted] over the label
+    universe, is built once, on first use.
     """
 
     truths: tuple
-    predictions: tuple
+    predictions: Predictions
     label_universe: tuple
+
+    @cached_property
+    def _truth_labels(self):
+        return np.array(self.truths, dtype=np.int64)
 
     @property
     def n_instances(self):
@@ -253,7 +296,11 @@ class BatchEvaluation:
 
     def n_within(self, k):
         """How many predicted labels lie at most k from their truth."""
-        return sum(1 for t, p in zip(self.truths, self.predictions) if abs(p.label - t) <= k)
+        labels, truths = self.predictions.labels, self._truth_labels
+        # |label - truth| as the larger less the smaller in uint64: exact
+        # where an int64 difference of labels near both ends would wrap
+        gaps = np.maximum(labels, truths).view(np.uint64) - np.minimum(labels, truths).view(np.uint64)
+        return int(np.count_nonzero(gaps <= k))
 
     @property
     def n_correct(self):
@@ -261,24 +308,23 @@ class BatchEvaluation:
 
     @property
     def accuracy(self):
-        return self.n_correct / self.n_instances if self.predictions else float("nan")
+        return self.n_correct / self.n_instances if self.n_instances else float("nan")
 
     @property
     def mean_abs_error(self):
-        errors = [abs(p.gamma - t) for t, p in zip(self.truths, self.predictions)]
-        return sum(errors) / len(errors) if errors else float("nan")
+        errors = np.add.accumulate(np.abs(self.predictions.gammas - self._truth_labels))
+        return errors[-1].item() / self.n_instances if self.n_instances else float("nan")
 
     @property
     def fallback_count(self):
-        return sum(1 for p in self.predictions if p.fallback_used)
+        return int(np.count_nonzero(self.predictions.fallback))
 
     @cached_property
     def confusion(self):
-        position = {label: i for i, label in enumerate(self.label_universe)}
-        counts = [[0] * len(position) for _ in position]
-        for truth, pred in zip(self.truths, self.predictions):
-            counts[position[truth]][position[pred.label]] += 1
-        return tuple(map(tuple, counts))
+        universe, n = np.array(self.label_universe, dtype=np.int64), len(self.label_universe)
+        cells = np.searchsorted(universe, self._truth_labels) * n
+        cells += np.searchsorted(universe, self.predictions.labels)
+        return tuple(map(tuple, np.bincount(cells, minlength=n * n).reshape(n, n).tolist()))
 
 
 def predict_batch(rb, dataset: Dataset):
@@ -289,22 +335,14 @@ def predict_batch(rb, dataset: Dataset):
     label universe so the confusion matrix can count it.
     """
     if dataset.normalization is not None:
-        raise InvalidInputError(
-            "prediction takes raw rows: the rule base normalizes them itself, "
-            "so a normalized dataset would be normalized twice"
-        )
+        raise InvalidInputError("prediction takes raw rows: the rule base normalizes them "
+                                "itself, so a normalized dataset would be normalized twice")
     if dataset.feature_names != rb.feature_names:
-        raise InvalidInputError(
-            f"dataset columns {dataset.feature_names} do not match "
-            f"rule base features {rb.feature_names}"
-        )
+        raise InvalidInputError(f"dataset columns {dataset.feature_names} do not match "
+                                f"rule base features {rb.feature_names}")
     outside = np.flatnonzero(~np.isin(dataset.labels, rb.label_universe))
     if outside.size:
         i, truth = outside[0], dataset.labels[outside[0]]
         raise DataError(f"instance {i}: truth label {truth} is outside the label universe")
-    obs = _normalized(rb, dataset.features, "each instance", "instance {}: ")
-    return BatchEvaluation(
-        truths=tuple(dataset.labels.tolist()),
-        predictions=tuple(_predictions(rb, obs)),
-        label_universe=rb.label_universe,
-    )
+    predictions = _outcomes(rb, dataset.features, "each instance", "instance {}: ")
+    return BatchEvaluation(tuple(dataset.labels.tolist()), predictions, rb.label_universe)

@@ -11,7 +11,6 @@ byte-identical files.
 import json
 import os
 from dataclasses import dataclass
-from operator import attrgetter
 from typing import NamedTuple, Optional
 
 import numpy as np
@@ -177,12 +176,8 @@ def run_experiment(config):
     trained = train_rulebase(config)
     with prefixed("predict"):
         evaluation = predict_batch(trained.rule_base, trained.test_raw)
-    report = build_report(
-        trained.rule_base,
-        evaluation,
-        config_echo=config.echo(),
-        n_train=trained.train.n_instances,
-    )
+    report = build_report(trained.rule_base, evaluation, config_echo=config.echo(),
+                          n_train=trained.train.n_instances)
     if config.output_dir is not None:
         write_artifacts(config.output_dir, trained.rule_base, report, evaluation)
     return RunResult(rule_base=trained.rule_base, evaluation=evaluation, report=report)
@@ -194,17 +189,14 @@ def _percent(count, total):
 
 def build_report(rb, evaluation, config_echo=None, n_train=None):
     """Assemble the machine-readable report for one evaluation."""
-    truths, preds, n = evaluation.truths, evaluation.predictions, evaluation.n_instances
-    per_class = {}
+    n = evaluation.n_instances
     # a truth row of the confusion counts its label's instances, the diagonal cell its correct ones
-    for i, (label, row) in enumerate(zip(evaluation.label_universe, evaluation.confusion)):
-        total = sum(row)
-        if total:
-            per_class[str(label)] = {
-                "n_instances": total,
-                "n_correct": row[i],
-                "accuracy_percent": _percent(row[i], total),
-            }
+    per_class = {
+        str(label): {"n_instances": sum(row), "n_correct": row[i],
+                     "accuracy_percent": _percent(row[i], sum(row))}
+        for i, (label, row) in enumerate(zip(evaluation.label_universe, evaluation.confusion))
+        if any(row)
+    }
 
     return {
         "config_echo": config_echo,
@@ -222,7 +214,10 @@ def build_report(rb, evaluation, config_echo=None, n_train=None):
         "fallback_count": evaluation.fallback_count,
         "per_class": per_class,
         "confusion": [list(row) for row in evaluation.confusion],
-        "per_instance": [{"truth": t, **prediction_fields(p)} for t, p in zip(truths, preds)],
+        "per_instance": [
+            dict(zip(("truth", *_PREDICTION_FIELDS), row))
+            for row in zip(evaluation.truths, *evaluation.predictions.columns())
+        ],
     }
 
 
@@ -230,26 +225,21 @@ def build_report(rb, evaluation, config_echo=None, n_train=None):
 # writes its value as json.dumps does: repr for a finite float, %d for the
 # label, and %s for the flag, which comes last, given as JSON's true or false.
 _PREDICTION_FIELDS = {"gamma": "%r", "label": "%d", "total_firing": "%r", "fallback_used": "%s"}
-_field_values = attrgetter(*_PREDICTION_FIELDS)
 _PREDICTION_ROW = "    {\n%s\n    }" % ",\n".join(
     f'      "{name}": {conversion}' for name, conversion in _PREDICTION_FIELDS.items()
 )
 
 
-def prediction_fields(prediction):
-    """One prediction as report.json and `fuzzyloc predict` list it."""
-    return dict(zip(_PREDICTION_FIELDS, _field_values(prediction)))
-
-
 def render_predictions(rulebase_path, input_path, predictions):
     """The `fuzzyloc predict` document, byte for byte json.dumps(doc,
     indent=2) + "\n" of {"rulebase": ..., "input": ..., "predictions":
-    [prediction_fields(p), ...]} for predictions with finite floats, as
-    every Prediction's are; the stdlib's encoder is pure Python once it
-    indents, so each prediction is written by one %-template."""
+    [{"gamma": ..., "label": ..., "total_firing": ..., "fallback_used": ...},
+    ...]} for Predictions with finite floats, as every call's are; the
+    stdlib's encoder is pure Python once it indents, so each prediction is
+    written by one %-template."""
     rows = ",\n".join([
-        _PREDICTION_ROW % (*values, ("false", "true")[flag])
-        for *values, flag in map(_field_values, predictions)
+        _PREDICTION_ROW % (gamma, label, total, ("false", "true")[flag])
+        for gamma, label, total, flag in zip(*predictions.columns())
     ])
     listed = f"[\n{rows}\n  ]" if rows else "[]"
     return (
@@ -275,9 +265,7 @@ def write_artifacts(output_dir, rule_base, report, evaluation):
     """Write rulebase.json, report.json and confusion.txt into output_dir."""
     os.makedirs(output_dir, exist_ok=True)
     save_rulebase(rule_base, os.path.join(output_dir, RULEBASE_FILENAME))
-    with open(os.path.join(output_dir, REPORT_FILENAME), "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(render_report(report))
-    with open(
-        os.path.join(output_dir, CONFUSION_FILENAME), "w", encoding="utf-8", newline="\n"
-    ) as fh:
-        fh.write(format_confusion(evaluation))
+    for name, text in ((REPORT_FILENAME, render_report(report)),
+                       (CONFUSION_FILENAME, format_confusion(evaluation))):
+        with open(os.path.join(output_dir, name), "w", encoding="utf-8", newline="\n") as fh:
+            fh.write(text)

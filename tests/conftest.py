@@ -3,6 +3,7 @@ import pytest
 
 from fuzzyloc.data import Dataset, Normalization
 from fuzzyloc.fuzzy import SimilarityParams, TriangularFuzzySet
+from fuzzyloc.inference import Predictions
 from fuzzyloc.pipeline import ExperimentConfig, train_rulebase
 from fuzzyloc.rulebase import PER_CLASS, Rule, RuleBase
 from fuzzyloc.synth import generate_synthetic, write_csv
@@ -17,6 +18,16 @@ def identity_normalized(features, labels, names=None):
         names = tuple(f"f{i}" for i in range(features.shape[1]))
     norm = Normalization(mins=(0.0,) * features.shape[1], maxs=(1.0,) * features.shape[1])
     return Dataset(features=features, labels=labels, feature_names=names, normalization=norm)
+
+
+def predictions_of(rows, n_rules=0):
+    """Predictions holding (gamma, label, total_firing) rows, over n_rules
+    rules that all fired 0; a row falls back when its total is 0."""
+    gammas, labels, totals = zip(*rows) if rows else ((),) * 3
+    return Predictions(
+        np.array(gammas, dtype=float), np.array(labels, dtype=np.int64),
+        np.array(totals, dtype=float), np.zeros((len(rows), n_rules)),
+    )
 
 
 def sorted_triple(rng, lo=-10.0, hi=10.0):

@@ -1,6 +1,12 @@
+import builtins
 import dataclasses
 import json
 import math
+import numbers
+import operator
+from collections.abc import Sequence
+from functools import reduce
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -21,16 +27,19 @@ from fuzzyloc.fuzzy import (
     singleton,
 )
 from fuzzyloc.inference import (
+    BatchEvaluation,
+    Predictions,
     discretize,
     predict,
     predict_batch,
     predict_fuzzy,
     predict_rows,
 )
+from fuzzyloc.pipeline import run_experiment
 from fuzzyloc.rulebase import PER_CLASS, Rule, RuleBase, extract_rules, save_rulebase
 from fuzzyloc.synth import write_csv
 
-from conftest import identity_normalized, random_rulebase
+from conftest import identity_normalized, predictions_of, random_rulebase
 
 EPS = 2.0**-52
 
@@ -348,10 +357,101 @@ class TestPredictBatch:
     def test_mean_abs_error_matches_manual_recomputation(self):
         rb, cores = self.cores_setup()
         result = predict_batch(rb, cores)
-        manual = sum(
-            abs(p.gamma - t) for t, p in zip(result.truths, result.predictions)
+        manual = reduce(
+            operator.add, [abs(p.gamma - t) for t, p in zip(result.truths, result.predictions)]
         ) / result.n_instances
         assert result.mean_abs_error == manual
+
+
+def reference_scores(evaluation):
+    """The per-row loops that scored a BatchEvaluation before its scores
+    became array expressions, the sum of errors running left to right."""
+    pairs = list(zip(evaluation.truths, evaluation.predictions))
+    errors = [abs(p.gamma - t) for t, p in pairs]
+    position = {label: i for i, label in enumerate(evaluation.label_universe)}
+    counts = [[0] * len(position) for _ in position]
+    for truth, pred in pairs:
+        counts[position[truth]][position[pred.label]] += 1
+    return {
+        "n_within": [sum(1 for t, p in pairs if abs(p.label - t) <= k) for k in WITHIN],
+        "mean_abs_error": reduce(operator.add, errors) / len(errors) if errors else math.nan,
+        "fallback_count": sum(1 for p in evaluation.predictions if p.fallback_used),
+        "confusion": tuple(map(tuple, counts)),
+    }
+
+
+def array_scores(evaluation):
+    return {
+        "n_within": [evaluation.n_within(k) for k in WITHIN],
+        "mean_abs_error": evaluation.mean_abs_error,
+        "fallback_count": evaluation.fallback_count,
+        "confusion": evaluation.confusion,
+    }
+
+
+def assert_same_scores(evaluation):
+    got, want = array_scores(evaluation), reference_scores(evaluation)
+    if evaluation.no_instances:  # NaN equals nothing, itself included
+        assert math.isnan(got.pop("mean_abs_error")) and math.isnan(want.pop("mean_abs_error"))
+    assert got == want
+
+
+# distances k to count within, up to the span of int64 and beyond
+WITHIN = (-1, 0, 1, 2, 2**63, 2**64 - 2, 2**64 - 1, 2**64)
+INT64_ENDS = (-(2**63), -(2**63) + 1, -1, 0, 1, 2**63 - 2, 2**63 - 1)
+
+
+@st.composite
+def evaluations(draw):
+    """A BatchEvaluation over an ascending universe that may hold both int64
+    ends, with fallback rows among its predictions, empty at times."""
+    label = st.one_of(st.sampled_from(INT64_ENDS), st.integers(-(2**63), 2**63 - 1))
+    universe = tuple(sorted(draw(st.lists(label, min_size=1, max_size=6, unique=True))))
+    member = st.sampled_from(universe)
+    total = st.one_of(st.just(0.0), st.floats(0.0, 10.0))  # a row with total 0 fell back
+    rows = draw(st.lists(st.tuples(member, st.floats(-1e20, 1e20), member, total), max_size=8))
+    truths = tuple(row[0] for row in rows)
+    return BatchEvaluation(truths, predictions_of([row[1:] for row in rows]), universe)
+
+
+class TestArrayScores:
+    """Each score of a BatchEvaluation is an array expression that must
+    equal the per-row loop it replaced."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(evaluation=evaluations())
+    def test_scores_equal_the_per_row_loops(self, evaluation):
+        assert_same_scores(evaluation)
+
+    def test_labels_at_both_int64_ends_do_not_wrap(self):
+        lo, hi = -(2**63), 2**63 - 1
+        evaluation = BatchEvaluation(
+            (lo, hi, lo, hi),
+            predictions_of([(0.0, hi, 1.0), (0.0, lo, 1.0), (0.0, lo, 1.0), (0.0, hi, 0.0)]),
+            (lo, hi),
+        )
+        # an int64 difference of hi and lo wraps to -1, one apart
+        assert [evaluation.n_within(k) for k in (0, 1, 2**64 - 2, 2**64 - 1)] == [2, 2, 2, 4]
+        assert evaluation.confusion == ((1, 1), (1, 1))
+        assert evaluation.fallback_count == 1
+        assert_same_scores(evaluation)
+
+    def test_an_empty_evaluation(self):
+        evaluation = BatchEvaluation((), predictions_of([], n_rules=3), (1, 2, 3))
+        assert evaluation.no_instances and evaluation.fallback_count == 0
+        assert evaluation.confusion == ((0, 0, 0),) * 3
+        assert_same_scores(evaluation)
+
+    def test_a_batch_with_fallback_rows(self, corridor, corridor_rulebase):
+        rb = corridor_rulebase
+        rows = corridor.features.copy()
+        rows[::7, 1] = 100.0  # +100 non-detection sentinels force fallbacks
+        labels = np.clip(corridor.labels, rb.label_universe[0], rb.label_universe[-1])
+        evaluation = predict_batch(
+            rb, Dataset(features=rows, labels=labels, feature_names=rb.feature_names)
+        )
+        assert evaluation.fallback_count > 0
+        assert_same_scores(evaluation)
 
 
 def ulps_apart(a, b):
@@ -585,6 +685,101 @@ class TestTypedRefusals:
         row = [0.5] * len(rb.feature_names)
         assert predict(rb, [str(v) for v in row]) == predict(rb, row)
 
+    @pytest.mark.parametrize("text", ["1_5", "-7_0", "\uff11\uff15", "\u0663"])
+    def test_text_the_csv_reader_refuses(self, rb, text):
+        # float() reads digit separators and non-ASCII digits; a CSV number holds neither
+        last = len(rb.feature_names) - 1
+        row = [0.5] * last + [text]
+        refused = r"is not a number \(type str\)$"
+        with pytest.raises(InvalidInputError, match=rf"^observation\[{last}\] {refused}"):
+            predict(rb, row)
+        with pytest.raises(InvalidInputError, match=rf"^rows\[1\]\[{last}\] {refused}"):
+            predict_rows(rb, [[0.5] * (last + 1), row])
+
+    def test_float_input_reads_no_cell_as_text(self, rb, monkeypatch):
+        monkeypatch.setattr(inference, "_plain_number", None)
+        row = [0.5] * len(rb.feature_names)
+        assert predict(rb, row) == predict_rows(rb, [row, row])[1]
+        assert predict(rb, np.array(row)) == predict_rows(rb, np.array([row]))[0]
+
+
+class TestPredictionsSequence:
+    """predict_rows returns Predictions: a read-only sequence over arrays
+    whose items are the Predictions predict gives row by row."""
+
+    def test_items_are_the_per_row_predictions(self, corridor, corridor_rulebase):
+        rb = corridor_rulebase
+        rows = corridor.features[:6].copy()
+        rows[2, 0] = 100.0  # a +100 sentinel forces a fallback
+        preds = predict_rows(rb, rows)
+        per_row = [predict(rb, row) for row in rows]
+        assert isinstance(preds, Predictions) and isinstance(preds, Sequence) and len(preds) == 6
+        assert list(preds) == [preds[i] for i in range(6)] == per_row
+        assert preds[-4] == preds[2] and preds[2].fallback_used
+        with pytest.raises(IndexError):
+            preds[6]
+        for p in preds:
+            assert [type(v) for v in (p.gamma, p.label, p.total_firing, p.fallback_used)] == [
+                float, int, float, bool
+            ]
+        assert preds.firings.shape == (6, rb.n_rules)
+        assert preds[0].per_rule_firings.tolist() == preds.firings[0].tolist()
+
+    def test_arrays_are_read_only(self, corridor, corridor_rulebase):
+        preds = predict_rows(corridor_rulebase, corridor.features[:3])
+        for array in (preds.gammas, preds.labels, preds.totals, preds.firings):
+            assert not array.flags.writeable
+            with pytest.raises(ValueError):
+                array[0] = 0
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            preds.gammas = np.zeros(3)
+
+
+BUILTIN_SUM = sum
+
+
+def compensated_sum(iterable, /, start=0):
+    """sum() with floats added as CPython 3.12 and later add them, with
+    compensation, here exactly rounded by math.fsum; a sum of ints alone
+    stays an exact int, and other items go to the builtin sum()."""
+    items = list(iterable)
+    if all(isinstance(v, int) for v in (start, *items)):
+        return BUILTIN_SUM(items, start)
+    if all(isinstance(v, numbers.Real) for v in (start, *items)):
+        return math.fsum((start, *items))
+    return BUILTIN_SUM(items, start)
+
+
+class TestInterpreterIndependence:
+    """No output depends on how the interpreter's sum() adds floats, which
+    CPython 3.12 changed to compensated summation."""
+
+    @staticmethod
+    def outputs(rb, rows, dataset, config):
+        preds = predict_rows(rb, rows)
+        evaluation = predict_batch(rb, dataset)
+        run_experiment(config)
+        return (
+            [(p.gamma, p.total_firing) for p in preds],
+            [(p.gamma, p.total_firing) for p in evaluation.predictions],
+            evaluation.mean_abs_error,
+            (Path(config.output_dir) / "report.json").read_bytes(),
+        )
+
+    def test_a_compensated_sum_changes_no_bit(
+        self, corridor, corridor_rulebase, corridor_config, tmp_path, monkeypatch
+    ):
+        rb = corridor_rulebase
+        rows = corridor.features.copy()
+        rows[::17, 2] = 100.0  # +100 non-detection sentinels force fallbacks
+        labels = np.clip(corridor.labels, rb.label_universe[0], rb.label_universe[-1])
+        dataset = Dataset(features=rows, labels=labels, feature_names=rb.feature_names)
+        config = dataclasses.replace(corridor_config, output_dir=str(tmp_path / "run"))
+        plain = self.outputs(rb, rows, dataset, config)
+        assert compensated_sum([0.1] * 10) != BUILTIN_SUM([0.1] * 10)
+        monkeypatch.setattr(builtins, "sum", compensated_sum)
+        assert self.outputs(rb, rows, dataset, config) == plain
+
 
 @np.errstate(over="ignore")
 def row_major_firings(rb, obs):
@@ -660,7 +855,8 @@ class TestRuleMajorKernelBits:
         want = row_major_firings(rb, obs).view(np.int64)
         for block_elements in (1, 105, 10**7):
             with mock.patch.object(inference, "_BLOCK_ELEMENTS", block_elements):
-                got = inference._firing_matrix(rb, obs)
+                with np.errstate(over="ignore"):  # as _outcomes holds it around the kernel
+                    got = inference._firing_matrix(rb, obs)
             assert got.shape == (len(obs), rb.n_rules)
             assert np.array_equal(got.view(np.int64), want), block_elements
 

@@ -8,7 +8,6 @@ from hypothesis import given, settings, strategies as st
 
 from fuzzyloc.data import Dataset
 from fuzzyloc.errors import ConfigError, InvalidInputError, SchemaError
-from fuzzyloc.inference import Prediction
 from fuzzyloc.pipeline import (
     ExperimentConfig,
     build_report,
@@ -19,6 +18,8 @@ from fuzzyloc.pipeline import (
     split_scenario,
     train_rulebase,
 )
+
+from conftest import predictions_of
 
 
 def config_for(corridor_csv, **overrides):
@@ -308,19 +309,18 @@ class TestRenderPredictions:
 
     @settings(max_examples=300, deadline=None)
     @given(
-        predictions=st.lists(st.builds(Prediction, FLOATS, LABELS, FLOATS, st.booleans()), max_size=5),
+        rows=st.lists(st.tuples(FLOATS, LABELS, FLOATS), max_size=5),
         rulebase_path=PATHS,
         input_path=PATHS,
     )
-    def test_equals_the_stdlib_encoding(self, predictions, rulebase_path, input_path):
+    def test_equals_the_stdlib_encoding(self, rows, rulebase_path, input_path):
         doc = {
             "rulebase": rulebase_path,
             "input": input_path,
             "predictions": [
-                {"gamma": p.gamma, "label": p.label, "total_firing": p.total_firing,
-                 "fallback_used": p.fallback_used}
-                for p in predictions
+                {"gamma": g, "label": label, "total_firing": t, "fallback_used": not t > 0.0}
+                for g, label, t in rows
             ],
         }
-        text = render_predictions(rulebase_path, input_path, predictions)
+        text = render_predictions(rulebase_path, input_path, predictions_of(rows))
         assert text == json.dumps(doc, indent=2) + "\n"
