@@ -15,7 +15,8 @@ from functools import cache
 
 from .curvature import rank_features
 from .data import (
-    _plain_number, fit_normalization, label_universe, load_csv, parse_label, read_feature_rows
+    _plain_number, fit_normalization, label_universe, load_csv, parse_label, read_feature_rows,
+    write_text,
 )
 from .errors import (
     EXIT_CONFIG,
@@ -87,8 +88,7 @@ def _parse_cols(text):
 
 def _emit(text, out_path):
     if out_path:
-        with open(out_path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
+        write_text(out_path, text)
     else:
         sys.stdout.write(text)
 

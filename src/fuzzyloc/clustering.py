@@ -123,12 +123,13 @@ def _exact_dists(pts, cents):
     return np.square(pts[:, None, :] - cents).sum(axis=2)
 
 
-def _assign(pts, sq_norms, cents, real):
+def _assign(pts, sq_norms, cents):
     """Index of each point's nearest real centroid, for a stack of runs.
 
     pts is (n, dim) with squared row norms sq_norms; cents is (runs,
-    width, dim), its real slots marked in the (runs, width) mask real.
-    Returns (runs, n), equal to the first-index argmin of _exact_dists.
+    width, dim), where a padded slot holds +inf (see _lloyd) and a real
+    one is finite. Returns (runs, n), equal to the first-index argmin of
+    _exact_dists.
 
     Distances are first screened with one matrix product,
     |x|^2 - 2 x.c + |c|^2 (padded slots zeroed for the product, then
@@ -141,7 +142,8 @@ def _assign(pts, sq_norms, cents, real):
     distances.
     """
     n, dim = pts.shape
-    runs, width = real.shape
+    runs, width = cents.shape[:2]
+    real = np.isfinite(cents[:, :, 0])
     flat = np.where(real[:, :, None], cents, 0.0).reshape(runs * width, dim)
     cc = np.square(flat).sum(axis=1)
     cmax = cc.reshape(runs, width).max(axis=1)[:, None]
@@ -190,19 +192,18 @@ def _sequential_update(pts, sq_norms, centroids, assignment):
         else:
             worst = ((pts - centroids[assignment]) ** 2).sum(axis=1).argmax()
             centroids[c] = pts[worst]
-            real = np.ones((1, len(centroids)), dtype=bool)
-            assignment = _assign(pts, sq_norms, centroids[None], real)[0]
+            assignment = _assign(pts, sq_norms, centroids[None])[0]
     return assignment, centroids
 
 
-def _lloyd(pts, starts, ks, max_iterations=MAX_ITERATIONS):
+def _lloyd(pts, starts, ks):
     """Lloyd's algorithm for a stack of runs advanced in lockstep.
 
     starts is (runs, width, dim): run j starts from the centroids in its
     first ks[j] rows. Later rows are padding; they are set to +inf, so
     their distances are +inf and no point is ever assigned to them.
     A run stops when its assignment stops changing or after
-    max_iterations, and then leaves the stack. Once the stack is empty
+    MAX_ITERATIONS, and then leaves the stack. Once the stack is empty
     every run's KMeansResult is built from its final assignments and
     centroids, copied out of the kernel's buffers so that no two results
     share memory, and their wcss. Each has the bits a run on its own would
@@ -221,10 +222,10 @@ def _lloyd(pts, starts, ks, max_iterations=MAX_ITERATIONS):
     # no assignment is -1, so no run stops after its first iteration
     assignment = np.full((runs, n), -1, dtype=np.intp)
     active = np.arange(runs)
-    for _ in range(max_iterations):
+    for _ in range(MAX_ITERATIONS):
         live = len(active)
         before = centroids[active]
-        new = _assign(pts, sq_norms, before, real[active])
+        new = _assign(pts, sq_norms, before)
         cells = (np.arange(live)[:, None] * width + new).ravel()
         counts = np.bincount(cells, minlength=live * width).reshape(live, width, 1)
         sums = np.empty((dim, live * width))

@@ -1,4 +1,4 @@
-"""Dataset container, min-max normalization and CSV ingestion."""
+"""Dataset container, min-max normalization, CSV ingestion and text-file output."""
 
 import csv
 import math
@@ -358,3 +358,13 @@ def load_csv(path, label_column, feature_columns):
 def read_feature_rows(path, feature_columns):
     """Load only the requested feature columns (no labels), as a 2-D array."""
     return _read_table(path, [str(c) for c in feature_columns])[0]
+
+
+def write_text(path, text):
+    """Write text to path as UTF-8 with "\\n" line ends, replacing the file.
+
+    Every text artifact (rule base, report, confusion, predictions, CLI
+    output) is written here, so equal text is equal bytes on any platform.
+    """
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write(text)

@@ -14,6 +14,7 @@ import bisect
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 from functools import cached_property
+from numbers import Number
 
 import numpy as np
 
@@ -54,8 +55,8 @@ class Predictions(Sequence):
 
     gammas, labels and totals are the (N,) columns of Prediction's gamma,
     label and total_firing, firings the (N, R) firing matrix behind them;
-    all are made read-only. Indexing and iteration give Prediction objects
-    with plain Python fields.
+    all are made read-only. Indexing gives Prediction objects with plain
+    Python fields, and iteration reads its rows through indexing.
     """
 
     gammas: np.ndarray
@@ -78,9 +79,6 @@ class Predictions(Sequence):
     def __getitem__(self, i):
         gamma, label, total = self.gammas.item(i), self.labels.item(i), self.totals.item(i)
         return Prediction(gamma, label, total, not total > 0.0, self.firings[i])
-
-    def __iter__(self):
-        return map(Prediction, *self.columns(), self.firings)
 
     def columns(self):
         """gammas, labels, totals and fallback as lists of Python values."""
@@ -158,9 +156,11 @@ def _firing_matrix(rb, obs):
 
 
 def _float_array(values, what):
-    """values as a float64 array. A cell that float() cannot read, or text
-    that the CSV reader refuses (data._plain_number: non-ASCII digits, "_"
-    separators), is refused, naming its index and its type."""
+    """values as a float64 array. A cell is read when it is a number
+    (numbers.Number) that float() reads, or text that the CSV reader reads
+    (data._plain_number: no non-ASCII digits, no "_" separators). Any other
+    cell is refused, naming its index and its type: float() would also
+    read bytes, bytearray and other buffers as text that no check sees."""
     try:
         array = np.asarray(values)
         if array.dtype.kind in "biuf":
@@ -172,7 +172,7 @@ def _float_array(values, what):
     for index in np.ndindex(cells.shape):
         at, cell = "".join(f"[{i}]" for i in index), cells[index]
         try:
-            if isinstance(cell, str) and not _plain_number(cell):
+            if not (isinstance(cell, Number) or isinstance(cell, str) and _plain_number(cell)):
                 raise ValueError(cell)
             float(cell)
         except OverflowError:  # an int beyond the float range

@@ -16,7 +16,7 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from .curvature import rank_features
-from .data import _labels, fit_normalization, label_universe as universe_of, load_csv
+from .data import _labels, fit_normalization, label_universe as universe_of, load_csv, write_text
 from .errors import ConfigError, prefixed
 from .fuzzy import INT64_MAX, SimilarityParams, _finite_real, _integer, _seed
 from .inference import predict_batch
@@ -265,7 +265,5 @@ def write_artifacts(output_dir, rule_base, report, evaluation):
     """Write rulebase.json, report.json and confusion.txt into output_dir."""
     os.makedirs(output_dir, exist_ok=True)
     save_rulebase(rule_base, os.path.join(output_dir, RULEBASE_FILENAME))
-    for name, text in ((REPORT_FILENAME, render_report(report)),
-                       (CONFUSION_FILENAME, format_confusion(evaluation))):
-        with open(os.path.join(output_dir, name), "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
+    write_text(os.path.join(output_dir, REPORT_FILENAME), render_report(report))
+    write_text(os.path.join(output_dir, CONFUSION_FILENAME), format_confusion(evaluation))

@@ -18,7 +18,7 @@ import numpy as np
 # elbow_k and kmeans are not called here; they stay importable as
 # fuzzyloc.rulebase.elbow_k and fuzzyloc.rulebase.kmeans
 from .clustering import elbow_fit, elbow_k, kmeans  # noqa: F401
-from .data import Normalization, label_universe as universe_of
+from .data import Normalization, label_universe as universe_of, write_text
 from .errors import (
     ConfigError, InvalidInputError, RuleBaseFormatError, RuleBaseVersionError, prefixed,
 )
@@ -416,8 +416,7 @@ def deserialize_rulebase(text):
 
 
 def save_rulebase(rb, path):
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(serialize_rulebase(rb))
+    write_text(path, serialize_rulebase(rb))
 
 
 def load_rulebase(path):

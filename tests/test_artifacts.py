@@ -1,6 +1,7 @@
 """tools/artifacts.py writes every benchmark workload's artifacts, two
-runs of the same checkout write byte-identical trees, and every predictions
-and rule-base document in them is json.dumps(doc, indent=2) + "\\n"."""
+runs of the same checkout write byte-identical trees, every kept file is
+UTF-8 text with "\\n" line ends, and every predictions and rule-base
+document in them is json.dumps(doc, indent=2) + "\\n"."""
 
 import json
 import subprocess
@@ -33,7 +34,17 @@ def test_two_runs_write_identical_trees(tmp_path):
     assert first == second
     assert {path.parts[0] for path in first} == set(WORKLOADS)
     names = {path.name for path in first}
-    assert names == {"rulebase.json", "report.json", "confusion.txt", "predictions.json"}
+    assert names == {
+        "rulebase.json", "report.json", "confusion.txt", "predictions.json", "evaluation.json",
+        "ranking.json",
+    }
+    # every serving target keeps what predict, evaluate and rank-features wrote
+    served = {"predictions.json", "evaluation.json", "ranking.json"}
+    for folder in {p.parent for p in first}:
+        assert served <= {p.name for p in first if p.parent == folder}, folder
+    for path, data in first.items():
+        assert b"\r" not in data, path
+        data.decode("utf-8")
     # building-global keeps each of its four input variants
     assert {p.parts[2] for p in first if p.parts[0] == "building-global"} == {"v0", "v1", "v2", "v3"}
     # the template-written documents are the stdlib's form of what they hold

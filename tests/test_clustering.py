@@ -55,10 +55,10 @@ class TestKMeans:
         start = ref_kmeans_pp_init(FOUR_BLOBS, 3, np.random.default_rng(9))
         history = ref_lloyd(FOUR_BLOBS, start)[2]
         assert len(history) > 2
-        capped = [
-            clustering._lloyd(FOUR_BLOBS, start[None], [3], max_iterations=cap)[0].wcss
-            for cap in range(1, len(history) + 1)
-        ]
+        capped = []
+        for cap in range(1, len(history) + 1):
+            with mock.patch.object(clustering, "MAX_ITERATIONS", cap):
+                capped.append(clustering._lloyd(FOUR_BLOBS, start[None], [3])[0].wcss)
         assert tuple(capped) == history
         assert all(a >= b for a, b in zip(capped, capped[1:]))
 
@@ -450,7 +450,8 @@ class TestLockstepKernel:
             rows = data.draw(st.lists(st.integers(0, len(pts) - 1), min_size=k, max_size=k))
             starts[j, :k] = pts[rows]
         cap = data.draw(st.sampled_from([1, 2, 3, 300]), label="max_iterations")
-        fits = clustering._lloyd(pts, starts, ks, max_iterations=cap)
+        with mock.patch.object(clustering, "MAX_ITERATIONS", cap):
+            fits = clustering._lloyd(pts, starts, ks)
         for fit, k, start in zip(fits, ks, starts):
             assert_same_fit(fit, ref_lloyd(pts, start[:k], max_iterations=cap))
 
@@ -628,8 +629,11 @@ class TestScreenedAssignment:
             rows = data.draw(st.lists(st.integers(0, len(pts) - 1), min_size=k, max_size=k))
             starts[j, :k] = pts[rows]
         cap = data.draw(st.sampled_from([1, 2, 300]), label="max_iterations")
-        with mock.patch.object(clustering, "_BLOCK_ELEMENTS", block):
-            fits = clustering._lloyd(pts, starts, ks, max_iterations=cap)
+        with (
+            mock.patch.object(clustering, "_BLOCK_ELEMENTS", block),
+            mock.patch.object(clustering, "MAX_ITERATIONS", cap),
+        ):
+            fits = clustering._lloyd(pts, starts, ks)
         for fit, k, start in zip(fits, ks, starts):
             assert_same_fit(fit, ref_lloyd(pts, start[:k], max_iterations=cap))
 

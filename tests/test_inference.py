@@ -4,6 +4,7 @@ import json
 import math
 import numbers
 import operator
+from array import array as buffer_array
 from collections.abc import Sequence
 from functools import reduce
 from pathlib import Path
@@ -685,16 +686,29 @@ class TestTypedRefusals:
         row = [0.5] * len(rb.feature_names)
         assert predict(rb, [str(v) for v in row]) == predict(rb, row)
 
-    @pytest.mark.parametrize("text", ["1_5", "-7_0", "\uff11\uff15", "\u0663"])
-    def test_text_the_csv_reader_refuses(self, rb, text):
-        # float() reads digit separators and non-ASCII digits; a CSV number holds neither
+    @pytest.mark.parametrize(
+        "cell",
+        ["1_5", "-7_0", "\uff11\uff15", "\u0663", b"-5_0", b"-6", bytearray(b"-6"),
+         memoryview(b"-6"), np.bytes_(b"-6"), buffer_array("b", b"1_5")],
+    )
+    def test_text_the_csv_reader_refuses(self, rb, cell):
+        # float() reads digit separators and non-ASCII digits, and reads any
+        # buffer as text (b"-5_0" as -50.0); a CSV number is none of these
         last = len(rb.feature_names) - 1
-        row = [0.5] * last + [text]
-        refused = r"is not a number \(type str\)$"
+        row = [0.5] * last + [cell]
+        refused = rf"is not a number \(type {type(cell).__name__}\)$"
         with pytest.raises(InvalidInputError, match=rf"^observation\[{last}\] {refused}"):
             predict(rb, row)
         with pytest.raises(InvalidInputError, match=rf"^rows\[1\]\[{last}\] {refused}"):
             predict_rows(rb, [[0.5] * (last + 1), row])
+
+    def test_an_all_bytes_observation_is_refused_at_its_first_cell(self, rb):
+        cells = [b"-5_0"] + [b"-6"] * (len(rb.feature_names) - 1)
+        for given in (cells, np.array(cells)):
+            with pytest.raises(InvalidInputError, match=r"^observation\[0\] is not a number \(type bytes\)$"):
+                predict(rb, given)
+            with pytest.raises(InvalidInputError, match=r"^rows\[0\]\[0\] is not a number \(type bytes\)$"):
+                predict_rows(rb, [given])
 
     def test_float_input_reads_no_cell_as_text(self, rb, monkeypatch):
         monkeypatch.setattr(inference, "_plain_number", None)

@@ -7,9 +7,11 @@ CHECKOUT/perfbench/workloads.py (CHECKOUT defaults to the checkout holding
 this file) and writes nothing into the checkout. For each workload, seed
 and input variant (variant_seed draws each variant's seed), it runs
 set_up(), one train_pass() and then `fuzzyloc predict` through cli.main on
-each serving target. It keeps rulebase.json, report.json, confusion.txt
-and the predictions JSON under OUTDIR/<workload>/s<seed>/, one v<variant>
-folder deeper for a workload with several variants.
+each serving target, and `fuzzyloc evaluate` and `fuzzyloc rank-features`
+on the target's labeled rows. It keeps rulebase.json, report.json,
+confusion.txt and the predictions, evaluation and ranking JSON under
+OUTDIR/<workload>/s<seed>/, one v<variant> folder deeper for a workload
+with several variants: one of every kind of artifact that fuzzyloc writes.
 
 Every run works in the same relative path below a fresh temporary
 directory, so the paths that report.json and the predictions echo are the
@@ -18,13 +20,17 @@ trees that `diff -r` finds identical.
 """
 
 import argparse
+import csv
 import os
 import shutil
 import sys
 import tempfile
 from pathlib import Path
 
-KEPT = ("rulebase.json", "report.json", "confusion.txt", "predictions.json")
+KEPT = (
+    "rulebase.json", "report.json", "confusion.txt", "predictions.json", "evaluation.json",
+    "ranking.json",
+)
 
 
 def import_checkout(root):
@@ -40,16 +46,25 @@ def import_checkout(root):
     return fuzzyloc.cli, workloads
 
 
-def run_variant(cli, wl):
-    """Train the workload and label each target's rows with its rule base."""
+def run_variant(cli, wl, label):
+    """Train the workload, then label, score and rank each target's rows
+    (label names their label column) with its rule base."""
     wl.set_up()
     wl.train_pass()
     for target in wl.targets:
-        out = os.path.join(os.path.dirname(target.rulebase_path), "predictions.json")
-        argv = ["predict", "--rulebase", target.rulebase_path, "--input", target.query_path,
-                "--out", out]
-        if cli.main(argv) != 0:
-            raise SystemExit(f"artifacts: fuzzyloc {' '.join(argv)} failed")
+        folder = os.path.dirname(target.rulebase_path)
+        with open(target.query_path, encoding="utf-8", newline="") as fh:
+            features = ",".join(name for name in next(csv.reader(fh)) if name != label)
+        rows = ["--input", target.query_path]
+        labeled = [*rows, "--label-col", label]
+        for name, argv in (
+            ("predictions", ["predict", "--rulebase", target.rulebase_path, *rows]),
+            ("evaluation", ["evaluate", "--rulebase", target.rulebase_path, *labeled]),
+            ("ranking", ["rank-features", *labeled, "--feature-cols", features]),
+        ):
+            argv += ["--out", os.path.join(folder, f"{name}.json")]
+            if cli.main(argv) != 0:
+                raise SystemExit(f"artifacts: fuzzyloc {' '.join(argv)} failed")
 
 
 def main(argv=None):
@@ -72,7 +87,8 @@ def main(argv=None):
             for seed in args.seeds:
                 for variant in range(kind.variants):
                     rel = Path(name, f"s{seed}", *([f"v{variant}"] if kind.variants > 1 else []))
-                    run_variant(cli, kind(args.size, workloads.variant_seed(seed, variant), str(rel)))
+                    wl = kind(args.size, workloads.variant_seed(seed, variant), str(rel))
+                    run_variant(cli, wl, workloads.LABEL)
                     for path in sorted(rel.rglob("*")):
                         if path.name in KEPT:
                             (outdir / path).parent.mkdir(parents=True, exist_ok=True)
