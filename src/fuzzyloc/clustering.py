@@ -1,8 +1,9 @@
 """Seeded k-means (k-means++ init, Lloyd iteration) and elbow-based k selection.
 
 Every fit goes through one Lloyd kernel, _lloyd, which advances a stack of
-runs (the restarts of one k, or every k and restart of an elbow sweep) in
-lockstep and gives each run the bits it would get on its own.
+runs (the restarts of one k, or every k and restart of the elbow sweeps of
+several point sets) in lockstep and gives each run the bits it would get
+on its own.
 """
 
 from typing import NamedTuple
@@ -10,7 +11,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import InvalidInputError
-from .fuzzy import _integer, _seed
+from .fuzzy import INT64_MAX, _integer, _seed
 
 MAX_ITERATIONS = 300
 # k-means++ restarts per k of an elbow sweep
@@ -31,13 +32,47 @@ class KMeansResult(NamedTuple):
 
 
 def wcss(points, assignment, centroids):
-    """Within-cluster sum of squares: total squared distance to assigned centroids."""
+    """Within-cluster sum of squares: total squared distance to assigned centroids.
+
+    One run is points (n, dim), assignment (n,) and centroids (k, dim), and
+    gives a float. A stack of runs adds a leading run axis to all three and
+    gives one total per run. Each total is the run's squared differences
+    summed over its contiguous (point, dim) block, the bits of
+    ((points - centroids[assignment]) ** 2).sum() for that run alone.
+    """
     pts = np.asarray(points, dtype=float)
     cents = np.asarray(centroids, dtype=float)
     assignment = np.asarray(assignment)
-    if len(assignment) != len(pts):
+    if assignment.shape != pts.shape[:-1]:
         raise InvalidInputError("one assignment per point required")
-    return float(((pts - cents[assignment]) ** 2).sum())
+    k, dim = cents.shape[-2:]
+    runs = len(pts) if pts.ndim == 3 else 1
+    cells = np.arange(runs)[:, None] * k + assignment.reshape(runs, -1)
+    diff = cents.reshape(-1, dim).take(cells.ravel(), axis=0)
+    np.subtract(pts.reshape(-1, dim), diff, out=diff)
+    np.square(diff, out=diff)
+    totals = diff.reshape(runs, -1).sum(axis=1)
+    return totals if pts.ndim == 3 else float(totals[0])
+
+
+class _Sets(NamedTuple):
+    """Point sets of one dimension, padded to the longest with zero points."""
+
+    rows: np.ndarray  # (S, n, dim): set s's points are its first sizes[s] rows
+    cols: np.ndarray  # (dim, S, n): rows with coordinates first
+    sq_norms: np.ndarray  # (S, n) squared point norms, +inf for padding
+    sizes: np.ndarray  # (S,) points per set
+
+
+def _pad(point_sets):
+    """point_sets, a list of (n_i, dim) arrays, as _Sets."""
+    sizes = np.array([len(pts) for pts in point_sets])
+    rows = np.zeros((len(point_sets), sizes.max(), point_sets[0].shape[1]))
+    for s, pts in enumerate(point_sets):
+        rows[s, : len(pts)] = pts
+    padding = np.arange(rows.shape[1]) >= sizes[:, None]
+    sq_norms = np.where(padding, np.inf, np.square(rows).sum(axis=2))
+    return _Sets(rows, np.ascontiguousarray(rows.transpose(2, 0, 1)), sq_norms, sizes)
 
 
 def _points(points):
@@ -64,55 +99,78 @@ def _points(points):
     return pts
 
 
-def _lower_to(d2, pts, cents):
-    """Lower d2 (runs, n) in place to every point's squared distance to
-    its run's centroid in cents (runs, dim), where that is less. Each
-    distance is the reference's subtract, square and sum over a contiguous
-    last axis, computed in slices of at most _BLOCK_ELEMENTS elements."""
-    runs, n = d2.shape
-    step = max(1, _BLOCK_ELEMENTS // (runs * pts.shape[1]))
+def _lower_to(d2, rows, owner, cents):
+    """Lower d2 (draws, n) in place to every point's squared distance to
+    its draw's centroid in cents (draws, dim), where that is less; draw r
+    measures the points of rows[owner[r]]. Each distance is the
+    reference's subtract, square and sum over a contiguous last axis,
+    computed in slices of at most _BLOCK_ELEMENTS elements."""
+    draws, n = d2.shape
+    step = max(1, _BLOCK_ELEMENTS // (draws * rows.shape[2]))
     for lo in range(0, n, step):
-        near = np.square(pts[lo : lo + step] - cents[:, None]).sum(axis=2)
-        np.minimum(d2[:, lo : lo + step], near, out=d2[:, lo : lo + step])
+        diff = rows[owner, lo : lo + step]
+        diff -= cents[:, None]
+        np.square(diff, out=diff)
+        np.minimum(d2[:, lo : lo + step], diff.sum(axis=2), out=d2[:, lo : lo + step])
+        del diff  # before the next slice is gathered
 
 
-def _kmeans_pp_init(pts, k, rngs):
-    """k-means++ starts of k centroids for every generator in rngs, drawn
-    together: (len(rngs), k, dim).
+def _row_totals(d2, sizes):
+    """The sum of the first sizes[r] entries of every row r of d2, each
+    added pairwise as the reference's d2.sum() over that row alone adds
+    them: one sum per distinct size."""
+    totals = np.empty(len(d2))
+    for n in set(sizes.tolist()):
+        rows = np.flatnonzero(sizes == n)
+        totals[rows] = d2[rows, :n].sum(axis=1)
+    return totals
 
-    Row r picks the points, and makes the random calls, of a draw of its
-    own with rngs[r]: rng.integers(n) for the first centroid, then
+
+def _kmeans_pp_init(sets, owner, lengths, rngs):
+    """k-means++ starts for every generator in rngs, drawn together:
+    (len(rngs), max(lengths), dim).
+
+    Draw r picks lengths[r] centroids with rngs[r], as a draw of its own
+    would, from the n = sets.sizes[owner[r]] points of set owner[r] of the
+    _Sets sets: rng.integers(n) for the first centroid, then
     rng.choice(n, p=d2 / total) while the total of the squared distances
     d2 to the nearest centroid so far is > 0, else rng.integers(n). Once
     it has checked p, choice picks searchsorted(cdf, rng.random(),
     side="right") over cdf = cumsum(p) / its last entry. That cdf is
     non-decreasing, so the index is the count of its entries <= the
-    draw, which is taken here for every row at once.
+    draw, which is taken here for every draw at once. A padded point has
+    d2 = 0: it adds nothing to a total, and its cdf entry is the last
+    real one, 1, which no rng.random() reaches, so it is never picked.
+    Slots past a draw's length stay 0.
 
     choice also refused a p holding NaN or not summing to 1. Every total
-    here is finite, since pts passed _points, so that refusal cannot bind.
+    here is finite, since the sets passed _points, so that refusal cannot
+    bind.
     """
-    n, dim = pts.shape
-    starts = np.empty((len(rngs), k, dim))
-    starts[:, 0] = pts[[rng.integers(n) for rng in rngs]]
-    d2 = np.full((len(rngs), n), np.inf)
-    _lower_to(d2, pts, starts[:, 0])
-    totals = d2.sum(axis=1)
-    # a row whose total is 0 divides 0 by 0: no warnings
+    n = sets.sizes[owner]
+    k = max(lengths)
+    starts = np.zeros((len(rngs), k, sets.rows.shape[2]))
+    starts[:, 0] = sets.rows[owner, [rng.integers(m) for rng, m in zip(rngs, n.tolist())]]
+    d2 = np.where(np.isfinite(sets.sq_norms[owner]), np.inf, 0.0)
+    _lower_to(d2, sets.rows, owner, starts[:, 0])
+    totals = _row_totals(d2, n)
+    # a draw whose total is 0 divides 0 by 0: no warnings
     with np.errstate(invalid="ignore"):
         for i in range(1, k):
-            positive = totals > 0.0
-            u = np.array(
-                [rng.random() if p else rng.integers(n) for rng, p in zip(rngs, positive.tolist())]
-            )
-            cdf = np.cumsum(d2 / totals[:, None], axis=1)
+            going = np.flatnonzero(lengths > i)
+            positive = totals[going] > 0.0
+            u = np.array([
+                rngs[r].random() if p else rngs[r].integers(m)
+                for r, p, m in zip(going.tolist(), positive.tolist(), n[going].tolist())
+            ])
+            cdf = np.cumsum(d2[going] / totals[going, None], axis=1)
             cdf /= cdf[:, -1:]
-            # a row whose total is 0 has a NaN cdf and took rng.integers(n)
+            # a draw whose total is 0 has a NaN cdf and took rng.integers(n)
             picks = np.where(positive, (cdf <= u[:, None]).sum(axis=1), u.astype(np.intp))
-            starts[:, i] = pts[picks]
+            starts[going, i] = sets.rows[owner[going], picks]
             if i < k - 1:
-                _lower_to(d2, pts, starts[:, i])
-                totals = d2.sum(axis=1)
+                _lower_to(d2, sets.rows, owner, starts[:, i])
+                totals = _row_totals(d2, n)
     return starts
 
 
@@ -123,15 +181,17 @@ def _exact_dists(pts, cents):
     return np.square(pts[:, None, :] - cents).sum(axis=2)
 
 
-def _assign(pts, sq_norms, cents):
+def _assign(cols, sq_norms, cents):
     """Index of each point's nearest real centroid, for a stack of runs.
 
-    pts is (n, dim) with squared row norms sq_norms; cents is (runs,
-    width, dim), where a padded slot holds +inf (see _lloyd) and a real
-    one is finite. Returns (runs, n), equal to the first-index argmin of
-    _exact_dists.
+    cols is (dim, runs, n), row d holding coordinate d of each run's
+    points, with squared norms sq_norms (runs, n); cents is (runs, width,
+    dim), where a padded slot holds +inf (see _lloyd) and a real one is
+    finite. Returns (runs, n), equal to the first-index argmin of
+    _exact_dists, except that a padded point, whose squared norm is +inf,
+    goes to the sink, index width.
 
-    Distances are first screened with one matrix product,
+    Distances are first screened with one matrix product per run,
     |x|^2 - 2 x.c + |c|^2 (padded slots zeroed for the product, then
     +inf). That form differs from the exact one by less than
     8 (dim + 4) (eps (|x|^2 + max|c|^2) + tiny), a bound on the rounding
@@ -141,35 +201,38 @@ def _assign(pts, sq_norms, cents):
     reference does. Points go through in slices of at most _BLOCK_ELEMENTS
     distances.
     """
-    n, dim = pts.shape
-    runs, width = cents.shape[:2]
+    dim, runs, n = cols.shape
+    width = cents.shape[1]
     real = np.isfinite(cents[:, :, 0])
-    flat = np.where(real[:, :, None], cents, 0.0).reshape(runs * width, dim)
-    cc = np.square(flat).sum(axis=1)
-    cmax = cc.reshape(runs, width).max(axis=1)[:, None]
-    cc[~real.ravel()] = np.inf
+    zeroed = np.where(real[:, :, None], cents, 0.0)
+    cc = np.square(zeroed).sum(axis=2)
+    cmax = cc.max(axis=1)[:, None]
+    cc[~real] = np.inf
     out = np.empty((runs, n), dtype=np.intp)
     step = max(1, _BLOCK_ELEMENTS // (runs * width))
     for lo in range(0, n, step):
-        x, xx = pts[lo : lo + step], sq_norms[lo : lo + step]
-        d = flat @ x.T
+        x, xx = cols[:, :, lo : lo + step], sq_norms[:, lo : lo + step]
+        d = zeroed @ x.transpose(1, 0, 2)
         d *= -2.0
-        d += xx
-        d += cc[:, None]
-        d = d.reshape(runs, width, len(x))
+        d += xx[:, None]
+        d += cc[:, :, None]
         bound = 8 * (dim + 4) * (_EPS * (xx + cmax) + _TINY)
         near = d <= (d.min(axis=1) + 2 * bound)[:, None]
         # every slot within twice the bound of the minimum adds width + its
         # index, so the sum lies in [width, 2 width) when exactly one slot
         # does, and then names it; the minimum is always near, since every
-        # value is finite for points that _points accepts
+        # value is finite for real points that _points accepts. Two or more
+        # slots add at least 2 width + 1, so no real point's sum is 2 width:
+        # that sum marks a padded point, and names the sink
         code = np.arange(width, 2.0 * width) @ near
+        code[np.isinf(xx)] = 2 * width
         best = code.astype(np.intp) - width
-        j, i = np.nonzero(code >= 2 * width)
+        j, i = np.nonzero(code > 2 * width)
         chunk = max(1, _BLOCK_ELEMENTS // (width * dim))
         for at in range(0, len(i), chunk):
             ii, jj = i[at : at + chunk], j[at : at + chunk]
-            best[jj, ii] = _exact_dists(x[ii], cents[jj]).argmin(axis=1)
+            rows = np.ascontiguousarray(x[:, jj, ii].T)
+            best[jj, ii] = _exact_dists(rows, cents[jj]).argmin(axis=1)
         out[:, lo : lo + step] = best
     return out
 
@@ -192,98 +255,141 @@ def _sequential_update(pts, sq_norms, centroids, assignment):
         else:
             worst = ((pts - centroids[assignment]) ** 2).sum(axis=1).argmax()
             centroids[c] = pts[worst]
-            assignment = _assign(pts, sq_norms, centroids[None])[0]
+            assignment = _assign(pts.T[:, None], sq_norms[None], centroids[None])[0]
     return assignment, centroids
 
 
-def _lloyd(pts, starts, ks):
+def _lloyd(sets, owner, starts, ks):
     """Lloyd's algorithm for a stack of runs advanced in lockstep.
 
-    starts is (runs, width, dim): run j starts from the centroids in its
-    first ks[j] rows. Later rows are padding; they are set to +inf, so
-    their distances are +inf and no point is ever assigned to them.
-    A run stops when its assignment stops changing or after
-    MAX_ITERATIONS, and then leaves the stack. Once the stack is empty
-    every run's KMeansResult is built from its final assignments and
-    centroids, copied out of the kernel's buffers so that no two results
-    share memory, and their wcss. Each has the bits a run on its own would
-    give: assignments are the exact argmin (see _assign), and each
-    centroid is its members' sum in point order (np.bincount adds rows in
-    order) divided by their count, in every dimension. Only an iteration
-    that leaves a cluster empty replays the run through _sequential_update.
+    Run j clusters set owner[j] of the _Sets sets from the centroids in
+    the first ks[j] rows of starts (runs, width, dim). Later rows are
+    padding; they are set to +inf, so their distances are +inf and no
+    point is ever assigned to them. The runs see their sets padded to the
+    longest of them, n points. A padded point's squared norm is +inf, so
+    _assign sends it to the sink, slot width: a cell of its own in the
+    centroid sums that no centroid reads, which it never leaves, so the
+    done test never sees it move. A run stops when its assignment stops
+    changing or after MAX_ITERATIONS, and then leaves the stack.
+
+    Returns the final assignments (runs, n), centroids (runs, width, dim)
+    and WCSS (runs,), the last from one wcss call per set size over the
+    runs' real points. Each run has the bits a run on its own would give:
+    assignments are the exact argmin (see _assign), and each centroid is
+    its members' sum in point order (np.bincount adds points in order)
+    divided by their count, in every dimension. Only an iteration that
+    leaves a cluster empty replays the run through _sequential_update.
     """
-    n, dim = pts.shape
+    sizes = sets.sizes[owner]
+    n = sizes.max()
     runs, width = starts.shape[:2]
-    real = np.arange(width) < np.asarray(ks)[:, None]
+    dim = starts.shape[2]
+    ks = np.asarray(ks)
+    real = np.arange(width) < ks[:, None]
     centroids = np.where(real[:, :, None], starts, np.inf)
-    sq_norms = np.square(pts).sum(axis=1)
-    # row d is coordinate d of every point once per run, in the order of cells
-    weights = np.tile(pts.T, runs)
+    # row d is coordinate d of every live run's points, in the order of cells
+    cols = sets.cols[:, :, :n].take(owner, axis=1)
+    sq_norms = sets.sq_norms[owner, :n]
     # no assignment is -1, so no run stops after its first iteration
     assignment = np.full((runs, n), -1, dtype=np.intp)
     active = np.arange(runs)
     for _ in range(MAX_ITERATIONS):
         live = len(active)
         before = centroids[active]
-        new = _assign(pts, sq_norms, before)
-        cells = (np.arange(live)[:, None] * width + new).ravel()
-        counts = np.bincount(cells, minlength=live * width).reshape(live, width, 1)
-        sums = np.empty((dim, live * width))
+        new = _assign(cols, sq_norms, before)
+        # each run's cells are its width clusters, then the sink
+        cells = (np.arange(live)[:, None] * (width + 1) + new).ravel()
+        size = live * (width + 1)
+        counts = np.bincount(cells, minlength=size).reshape(live, width + 1, 1)[:, :width]
+        sums = np.empty((dim, size))
         for d in range(dim):
-            sums[d] = np.bincount(cells, weights=weights[d, : live * n], minlength=live * width)
-        sums = sums.T.reshape(live, width, dim)
+            sums[d] = np.bincount(cells, weights=cols[d].ravel(), minlength=size)
+        sums = sums.reshape(dim, live, width + 1)[:, :, :width].transpose(1, 2, 0)
         cents = np.where(counts > 0, sums / np.maximum(counts, 1), before)
         replay = ((counts[:, :, 0] == 0) & real[active]).any(axis=1)
         for j in np.flatnonzero(replay):
-            k = ks[active[j]]
-            new[j], cents[j, :k] = _sequential_update(pts, sq_norms, before[j, :k], new[j])
+            s, k, m = owner[active[j]], ks[active[j]], sizes[active[j]]
+            new[j, :m], cents[j, :k] = _sequential_update(
+                sets.rows[s, :m], sets.sq_norms[s, :m], before[j, :k], new[j, :m]
+            )
         done = (new == assignment[active]).all(axis=1)
         assignment[active] = new
         centroids[active] = cents
         active = active[~done]
         if not len(active):
             break
-    return [
-        KMeansResult(a.copy(), c[:k].copy(), wcss(pts, a, c[:k]))
-        for a, c, k in zip(assignment, centroids, ks)
-    ]
+        if done.any():
+            cols = cols.compress(~done, axis=1)
+            sq_norms = sq_norms[~done]
+    totals = np.empty(runs)
+    for m in set(sizes.tolist()):
+        of = np.flatnonzero(sizes == m)
+        totals[of] = wcss(sets.rows[owner[of], :m], assignment[of, :m], centroids[of])
+    return assignment, centroids, totals
 
 
-def _best_fits(pts, ks, seed, restarts):
-    """The lowest-WCSS restart for every k in ks (ascending), in ks order.
+def _best_fits(point_sets, ks, seed, restarts):
+    """The lowest-WCSS restart of every k in ks[s] (ascending, none past
+    the set's size) for every point set point_sets[s], all of one
+    dimension: one list of fits per set, in ks[s] order.
 
-    Restart r of every k starts from the first k centroids of one
-    k-means++ draw of max(ks) centroids with restart r's seed: a draw of k
-    makes the same random calls as the first k steps of a longer one, so
-    every k starts where a fit of that k alone would. The draws of all
-    restarts are made together (see _kmeans_pp_init). All k x restarts
-    runs go through _lloyd in k order, in groups of at most
-    _BLOCK_ELEMENTS run x point x max(cluster, dimension) elements (at
-    least one run each), which bounds the group's distance matrix and its
-    (run, point, dimension) temporaries; ties keep the earlier restart.
+    Every set takes the same restart seeds. Restart r of every k of a set
+    starts from the first k centroids of one k-means++ draw of max(ks[s])
+    centroids with restart r's seed: a draw of k makes the same random
+    calls as the first k steps of a longer one, so every k starts where a
+    fit of that k alone would. The draws of every set and restart are made
+    together (see _kmeans_pp_init). A k = 1 run ends at its set's
+    point-order mean with every point in cluster 0, whatever its start,
+    so every restart of k = 1 gives the same bits and only restart 0 runs;
+    the draws are still made whole.
+
+    The runs go through _lloyd k-major (then by set size, set and
+    restart), in groups of at most _BLOCK_ELEMENTS run x point x
+    max(cluster, dimension) elements (at least one run each), with each
+    run counted at its group's longest set. That bounds the group's
+    distance matrix and its (run, point, dimension) temporaries. Only the
+    lowest-WCSS run of each (set, k), the earlier restart on ties, becomes
+    a fit.
     """
+    sets = _pad(point_sets)
+    dim = sets.rows.shape[2]
     master = np.random.default_rng(_seed(seed))
-    rngs = [np.random.default_rng(s) for s in master.integers(2**63, size=restarts)]
-    starts = _kmeans_pp_init(pts, ks[-1], rngs)
-    dim = pts.shape[1]
-    groups, group = [], []
-    for k in ks:
-        for r in range(restarts):
-            if group and (len(group) + 1) * len(pts) * max(k, dim) > _BLOCK_ELEMENTS:
-                groups.append(group)
-                group = []
-            group.append((k, r))
-    groups.append(group)
+    restart_seeds = master.integers(2**63, size=restarts)
+    # draw s * restarts + r is restart r of set s
+    rngs = [np.random.default_rng(x) for _ in point_sets for x in restart_seeds]
+    lengths = np.repeat([max(set_ks) for set_ks in ks], restarts)
+    starts = _kmeans_pp_init(sets, np.arange(len(rngs)) // restarts, lengths, rngs)
+    runs = sorted(
+        (k, sets.sizes[s], s, r)
+        for s, set_ks in enumerate(ks)
+        for k in set_ks
+        for r in range(1 if k == 1 else restarts)
+    )
+    groups, longest = [[]], 0
+    for k, size, s, r in runs:
+        longest = max(longest, size)
+        if groups[-1] and (len(groups[-1]) + 1) * longest * max(k, dim) > _BLOCK_ELEMENTS:
+            groups.append([])
+            longest = size
+        groups[-1].append((k, s, r))
 
     best = {}
     for group in groups:
-        group_ks, group_restarts = zip(*group)
-        # slots past a run's k are padding, which _lloyd sets to +inf
-        fits = _lloyd(pts, starts[list(group_restarts), : group_ks[-1]], group_ks)
-        for k, fit in zip(group_ks, fits):
-            if k not in best or fit.wcss < best[k].wcss:
-                best[k] = fit
-    return [best[k] for k in ks]
+        group_ks, owner, group_restarts = map(np.array, zip(*group))
+        group_starts = starts[owner * restarts + group_restarts, : group_ks[-1]]
+        assignment, centroids, totals = _lloyd(sets, owner, group_starts, group_ks)
+        # the first lowest total of each (set, k) in the group, then across groups
+        won = {}
+        for j, key in enumerate(zip(owner.tolist(), group_ks.tolist())):
+            if key not in won or totals[j] < totals[won[key]]:
+                won[key] = j
+        for (s, k), j in won.items():
+            if (s, k) not in best or totals[j] < best[s, k][2]:
+                best[s, k] = (assignment[j, : sets.sizes[s]].copy(), centroids[j, :k].copy(), totals[j])
+    return [
+        [KMeansResult(a, c, float(w)) for a, c, w in (best[s, k] for k in set_ks)]
+        for s, set_ks in enumerate(ks)
+    ]
 
 
 def kmeans(points, k, seed, restarts=1):
@@ -297,7 +403,7 @@ def kmeans(points, k, seed, restarts=1):
     pts = _points(points)
     k = _integer(k, "k", 1, len(pts))
     restarts = _integer(restarts, "restarts", 1, MAX_RESTARTS)
-    return _best_fits(pts, [k], seed, restarts)[0]
+    return _best_fits([pts], [[k]], seed, restarts)[0][0]
 
 
 def knee_point(wcss_values):
@@ -325,6 +431,13 @@ def knee_point(wcss_values):
     return best_k
 
 
+def _knees(sets, k_maxes, seed):
+    """(k, fit) at the knee of every set's sweep over 1..k_maxes[s]."""
+    sweeps = _best_fits(sets, [range(1, k_max + 1) for k_max in k_maxes], seed, DEFAULT_RESTARTS)
+    knees = [knee_point([fit.wcss for fit in fits]) for fits in sweeps]
+    return [(k, fits[k - 1]) for k, fits in zip(knees, sweeps)]
+
+
 def elbow_fit(points, k_max, seed):
     """Pick a cluster count by the knee of the WCSS-versus-k curve.
 
@@ -335,9 +448,23 @@ def elbow_fit(points, k_max, seed):
     """
     pts = _points(points)
     k_max = _integer(k_max, "k_max", 1, len(pts))
-    fits = _best_fits(pts, range(1, k_max + 1), seed, DEFAULT_RESTARTS)
-    k = knee_point([fit.wcss for fit in fits])
-    return k, fits[k - 1]
+    return _knees([pts], [k_max], seed)[0]
+
+
+def elbow_fits(point_sets, k_max, seed):
+    """elbow_fit(points, min(k_max, len(points)), seed) for every set in
+    point_sets, in one sweep: a list of (k, fit), one per set.
+
+    The sets must share one dimension; their runs share Lloyd groups (see
+    _best_fits), which changes no bit of any fit.
+    """
+    sets = [_points(points) for points in point_sets]
+    k_max = _integer(k_max, "k_max", 1, INT64_MAX)
+    if len({pts.shape[1] for pts in sets}) > 1:
+        raise InvalidInputError("point sets must share one dimension")
+    if not sets:
+        return []
+    return _knees(sets, [min(k_max, len(pts)) for pts in sets], seed)
 
 
 def elbow_k(points, k_max, seed):

@@ -17,7 +17,7 @@ import numpy as np
 
 # elbow_k and kmeans are not called here; they stay importable as
 # fuzzyloc.rulebase.elbow_k and fuzzyloc.rulebase.kmeans
-from .clustering import elbow_fit, elbow_k, kmeans  # noqa: F401
+from .clustering import elbow_fits, elbow_k, kmeans  # noqa: F401
 from .data import Normalization, label_universe as universe_of, write_text
 from .errors import (
     ConfigError, InvalidInputError, RuleBaseFormatError, RuleBaseVersionError, prefixed,
@@ -231,15 +231,6 @@ class RuleBase:
         return tuple(map(Rule, antecedents, self.consequents.tolist(), self.supports.tolist()))
 
 
-def _cluster_rules(points, seed, k_max):
-    """Cluster one point set and yield a member mask per non-empty cluster."""
-    k, fit = elbow_fit(points, min(k_max, len(points)), seed)
-    for c in range(k):
-        mask = fit.assignment == c
-        if mask.any():
-            yield mask
-
-
 def extract_rules(
     dataset,
     selected_features=None,
@@ -256,7 +247,9 @@ def extract_rules(
     whole dataset and uses the mean member label as the (real-valued)
     consequent. Each class (or the whole set) is clustered by elbow_fit with
     k_max capped at its size, so a class of fewer than 3 instances forms a
-    single cluster: a sweep of one or two k has its knee at k = 1.
+    single cluster: a sweep of one or two k has its knee at k = 1. Every
+    class is swept in one elbow_fits call; each non-empty cluster of a
+    class's knee fit becomes one rule.
     label_universe defaults to the contiguous integer range spanning the
     training labels; pass it explicitly when held-out labels must be
     predictable.
@@ -279,22 +272,25 @@ def extract_rules(
     labels = dataset.labels
     label_universe = universe_of(labels.tolist(), label_universe)
 
-    points = dataset.features[:, selected_features]
     if strategy == PER_CLASS:
         groups = [(labels == c, c) for c in sorted(set(int(v) for v in labels))]
     else:
         groups = [(slice(None), None)]
+    group_points = [dataset.features[subset][:, selected_features] for subset, _ in groups]
+    fits = elbow_fits(group_points, k_max, seed)
     antecedents, consequents, supports = [], [], []
-    for subset, label in groups:
-        group_points, group_labels = points[subset], labels[subset]
-        for mask in _cluster_rules(group_points, seed, k_max):
+    for (subset, label), group, (k, fit) in zip(groups, group_points, fits):
+        for c in range(k):
+            mask = fit.assignment == c
+            if not mask.any():
+                continue
             # a contiguous row per feature reduces as its lone column would
-            members = np.ascontiguousarray(group_points[mask].T)
+            members = np.ascontiguousarray(group[mask].T)
             lo, hi = members.min(axis=1), members.max(axis=1)
             # the mean of equal values can round an ulp past them
             antecedents.append((lo, np.clip(members.mean(axis=1), lo, hi), hi))
             if label is None:
-                consequents.append(group_labels[mask].astype(float).mean())
+                consequents.append(labels[subset][mask].astype(float).mean())
             else:
                 consequents.append(label)
             supports.append(members.shape[1])

@@ -1,5 +1,6 @@
 import ast
 import functools
+import inspect
 import re
 from collections import Counter
 from pathlib import Path
@@ -9,8 +10,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fuzzyloc import clustering
-from fuzzyloc.clustering import DEFAULT_RESTARTS, MAX_RESTARTS, elbow_fit, elbow_k, kmeans, knee_point, wcss
+from fuzzyloc import clustering, rulebase
+from fuzzyloc.clustering import (
+    DEFAULT_RESTARTS, MAX_RESTARTS, KMeansResult, elbow_fit, elbow_fits, elbow_k, kmeans, knee_point,
+    wcss,
+)
 from fuzzyloc.errors import InvalidInputError
 from fuzzyloc.synth import generate_synthetic
 
@@ -58,7 +62,7 @@ class TestKMeans:
         capped = []
         for cap in range(1, len(history) + 1):
             with mock.patch.object(clustering, "MAX_ITERATIONS", cap):
-                capped.append(clustering._lloyd(FOUR_BLOBS, start[None], [3])[0].wcss)
+                capped.append(lloyd([FOUR_BLOBS], [0], start[None], [3])[0].wcss)
         assert tuple(capped) == history
         assert all(a >= b for a, b in zip(capped, capped[1:]))
 
@@ -329,6 +333,12 @@ def ref_assign(pts, centroids):
     return dists.argmin(axis=1)
 
 
+def ref_wcss(pts, assignment, centroids):
+    """WCSS as one run computed it before stacked totals: the reference
+    for clustering.wcss."""
+    return float(((pts - centroids[assignment]) ** 2).sum())
+
+
 def ref_lloyd(pts, centroids, max_iterations=300):
     k = len(centroids)
     centroids = centroids.copy()
@@ -344,7 +354,7 @@ def ref_lloyd(pts, centroids, max_iterations=300):
                 worst = ((pts - centroids[new_assignment]) ** 2).sum(axis=1).argmax()
                 centroids[c] = pts[worst]
                 new_assignment = ref_assign(pts, centroids)
-        history.append(wcss(pts, new_assignment, centroids))
+        history.append(ref_wcss(pts, new_assignment, centroids))
         if assignment is not None and np.array_equal(assignment, new_assignment):
             break
         assignment = new_assignment
@@ -362,6 +372,22 @@ def ref_kmeans(pts, k, seed, restarts=1):
     return best
 
 
+def lloyd(point_sets, owner, starts, ks):
+    """clustering._lloyd over point_sets, a list of (n, dim) arrays, as one
+    group: every run's KMeansResult, cut to its own set and k. Padded
+    points must sit in the sink, slot width."""
+    sets = clustering._pad(point_sets)
+    starts = np.asarray(starts, dtype=float)
+    assignment, centroids, totals = clustering._lloyd(sets, np.asarray(owner), starts, ks)
+    assert assignment.shape == (len(starts), max(len(point_sets[s]) for s in owner))
+    fits = []
+    for a, c, w, s, k in zip(assignment, centroids, totals, owner, ks):
+        n = len(point_sets[s])
+        assert (a[n:] == starts.shape[1]).all()
+        fits.append(KMeansResult(a[:n], c[:k], w))
+    return fits
+
+
 def assert_same_fit(got, want):
     """got, a KMeansResult, is the fit want = (assignment, centroids, WCSS
     history) ends in, bit for bit."""
@@ -372,10 +398,10 @@ def assert_same_fit(got, want):
 
 
 @st.composite
-def point_sets(draw, min_n=1, max_n=14):
+def point_sets(draw, min_n=1, max_n=14, dim=None):
     """Small point sets whose rows repeat often, so clusters go empty."""
     n = draw(st.integers(min_n, max_n))
-    dim = draw(st.integers(1, 3))
+    dim = draw(st.integers(1, 3)) if dim is None else dim
     value = st.one_of(
         st.integers(-2, 2).map(float),
         st.floats(-1e3, 1e3, allow_nan=False, allow_infinity=False),
@@ -386,7 +412,7 @@ def point_sets(draw, min_n=1, max_n=14):
 
 
 @st.composite
-def wide_point_sets(draw, min_n=1, max_n=14):
+def wide_point_sets(draw, min_n=1, max_n=14, dim=None):
     """Point sets in 1 to 32 dimensions, past numpy's 8-way unrolled sums.
 
     Rows repeat; mirror images across the first axis put every row whose
@@ -394,7 +420,7 @@ def wide_point_sets(draw, min_n=1, max_n=14):
     and a large common offset makes |x|^2 - 2 x.c + |c|^2 cancel badly.
     """
     n = draw(st.integers(min_n, max_n))
-    dim = draw(st.integers(1, 32))
+    dim = draw(st.integers(1, 32)) if dim is None else dim
     offset = draw(st.sampled_from([0.0, 1e3, 1e5, 1e8]))
     value = st.one_of(st.integers(-2, 2).map(float), st.floats(-1, 1, allow_nan=False))
     pool = draw(st.lists(st.lists(value, min_size=dim, max_size=dim), min_size=1, max_size=n))
@@ -402,6 +428,23 @@ def wide_point_sets(draw, min_n=1, max_n=14):
         pool += [[-row[0]] + row[1:] for row in pool]
     picks = draw(st.lists(st.integers(0, len(pool) - 1), min_size=n, max_size=n))
     return offset + np.array([pool[i] for i in picks], dtype=float)
+
+
+@st.composite
+def stacked_runs(draw, make, max_dim):
+    """One to three point sets of one dimension, drawn by make, and one to
+    six runs over them, of different k side by side, with starts drawn
+    from the rows of each run's own set, so that they repeat:
+    (sets, owner, starts, ks)."""
+    dim = draw(st.integers(1, max_dim), label="dim")
+    sets = draw(st.lists(make(dim=dim), min_size=1, max_size=3), label="sets")
+    owner = draw(st.lists(st.integers(0, len(sets) - 1), min_size=1, max_size=6), label="owner")
+    ks = [draw(st.integers(1, len(sets[s])), label="k") for s in owner]
+    starts = np.zeros((len(ks), max(ks), dim))
+    for j, (s, k) in enumerate(zip(owner, ks)):
+        rows = draw(st.lists(st.integers(0, len(sets[s]) - 1), min_size=k, max_size=k))
+        starts[j, :k] = sets[s][rows]
+    return sets, owner, starts, ks
 
 
 # 1 element puts every run in a group of its own; 2**16 is the kernel's own
@@ -439,21 +482,39 @@ class TestLockstepKernel:
         assert_same_fit(fit, ref_kmeans(pts, k, seed, restarts))
 
     @settings(max_examples=100, deadline=None)
-    @given(pts=point_sets(), data=st.data())
-    def test_stacked_runs_match_one_run_each(self, pts, data):
-        # runs of different k side by side, starts with repeated rows, and
-        # iteration caps that stop runs before they converge
-        ks = data.draw(st.lists(st.integers(1, len(pts)), min_size=1, max_size=6), label="ks")
-        width = max(ks)
-        starts = np.zeros((len(ks), width, pts.shape[1]))
-        for j, k in enumerate(ks):
-            rows = data.draw(st.lists(st.integers(0, len(pts) - 1), min_size=k, max_size=k))
-            starts[j, :k] = pts[rows]
+    @given(runs=stacked_runs(point_sets, 3), data=st.data())
+    def test_stacked_runs_match_one_run_each(self, runs, data):
+        # point sets of different lengths in one group, and iteration caps
+        # that stop runs before they converge
+        sets, owner, starts, ks = runs
         cap = data.draw(st.sampled_from([1, 2, 3, 300]), label="max_iterations")
         with mock.patch.object(clustering, "MAX_ITERATIONS", cap):
-            fits = clustering._lloyd(pts, starts, ks)
-        for fit, k, start in zip(fits, ks, starts):
-            assert_same_fit(fit, ref_lloyd(pts, start[:k], max_iterations=cap))
+            fits = lloyd(sets, owner, starts, ks)
+        for fit, s, k, start in zip(fits, owner, ks, starts):
+            assert_same_fit(fit, ref_lloyd(sets[s], start[:k], max_iterations=cap))
+
+    @pytest.mark.parametrize("dim", [1, 5, 24])
+    def test_sets_of_1_to_30_rows_share_a_group(self, dim):
+        # rows drawn from a small pool repeat, so some runs start with
+        # coinciding centroids and replay the sequential step
+        rng = np.random.default_rng(dim)
+        pool = rng.integers(-2, 3, size=(6, dim)) + rng.normal(0.0, 0.1, size=(6, dim))
+        sets = [pool[rng.integers(6, size=n)] for n in (1, 2, 3, 29, 30)]
+        owner, ks, starts = [], [], np.zeros((5 * 4 * 2, 4, dim))
+        for s, pts in enumerate(sets):
+            for k in range(1, min(len(pts), 4) + 1):
+                for _ in range(2):
+                    starts[len(ks), :k] = pts[rng.integers(len(pts), size=k)]
+                    owner.append(s)
+                    ks.append(k)
+        starts = starts[: len(ks)]
+        with mock.patch.object(
+            clustering, "_sequential_update", wraps=clustering._sequential_update
+        ) as replay:
+            fits = lloyd(sets, owner, starts, ks)
+        assert replay.called
+        for fit, s, k, start in zip(fits, owner, ks, starts):
+            assert_same_fit(fit, ref_lloyd(sets[s], start[:k]))
 
     def test_empty_cluster_replays_the_sequential_step(self):
         pts = np.array([[0.0, 0.0]] * 3 + [[1.0, 1.0], [5.0, 5.0]])
@@ -462,9 +523,24 @@ class TestLockstepKernel:
         with mock.patch.object(
             clustering, "_sequential_update", wraps=clustering._sequential_update
         ) as replay:
-            (fit,) = clustering._lloyd(pts, starts, [4])
+            (fit,) = lloyd([pts], [0], starts, [4])
         assert replay.called
         assert_same_fit(fit, ref_lloyd(pts, starts[0]))
+
+    def test_empty_cluster_in_a_padded_set_replays_its_own_points(self):
+        # the short set is padded to the long one's 9 points; its run replays
+        pts = np.array([[0.0, 0.0]] * 3 + [[1.0, 1.0], [5.0, 5.0]])
+        longer = np.arange(18.0).reshape(9, 2)
+        starts = np.stack([pts[[0, 1, 3, 4]], longer[[0, 4, 8, 2]]])
+        with mock.patch.object(
+            clustering, "_sequential_update", wraps=clustering._sequential_update
+        ) as replay:
+            short_fit, long_fit = lloyd([longer, pts], [1, 0], starts, [4, 4])
+        # every replay is the short run's, over its own five points
+        assert replay.called
+        assert all(np.array_equal(call.args[0], pts) for call in replay.call_args_list)
+        assert_same_fit(short_fit, ref_lloyd(pts, starts[0]))
+        assert_same_fit(long_fit, ref_lloyd(longer, starts[1]))
 
     def test_one_dimension_sums_in_point_order(self):
         # one-dimensional runs take the bincount path like any other; their
@@ -512,24 +588,31 @@ class TestBatchedDraw:
     @settings(max_examples=100, deadline=None)
     @given(pts=draw_point_sets(), data=st.data(), block=blocks)
     def test_each_row_is_a_choice_draw_of_its_own(self, pts, data, block):
-        k = data.draw(st.integers(1, min(len(pts), 40)), label="k")
-        restarts = data.draw(st.integers(1, 5), label="restarts")
+        # up to three sets: the first and prefixes of it, so that the
+        # shorter ones are padded; each draw has a length of its own
+        cuts = data.draw(st.lists(st.integers(1, len(pts)), max_size=2), label="cuts")
+        sets = [pts] + [pts[:cut] for cut in cuts]
+        draws = data.draw(st.integers(1, 6), label="draws")
+        owner = data.draw(st.lists(st.integers(0, len(sets) - 1), min_size=draws, max_size=draws))
+        lengths = [data.draw(st.integers(1, min(len(sets[s]), 40)), label="length") for s in owner]
         master = np.random.default_rng(data.draw(seeds, label="seed"))
-        restart_seeds = [master.integers(2**63) for _ in range(restarts)]
-        rngs = [np.random.default_rng(s) for s in restart_seeds]
+        draw_seeds = [master.integers(2**63) for _ in range(draws)]
+        rngs = [np.random.default_rng(s) for s in draw_seeds]
         with mock.patch.object(clustering, "_BLOCK_ELEMENTS", block):
-            starts = clustering._kmeans_pp_init(pts, k, rngs)
-        assert starts.shape == (restarts, k, pts.shape[1])
-        for got, rng, s in zip(starts, rngs, restart_seeds):
-            own = np.random.default_rng(s)
-            assert np.array_equal(got, ref_kmeans_pp_init(pts, k, own))
+            starts = clustering._kmeans_pp_init(
+                clustering._pad(sets), np.array(owner), np.array(lengths), rngs
+            )
+        assert starts.shape == (draws, max(lengths), pts.shape[1])
+        for got, rng, s, k, own_seed in zip(starts, rngs, owner, lengths, draw_seeds):
+            own = np.random.default_rng(own_seed)
+            assert np.array_equal(got[:k], ref_kmeans_pp_init(sets[s], k, own))
             # the same random calls: both generators end in the same state
             assert rng.bit_generator.state == own.bit_generator.state
 
     def test_changing_one_result_changes_no_other(self):
         pts = blobs([(0, 0, 0), (4, 4, 4)], per_blob=10, sd=1.0, seed=2)
-        starts = np.stack([pts[[0, 10, 5]], pts[[3, 3, 3]], pts[[1, 11, 19]]])
-        fits = clustering._lloyd(pts, starts, [2, 1, 3]) + clustering._best_fits(pts, [1, 2, 3], 0, 2)
+        sweeps = clustering._best_fits([pts, pts[:7]], [[1, 2, 3], [2, 3]], 0, 2)
+        fits = sweeps[0] + sweeps[1] + [fit for _, fit in elbow_fits([pts, pts[5:]], 4, 1)]
         arrays = [a for fit in fits for a in (fit.assignment, fit.centroids)]
         # no view of a buffer of the kernel's, nor of another result's
         assert all(a.flags.owndata for a in arrays)
@@ -537,6 +620,29 @@ class TestBatchedDraw:
         for i, a in enumerate(arrays):
             a[...] = -1
             assert all(np.array_equal(b, c) for b, c in zip(arrays[i + 1 :], kept[i + 1 :]))
+
+
+def counted_generators(calls, log=None):
+    """A stand-in for np.random.default_rng that counts the generators it
+    makes in calls["generators"] and every method looked up on them in
+    calls[name]; log, if given, gets one list per generator of the names
+    it was asked for, in order."""
+    default_rng = np.random.default_rng
+
+    class CountedGenerator:
+        def __init__(self, seed):
+            calls["generators"] += 1
+            self.rng = default_rng(seed)
+            self.made = []
+            if log is not None:
+                log.append(self.made)
+
+        def __getattr__(self, name):
+            calls[name] += 1
+            self.made.append(name)
+            return getattr(self.rng, name)
+
+    return CountedGenerator
 
 
 class TestFixedCost:
@@ -549,23 +655,14 @@ class TestFixedCost:
         pts = corridor.features[corridor.labels == 5]
         assert pts.shape == (30, 5)
         calls, runs = Counter(), []
-        default_rng, lloyd = np.random.default_rng, clustering._lloyd
+        lloyd_runs = clustering._lloyd
 
-        class CountedGenerator:
-            def __init__(self, seed):
-                calls["generators"] += 1
-                self.rng = default_rng(seed)
-
-            def __getattr__(self, name):
-                calls[name] += 1
-                return getattr(self.rng, name)
-
-        def counted_lloyd(pts, starts, ks, **kwargs):
+        def counted_lloyd(sets, owner, starts, ks):
             runs.extend(start[:k].copy() for start, k in zip(starts, ks))
-            return lloyd(pts, starts, ks, **kwargs)
+            return lloyd_runs(sets, owner, starts, ks)
 
         with (
-            mock.patch.object(np.random, "default_rng", CountedGenerator),
+            mock.patch.object(np.random, "default_rng", counted_generators(calls)),
             mock.patch.object(clustering, "_lloyd", counted_lloyd),
             mock.patch.object(clustering, "_assign", wraps=clustering._assign) as assign,
             mock.patch.object(clustering, "_sequential_update") as replay,
@@ -573,10 +670,63 @@ class TestFixedCost:
             elbow_fit(pts, 10, 42)
         assert calls["choice"] == 0
         assert calls["generators"] == DEFAULT_RESTARTS + 1
-        # 50 runs fit one lockstep group, which iterates as long as its
-        # longest run; no cluster goes empty, so no run is replayed
-        assert len(runs) == 50 and not replay.called
+        # 46 runs, k = 1 once, fit one lockstep group, which iterates as
+        # long as its longest run; no cluster goes empty, so no run is
+        # replayed
+        assert len(runs) == 9 * DEFAULT_RESTARTS + 1 and not replay.called
         assert assign.call_count == max(len(ref_lloyd(pts, start)[2]) for start in runs)
+
+    def test_one_call_sweeps_every_class_in_few_groups(self):
+        # the nine classes of a corridor experiment: 414 runs in two groups
+        corridor = generate_synthetic(n_rooms=10, per_room=30, n_beacons=5, noise_sd=0.5, seed=42)
+        classes = [corridor.features[corridor.labels == room] for room in range(1, 11) if room != 5]
+        with (
+            mock.patch.object(clustering, "_lloyd", wraps=clustering._lloyd) as lloyd_calls,
+            mock.patch.object(clustering, "_assign", wraps=clustering._assign) as assign,
+        ):
+            fits = elbow_fits(classes, 10, 42)
+        groups = [call.args[1:] for call in lloyd_calls.call_args_list]
+        assert [len(owner) for owner, _, _ in groups] == [279, 135]
+        # each group iterates as long as its longest run
+        assert assign.call_count == sum(
+            max(len(ref_lloyd(classes[s], start[:k])[2]) for s, start, k in zip(*group))
+            for group in groups
+        )
+        for pts, (k, fit) in zip(classes, fits):
+            assert_same_fit(fit, ref_kmeans(pts, k, 42, DEFAULT_RESTARTS))
+
+    @pytest.mark.parametrize("k_max", [1, 2, 6])
+    def test_k_one_runs_once_and_every_draw_is_made_whole(self, k_max):
+        sets = [FOUR_BLOBS, FOUR_BLOBS[::7], FOUR_BLOBS[:3]]
+        calls, log = Counter(), []
+        with (
+            mock.patch.object(np.random, "default_rng", counted_generators(calls, log)),
+            mock.patch.object(clustering, "_lloyd", wraps=clustering._lloyd) as lloyd_calls,
+        ):
+            fits = elbow_fits(sets, k_max, 8)
+        ks = [k for call in lloyd_calls.call_args_list for k in call.args[3]]
+        owners = [s for call in lloyd_calls.call_args_list for s in call.args[1]]
+        for s, pts in enumerate(sets):
+            runs = [k for k, o in zip(ks, owners) if o == s]
+            k_top = min(k_max, len(pts))
+            assert sorted(runs) == [1] + [k for k in range(2, k_top + 1) for _ in range(DEFAULT_RESTARTS)]
+        # the master, then one generator per set and restart, each making
+        # the calls of a reference draw of its set's top k, where one
+        # rng.random() stands for each choice (see _kmeans_pp_init)
+        master = np.random.default_rng(8)
+        restart_seeds = [master.integers(2**63) for _ in range(DEFAULT_RESTARTS)]
+        want = [["integers"]]
+        for pts in sets:
+            for restart_seed in restart_seeds:
+                made = []
+                rng = counted_generators(Counter(), made)(restart_seed)
+                ref_kmeans_pp_init(pts, min(k_max, len(pts)), rng)
+                want.append(["random" if name == "choice" else name for name in made[0]])
+        assert log == want
+        for pts, (k, fit) in zip(sets, fits):
+            one = ref_kmeans(pts, 1, 8, DEFAULT_RESTARTS)
+            assert_same_fit(clustering._best_fits([pts], [[1]], 8, DEFAULT_RESTARTS)[0][0], one)
+            assert_same_fit(fit, ref_kmeans(pts, k, 8, DEFAULT_RESTARTS))
 
     def test_one_feature_sweeps_never_take_the_sequential_step(self):
         # a one-feature rule base clusters single columns; continuous values
@@ -598,7 +748,7 @@ class TestFixedCost:
         # nothing changed
         start = ref_kmeans_pp_init(FOUR_BLOBS, k, np.random.default_rng(3))
         with mock.patch.object(clustering, "_assign", wraps=clustering._assign) as assign:
-            clustering._lloyd(FOUR_BLOBS, start[None], [k])
+            lloyd([FOUR_BLOBS], [0], start[None], [k])
         assert assign.call_count == len(ref_lloyd(FOUR_BLOBS, start)[2])
 
 
@@ -620,22 +770,19 @@ class TestScreenedAssignment:
         assert_same_fit(fit, ref_kmeans(pts, k, seed, restarts))
 
     @settings(max_examples=100, deadline=None)
-    @given(pts=wide_point_sets(), data=st.data(), block=blocks)
-    def test_wide_stacked_runs_match_one_run_each(self, pts, data, block):
-        # starts drawn from the rows, so mirror pairs and repeats give ties
-        ks = data.draw(st.lists(st.integers(1, len(pts)), min_size=1, max_size=6), label="ks")
-        starts = np.zeros((len(ks), max(ks), pts.shape[1]))
-        for j, k in enumerate(ks):
-            rows = data.draw(st.lists(st.integers(0, len(pts) - 1), min_size=k, max_size=k))
-            starts[j, :k] = pts[rows]
+    @given(runs=stacked_runs(wide_point_sets, 32), data=st.data(), block=blocks)
+    def test_wide_stacked_runs_match_one_run_each(self, runs, data, block):
+        # starts drawn from the rows, so mirror pairs and repeats give ties;
+        # sets of different lengths and offsets share the group
+        sets, owner, starts, ks = runs
         cap = data.draw(st.sampled_from([1, 2, 300]), label="max_iterations")
         with (
             mock.patch.object(clustering, "_BLOCK_ELEMENTS", block),
             mock.patch.object(clustering, "MAX_ITERATIONS", cap),
         ):
-            fits = clustering._lloyd(pts, starts, ks)
-        for fit, k, start in zip(fits, ks, starts):
-            assert_same_fit(fit, ref_lloyd(pts, start[:k], max_iterations=cap))
+            fits = lloyd(sets, owner, starts, ks)
+        for fit, s, k, start in zip(fits, owner, ks, starts):
+            assert_same_fit(fit, ref_lloyd(sets[s], start[:k], max_iterations=cap))
 
     def test_equidistant_points_take_the_exact_path(self):
         # rows with first coordinate 0 lie exactly halfway between the two
@@ -648,7 +795,7 @@ class TestScreenedAssignment:
         with mock.patch.object(
             clustering, "_exact_dists", wraps=clustering._exact_dists
         ) as exact:
-            (fit,) = clustering._lloyd(pts, starts[None], [2])
+            (fit,) = lloyd([pts], [0], starts[None], [2])
         assert exact.called
         assert_same_fit(fit, ref_lloyd(pts, starts))
 
@@ -683,16 +830,118 @@ class TestScreenedAssignment:
         # a building-sized class: 100 points in 24 dimensions, k 1..10
         pts = blobs([(0,) * 24, (1,) * 24], per_blob=50, sd=0.3, seed=1)
         n, dim = pts.shape
-        with mock.patch.object(clustering, "_lloyd", wraps=clustering._lloyd) as lloyd:
+        with mock.patch.object(clustering, "_lloyd", wraps=clustering._lloyd) as lloyd_calls:
             elbow_fit(pts, k_max=10, seed=0)
-        groups = [list(call.args[2]) for call in lloyd.call_args_list]
-        assert sum(groups, []) == [k for k in range(1, 11) for _ in range(DEFAULT_RESTARTS)]
+        groups = [list(call.args[3]) for call in lloyd_calls.call_args_list]
+        assert sum(groups, []) == [1] + [k for k in range(2, 11) for _ in range(DEFAULT_RESTARTS)]
         for group, following in zip(groups, groups[1:] + [None]):
             assert len(group) * n * max(group[-1], dim) <= clustering._BLOCK_ELEMENTS
             if following:
                 grown = (len(group) + 1) * n * max(following[0], dim)
                 assert grown > clustering._BLOCK_ELEMENTS
-        assert [len(g) for g in groups] == [27, 23]
+        assert [len(g) for g in groups] == [27, 19]
+
+    def test_groups_of_several_sets_count_runs_at_their_longest_set(self):
+        # classes of 40, 100 and 60 points: k-major, then by set size
+        rng = np.random.default_rng(3)
+        sizes = [40, 100, 60]
+        sets = [rng.normal(size=(n, 24)) for n in sizes]
+        with mock.patch.object(clustering, "_lloyd", wraps=clustering._lloyd) as lloyd_calls:
+            elbow_fits(sets, 10, 0)
+        groups = [
+            [(k, sizes[s]) for k, s in zip(call.args[3], call.args[1])]
+            for call in lloyd_calls.call_args_list
+        ]
+        order = sorted((k, n) for k in range(1, 11) for n in sizes for _ in range(1 if k == 1 else 5))
+        assert sum(groups, []) == order
+        for group, following in zip(groups, groups[1:] + [None]):
+            longest = max(n for _, n in group)
+            assert len(group) * longest * 24 <= clustering._BLOCK_ELEMENTS
+            if following:
+                grown = (len(group) + 1) * max(longest, following[0][1]) * 24
+                assert grown > clustering._BLOCK_ELEMENTS
+
+
+class TestManySets:
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data(), block=blocks)
+    def test_each_set_gets_the_knee_and_fit_of_its_own_sweep(self, data, block):
+        dim = data.draw(st.integers(1, 6), label="dim")
+        sets = data.draw(st.lists(point_sets(max_n=12, dim=dim), min_size=1, max_size=4), label="sets")
+        k_max = data.draw(st.integers(1, 12), label="k_max")
+        seed = data.draw(seeds, label="seed")
+        with mock.patch.object(clustering, "_BLOCK_ELEMENTS", block):
+            got = elbow_fits(sets, k_max, seed)
+        assert len(got) == len(sets)
+        for pts, (k, fit) in zip(sets, got):
+            want_k, want = elbow_fit(pts, min(k_max, len(pts)), seed)
+            assert k == want_k
+            assert_same_fit(fit, (want.assignment, want.centroids, [want.wcss]))
+
+    def test_sets_must_share_one_dimension(self):
+        with pytest.raises(InvalidInputError, match="^point sets must share one dimension$"):
+            elbow_fits([np.zeros((3, 2)), np.zeros((3, 3))], 2, 0)
+        with pytest.raises(InvalidInputError, match="^k_max must be >= 1, got 0$"):
+            elbow_fits([np.zeros((3, 2))], 0, 0)
+        with pytest.raises(InvalidInputError, match=f"^{UNFIT}$"):
+            elbow_fits([np.zeros((3, 2)), np.full((2, 2), np.nan)], 2, 0)
+        assert elbow_fits([], 3, 0) == []
+
+
+class TestWcss:
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_stacked_totals_are_the_single_run_expression(self, data):
+        runs = data.draw(st.integers(1, 5), label="runs")
+        n = data.draw(st.integers(1, 40), label="n")
+        dim = data.draw(st.integers(1, 32), label="dim")
+        k = data.draw(st.integers(1, 6), label="k")
+        width = k + data.draw(st.integers(0, 3), label="padded slots")
+        rng = np.random.default_rng(data.draw(seeds, label="values"))
+        scale = 10.0 ** rng.uniform(-8, 8, size=(1, 1, dim))
+        pts = rng.normal(size=(runs, n, dim)) * scale
+        centroids = np.full((runs, width, dim), np.inf)
+        centroids[:, :k] = rng.normal(size=(runs, k, dim)) * scale
+        assignment = rng.integers(k, size=(runs, n))
+        totals = wcss(pts, assignment, centroids)
+        assert totals.shape == (runs,)
+        for j in range(runs):
+            want = ((pts[j] - centroids[j][assignment[j]]) ** 2).sum()
+            assert totals[j] == want
+            assert wcss(pts[j], assignment[j], centroids[j]) == want
+
+    def test_padded_runs_total_their_own_points(self):
+        # sets of 13 and 30 points in 9 dimensions in one group: every
+        # run's total is its own set's single-run expression
+        rng = np.random.default_rng(12)
+        sets = [rng.normal(size=(13, 9)), rng.normal(size=(30, 9))]
+        owner, ks = [0, 1, 0, 1], [1, 3, 4, 2]
+        starts = np.zeros((4, 4, 9))
+        for j, (s, k) in enumerate(zip(owner, ks)):
+            starts[j, :k] = sets[s][rng.choice(len(sets[s]), k, replace=False)]
+        for fit, s in zip(lloyd(sets, owner, starts, ks), owner):
+            assert fit.wcss == ((sets[s] - fit.centroids[fit.assignment]) ** 2).sum()
+
+    def test_one_assignment_per_point(self):
+        with pytest.raises(InvalidInputError, match="^one assignment per point required$"):
+            wcss(np.zeros((3, 2)), [0, 0], np.zeros((1, 2)))
+
+
+class TestPublicNames:
+    def test_signatures_stay_as_they_were(self):
+        assert str(inspect.signature(kmeans)) == "(points, k, seed, restarts=1)"
+        assert str(inspect.signature(elbow_fit)) == "(points, k_max, seed)"
+        assert str(inspect.signature(elbow_k)) == "(points, k_max, seed)"
+        assert str(inspect.signature(wcss)) == "(points, assignment, centroids)"
+
+    def test_names_other_modules_reach_stay_importable(self):
+        # perfbench patches these names and reads kmeans' signature
+        assert rulebase.elbow_k is elbow_k
+        assert rulebase.kmeans is kmeans
+        assert clustering.kmeans is kmeans
+        bound = inspect.signature(clustering.kmeans).bind(FOUR_BLOBS, 2, 0)
+        bound.apply_defaults()
+        assert bound.arguments["restarts"] == 1
 
 
 class TestElbowFit:

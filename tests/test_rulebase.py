@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from fuzzyloc import rulebase
+from fuzzyloc.clustering import elbow_fit
 from fuzzyloc.data import Normalization, fit_normalization
 from fuzzyloc.errors import (
     ConfigError,
@@ -244,15 +245,24 @@ class TestExtractRules:
         ],
     )
     def test_k_max_and_indices_are_checked_before_training(self, keywords, named):
-        with mock.patch.object(rulebase, "elbow_fit") as fit:
+        with mock.patch.object(rulebase, "elbow_fits") as fit:
             with pytest.raises(InvalidInputError, match=f"^{re.escape(named)}$"):
                 extract_rules(two_class_data(), **keywords)
         assert not fit.called
 
+    @pytest.mark.parametrize("strategy, calls", [(PER_CLASS, 9), (GLOBAL_MEAN, 1)])
+    def test_one_sweep_clusters_every_class(self, strategy, calls):
+        data = fit_normalization(generate_synthetic(9, 12, 4, 0.5, 3))
+        with mock.patch.object(rulebase, "elbow_fits", wraps=rulebase.elbow_fits) as sweep:
+            extract_rules(data, strategy=strategy, seed=5, k_max=6)
+        (call,) = sweep.call_args_list
+        assert len(call.args[0]) == calls
+        assert call.args[1:] == (6, 5)
+
     @pytest.mark.parametrize("per_room", [2, 5])
     def test_an_empty_selection_is_refused_before_training(self, per_room):
         data = fit_normalization(generate_synthetic(3, per_room, 4, 0.5, 1))
-        with mock.patch.object(rulebase, "elbow_fit") as fit:
+        with mock.patch.object(rulebase, "elbow_fits") as fit:
             with pytest.raises(InvalidInputError, match="^selected_features must be non-empty$"):
                 extract_rules(data, selected_features=())
         assert not fit.called
@@ -295,7 +305,10 @@ class TestExtractRules:
         want, consequents, supports = [], [], []
         for group in groups:
             points = features[group]
-            for mask in rulebase._cluster_rules(points, seed, k_max):
+            k, fit = elbow_fit(points, min(k_max, len(points)), seed)
+            for mask in (fit.assignment == c for c in range(k)):
+                if not mask.any():
+                    continue
                 members = points[mask]
                 want.append([
                     (col.min(), np.clip(col.mean(), col.min(), col.max()), col.max())
