@@ -11,7 +11,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import InvalidInputError
-from .fuzzy import INT64_MAX, _integer, _seed
+from .fuzzy import INT64_MAX, _finite_real, _integer, _seed
 
 MAX_ITERATIONS = 300
 # k-means++ restarts per k of an elbow sweep
@@ -43,11 +43,16 @@ def wcss(points, assignment, centroids):
     pts = np.asarray(points, dtype=float)
     cents = np.asarray(centroids, dtype=float)
     assignment = np.asarray(assignment)
+    # shape[::-2] is the dimension, then a stack's run count
+    if pts.ndim not in (2, 3) or cents.ndim != pts.ndim or cents.shape[::-2] != pts.shape[::-2]:
+        raise InvalidInputError("points and centroids must share their dimension and run count")
     if assignment.shape != pts.shape[:-1]:
         raise InvalidInputError("one assignment per point required")
     k, dim = cents.shape[-2:]
+    if assignment.dtype.kind not in "iu" or not ((assignment >= 0) & (assignment < k)).all():
+        raise InvalidInputError(f"assignment must hold integer cluster indices in 0..{k - 1}")
     runs = len(pts) if pts.ndim == 3 else 1
-    cells = np.arange(runs)[:, None] * k + assignment.reshape(runs, -1)
+    cells = np.arange(runs)[:, None] * k + assignment.reshape(runs, -1).astype(np.intp)
     diff = cents.reshape(-1, dim).take(cells.ravel(), axis=0)
     np.subtract(pts.reshape(-1, dim), diff, out=diff)
     np.square(diff, out=diff)
@@ -115,14 +120,14 @@ def _lower_to(d2, rows, owner, cents):
         del diff  # before the next slice is gathered
 
 
-def _row_totals(d2, sizes):
-    """The sum of the first sizes[r] entries of every row r of d2, each
-    added pairwise as the reference's d2.sum() over that row alone adds
-    them: one sum per distinct size."""
-    totals = np.empty(len(d2))
+def _by_size(sizes, total):
+    """One float per row, from total(rows, n) over the rows of each
+    distinct size n in sizes: summed only with rows of its own size, a
+    row's first n entries add pairwise as they would alone."""
+    totals = np.empty(len(sizes))
     for n in set(sizes.tolist()):
         rows = np.flatnonzero(sizes == n)
-        totals[rows] = d2[rows, :n].sum(axis=1)
+        totals[rows] = total(rows, n)
     return totals
 
 
@@ -152,11 +157,11 @@ def _kmeans_pp_init(sets, owner, lengths, rngs):
     starts = np.zeros((len(rngs), k, sets.rows.shape[2]))
     starts[:, 0] = sets.rows[owner, [rng.integers(m) for rng, m in zip(rngs, n.tolist())]]
     d2 = np.where(np.isfinite(sets.sq_norms[owner]), np.inf, 0.0)
-    _lower_to(d2, sets.rows, owner, starts[:, 0])
-    totals = _row_totals(d2, n)
     # a draw whose total is 0 divides 0 by 0: no warnings
     with np.errstate(invalid="ignore"):
         for i in range(1, k):
+            _lower_to(d2, sets.rows, owner, starts[:, i - 1])
+            totals = _by_size(n, lambda rows, m: d2[rows, :m].sum(axis=1))
             going = np.flatnonzero(lengths > i)
             positive = totals[going] > 0.0
             u = np.array([
@@ -168,9 +173,6 @@ def _kmeans_pp_init(sets, owner, lengths, rngs):
             # a draw whose total is 0 has a NaN cdf and took rng.integers(n)
             picks = np.where(positive, (cdf <= u[:, None]).sum(axis=1), u.astype(np.intp))
             starts[going, i] = sets.rows[owner[going], picks]
-            if i < k - 1:
-                _lower_to(d2, sets.rows, owner, starts[:, i])
-                totals = _row_totals(d2, n)
     return starts
 
 
@@ -321,10 +323,9 @@ def _lloyd(sets, owner, starts, ks):
         if done.any():
             cols = cols.compress(~done, axis=1)
             sq_norms = sq_norms[~done]
-    totals = np.empty(runs)
-    for m in set(sizes.tolist()):
-        of = np.flatnonzero(sizes == m)
-        totals[of] = wcss(sets.rows[owner[of], :m], assignment[of, :m], centroids[of])
+    totals = _by_size(
+        sizes, lambda of, m: wcss(sets.rows[owner[of], :m], assignment[of, :m], centroids[of])
+    )
     return assignment, centroids, totals
 
 
@@ -347,9 +348,10 @@ def _best_fits(point_sets, ks, seed, restarts):
     restart), in groups of at most _BLOCK_ELEMENTS run x point x
     max(cluster, dimension) elements (at least one run each), with each
     run counted at its group's longest set. That bounds the group's
-    distance matrix and its (run, point, dimension) temporaries. Only the
-    lowest-WCSS run of each (set, k), the earlier restart on ties, becomes
-    a fit.
+    distance matrix and its (run, point, dimension) temporaries. The runs
+    are read once, in that order, and each (set, k) keeps only its
+    lowest-WCSS fit so far: a run replaces it only with a strictly lower
+    total, so the earlier restart wins a tie.
     """
     sets = _pad(point_sets)
     dim = sets.rows.shape[2]
@@ -378,18 +380,12 @@ def _best_fits(point_sets, ks, seed, restarts):
         group_ks, owner, group_restarts = map(np.array, zip(*group))
         group_starts = starts[owner * restarts + group_restarts, : group_ks[-1]]
         assignment, centroids, totals = _lloyd(sets, owner, group_starts, group_ks)
-        # the first lowest total of each (set, k) in the group, then across groups
-        won = {}
-        for j, key in enumerate(zip(owner.tolist(), group_ks.tolist())):
-            if key not in won or totals[j] < totals[won[key]]:
-                won[key] = j
-        for (s, k), j in won.items():
-            if (s, k) not in best or totals[j] < best[s, k][2]:
-                best[s, k] = (assignment[j, : sets.sizes[s]].copy(), centroids[j, :k].copy(), totals[j])
-    return [
-        [KMeansResult(a, c, float(w)) for a, c, w in (best[s, k] for k in set_ks)]
-        for s, set_ks in enumerate(ks)
-    ]
+        for j, (s, k) in enumerate(zip(owner.tolist(), group_ks.tolist())):
+            if (s, k) not in best or totals[j] < best[s, k].wcss:
+                best[s, k] = KMeansResult(
+                    assignment[j, : sets.sizes[s]].copy(), centroids[j, :k].copy(), float(totals[j])
+                )
+    return [[best[s, k] for k in set_ks] for s, set_ks in enumerate(ks)]
 
 
 def kmeans(points, k, seed, restarts=1):
@@ -413,7 +409,7 @@ def knee_point(wcss_values):
     Ties resolve to the smaller k. The x axis is the cluster count
     1..len(wcss_values) with unit spacing.
     """
-    ws = [float(w) for w in wcss_values]
+    ws = [float(_finite_real(w, f"wcss_values[{i}]")) for i, w in enumerate(wcss_values)]
     if not ws:
         raise InvalidInputError("empty WCSS curve")
     # every point of a curve of one or two lies on its chord
@@ -431,13 +427,6 @@ def knee_point(wcss_values):
     return best_k
 
 
-def _knees(sets, k_maxes, seed):
-    """(k, fit) at the knee of every set's sweep over 1..k_maxes[s]."""
-    sweeps = _best_fits(sets, [range(1, k_max + 1) for k_max in k_maxes], seed, DEFAULT_RESTARTS)
-    knees = [knee_point([fit.wcss for fit in fits]) for fits in sweeps]
-    return [(k, fits[k - 1]) for k, fits in zip(knees, sweeps)]
-
-
 def elbow_fit(points, k_max, seed):
     """Pick a cluster count by the knee of the WCSS-versus-k curve.
 
@@ -447,8 +436,8 @@ def elbow_fit(points, k_max, seed):
     it. A sweep of one or two k picks k = 1 (see knee_point).
     """
     pts = _points(points)
-    k_max = _integer(k_max, "k_max", 1, len(pts))
-    return _knees([pts], [k_max], seed)[0]
+    _integer(k_max, "k_max", 1, len(pts))
+    return elbow_fits([pts], k_max, seed)[0]
 
 
 def elbow_fits(point_sets, k_max, seed):
@@ -464,7 +453,10 @@ def elbow_fits(point_sets, k_max, seed):
         raise InvalidInputError("point sets must share one dimension")
     if not sets:
         return []
-    return _knees(sets, [min(k_max, len(pts)) for pts in sets], seed)
+    ks = [range(1, min(k_max, len(pts)) + 1) for pts in sets]
+    sweeps = _best_fits(sets, ks, seed, DEFAULT_RESTARTS)
+    knees = [knee_point([fit.wcss for fit in fits]) for fits in sweeps]
+    return [(k, fits[k - 1]) for k, fits in zip(knees, sweeps)]
 
 
 def elbow_k(points, k_max, seed):

@@ -20,7 +20,7 @@ import numpy as np
 
 from .data import Dataset, _plain_number
 from .errors import DataError, InvalidInputError
-from .fuzzy import TriangularFuzzySet, vertex_means
+from .fuzzy import TriangularFuzzySet, _integer, vertex_means
 
 # row x rule x dimension elements per kernel block: 128 KiB per float64 gap plane
 _BLOCK_ELEMENTS = 16384
@@ -295,7 +295,9 @@ class BatchEvaluation:
         return self.n_instances == 0
 
     def n_within(self, k):
-        """How many predicted labels lie at most k from their truth."""
+        """How many predicted labels lie at most k from their truth, for
+        an integer k >= 0."""
+        k = _integer(k, "k", 0)
         labels, truths = self.predictions.labels, self._truth_labels
         # |label - truth| as the larger less the smaller in uint64: exact
         # where an int64 difference of labels near both ends would wrap

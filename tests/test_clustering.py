@@ -273,6 +273,21 @@ class TestKneePoint:
         with pytest.raises(InvalidInputError):
             knee_point([])
 
+    @pytest.mark.parametrize(
+        "curve, message",
+        [
+            (["3", "2", "1"], "wcss_values[0] must be a real number, got str"),
+            ([10, True, 1], "wcss_values[1] must be a real number, got bool"),
+            ([10, 5, float("nan"), 1], "non-finite wcss_values[2]: nan"),
+            ([10, float("inf"), 1], "non-finite wcss_values[1]: inf"),
+            ([10, 2**1024, 1], "non-finite wcss_values[1]: an integer beyond 64 bits"),
+        ],
+        ids=["text", "bool", "nan", "inf", "huge-int"],
+    )
+    def test_every_value_is_a_finite_real_named_by_its_index(self, curve, message):
+        with pytest.raises(InvalidInputError, match=f"^{re.escape(message)}$"):
+            knee_point(curve)
+
     @given(
         a=st.floats(0, 1e300, allow_nan=False, allow_infinity=False),
         ratio=st.floats(0, 1, allow_nan=False),
@@ -878,6 +893,28 @@ class TestManySets:
             assert k == want_k
             assert_same_fit(fit, (want.assignment, want.centroids, [want.wcss]))
 
+    def test_a_tie_keeps_the_earlier_restart_across_groups(self):
+        # restarts 0 and 1 of seed 0 end in the same partition with its
+        # clusters numbered the other way round: the same WCSS, bit for
+        # bit, from different fits. With every run a group of its own, the
+        # winner is still restart 0's, as in the reference
+        pts = np.array([[0.0], [1.0], [10.0], [11.0]])
+        master = np.random.default_rng(0)
+        own = [
+            ref_lloyd(pts, ref_kmeans_pp_init(pts, 2, np.random.default_rng(master.integers(2**63))))
+            for _ in range(DEFAULT_RESTARTS)
+        ]
+        assert len({fit[2][-1] for fit in own}) == 1
+        assert not np.array_equal(own[0][0], own[1][0])
+        with (
+            mock.patch.object(clustering, "_BLOCK_ELEMENTS", 1),
+            mock.patch.object(clustering, "_lloyd", wraps=clustering._lloyd) as groups,
+        ):
+            fit = kmeans(pts, 2, 0, restarts=DEFAULT_RESTARTS)
+        assert groups.call_count == DEFAULT_RESTARTS
+        assert_same_fit(fit, own[0])
+        assert_same_fit(fit, ref_kmeans(pts, 2, 0, DEFAULT_RESTARTS))
+
     def test_sets_must_share_one_dimension(self):
         with pytest.raises(InvalidInputError, match="^point sets must share one dimension$"):
             elbow_fits([np.zeros((3, 2)), np.zeros((3, 3))], 2, 0)
@@ -886,6 +923,9 @@ class TestManySets:
         with pytest.raises(InvalidInputError, match=f"^{UNFIT}$"):
             elbow_fits([np.zeros((3, 2)), np.full((2, 2), np.nan)], 2, 0)
         assert elbow_fits([], 3, 0) == []
+
+
+OUT_OF_RANGE = r"^assignment must hold integer cluster indices in 0\.\.1$"
 
 
 class TestWcss:
@@ -925,6 +965,40 @@ class TestWcss:
     def test_one_assignment_per_point(self):
         with pytest.raises(InvalidInputError, match="^one assignment per point required$"):
             wcss(np.zeros((3, 2)), [0, 0], np.zeros((1, 2)))
+
+    @pytest.mark.parametrize(
+        "assignment", [[[0, 2], [0, 1]], [[0, 1], [-1, 1]]], ids=["past-k", "negative"]
+    )
+    def test_a_stacked_index_never_reads_a_neighbouring_run(self, assignment):
+        # unchecked, run 0's index 2 reads run 1's centroid 0 and run 1's
+        # -1 reads run 0's last centroid: totals [81, 0] and [0, 81]
+        pts = [[[0.0], [1.0]], [[10.0], [11.0]]]
+        with pytest.raises(InvalidInputError, match=OUT_OF_RANGE):
+            wcss(pts, assignment, pts)
+
+    @pytest.mark.parametrize(
+        "assignment", [[0, -1], [0, 2], [True, False], [0.0, 1.0], ["0", "1"]]
+    )
+    def test_a_single_run_takes_integer_indices_of_its_own_centroids(self, assignment):
+        with pytest.raises(InvalidInputError, match=OUT_OF_RANGE):
+            wcss([[0.0], [1.0]], assignment, [[0.0], [1.0]])
+        assert wcss([[0.0], [1.0]], np.array([1, 0], dtype=np.uint8), [[0.0], [1.0]]) == 2.0
+
+    @pytest.mark.parametrize(
+        "points, centroids",
+        [
+            (np.zeros((2, 1)), np.zeros((2, 2))),
+            (np.zeros((2, 1)), np.zeros(2)),
+            (np.zeros((2, 1)), np.zeros((1, 2, 1))),
+            (np.zeros((2, 2, 1)), np.zeros((1, 2, 1))),
+            (np.zeros((2, 2, 1)), np.zeros((2, 2, 3))),
+            (np.zeros(2), np.zeros(2)),
+        ],
+    )
+    def test_points_and_centroids_share_dimension_and_run_count(self, points, centroids):
+        message = "^points and centroids must share their dimension and run count$"
+        with pytest.raises(InvalidInputError, match=message):
+            wcss(points, np.zeros(points.shape[:-1], dtype=int), centroids)
 
 
 class TestPublicNames:

@@ -4,6 +4,7 @@ import json
 import math
 import numbers
 import operator
+import re
 from array import array as buffer_array
 from collections.abc import Sequence
 from functools import reduce
@@ -397,8 +398,9 @@ def assert_same_scores(evaluation):
     assert got == want
 
 
-# distances k to count within, up to the span of int64 and beyond
-WITHIN = (-1, 0, 1, 2, 2**63, 2**64 - 2, 2**64 - 1, 2**64)
+# distances k to count within, up to the span of int64 and beyond (a
+# negative k is refused: see test_n_within_takes_a_count)
+WITHIN = (0, 1, 2, 2**63, 2**64 - 2, 2**64 - 1, 2**64)
 INT64_ENDS = (-(2**63), -(2**63) + 1, -1, 0, 1, 2**63 - 2, 2**63 - 1)
 
 
@@ -436,6 +438,22 @@ class TestArrayScores:
         assert evaluation.confusion == ((1, 1), (1, 1))
         assert evaluation.fallback_count == 1
         assert_same_scores(evaluation)
+
+    @pytest.mark.parametrize(
+        "k, message",
+        [
+            (-1, "k must be >= 0, got -1"),
+            (1.5, "k must be an integer, got float"),
+            (1.0, "k must be an integer, got float"),
+            (True, "k must be an integer, got bool"),
+            ("1", "k must be an integer, got str"),
+        ],
+    )
+    def test_n_within_takes_a_count(self, k, message):
+        evaluation = BatchEvaluation((1, 2), predictions_of([(0.0, 1, 1.0), (0.0, 1, 1.0)]), (1, 2))
+        with pytest.raises(InvalidInputError, match=f"^{re.escape(message)}$"):
+            evaluation.n_within(k)
+        assert [evaluation.n_within(k) for k in (0, np.int64(1), np.uint64(2))] == [1, 2, 2]
 
     def test_an_empty_evaluation(self):
         evaluation = BatchEvaluation((), predictions_of([], n_rules=3), (1, 2, 3))
