@@ -8,6 +8,7 @@ main assigns: 0 ok, 2 config or schema problem, 3 data problem, 4 bug.
 """
 
 import argparse
+import dataclasses
 import json
 import sys
 import traceback
@@ -27,7 +28,6 @@ from .errors import (
     DataError,
     prefixed,
 )
-from .fuzzy import SimilarityParams
 # predict is not called here; it stays importable as fuzzyloc.cli.predict
 # because perfbench/layers.py hooks its tracer in at that name
 from .inference import predict, predict_batch, predict_rows  # noqa: F401
@@ -39,7 +39,7 @@ from .pipeline import (
     run_experiment,
     train_rulebase,
 )
-from .rulebase import DEFAULT_K_MAX, PER_CLASS, STRATEGIES, load_rulebase, save_rulebase
+from .rulebase import STRATEGIES, load_rulebase, save_rulebase
 from .synth import LABEL_COLUMN, generate_synthetic, write_csv
 
 def parse_label_universe(text):
@@ -93,25 +93,21 @@ def _emit(text, out_path):
         sys.stdout.write(text)
 
 
+_CONFIG_FIELDS = frozenset(field.name for field in dataclasses.fields(ExperimentConfig))
+
+
 def _config_from_args(args, output_dir=None):
-    return ExperimentConfig(
-        input_path=args.input,
-        label_column=args.label_col,
+    """The ExperimentConfig of train or run. A parsed value whose dest
+    names a config field passes through as parsed, unless it is one of
+    the values read or renamed below (--label-universe is read)."""
+    given = {name: value for name, value in vars(args).items() if name in _CONFIG_FIELDS}
+    given.update(
+        input_path=args.input, label_column=args.label_col, output_dir=output_dir,
         feature_columns=_parse_cols(args.feature_cols),
         unseen_labels=_parse_labels(args.unseen, "--unseen") if args.unseen else (),
-        cfs_top_n=args.cfs_top_n,
-        cfs_epsilon=args.cfs_epsilon,
-        cfs_sort=args.cfs_sort,
-        h=args.h,
-        omega=args.omega,
-        strategy=args.strategy,
-        k_max=args.k_max,
-        seed=args.seed,
-        label_universe=(
-            parse_label_universe(args.label_universe) if args.label_universe else None
-        ),
-        output_dir=output_dir,
+        label_universe=parse_label_universe(args.label_universe) if args.label_universe else None,
     )
+    return ExperimentConfig(**given)
 
 
 def cmd_rank_features(args):
@@ -229,19 +225,20 @@ def _add_cfs_flags(sub):
 def _add_model_flags(sub):
     sub.add_argument("--unseen", default=None, help="comma-separated labels held out of training")
     _add_cfs_flags(sub)
+    defaults = ExperimentConfig  # the flags' defaults, and so those their help shows
     for name, doc in (("h", "distance sensitivity"), ("omega", "distance midpoint")):
-        value = getattr(SimilarityParams, name)
+        value = getattr(defaults, name)
         sub.add_argument(f"--{name}", type=_FLOAT, default=value, help=f"{doc} (default: {value:g})")
     sub.add_argument(
-        "--strategy",
-        choices=STRATEGIES,
-        default=PER_CLASS,
-        help="rule consequent strategy (default: per-class)",
+        "--strategy", choices=STRATEGIES, default=defaults.strategy,
+        help="rule consequent strategy (default: %(default)s)",
     )
     sub.add_argument(
-        "--k-max", type=_INT, default=DEFAULT_K_MAX, help="largest cluster count tried per class"
+        "--k-max", type=_INT, default=defaults.k_max, help="largest cluster count tried per class"
     )
-    sub.add_argument("--seed", type=_INT, default=0, help="clustering seed (default: 0)")
+    sub.add_argument(
+        "--seed", type=_INT, default=defaults.seed, help="clustering seed (default: %(default)s)"
+    )
     sub.add_argument(
         "--label-universe",
         default=None,

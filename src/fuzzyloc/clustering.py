@@ -64,7 +64,12 @@ class _Sets(NamedTuple):
     """Point sets of one dimension, padded to the longest with zero points."""
 
     rows: np.ndarray  # (S, n, dim): set s's points are its first sizes[s] rows
-    cols: np.ndarray  # (dim, S, n): rows with coordinates first
+    # (dim, S, n): rows with coordinates first, held beside rows because a
+    # group's gather from it, cols[:, :, :n].take(owner, axis=1), is C-contiguous
+    # for _assign's products and the bincount sums; the same block gathered
+    # from rows is strided, and training on a 40-room, 24-beacon building
+    # took 19-29% longer with it, for 0.7 MB saved
+    cols: np.ndarray
     sq_norms: np.ndarray  # (S, n) squared point norms, +inf for padding
     sizes: np.ndarray  # (S,) points per set
 

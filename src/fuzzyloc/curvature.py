@@ -40,11 +40,15 @@ def menger_curvature(p, q, r):
     -----
     The sine is taken from the cross product of the two edge vectors,
     which avoids inverse-trig roundoff; the expression used is
-    2*|cross| / (|pq| * |qr| * |pr|).
+    2*|cross| / (|pq| * |qr| * |pr|). Each point must be a pair of
+    finite reals; InvalidInputError names the point or coordinate that
+    is not.
     """
-    px, py = p
-    qx, qy = q
-    rx, ry = r
+    return _menger(*_point(p, "p"), *_point(q, "q"), *_point(r, "r"))
+
+
+def _menger(px, py, qx, qy, rx, ry):
+    """menger_curvature of three points given as finite coordinates."""
     dx1 = qx - px
     dy1 = qy - py
     dx2 = rx - qx
@@ -62,11 +66,20 @@ def menger_curvature(p, q, r):
     # edge is at least 1 and no quotient below leaves the range
     scale = max(map(abs, (dx1, dy1, dx2, dy2))) or 1.0  # 0: all points coincide
     if scale == float("inf"):
-        return menger_curvature(*((x / 2, y / 2) for x, y in (p, q, r))) / 2
+        return _menger(*(v / 2 for v in (px, py, qx, qy, rx, ry))) / 2
     u1, v1, u2, v2 = dx1 / scale, dy1 / scale, dx2 / scale, dy2 / scale
     cross = u1 * v2 - v1 * u2
     lengths = math.hypot(u1, v1) * math.hypot(u2, v2), math.hypot(u1 + u2, v1 + v2)
     return 0.0 if cross == 0.0 else 2.0 * abs(cross) / lengths[0] / lengths[1] / scale
+
+
+def _point(point, what):
+    """point as a pair of _finite_real coordinates, named what[0] and what[1]."""
+    try:
+        x, y = point
+    except (TypeError, ValueError):
+        raise InvalidInputError(f"{what} is not a pair (x, y)") from None
+    return _finite_real(x, f"{what}[0]"), _finite_real(y, f"{what}[1]")
 
 
 def feature_curvature(values):
@@ -74,17 +87,16 @@ def feature_curvature(values):
 
     values are the normalized samples of the feature in dataset order; at
     least 3 are required. Point j sits at (j, values[j]), so all features
-    share the same x scale and their scores are comparable.
+    share the same x scale and their scores are comparable. Every value
+    must be a finite real; InvalidInputError names the first that is not.
     """
-    vals = [float(v) for v in values]
+    vals = [float(_finite_real(v, f"values[{j}]")) for j, v in enumerate(values)]
     m = len(vals)
     if m < 3:
         raise InsufficientDataError(f"curvature needs at least 3 samples, got {m}")
     total = 0.0
     for j in range(1, m - 1):
-        total += menger_curvature(
-            (float(j - 1), vals[j - 1]), (float(j), vals[j]), (float(j + 1), vals[j + 1])
-        )
+        total += _menger(float(j - 1), vals[j - 1], float(j), vals[j], float(j + 1), vals[j + 1])
     return total / (m - 2)
 
 

@@ -258,8 +258,11 @@ def _read_table(path, feature_columns, label_column=None):
     Labels must all use one format (plain integers or c<N>). Rows with
     fewer or more cells than the header, or an unparseable or non-finite
     feature cell, are rejected together, each named by its line (header =
-    line 1) and cell.
+    line 1) and cell. An empty feature_columns is refused before the file
+    is opened.
     """
+    if not feature_columns:
+        raise SchemaError(f"{path}: no feature columns requested")
     with _open_csv(path) as (header, records):
         wanted = list(feature_columns) + ([] if label_column is None else [label_column])
         positions = _resolve_columns(header, wanted, path)
@@ -345,8 +348,6 @@ def load_csv(path, label_column, feature_columns):
     start on (header = line 1) and cells.
     """
     feature_columns = [str(c) for c in feature_columns]
-    if not feature_columns:
-        raise SchemaError(f"{path}: no feature columns requested")
     features, labels = _read_table(path, feature_columns, label_column)
     return Dataset(
         features=features,

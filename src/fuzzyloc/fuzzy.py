@@ -68,6 +68,18 @@ def _integers(values, what, lo=None, hi=None):
     return tuple(_integer(v, f"{what}[{i}]", lo, hi) for i, v in enumerate(values))
 
 
+def _finite_reals(values, what, lo=None):
+    """A list of _finite_real of each value, the i-th named what[i]; a
+    value below lo, unless lo is None, is refused as _integer refuses it."""
+    reals = []
+    for i, v in enumerate(values):
+        v = _finite_real(v, f"{what}[{i}]")
+        if lo is not None and v < lo:
+            raise InvalidInputError(f"{what}[{i}] must be >= {lo}, got {_shown(v)}")
+        reals.append(v)
+    return reals
+
+
 def _shown(v):
     """v as a message shows it: an int beyond 64 bits, which str() may
     refuse to format, as the words "an integer beyond 64 bits"."""
@@ -131,8 +143,23 @@ def singleton(v):
     return TriangularFuzzySet(v, v, v)
 
 
+def _fuzzy_set(s, what):
+    """s if it is a TriangularFuzzySet; raises InvalidInputError naming what."""
+    if not isinstance(s, TriangularFuzzySet):
+        raise InvalidInputError(f"{what} is not a TriangularFuzzySet (type {type(s).__name__})")
+    return s
+
+
+def _params(params):
+    """params if it is a SimilarityParams; raises InvalidInputError."""
+    if not isinstance(params, SimilarityParams):
+        raise InvalidInputError(f"params is not a SimilarityParams (type {type(params).__name__})")
+    return params
+
+
 def representative(s):
     """Crisp representative of a set: the mean of its three vertices."""
+    s = _fuzzy_set(s, "s")
     return (s.a1 + s.a2 + s.a3) / 3.0
 
 
@@ -149,7 +176,7 @@ def distance_factor(d, params):
     0. Evaluated as 1 / (1 + exp(h*d - omega)), which stays monotone in
     floating point far into the tail.
     """
-    d = _finite_real(d, "distance")
+    d, params = _finite_real(d, "distance"), _params(params)
     if d < 0:
         raise InvalidInputError(f"distance must be >= 0, got {d!r}")
     x = params.h * d - params.omega
@@ -167,20 +194,22 @@ def similarity(a, b, params):
     The shape term 1 - (sum of vertex gaps)/3 is clipped at 0 so inputs
     slightly outside the normalized training range cannot push the result
     negative; it is then discounted by distance_factor of the gap between
-    the set representatives. Symmetric in its two set arguments, and equal
-    to distance_factor(0, params) when the sets coincide.
+    the set representatives. A shape term in (0, 1] times a factor in
+    [0, 1] stays in [0, 1], so the product needs no clip. Symmetric in its
+    two set arguments, and equal to distance_factor(0, params) when the
+    sets coincide.
     """
+    a, b, params = _fuzzy_set(a, "a"), _fuzzy_set(b, "b"), _params(params)
     shape = 1.0 - (abs(a.a1 - b.a1) + abs(a.a2 - b.a2) + abs(a.a3 - b.a3)) / 3.0
-    if shape <= 0.0:
+    if shape <= 0.0:  # also keeps a gap that overflows to inf from distance_factor
         return 0.0
     d = abs(representative(a) - representative(b))
-    s = shape * distance_factor(d, params)
-    return min(1.0, max(0.0, s))
+    return shape * distance_factor(d, params)
 
 
 def firing_degree(per_dim_similarities):
     """Rule activation: minimum matching degree across input dimensions."""
-    sims = list(per_dim_similarities)
+    sims = _finite_reals(per_dim_similarities, "per_dim_similarities")
     if not sims:
         raise InvalidInputError("firing degree of an empty similarity vector")
     return min(sims)
@@ -193,9 +222,11 @@ def aggregate(firings, consequents):
     prediction kernel's np.add.accumulate, so the bits do not depend on
     the interpreter's sum(). Raises ZeroFiringError when no rule fired
     (total weight zero); callers that can fall back to a nearest rule
-    handle that case themselves.
+    handle that case themselves. Every firing and consequent must be a
+    finite real, and every firing >= 0 (a weight above 1 is allowed).
     """
-    firings, consequents = list(firings), list(consequents)
+    firings = _finite_reals(firings, "firings", lo=0)
+    consequents = _finite_reals(consequents, "consequents")
     if not firings or len(firings) != len(consequents):
         raise InvalidInputError("need equal-length non-empty firing/consequent vectors, got "
                                 f"{len(firings)} and {len(consequents)}")

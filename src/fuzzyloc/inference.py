@@ -14,13 +14,13 @@ import bisect
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 from functools import cached_property
-from numbers import Number
+from numbers import Integral, Number
 
 import numpy as np
 
 from .data import Dataset, _plain_number
 from .errors import DataError, InvalidInputError
-from .fuzzy import TriangularFuzzySet, _integer, vertex_means
+from .fuzzy import TriangularFuzzySet, _finite_real, _integer, vertex_means
 
 # row x rule x dimension elements per kernel block: 128 KiB per float64 gap plane
 _BLOCK_ELEMENTS = 16384
@@ -56,7 +56,8 @@ class Predictions(Sequence):
     gammas, labels and totals are the (N,) columns of Prediction's gamma,
     label and total_firing, firings the (N, R) firing matrix behind them;
     all are made read-only. Indexing gives Prediction objects with plain
-    Python fields, and iteration reads its rows through indexing.
+    Python fields, and iteration reads its rows through indexing; a slice
+    gives the Predictions of those rows, read-only views of these arrays.
     """
 
     gammas: np.ndarray
@@ -77,6 +78,12 @@ class Predictions(Sequence):
         return len(self.gammas)
 
     def __getitem__(self, i):
+        if type(i) is not int:
+            if isinstance(i, slice):
+                return Predictions(self.gammas[i], self.labels[i], self.totals[i], self.firings[i])
+            if isinstance(i, bool) or not isinstance(i, Integral):
+                kind = type(i).__name__
+                raise TypeError(f"Predictions indices must be integers or slices, not {kind}")
         gamma, label, total = self.gammas.item(i), self.labels.item(i), self.totals.item(i)
         return Prediction(gamma, label, total, not total > 0.0, self.firings[i])
 
@@ -88,9 +95,11 @@ class Predictions(Sequence):
 def discretize(gamma, label_universe):
     """Nearest label in an ascending universe; exact midpoints go to the smaller label.
 
-    Values beyond either end clip to the edge label.
+    Values beyond either end clip to the edge label. gamma must be a
+    finite real (InvalidInputError otherwise).
     """
-    if not label_universe:
+    gamma = _finite_real(gamma, "gamma")
+    if not len(label_universe):
         raise InvalidInputError("label universe is empty")
     i = bisect.bisect_left(label_universe, gamma)
     if i == 0:
@@ -157,13 +166,14 @@ def _firing_matrix(rb, obs):
 
 def _float_array(values, what):
     """values as a float64 array. A cell is read when it is a number
-    (numbers.Number) that float() reads, or text that the CSV reader reads
-    (data._plain_number: no non-ASCII digits, no "_" separators). Any other
-    cell is refused, naming its index and its type: float() would also
-    read bytes, bytearray and other buffers as text that no check sees."""
+    (numbers.Number) other than a bool that float() reads, or text that
+    the CSV reader reads (data._plain_number: no non-ASCII digits, no "_"
+    separators). Any other cell is refused, naming its index and its type:
+    float() would also read bytes, bytearray and other buffers as text that
+    no check sees, and a bool as 1.0 or 0.0."""
     try:
         array = np.asarray(values)
-        if array.dtype.kind in "biuf":
+        if array.dtype.kind in "iuf":
             return array.astype(float, copy=False)
     except ValueError:  # a ragged nesting, whose sequence cells float() refuses below
         pass
@@ -172,7 +182,8 @@ def _float_array(values, what):
     for index in np.ndindex(cells.shape):
         at, cell = "".join(f"[{i}]" for i in index), cells[index]
         try:
-            if not (isinstance(cell, Number) or isinstance(cell, str) and _plain_number(cell)):
+            number = isinstance(cell, Number) and not isinstance(cell, bool)
+            if not (number or isinstance(cell, str) and _plain_number(cell)):
                 raise ValueError(cell)
             float(cell)
         except OverflowError:  # an int beyond the float range

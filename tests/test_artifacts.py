@@ -1,4 +1,5 @@
-"""tools/artifacts.py writes every benchmark workload's artifacts, two
+"""tools/artifacts.py writes every benchmark workload's artifacts, the CLI
+train and run of each training config write what its library run wrote, two
 runs of the same checkout write byte-identical trees, every kept file is
 UTF-8 text with "\\n" line ends, and every predictions and rule-base
 document in them is json.dumps(doc, indent=2) + "\\n"."""
@@ -40,8 +41,19 @@ def test_two_runs_write_identical_trees(tmp_path):
     }
     # every serving target keeps what predict, evaluate and rank-features wrote
     served = {"predictions.json", "evaluation.json", "ranking.json"}
-    for folder in {p.parent for p in first}:
+    library = {p.parent for p in first if "cli" not in p.parts}
+    for folder in library:
         assert served <= {p.name for p in first if p.parent == folder}, folder
+    # each training config, given to train and run as flags, wrote what its library run wrote
+    runs = {p.parent for p in first if p.parent.name == "run"}
+    reports = {p.parent for p in first if p.name == "report.json"}
+    assert {run.parent.parent for run in runs} == reports - runs
+    assert len(runs) == 3 + 1 + 4  # corridor rooms, building-40, building-global variants
+    for run in runs:
+        api = run.parent.parent
+        assert first[run.parent / "train" / "rulebase.json"] == first[api / "rulebase.json"]
+        for name in ("rulebase.json", "report.json", "confusion.txt"):
+            assert first[run / name] == first[api / name], run / name
     for path, data in first.items():
         assert b"\r" not in data, path
         data.decode("utf-8")
@@ -49,7 +61,7 @@ def test_two_runs_write_identical_trees(tmp_path):
     assert {p.parts[2] for p in first if p.parts[0] == "building-global"} == {"v0", "v1", "v2", "v3"}
     # the template-written documents are the stdlib's form of what they hold
     written = [p for p in first if p.name in ("predictions.json", "rulebase.json")]
-    assert len(written) == 2 * len({p.parent for p in first})
+    assert len(written) == 2 * len(library) + 2 * len(runs)
     for path in written:
         text = first[path].decode("utf-8")
         assert text == json.dumps(json.loads(text), indent=2) + "\n", path

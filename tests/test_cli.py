@@ -542,6 +542,52 @@ class TestFlagOwnership:
             config.strategy, config.k_max, config.seed
         )
 
+    # ExperimentConfig fields that _config_from_args reads or renames by hand
+    BY_HAND = {"input_path", "label_column", "feature_columns", "unseen_labels",
+               "label_universe", "output_dir"}
+
+    def test_every_config_field_is_a_run_dest_or_built_by_hand(self):
+        (commands,) = [a for a in build_parser()._actions if a.dest == "command"]
+        fields = {field.name for field in dataclasses.fields(ExperimentConfig)}
+        for command in ("train", "run"):
+            dests = {action.dest for action in commands.choices[command]._actions}
+            assert {name for name in fields if name not in dests} <= self.BY_HAND, command
+            # the options that pass straight through, by their shared name
+            assert (fields & dests) - self.BY_HAND == {
+                "cfs_top_n", "cfs_epsilon", "cfs_sort", "h", "omega", "strategy", "k_max", "seed"
+            }
+
+    @pytest.mark.parametrize("command", ["train", "run"])
+    @pytest.mark.parametrize("cfs_flags, cfs", [
+        (["--cfs-top-n", "1", "--cfs-sort"], {"cfs_top_n": 1, "cfs_sort": True}),
+        (["--cfs-epsilon", "0.25"], {"cfs_epsilon": 0.25}),
+    ])
+    def test_every_model_flag_reaches_the_config(self, monkeypatch, capsys, command, cfs_flags, cfs):
+        built = []
+
+        def capture(config):
+            built.append(config)
+            raise ConfigError("captured")
+
+        monkeypatch.setattr(cli, {"train": "train_rulebase", "run": "run_experiment"}[command], capture)
+        argv = [
+            command, "--input", "x.csv", "--label-col", "room", "--feature-cols", "b1, b2",
+            "--unseen", "c5,7", *cfs_flags, "--h", "2.5", "--omega=-1.5", "--strategy", "global-mean",
+            "--k-max", "3", "--seed", "9", "--label-universe", "1..12", "--out", "o",
+        ]
+        assert main(argv) == 2 and "captured" in capsys.readouterr().err
+        want = ExperimentConfig(
+            input_path="x.csv", label_column="room", feature_columns=("b1", "b2"),
+            unseen_labels=(5, 7), h=2.5, omega=-1.5, strategy="global-mean", k_max=3, seed=9,
+            label_universe=tuple(range(1, 13)), output_dir="o" if command == "run" else None, **cfs,
+        )
+        assert built == [want]
+        # every flag given differs from its default, so none reached the config by default
+        defaults = ExperimentConfig(input_path="", label_column="", feature_columns=("b1",))
+        moved = {field.name for field in dataclasses.fields(ExperimentConfig)
+                 if getattr(want, field.name) != getattr(defaults, field.name)}
+        assert {"h", "omega", "strategy", "k_max", "seed", "unseen_labels", *cfs} <= moved
+
 
 class TestRankFeaturesCommand:
     def test_report_lists_features_by_rank(self, workdir, capsys):

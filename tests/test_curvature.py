@@ -125,6 +125,35 @@ class TestFeatureCurvature:
             feature_curvature([1.0, 2.0])
 
 
+class TestScalarIntake:
+    """The scalar references refuse a value they cannot read, naming it,
+    where an infinite one recursed without end and NaN scored NaN."""
+
+    @pytest.mark.parametrize("points, named", [
+        (((0, 0), (1, math.inf), (2, 0)), "non-finite q[1]: inf"),
+        (((0, 0), (1, 0), (-math.inf, 0)), "non-finite r[0]: -inf"),
+        (((math.nan, 0), (1, 0), (2, 0)), "non-finite p[0]: nan"),
+        (((0, "0"), (1, 0), (2, 0)), "p[1] must be a real number, got str"),
+        (((0, 0), (1,), (2, 0)), "q is not a pair (x, y)"),
+        (((0, 0), 1.0, (2, 0)), "q is not a pair (x, y)"),
+    ])
+    def test_menger_curvature_refuses_a_point_it_cannot_read(self, points, named):
+        with pytest.raises(InvalidInputError) as info:
+            menger_curvature(*points)
+        assert str(info.value) == named
+
+    @pytest.mark.parametrize("values, named", [
+        ([0.0, math.inf, 1.0], "non-finite values[1]: inf"),
+        ([0.0, 1.0, math.nan], "non-finite values[2]: nan"),
+        (["0", "1", "x"], "values[0] must be a real number, got str"),
+        ([0.0, True, 1.0], "values[1] must be a real number, got bool"),
+    ])
+    def test_feature_curvature_refuses_a_value_it_cannot_read(self, values, named):
+        with pytest.raises(InvalidInputError) as info:
+            feature_curvature(values)
+        assert str(info.value) == named
+
+
 class TestRankFeatures:
     def test_ranks_follow_scores(self):
         # column 1 wiggles hard, column 0 is flat, column 2 wiggles a bit

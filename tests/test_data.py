@@ -375,6 +375,21 @@ class TestReadFeatureRows:
             read_feature_rows(path, ["f1"])
 
 
+    @pytest.mark.parametrize("read", [
+        lambda path: read_feature_rows(path, []),
+        lambda path: load_csv(path, "label", []),
+    ])
+    def test_both_readers_refuse_an_empty_feature_list_alike(self, tmp_path, read):
+        path = write(tmp_path, "f1,label\n1,2\n")
+        with pytest.raises(SchemaError) as info:
+            read(path)
+        assert str(info.value) == f"{path}: no feature columns requested"
+        # refused before the file is opened, so a missing file says the same
+        absent = str(tmp_path / "absent.csv")
+        with pytest.raises(SchemaError, match="no feature columns requested"):
+            read(absent)
+
+
 class TestByteOrderMark:
     """Spreadsheet exports often start with a UTF-8 byte order mark."""
 

@@ -245,3 +245,60 @@ class TestAggregate:
     def test_length_mismatch_is_an_error(self):
         with pytest.raises(InvalidInputError):
             aggregate([0.5], [1.0, 2.0])
+
+
+class TestScalarIntake:
+    """The scalar references refuse what they cannot read, naming it."""
+
+    set_a = TriangularFuzzySet(0.1, 0.2, 0.3)
+
+    @pytest.mark.parametrize("call, named", [
+        (lambda s: similarity(1, s, SimilarityParams()), "a is not a TriangularFuzzySet (type int)"),
+        (lambda s: similarity(s, (0, 1, 2), SimilarityParams()),
+         "b is not a TriangularFuzzySet (type tuple)"),
+        (lambda s: similarity(s, s, 5), "params is not a SimilarityParams (type int)"),
+        (lambda s: distance_factor(0.5, None), "params is not a SimilarityParams (type NoneType)"),
+        (lambda s: representative(5), "s is not a TriangularFuzzySet (type int)"),
+    ])
+    def test_a_wrong_type_is_refused(self, call, named):
+        with pytest.raises(InvalidInputError) as info:
+            call(self.set_a)
+        assert str(info.value) == named
+
+    def test_far_sets_with_wrong_params_are_refused_before_the_shape_floor(self):
+        far = TriangularFuzzySet(10.0, 11.0, 12.0)
+        with pytest.raises(InvalidInputError, match="params"):
+            similarity(self.set_a, far, "defaults")
+
+    @pytest.mark.parametrize("values, named", [
+        ([0.5, math.nan], "non-finite per_dim_similarities[1]: nan"),
+        ([math.nan, 0.5], "non-finite per_dim_similarities[0]: nan"),
+        ([0.5, math.inf], "non-finite per_dim_similarities[1]: inf"),
+        ([0.5, "0.1"], "per_dim_similarities[1] must be a real number, got str"),
+        ([True], "per_dim_similarities[0] must be a real number, got bool"),
+    ])
+    def test_firing_degree_refuses_what_it_cannot_read(self, values, named):
+        with pytest.raises(InvalidInputError) as info:
+            firing_degree(values)
+        assert str(info.value) == named
+
+    @pytest.mark.parametrize("firings, consequents, named", [
+        ([0.5, math.nan], [1, 2], "non-finite firings[1]: nan"),
+        ([0.5, 0.5], [1.0, math.nan], "non-finite consequents[1]: nan"),
+        ([0.5, -1.0], [1, 2], "firings[1] must be >= 0, got -1.0"),
+        ([0.5, 0.5], [1, None], "consequents[1] must be a real number, got NoneType"),
+        ([False, 0.5], [1, 2], "firings[0] must be a real number, got bool"),
+    ])
+    def test_aggregate_refuses_what_it_cannot_read(self, firings, consequents, named):
+        with pytest.raises(InvalidInputError) as info:
+            aggregate(firings, consequents)
+        assert str(info.value) == named
+
+    def test_weights_above_one_and_numpy_scalars_are_read(self):
+        assert aggregate([np.float64(2.0), 1], [np.int64(4), 7.0]) == 5.0
+        assert firing_degree(np.array([0.75, 0.25])) == 0.25
+
+    def test_coincident_sets_score_the_zero_distance_factor_unclipped(self):
+        # the dropped clip to [0, 1] could not bind: the product is the factor itself
+        params = SimilarityParams(h=1.0, omega=50.0)
+        assert similarity(self.set_a, self.set_a, params) == distance_factor(0.0, params) == 1.0

@@ -91,6 +91,24 @@ class TestDiscretize:
         with pytest.raises(InvalidInputError):
             discretize(1.0, ())
 
+    @pytest.mark.parametrize("gamma, named", [
+        (math.nan, "non-finite gamma: nan"),
+        (math.inf, "non-finite gamma: inf"),
+        (-math.inf, "non-finite gamma: -inf"),
+        ("2", "gamma must be a real number, got str"),
+        (True, "gamma must be a real number, got bool"),
+    ])
+    def test_a_gamma_it_cannot_read_is_refused(self, gamma, named):
+        with pytest.raises(InvalidInputError) as info:
+            discretize(gamma, (1, 2, 3))
+        assert str(info.value) == named
+
+    def test_a_numpy_universe_is_read_like_a_tuple(self):
+        assert discretize(2.4, np.array([1, 2, 3])) == 2
+        assert discretize(np.float64(2.6), range(1, 4)) == 3
+        with pytest.raises(InvalidInputError, match="label universe is empty"):
+            discretize(1.0, np.array([], dtype=np.int64))
+
     @given(data=st.data())
     def test_matches_the_linear_scan(self, data):
         universe = tuple(
@@ -728,6 +746,18 @@ class TestTypedRefusals:
             with pytest.raises(InvalidInputError, match=r"^rows\[0\]\[0\] is not a number \(type bytes\)$"):
                 predict_rows(rb, [given])
 
+    def test_bools_are_refused_as_the_scalar_intake_refuses_them(self, rb):
+        width = len(rb.feature_names)
+        flags = [True, False] * width
+        with pytest.raises(InvalidInputError, match=r"^observation\[0\] is not a number \(type bool\)$"):
+            predict(rb, flags[:width])
+        with pytest.raises(InvalidInputError, match=r"^rows\[0\]\[0\] is not a number \(type bool\)$"):
+            predict_rows(rb, np.ones((2, width), dtype=bool))
+        row = np.array([0.5] * (width - 1) + [np.True_], dtype=object)
+        kind = type(np.True_).__name__
+        with pytest.raises(InvalidInputError, match=rf"^observation\[{width - 1}\] .* \(type {kind}\)$"):
+            predict(rb, row)
+
     def test_float_input_reads_no_cell_as_text(self, rb, monkeypatch):
         monkeypatch.setattr(inference, "_plain_number", None)
         row = [0.5] * len(rb.feature_names)
@@ -765,6 +795,27 @@ class TestPredictionsSequence:
                 array[0] = 0
         with pytest.raises(dataclasses.FrozenInstanceError):
             preds.gammas = np.zeros(3)
+
+
+    def test_a_slice_is_the_predictions_of_those_rows(self, corridor, corridor_rulebase):
+        preds = predict_rows(corridor_rulebase, corridor.features[:6])
+        for rows in (slice(1, 3), slice(None, None, -2), slice(4, 1), slice(-2, None)):
+            part = preds[rows]
+            assert isinstance(part, Predictions)
+            assert list(part) == list(preds)[rows]
+            for mine, whole in zip(
+                (part.gammas, part.labels, part.totals, part.firings),
+                (preds.gammas, preds.labels, preds.totals, preds.firings),
+            ):
+                assert not mine.flags.writeable and mine.base is not None
+                assert mine.size == 0 or np.shares_memory(mine, whole)
+        assert preds[np.int64(2)] == preds[2]
+
+    @pytest.mark.parametrize("index", [True, 1.0, "1", None, (0,)])
+    def test_an_index_that_is_no_integer_names_its_type(self, corridor, corridor_rulebase, index):
+        preds = predict_rows(corridor_rulebase, corridor.features[:3])
+        with pytest.raises(TypeError, match=rf"not {type(index).__name__}$"):
+            preds[index]
 
 
 BUILTIN_SUM = sum

@@ -13,6 +13,12 @@ confusion.txt and the predictions, evaluation and ranking JSON under
 OUTDIR/<workload>/s<seed>/, one v<variant> folder deeper for a workload
 with several variants: one of every kind of artifact that fuzzyloc writes.
 
+Each training config is also given to `fuzzyloc train` and `fuzzyloc run`
+through cli.main, as the flags that name its fields, into cli/train/ and
+cli/run/ beside the artifacts of its library run; their rulebase.json,
+report.json and confusion.txt must equal the library run's, or the tool
+stops with an error.
+
 Every run works in the same relative path below a fresh temporary
 directory, so the paths that report.json and the predictions echo are the
 same whichever checkout runs: checkouts that write the same artifacts give
@@ -20,6 +26,7 @@ trees that `diff -r` finds identical.
 """
 
 import argparse
+import contextlib
 import csv
 import os
 import shutil
@@ -27,10 +34,8 @@ import sys
 import tempfile
 from pathlib import Path
 
-KEPT = (
-    "rulebase.json", "report.json", "confusion.txt", "predictions.json", "evaluation.json",
-    "ranking.json",
-)
+RUN_FILES = ("rulebase.json", "report.json", "confusion.txt")  # what `fuzzyloc run` writes
+KEPT = (*RUN_FILES, "predictions.json", "evaluation.json", "ranking.json")
 
 
 def import_checkout(root):
@@ -46,11 +51,51 @@ def import_checkout(root):
     return fuzzyloc.cli, workloads
 
 
+def comma_list(values):
+    """values joined by commas, or None when there are none."""
+    return ",".join(map(str, values)) if values else None
+
+
+def config_argv(config):
+    """The train and run flags that build config, each as --flag=value."""
+    flags = {
+        "input": config.input_path, "label-col": config.label_column,
+        "feature-cols": comma_list(config.feature_columns),
+        "unseen": comma_list(config.unseen_labels),
+        "label-universe": comma_list(config.label_universe),
+        "cfs-top-n": config.cfs_top_n, "cfs-epsilon": config.cfs_epsilon,
+        "strategy": config.strategy, "k-max": config.k_max, "seed": config.seed,
+        "h": config.h, "omega": config.omega,
+    }
+    argv = [f"--{flag}={value}" for flag, value in flags.items() if value is not None]
+    return argv + ["--cfs-sort"] * config.cfs_sort
+
+
+def run_configs(cli, wl):
+    """Train and run each of the workload's configs through cli.main into
+    cli/ beside its library run's artifacts, which they must equal."""
+    for config in wl.configs:
+        api = Path(config.output_dir)
+        out = api / "cli"
+        (out / "train").mkdir(parents=True, exist_ok=True)
+        for command, target in (("train", out / "train" / "rulebase.json"), ("run", out / "run")):
+            argv = [command, *config_argv(config), "--out", str(target)]
+            with contextlib.redirect_stdout(sys.stderr):
+                if cli.main(argv) != 0:
+                    raise SystemExit(f"artifacts: fuzzyloc {' '.join(argv)} failed")
+        pairs = [(out / "train" / "rulebase.json", api / "rulebase.json")]
+        pairs += [(out / "run" / name, api / name) for name in RUN_FILES]
+        for mine, theirs in pairs:
+            if mine.read_bytes() != theirs.read_bytes():
+                raise SystemExit(f"artifacts: {mine} differs from the library run's {theirs}")
+
+
 def run_variant(cli, wl, label):
     """Train the workload, then label, score and rank each target's rows
     (label names their label column) with its rule base."""
     wl.set_up()
     wl.train_pass()
+    run_configs(cli, wl)
     for target in wl.targets:
         folder = os.path.dirname(target.rulebase_path)
         with open(target.query_path, encoding="utf-8", newline="") as fh:
