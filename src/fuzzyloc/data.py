@@ -1,7 +1,9 @@
 """Dataset container, min-max normalization, CSV ingestion and text-file output."""
 
+import codecs
 import csv
 import math
+import os
 import re
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -17,6 +19,10 @@ _PREFIXED_LABEL = re.compile(r"^[cC](-?[0-9]+)$")
 _PLAIN_LABEL = re.compile(r"^[+-]?[0-9]+$")
 LABEL_RANGE = range(-INT64_MAX - 1, INT64_MAX + 1)  # labels are held as int64
 MAX_RANGE_LABELS = 1024  # a derived or N..M universe; a listed one is not bounded
+# the bytes of a plainly numeric CSV body: within them the csv module splits
+# on "," and "\n" alone, and float() and np.loadtxt both read a cell as the
+# correctly rounded double
+_NUMERIC_BODY = b"0123456789.eE+-,\n"
 
 
 @dataclass(frozen=True)
@@ -259,7 +265,8 @@ def _read_table(path, feature_columns, label_column=None):
     fewer or more cells than the header, or an unparseable or non-finite
     feature cell, are rejected together, each named by its line (header =
     line 1) and cell. An empty feature_columns is refused before the file
-    is opened.
+    is opened. A plainly numeric file is read by numpy's C parser instead
+    of the csv module (see _numeric_table), into the same arrays.
     """
     if not feature_columns:
         raise SchemaError(f"{path}: no feature columns requested")
@@ -267,6 +274,11 @@ def _read_table(path, feature_columns, label_column=None):
         wanted = list(feature_columns) + ([] if label_column is None else [label_column])
         positions = _resolve_columns(header, wanted, path)
         feat_pos, label_pos = positions[: len(feature_columns)], positions[-1]
+        table = _numeric_table(
+            path, len(header), feat_pos, None if label_column is None else label_pos
+        )
+        if table is not None:
+            return table
 
         rows = []
         labels = None if label_column is None else []
@@ -314,6 +326,75 @@ def _read_table(path, feature_columns, label_column=None):
     if not rows:
         raise DataError(f"{path}: no data rows")
     return np.array(rows, dtype=float), labels
+
+
+def _numeric_table(path, n_cells, feat_pos, label_pos=None):
+    """_read_table's (features, labels) of a plainly numeric file, parsed
+    by numpy's C parser, or None when the file is not plainly numeric.
+
+    A file is plainly numeric when its header record is its first line,
+    every body byte is in _NUMERIC_BODY, every non-blank line holds
+    n_cells cells and fits in the csv module's field limit, and every
+    selected value is finite. The csv reader reads such a file into the
+    same arrays; a faulty label (when label_pos is given) is refused here
+    as it refuses it, naming the same row. A declined file goes to the
+    csv reader unchanged, so every other message is the csv reader's own.
+    """
+    if not os.path.isfile(path):  # a pipe or a device cannot be read twice
+        return None
+    try:
+        with open(path, "rb") as fh:
+            blob = fh.read()
+    except OSError:
+        return None
+    start = len(codecs.BOM_UTF8) if blob.startswith(codecs.BOM_UTF8) else 0
+    head_end = blob.find(b"\n", start)
+    # the header record is the first line: the csv module ends a record at
+    # "\r" too, and a quoted header cell over several lines leaves a '"' in the body
+    if head_end < 0 or b"\r" in blob[start:head_end]:
+        return None
+    body = blob[head_end + 1 :]
+    del blob
+    if body.translate(None, _NUMERIC_BODY):
+        return None
+    buf = np.frombuffer(body, np.uint8)
+    ends = np.flatnonzero(buf == ord("\n"))
+    if not body.endswith(b"\n"):
+        ends = np.append(ends, len(body))
+    starts = np.concatenate(([0], ends[:-1] + 1))
+    filled = ends > starts  # the csv reader skips an empty line, and so does loadtxt
+    commas = np.flatnonzero(buf == ord(","))
+    # loadtxt with usecols reads a row of any width, so every width is checked here
+    widths = np.diff(np.searchsorted(commas, ends), prepend=0) + 1
+    if (
+        not filled.any()
+        or np.any(widths[filled] != n_cells)
+        or (ends - starts).max() > csv.field_size_limit()
+    ):
+        return None
+    try:
+        with open(path, encoding="utf-8-sig") as fh:
+            features = np.loadtxt(
+                fh, delimiter=",", comments=None, skiprows=1, usecols=feat_pos, ndmin=2
+            )
+    except (OSError, ValueError):  # ValueError: a cell that is not a number
+        return None
+    if not np.isfinite(features).all():
+        return None
+    if label_pos is None:
+        return features, None
+    # one row of cell bounds per filled line: the byte before each cell, then its end
+    bounds = np.column_stack((starts[filled] - 1, commas.reshape(-1, n_cells - 1), ends[filled]))
+    cells = [body[lo + 1 : hi] for lo, hi in bounds[:, label_pos : label_pos + 2].tolist()]
+    # every row is usable, so the csv reader would refuse the first faulty
+    # label in row order as this does; every label in _NUMERIC_BODY is
+    # plain, so no two formats can mix
+    parsed = {}
+    for line, cell in zip((np.flatnonzero(filled) + 2).tolist(), cells):
+        if cell not in parsed:
+            with prefixed(f"{path}: row {line}"):
+                parsed[cell] = parse_label(cell.decode())[0]
+    return features, [parsed[cell] for cell in cells]
 
 
 def _plain_number(text):

@@ -204,6 +204,11 @@ def similarity(a, b, params):
     if shape <= 0.0:  # also keeps a gap that overflows to inf from distance_factor
         return 0.0
     d = abs(representative(a) - representative(b))
+    if not math.isfinite(d):  # shape > 0 keeps the means within 3, so one overflowed
+        name, s = ("a", a) if not math.isfinite(representative(a)) else ("b", b)
+        raise InvalidInputError(
+            f"{name}: the vertex mean of ({s.a1}, {s.a2}, {s.a3}) is beyond the float range"
+        )
     return shape * distance_factor(d, params)
 
 
@@ -223,7 +228,8 @@ def aggregate(firings, consequents):
     the interpreter's sum(). Raises ZeroFiringError when no rule fired
     (total weight zero); callers that can fall back to a nearest rule
     handle that case themselves. Every firing and consequent must be a
-    finite real, and every firing >= 0 (a weight above 1 is allowed).
+    finite real, and every firing >= 0 (a weight above 1 is allowed); a
+    total or weighted sum beyond the float range is refused.
     """
     firings = _finite_reals(firings, "firings", lo=0)
     consequents = _finite_reals(consequents, "consequents")
@@ -233,4 +239,8 @@ def aggregate(firings, consequents):
     total = reduce(operator.add, firings)
     if total <= 0.0:
         raise ZeroFiringError("total firing degree is zero")
-    return reduce(operator.add, map(operator.mul, firings, consequents)) / total
+    weighted = reduce(operator.add, map(operator.mul, firings, consequents))
+    for what, value in (("total firing degree", total), ("firing-weighted sum", weighted)):
+        if not math.isfinite(value):
+            raise InvalidInputError(f"{what} overflows the float range")
+    return weighted / total

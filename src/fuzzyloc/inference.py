@@ -173,7 +173,11 @@ def _float_array(values, what):
     no check sees, and a bool as 1.0 or 0.0."""
     try:
         array = np.asarray(values)
-        if array.dtype.kind in "iuf":
+        # a numeric ndarray holds no bool, but np.asarray reads a bool among
+        # numbers as 1 or 0, so a sequence holding either is checked below
+        if array.dtype.kind in "iuf" and (
+            isinstance(values, np.ndarray) or not ((array == 0) | (array == 1)).any()
+        ):
             return array.astype(float, copy=False)
     except ValueError:  # a ragged nesting, whose sequence cells float() refuses below
         pass

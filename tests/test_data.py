@@ -1,8 +1,12 @@
+import math
 import re
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from fuzzyloc import data
 from fuzzyloc.data import (
     Dataset,
     Normalization,
@@ -13,7 +17,9 @@ from fuzzyloc.data import (
     read_csv_header,
     read_feature_rows,
 )
-from fuzzyloc.errors import ConfigError, DataError, InvalidInputError, SchemaError
+from fuzzyloc.errors import (
+    ConfigError, DataError, FuzzylocError, InvalidInputError, SchemaError,
+)
 
 
 def write(tmp_path, text, name="data.csv"):
@@ -438,3 +444,191 @@ class TestFileFailures:
         path.write_bytes(text)
         with pytest.raises(DataError, match=f"{path}: not UTF-8 text"):
             read(str(path))
+
+
+def outcome(read):
+    """What read gives: the bytes, shape and labels it returns, or the
+    class and message of the error it raises."""
+    try:
+        features, labels = read()
+    except FuzzylocError as exc:
+        return type(exc), str(exc)
+    return features.tobytes(), features.shape, labels
+
+
+SIGNS = st.sampled_from(["", "+", "-"])
+DIGITS = st.text("0123456789", min_size=1, max_size=4)
+
+
+@st.composite
+def numbers(draw):
+    """A cell that float() reads as a finite number, in one of the forms a
+    numeric export holds."""
+    kind = draw(st.sampled_from(["repr", "integer", "decimal", "subnormal"]))
+    if kind == "repr":
+        return repr(draw(st.floats(allow_nan=False, allow_infinity=False)))
+    if kind == "subnormal":
+        return draw(st.sampled_from(["5e-324", "-4.9e-324", "1e-320", "2.2250738585072009e-308"]))
+    text = draw(SIGNS) + "0" * draw(st.integers(0, 2)) + draw(DIGITS)
+    if kind == "decimal":
+        text += "." + draw(st.text("0123456789", max_size=17))
+        exponent = draw(st.sampled_from("eE")) + draw(SIGNS) + draw(DIGITS)
+        if draw(st.booleans()) and math.isfinite(float(text + exponent)):
+            text += exponent
+    return text
+
+
+LABELS = st.builds(lambda sign, zeros, n: sign + "0" * zeros + str(n),
+                   SIGNS, st.integers(0, 2), st.integers(0, 2**63 - 1))
+# any text of the plainly numeric alphabet, "," aside: faults such as "1e",
+# "--", "" or "1e400" among numbers
+NUMERIC_TEXT = st.text("0123456789.eE+-", max_size=6)
+
+
+@st.composite
+def numeric_tables(draw, faulty=False):
+    """(text, cell count, feature positions, label position or None) of a
+    numeric CSV file: random shape, requested column order and label
+    position, blank lines, and a final newline or none. A faulty table
+    also draws cells from NUMERIC_TEXT and rows of other widths."""
+    n_cells = draw(st.integers(1, 6))
+    label_pos = draw(st.none() | st.integers(0, n_cells - 1)) if n_cells > 1 else None
+    others = [i for i in range(n_cells) if i != label_pos]
+    feat_pos = draw(st.permutations(others))[: draw(st.integers(1, len(others)))]
+    cell = numbers() | NUMERIC_TEXT if faulty else numbers()
+    lines = []
+    for _ in range(draw(st.integers(1, 8))):
+        width = n_cells + (draw(st.sampled_from([0, 0, 0, -1, 1])) if faulty else 0)
+        row = [draw(cell) for _ in range(max(width, 1))]
+        if label_pos is not None and label_pos < len(row):
+            row[label_pos] = draw(LABELS | NUMERIC_TEXT if faulty else LABELS)
+        lines.append(",".join(row))
+        if draw(st.integers(0, 4)) == 0:
+            lines.append("")
+    text = "\n".join([",".join(f"b{i}" for i in range(n_cells))] + lines)
+    return text + draw(st.sampled_from(["\n", ""])), n_cells, list(feat_pos), label_pos
+
+
+class TestNumericBodies:
+    """A plainly numeric file goes through np.loadtxt (data._numeric_table);
+    every other file, and every fault, goes to the csv reader, so arrays,
+    messages and row numbers are the same either way."""
+
+    # a missing final newline, a blank line, and a label between features
+    PLAIN = "b1,room,b2\n-61.5,3,-70\n\n+1e-5,-04,2.5E+2\n0.0,7,5e-324"
+
+    @staticmethod
+    def csv_reader_only():
+        return mock.patch.object(data, "_numeric_table", lambda *args: None)
+
+    @pytest.mark.parametrize("body, reason", [
+        ("1,2,3\n4,5,6,7\n", "row 3: too many cells"),
+        ("1,2,3\n4,5\n", "row 3: too few cells"),
+        ("\n1,2,3,\n4,5,6\n", "row 3: too many cells"),
+        ("1,2,3\n\n4,5", "row 4: too few cells"),
+    ])
+    def test_every_row_width_is_checked(self, tmp_path, body, reason):
+        # np.loadtxt with usecols reads 4,5,6,7 as [4, 5]; the cut cell of
+        # 4,5 is the label, which read_feature_rows never reads
+        path = write(tmp_path, "b1,b2,room\n" + body)
+        for read in (lambda: load_csv(path, "room", ["b1", "b2"]),
+                     lambda: read_feature_rows(path, ["b2", "b1"])):
+            with pytest.raises(DataError) as info:
+                read()
+            assert str(info.value) == f"{path}: 1 unusable rows: {reason}"
+
+    def test_a_plain_file_takes_numpys_parser(self, tmp_path):
+        path = write(tmp_path, self.PLAIN)
+        fast = data._numeric_table(path, 3, [2, 0], 1)
+        assert fast is not None
+        with self.csv_reader_only():
+            features, labels = data._read_table(path, ["b2", "b1"], "room")
+        assert fast[0].tobytes() == features.tobytes() and fast[1] == labels == [3, -4, 7]
+        assert features.tolist() == [[-70.0, -61.5], [250.0, 1e-5], [5e-324, 0.0]]
+
+    @pytest.mark.parametrize("cell, reason", [
+        ("1e400", "non-finite cell '1e400'"),
+        ("-1e400", "non-finite cell '-1e400'"),
+        ("", "unparseable cell ''"),
+        ("1e", "unparseable cell '1e'"),
+        ("1-2", "unparseable cell '1-2'"),
+    ])
+    def test_a_faulty_cell_keeps_its_message(self, tmp_path, cell, reason):
+        path = write(tmp_path, f"b1,b2,room\n1,2,3\n4,{cell},6\n")
+        assert data._numeric_table(path, 3, [0, 1], 2) is None
+        for read in (lambda: load_csv(path, "room", ["b1", "b2"]),
+                     lambda: read_feature_rows(path, ["b2"])):
+            with pytest.raises(DataError) as info:
+                read()
+            assert str(info.value) == f"{path}: 1 unusable rows: row 3: {reason}"
+        # an unselected cell is not read
+        assert read_feature_rows(path, ["b1"]).tolist() == [[1.0], [4.0]]
+
+    @pytest.mark.parametrize("label, error, message", [
+        ("99999999999999999999", DataError, "does not fit in a 64-bit integer"),
+        ("1.0", SchemaError, "is neither an integer nor a c<N> class name"),
+        ("-", SchemaError, "is neither an integer nor a c<N> class name"),
+    ])
+    def test_a_faulty_label_keeps_its_message(self, tmp_path, label, error, message):
+        path = write(tmp_path, f"b1,room\n1,3\n2,{label}\n")
+        with pytest.raises(error) as info:
+            load_csv(path, "room", ["b1"])
+        assert str(info.value) == f"{path}: row 3: label {label!r} {message}"
+        assert read_feature_rows(path, ["b1"]).tolist() == [[1.0], [2.0]]
+
+    def test_an_oversized_unselected_cell_is_refused_as_before(self, tmp_path):
+        path = write(tmp_path, "b1,b2\n1,2\n3," + "4" * 200_000 + "\n")
+        with pytest.raises(DataError, match="row 3: field larger than field limit"):
+            read_feature_rows(path, ["b1"])
+
+    def test_a_header_record_is_not_taken_for_its_first_line(self, tmp_path):
+        # "\r" ends the header record, so 5,6 is a row of two cells
+        path = write(tmp_path, "b1\r5,6\n7\n")
+        with pytest.raises(DataError, match=r"1 unusable rows: row 2: too many cells$"):
+            read_feature_rows(path, ["b1"])
+        # a quoted "\n" does not end it
+        path = write(tmp_path, '"b\n1",b2\n5,6\n')
+        assert read_feature_rows(path, ["b\n1"]).tolist() == [[5.0]]
+
+    @pytest.mark.parametrize("text", [
+        "b1,b2\r\n1,2\r\n3,4\r\n",
+        '"b1",b2\n1,2\n3,4\n',
+        "b1,b2\n1,2\n3, 4\n",
+        'b1,b2\n1,2\n3,"4"\n',
+        "\ufeffb1,b2\n1,2\n3,4\n",
+    ])
+    def test_other_files_read_as_before(self, tmp_path, text):
+        path = write(tmp_path, text)
+        assert read_feature_rows(path, ["b2", "b1"]).tolist() == [[2.0, 1.0], [4.0, 3.0]]
+
+    @settings(max_examples=150, deadline=None)
+    @given(table=numeric_tables())
+    def test_plain_files_read_bit_for_bit_as_the_csv_reader_reads_them(
+        self, tmp_path_factory, table
+    ):
+        text, n_cells, feat_pos, label_pos = table
+        path = tmp_path_factory.getbasetemp() / "plain.csv"
+        path.write_text(text, encoding="utf-8")
+        names = [f"b{i}" for i in feat_pos]
+        label = None if label_pos is None else f"b{label_pos}"
+        fast = data._numeric_table(str(path), n_cells, feat_pos, label_pos)
+        assert fast is not None
+        with self.csv_reader_only():
+            features, labels = data._read_table(str(path), names, label)
+        assert fast[0].shape == features.shape
+        assert fast[0].tobytes() == features.tobytes()
+        assert fast[1] == labels
+
+    @settings(max_examples=150, deadline=None)
+    @given(table=numeric_tables(faulty=True))
+    def test_any_numeric_text_reads_or_fails_as_the_csv_reader_has_it(
+        self, tmp_path_factory, table
+    ):
+        text, _, feat_pos, label_pos = table
+        path = tmp_path_factory.getbasetemp() / "numeric.csv"
+        path.write_text(text, encoding="utf-8")
+        names = [f"b{i}" for i in feat_pos]
+        label = None if label_pos is None else f"b{label_pos}"
+        got = outcome(lambda: data._read_table(str(path), names, label))
+        with self.csv_reader_only():
+            assert got == outcome(lambda: data._read_table(str(path), names, label))

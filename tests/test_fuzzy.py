@@ -294,6 +294,34 @@ class TestScalarIntake:
             aggregate(firings, consequents)
         assert str(info.value) == named
 
+    @pytest.mark.parametrize("firings, consequents, named", [
+        ([1e308, 1e308], [1, 2], "total firing degree overflows the float range"),
+        ([1e308, 1e308], [0, 0], "total firing degree overflows the float range"),
+        ([1.0, 1e308], [1e308, 1e308], "firing-weighted sum overflows the float range"),
+        ([1.0, 1e308], [1e308, -1e308], "firing-weighted sum overflows the float range"),
+    ])
+    def test_aggregate_refuses_sums_beyond_the_float_range(self, firings, consequents, named):
+        with pytest.raises(InvalidInputError) as info:
+            aggregate(firings, consequents)
+        assert str(info.value) == named
+
+    @pytest.mark.parametrize("a, b", [
+        ((1e308,) * 3, (1e308,) * 3),
+        ((0.0, 1e308, 1e308), (1.0, 1e308, 1e308)),
+        ((-1e308,) * 3, (-1e308,) * 3),
+    ])
+    def test_similarity_names_a_vertex_mean_beyond_the_float_range(self, a, b):
+        a, b = TriangularFuzzySet(*a), TriangularFuzzySet(*b)
+        with pytest.raises(InvalidInputError) as info:
+            similarity(a, b, SimilarityParams())
+        assert str(info.value) == (
+            f"a: the vertex mean of ({a.a1}, {a.a2}, {a.a3}) is beyond the float range"
+        )
+
+    def test_far_sets_beyond_the_float_range_still_score_zero(self):
+        huge = TriangularFuzzySet(1e308, 1e308, 1e308)
+        assert similarity(self.set_a, huge, SimilarityParams()) == 0.0
+
     def test_weights_above_one_and_numpy_scalars_are_read(self):
         assert aggregate([np.float64(2.0), 1], [np.int64(4), 7.0]) == 5.0
         assert firing_degree(np.array([0.75, 0.25])) == 0.25

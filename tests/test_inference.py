@@ -758,6 +758,30 @@ class TestTypedRefusals:
         with pytest.raises(InvalidInputError, match=rf"^observation\[{width - 1}\] .* \(type {kind}\)$"):
             predict(rb, row)
 
+    @pytest.mark.parametrize("flag", [True, False, np.True_])
+    def test_a_bool_among_numbers_is_refused_wherever_it_sits(self, rb, flag):
+        # np.asarray reads [0.5, True, -60.0] as [0.5, 1.0, -60.0]
+        width = len(rb.feature_names)
+        kind = type(flag).__name__
+        for at in (0, width - 1):
+            row = [0.5] * width
+            row[at] = flag
+            with pytest.raises(InvalidInputError, match=rf"^observation\[{at}\] .* \(type {kind}\)$"):
+                predict(rb, row)
+            with pytest.raises(InvalidInputError, match=rf"^rows\[1\]\[{at}\] .* \(type {kind}\)$"):
+                predict_rows(rb, [[-60.0] * width, row])
+
+    def test_numbers_equal_to_a_bool_are_still_read(self, rb):
+        row = [0, 1.0, -60.0, 1][: len(rb.feature_names)]
+        row += [0.0] * (len(rb.feature_names) - len(row))
+        assert predict(rb, row) == predict(rb, np.array(row, dtype=float))
+
+    def test_a_float_array_is_read_without_a_cell_check(self, rb, monkeypatch):
+        monkeypatch.setattr(inference, "Number", None)  # any cell check would raise
+        row = np.zeros(len(rb.feature_names))
+        row[0] = 1.0
+        assert predict(rb, row) == predict_rows(rb, row[None])[0]
+
     def test_float_input_reads_no_cell_as_text(self, rb, monkeypatch):
         monkeypatch.setattr(inference, "_plain_number", None)
         row = [0.5] * len(rb.feature_names)

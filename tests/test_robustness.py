@@ -36,6 +36,8 @@ BAD_CELLS = [
     "1e400", "5e-324", "true", "abc", "", '"', "c5", "C-3", " 3 ", "0x10", "-0",
 ]
 BAD_BYTES = [b"\xff", b"\xc3", b"\x00", b"\xef\xbb\xbf", b"\r", b",", b'"', b"\n", b"\n\n"]
+# the bytes of a plainly numeric CSV body, which numpy's parser reads
+NUMERIC_BYTES = st.text("0123456789.eE+-,\n", min_size=1, max_size=4).map(str.encode)
 
 
 def _refuse(constant):
@@ -89,15 +91,15 @@ def base(tmp_path_factory):
     return root, csv_path, rb_path
 
 
-def mutate_bytes(data, blob):
-    """Insert, overwrite or cut a few bytes of blob."""
+def mutate_bytes(data, blob, chunks=st.sampled_from(BAD_BYTES) | st.binary(max_size=4)):
+    """Insert, overwrite or cut a few bytes of blob, inserting chunks."""
     for _ in range(data.draw(st.integers(1, 3), label="byte edits")):
         at = data.draw(st.integers(0, len(blob)), label="at")
         kind = data.draw(st.sampled_from(["insert", "overwrite", "cut"]), label="kind")
         if kind == "cut":
             blob = blob[:at] + blob[at + data.draw(st.integers(1, 40), label="cut"):]
             continue
-        chunk = data.draw(st.sampled_from(BAD_BYTES) | st.binary(max_size=4), label="bytes")
+        chunk = data.draw(chunks, label="bytes")
         blob = blob[:at] + chunk + blob[at + (len(chunk) if kind == "overwrite" else 0):]
     return blob
 
@@ -145,6 +147,19 @@ class TestFuzzing:
             blob = mutate_bytes(data, csv_path.read_bytes())
         else:
             blob = mutate_cells(data, csv_path.read_text(encoding="utf-8")).encode("utf-8")
+        self.check_every_command(root, rb_path, blob)
+
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_mutated_numeric_body_exits_0_2_or_3(self, base, data):
+        # the synth export is plainly numeric below its header, and stays so
+        root, csv_path, rb_path = base
+        header, body = csv_path.read_bytes().split(b"\n", 1)
+        body = mutate_bytes(data, body, NUMERIC_BYTES)
+        self.check_every_command(root, rb_path, header + b"\n" + body)
+
+    @staticmethod
+    def check_every_command(root, rb_path, blob):
         with tempfile.TemporaryDirectory(dir=root) as tmp:
             tmp = Path(tmp)
             bad = tmp / "bad.csv"
