@@ -5,6 +5,7 @@ import csv
 import math
 import os
 import re
+import stat
 from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import cached_property
@@ -23,6 +24,10 @@ MAX_RANGE_LABELS = 1024  # a derived or N..M universe; a listed one is not bound
 # on "," and "\n" alone, and float() and np.loadtxt both read a cell as the
 # correctly rounded double
 _NUMERIC_BODY = b"0123456789.eE+-,\n"
+# a smaller file goes to the csv reader: np.loadtxt and the checks cost a
+# fixed 0.1-0.2 ms when called cold, as one CLI call calls them, which the
+# csv reader's per-cell cost only exceeds from about 6-10 KB of CSV
+_NUMERIC_MIN_BYTES = 8192
 
 
 @dataclass(frozen=True)
@@ -329,8 +334,8 @@ def _read_table(path, feature_columns, label_column=None):
 
 
 def _numeric_table(path, n_cells, feat_pos, label_pos=None):
-    """_read_table's (features, labels) of a plainly numeric file, parsed
-    by numpy's C parser, or None when the file is not plainly numeric.
+    """_read_table's (features, labels) of a plainly numeric file of at
+    least _NUMERIC_MIN_BYTES, parsed by numpy's C parser, or None.
 
     A file is plainly numeric when its header record is its first line,
     every body byte is in _NUMERIC_BODY, every non-blank line holds
@@ -340,9 +345,11 @@ def _numeric_table(path, n_cells, feat_pos, label_pos=None):
     as it refuses it, naming the same row. A declined file goes to the
     csv reader unchanged, so every other message is the csv reader's own.
     """
-    if not os.path.isfile(path):  # a pipe or a device cannot be read twice
-        return None
     try:
+        info = os.stat(path)
+        # a pipe or a device cannot be read twice
+        if not stat.S_ISREG(info.st_mode) or info.st_size < _NUMERIC_MIN_BYTES:
+            return None
         with open(path, "rb") as fh:
             blob = fh.read()
     except OSError:

@@ -517,6 +517,20 @@ class TestNumericBodies:
     # a missing final newline, a blank line, and a label between features
     PLAIN = "b1,room,b2\n-61.5,3,-70\n\n+1e-5,-04,2.5E+2\n0.0,7,5e-324"
 
+    @pytest.fixture(autouse=True, scope="class")
+    def files_of_any_size(self):
+        with mock.patch.object(data, "_NUMERIC_MIN_BYTES", 0):
+            yield
+
+    def test_a_small_file_is_left_to_the_csv_reader(self, tmp_path):
+        with mock.patch.object(data, "_NUMERIC_MIN_BYTES", 8192):
+            row = "-61.5,3,-70\n"
+            rows = 8192 // len(row)
+            small = write(tmp_path, "b1,room,b2\n" + row * (rows - 1), "small.csv")
+            large = write(tmp_path, "b1,room,b2\n" + row * rows, "large.csv")
+            assert data._numeric_table(small, 3, [0, 2], 1) is None
+            assert data._numeric_table(large, 3, [0, 2], 1)[1] == [3] * rows
+
     @staticmethod
     def csv_reader_only():
         return mock.patch.object(data, "_numeric_table", lambda *args: None)
