@@ -1,6 +1,5 @@
 """Dataset container, min-max normalization, CSV ingestion and text-file output."""
 
-import codecs
 import csv
 import math
 import os
@@ -354,11 +353,10 @@ def _numeric_table(path, n_cells, feat_pos, label_pos=None):
             blob = fh.read()
     except OSError:
         return None
-    start = len(codecs.BOM_UTF8) if blob.startswith(codecs.BOM_UTF8) else 0
-    head_end = blob.find(b"\n", start)
+    head_end = blob.find(b"\n")
     # the header record is the first line: the csv module ends a record at
     # "\r" too, and a quoted header cell over several lines leaves a '"' in the body
-    if head_end < 0 or b"\r" in blob[start:head_end]:
+    if head_end < 0 or b"\r" in blob[:head_end]:
         return None
     body = blob[head_end + 1 :]
     del blob
