@@ -1,6 +1,7 @@
 """Dataset container, min-max normalization, CSV ingestion and text-file output."""
 
 import csv
+import io
 import math
 import os
 import re
@@ -68,14 +69,15 @@ class Normalization:
     def _arrays(self):
         """Read-only (mins, divisors, constant) arrays, built on first use;
         a divisor is its feature's span, or 1.0 where the feature is
-        constant."""
+        constant. constant is the mask of constant features, or None when
+        there are none."""
         mins = np.array(self.mins)
         spans = np.array(self.maxs) - mins
         constant = ~(spans > 0.0)
-        arrays = mins, np.where(constant, 1.0, spans), constant
-        for array in arrays:
+        divisors = np.where(constant, 1.0, spans)
+        for array in (mins, divisors, constant):
             array.flags.writeable = False
-        return arrays
+        return mins, divisors, constant if constant.any() else None
 
     def apply_matrix(self, features):
         """Normalize an array whose last axis holds the features, unclamped.
@@ -84,7 +86,7 @@ class Normalization:
         """
         mins, divisors, constant = self._arrays
         out = (np.asarray(features, dtype=float) - mins) / divisors
-        return np.where(constant, 0.0, out)
+        return out if constant is None else np.where(constant, 0.0, out)
 
 
 @dataclass(frozen=True, eq=False)
@@ -343,6 +345,7 @@ def _numeric_table(path, n_cells, feat_pos, label_pos=None):
     same arrays; a faulty label (when label_pos is given) is refused here
     as it refuses it, naming the same row. A declined file goes to the
     csv reader unchanged, so every other message is the csv reader's own.
+    The body is read once, and the checks and the parser share its bytes.
     """
     try:
         info = os.stat(path)
@@ -350,17 +353,12 @@ def _numeric_table(path, n_cells, feat_pos, label_pos=None):
         if not stat.S_ISREG(info.st_mode) or info.st_size < _NUMERIC_MIN_BYTES:
             return None
         with open(path, "rb") as fh:
-            blob = fh.read()
+            head, body = fh.readline(), fh.read()
     except OSError:
         return None
-    head_end = blob.find(b"\n")
     # the header record is the first line: the csv module ends a record at
     # "\r" too, and a quoted header cell over several lines leaves a '"' in the body
-    if head_end < 0 or b"\r" in blob[:head_end]:
-        return None
-    body = blob[head_end + 1 :]
-    del blob
-    if body.translate(None, _NUMERIC_BODY):
+    if not head.endswith(b"\n") or b"\r" in head or body.translate(None, _NUMERIC_BODY):
         return None
     buf = np.frombuffer(body, np.uint8)
     ends = np.flatnonzero(buf == ord("\n"))
@@ -377,20 +375,25 @@ def _numeric_table(path, n_cells, feat_pos, label_pos=None):
         or (ends - starts).max() > csv.field_size_limit()
     ):
         return None
+    if label_pos is not None:
+        # the label cell of every filled line: from the byte after the comma
+        # before it (or the line start) to the comma after it (or the line end)
+        commas = commas.reshape(-1, n_cells - 1)
+        firsts = starts[filled] if label_pos == 0 else commas[:, label_pos - 1] + 1
+        lasts = ends[filled] if label_pos == n_cells - 1 else commas[:, label_pos]
+    del buf, commas
     try:
-        with open(path, encoding="utf-8-sig") as fh:
-            features = np.loadtxt(
-                fh, delimiter=",", comments=None, skiprows=1, usecols=feat_pos, ndmin=2
-            )
-    except (OSError, ValueError):  # ValueError: a cell that is not a number
+        # the BytesIO shares the body's bytes, and loadtxt iterates its lines
+        features = np.loadtxt(
+            io.BytesIO(body), delimiter=",", comments=None, usecols=feat_pos, ndmin=2
+        )
+    except ValueError:  # a cell that is not a number
         return None
     if not np.isfinite(features).all():
         return None
     if label_pos is None:
         return features, None
-    # one row of cell bounds per filled line: the byte before each cell, then its end
-    bounds = np.column_stack((starts[filled] - 1, commas.reshape(-1, n_cells - 1), ends[filled]))
-    cells = [body[lo + 1 : hi] for lo, hi in bounds[:, label_pos : label_pos + 2].tolist()]
+    cells = [body[lo:hi] for lo, hi in zip(firsts.tolist(), lasts.tolist())]
     # every row is usable, so the csv reader would refuse the first faulty
     # label in row order as this does; every label in _NUMERIC_BODY is
     # plain, so no two formats can mix

@@ -20,7 +20,7 @@ import numpy as np
 
 from .data import Dataset, _plain_number
 from .errors import DataError, InvalidInputError
-from .fuzzy import TriangularFuzzySet, _finite_real, _integer, vertex_means
+from .fuzzy import TriangularFuzzySet, _finite_real, _integer
 
 # row x rule x dimension elements per kernel block: 128 KiB per float64 gap plane
 _BLOCK_ELEMENTS = 16384
@@ -84,12 +84,18 @@ class Predictions(Sequence):
             if isinstance(i, bool) or not isinstance(i, Integral):
                 kind = type(i).__name__
                 raise TypeError(f"Predictions indices must be integers or slices, not {kind}")
-        gamma, label, total = self.gammas.item(i), self.labels.item(i), self.totals.item(i)
-        return Prediction(gamma, label, total, not total > 0.0, self.firings[i])
+        return _prediction(self.gammas, self.labels, self.totals, self.firings, i)
 
     def columns(self):
         """gammas, labels, totals and fallback as lists of Python values."""
         return self.gammas.tolist(), self.labels.tolist(), self.totals.tolist(), self.fallback.tolist()
+
+
+def _prediction(gammas, labels, totals, firings, i):
+    """Row i of the Predictions columns as a Prediction of Python values;
+    its per_rule_firings is a view of firings, read-only when firings is."""
+    gamma, label, total = gammas.item(i), labels.item(i), totals.item(i)
+    return Prediction(gamma, label, total, not total > 0.0, firings[i])
 
 
 def discretize(gamma, label_universe):
@@ -110,14 +116,15 @@ def discretize(gamma, label_universe):
     return int(below if gamma - below <= above - gamma else above)
 
 
-def _firing_matrix(rb, obs):
+def _firing_matrix(rb, stacked):
     """Firing degree of every rule for every observation, under
     np.errstate(over="ignore") as _outcomes holds it: an overflow gives
     inf, which the shape floor and the distance factor turn into 0; rule
     vertex means are finite, so no inf - inf arises.
 
-    obs holds normalized triangles of shape (N, D, 3), a crisp value being
-    lo == mid == hi; the result has shape (N, R). Each element repeats
+    stacked holds the normalized observations as _observations gives
+    them, shape (4, N, D): the three vertices and the vertex mean of every
+    row and selected feature; the result has shape (N, R). Each element repeats
     fuzzy.similarity and the min of fuzzy.firing_degree operation for
     operation, so only np.exp against math.exp can move the last bit.
 
@@ -130,14 +137,12 @@ def _firing_matrix(rb, obs):
     """
     planes, h, omega = rb.planes, rb.params.h, rb.params.omega
     rules_last = planes.shape[2] == rb.n_rules
-    # (4, N, D): the three vertices and the vertex mean of every observation
-    stacked = np.concatenate([obs, vertex_means(obs)[..., None]], axis=2).transpose(2, 0, 1)
-    stacked = np.ascontiguousarray(stacked)
+    n_rows = stacked.shape[1]
     stacked = stacked[..., None] if rules_last else stacked[:, :, None]
-    out = np.empty((len(obs), rb.n_rules))
+    out = np.empty((n_rows, rb.n_rules))
     step = max(1, _BLOCK_ELEMENTS // planes[0].size)
-    gaps = np.empty((4, min(step, len(obs))) + planes.shape[1:])
-    for lo in range(0, len(obs), step):
+    gaps = np.empty((4, min(step, n_rows)) + planes.shape[1:])
+    for lo in range(0, n_rows, step):
         block = gaps[:, :len(out) - lo]
         # spreading the rows over the buffer first, then subtracting a plane
         # that repeats per row, runs long inner loops where one broadcast
@@ -198,8 +203,9 @@ def _float_array(values, what):
     return cells.astype(float)
 
 
-def _normalized(rb, raw, what, row_prefix=""):
-    """Normalized selected features of raw rows, as (N, D, 3) triangles.
+def _observations(rb, raw, what, row_prefix=""):
+    """The kernel's stacked observations of raw rows, shape (4, N, D): the
+    three vertices and the vertex mean of every normalized selected feature.
 
     raw is (N, F) for crisp rows or (N, F, 3) for triangles, in the rule
     base's original feature order and raw units. An F other than the rule
@@ -207,30 +213,60 @@ def _normalized(rb, raw, what, row_prefix=""):
     value that is not finite, raw or once normalized, is refused, naming
     its feature and row (row_prefix formatted with the row index starts
     the message). Runs under _outcomes' np.errstate, where an overflow
-    gives inf, refused here.
+    gives inf, refused here. Crisp rows stay (N, F) throughout: their three
+    vertices are the normalized values o and their mean (o + o + o) / 3,
+    the bits vertex_means gives the triangle (o, o, o).
     """
     if raw.shape[1] != len(rb.feature_names):
         raise InvalidInputError(f"{what} has {raw.shape[1]} features, "
                                 f"rule base expects {len(rb.feature_names)}")
-    if raw.ndim == 2:
-        raw = raw[..., None]
-    # min-max is monotone, so normalizing each vertex keeps lo <= mid <= hi
-    obs = rb.normalization.apply_matrix(raw.swapaxes(1, 2)).swapaxes(1, 2)
-    if not (np.isfinite(raw).all() and np.isfinite(obs).all()):
-        i, j, v = np.argwhere(~(np.isfinite(raw) & np.isfinite(obs)))[0]
-        raise InvalidInputError(f"{row_prefix.format(i)}feature {rb.feature_names[j]!r} is not "
-                                f"finite raw or once normalized: {raw[i, j, v]}")
-    obs = obs[:, rb.selected_features]
-    return obs if obs.shape[2] == 3 else np.repeat(obs, 3, axis=2)
+    # vertices first, features last; min-max is monotone, so normalizing
+    # each vertex keeps lo <= mid <= hi
+    values = raw if raw.ndim == 2 else raw.transpose(2, 0, 1)
+    obs = rb.normalization.apply_matrix(values)
+    # a non-finite raw value stays non-finite once normalized, unless its
+    # feature is constant and normalizes to 0
+    constant = rb.serving.constant
+    if not (np.isfinite(obs).all()
+            and (constant is None or np.isfinite(values[..., constant]).all())):
+        norm = obs if raw.ndim == 2 else obs.transpose(1, 2, 0)
+        at = tuple(np.argwhere(~(np.isfinite(raw) & np.isfinite(norm)))[0])
+        raise InvalidInputError(f"{row_prefix.format(at[0])}feature {rb.feature_names[at[1]]!r} "
+                                f"is not finite raw or once normalized: {raw[at]}")
+    vertices = obs[..., rb.serving.selected]
+    stacked = np.empty((4,) + vertices.shape[-2:])
+    stacked[:3] = vertices  # a crisp (N, D) matrix fills all three
+    mean = stacked[3]
+    np.add(stacked[0], stacked[1], out=mean)
+    mean += stacked[2]
+    mean /= 3.0
+    return stacked
 
 
-# over: see _firing_matrix and _normalized, and an overflowing fallback
+def _nearest_labels(gammas, serving):
+    """discretize of every gamma (finite, as each is) over the rule base's
+    label universe, read from its Serving arrays: the labels as an int64
+    array.
+
+    i, the number of labels below gamma, is discretize's bisect_left,
+    exact for labels beyond 2**53 too (see Serving.floors). The labels
+    around gamma are then padded[i] and padded[i + 1], the edge label twice
+    beyond either end, and the tie rule compares gamma - below with
+    above - gamma in float64, as discretize does with Python floats.
+    """
+    i = serving.floors.searchsorted(gammas)
+    rounded = serving.rounded
+    i += gammas - rounded.take(i) > rounded[1:].take(i) - gammas
+    return serving.padded.take(i)
+
+
+# over: see _firing_matrix and _observations, and an overflowing fallback
 # distance gives inf, which ties far rules; invalid: a row that fired
 # nothing divides 0 by 0, and the NaN is replaced
 @np.errstate(over="ignore", invalid="ignore")
 def _outcomes(rb, raw, what, row_prefix=""):
-    """The Predictions of raw rows, in order; raw, what and row_prefix are
-    _normalized's.
+    """The (N,) gammas, labels and totals and the (N, R) firings of raw
+    rows, in order; raw, what and row_prefix are _observations'.
 
     Each row's total and weighted sum run left to right over the rules
     (np.add.accumulate), the order of fuzzy.aggregate, so the bits depend
@@ -238,20 +274,26 @@ def _outcomes(rb, raw, what, row_prefix=""):
     together. A row where nothing fired takes the consequent of the
     closest rule by representative distance (first one on ties) instead.
     """
-    obs = _normalized(rb, raw, what, row_prefix)
-    firings = _firing_matrix(rb, obs)
+    stacked = _observations(rb, raw, what, row_prefix)
+    firings = _firing_matrix(rb, stacked)
     # copying the totals frees their running sums, and the weighted sums run in
     # place, so at most one (N, R) array joins the firing matrix
     totals = np.add.accumulate(firings, axis=1)[:, -1].copy()
     weighted = firings * rb.consequents
     gammas = np.add.accumulate(weighted, axis=1, out=weighted)[:, -1] / totals
-    labels = []
-    for i, (gamma, total) in enumerate(zip(gammas.tolist(), totals.tolist())):
-        if not total > 0.0:
-            gaps = rb.representatives - vertex_means(obs[i])
-            gamma = gammas[i] = rb.consequents[np.argmin((gaps * gaps).sum(axis=1))]
-        labels.append(discretize(gamma, rb.label_universe))
-    return Predictions(gammas, np.array(labels, dtype=np.int64), totals, firings)
+    # firings lie in [0, 1], so a total is 0 where nothing fired and positive elsewhere
+    if np.count_nonzero(totals) < len(totals):
+        for i in np.flatnonzero(totals == 0.0).tolist():
+            gaps = rb.representatives - stacked[3, i]
+            gammas[i] = rb.consequents[np.argmin((gaps * gaps).sum(axis=1))]
+    return gammas, _nearest_labels(gammas, rb.serving), totals, firings
+
+
+def _first(outcomes):
+    """The Prediction of the one row of _outcomes' arrays."""
+    firings = outcomes[3]
+    firings.flags.writeable = False
+    return _prediction(*outcomes, 0)
 
 
 def predict_fuzzy(rb, observation_sets):
@@ -262,7 +304,7 @@ def predict_fuzzy(rb, observation_sets):
             raise InvalidInputError(f"observation_sets[{i}] is not a TriangularFuzzySet "
                                     f"(type {type(s).__name__})")
     raw = np.array([[(s.a1, s.a2, s.a3) for s in sets]], dtype=float)
-    return _outcomes(rb, raw, "observation")[0]
+    return _first(_outcomes(rb, raw, "observation"))
 
 
 def predict(rb, raw_features):
@@ -270,7 +312,7 @@ def predict(rb, raw_features):
     values = _float_array(raw_features, "observation")
     if values.ndim != 1:
         raise InvalidInputError(f"observation must be a flat vector, got shape {values.shape}")
-    return _outcomes(rb, values[None], "observation")[0]
+    return _first(_outcomes(rb, values[None], "observation"))
 
 
 def predict_rows(rb, rows):
@@ -278,7 +320,7 @@ def predict_rows(rb, rows):
     rows = _float_array(rows, "rows")
     if rows.ndim != 2:
         raise InvalidInputError(f"rows must form a 2-D matrix, got shape {rows.shape}")
-    return _outcomes(rb, rows, "each row", "row {}: ")
+    return Predictions(*_outcomes(rb, rows, "each row", "row {}: "))
 
 
 @dataclass(frozen=True)
@@ -361,5 +403,5 @@ def predict_batch(rb, dataset: Dataset):
     if outside.size:
         i, truth = outside[0], dataset.labels[outside[0]]
         raise DataError(f"instance {i}: truth label {truth} is outside the label universe")
-    predictions = _outcomes(rb, dataset.features, "each instance", "instance {}: ")
+    predictions = Predictions(*_outcomes(rb, dataset.features, "each instance", "instance {}: "))
     return BatchEvaluation(tuple(dataset.labels.tolist()), predictions, rb.label_universe)

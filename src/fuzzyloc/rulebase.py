@@ -12,6 +12,7 @@ from contextlib import suppress
 from dataclasses import dataclass, fields
 from functools import cached_property
 from itertools import chain, starmap
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -50,6 +51,28 @@ class Rule:
         object.__setattr__(self, "support_count", support_count)
         if not self.antecedents:
             raise InvalidInputError("rule needs at least one antecedent")
+
+
+class Serving(NamedTuple):
+    """RuleBase.serving, read-only arrays built once per rule base.
+
+    selected holds the selected feature indices (D,), and constant the
+    normalization's mask of constant features (F,), None when there are
+    none, as Normalization._arrays holds it. The nearest-label step reads
+    the label universe U (n labels) three ways: floors (n,) holds each
+    label as a float64, or the largest float64 below it where float64
+    cannot hold it, so for every float g, floors < g exactly where U < g;
+    padded (n + 2,) is U as int64 with its first and last labels repeated
+    at the ends, so padded[i] and padded[i + 1] are the labels around a
+    gamma that i labels lie below; rounded (n + 2,) is padded rounded to
+    float64.
+    """
+
+    selected: np.ndarray
+    constant: Optional[np.ndarray]
+    floors: np.ndarray
+    padded: np.ndarray
+    rounded: np.ndarray
 
 
 def _floats(values):
@@ -223,6 +246,27 @@ class RuleBase:
         planes = np.ascontiguousarray(planes)
         planes.flags.writeable = False
         return planes
+
+    @cached_property
+    def serving(self):
+        """The Serving arrays every prediction call reads beside planes and
+        the normalization's own, built on first use: derived like planes,
+        never serialized, no part of equality."""
+        universe = self.label_universe
+        # a float compares with an int exactly; the float64 nearest a label
+        # beyond 2**53 may lie above it, and the float just below it then
+        # lies below the label with no float between them
+        floors = [
+            f if f <= u else math.nextafter(f, -math.inf) for u, f in zip(universe, map(float, universe))
+        ]
+        padded = np.array(universe[:1] + universe + universe[-1:], dtype=np.int64)
+        selected = np.array(self.selected_features, dtype=np.intp)
+        serving = Serving(
+            selected, self.normalization._arrays[2], np.array(floors), padded, padded.astype(float)
+        )
+        for array in (selected, *serving[2:]):
+            array.flags.writeable = False
+        return serving
 
     @cached_property
     def rules(self):

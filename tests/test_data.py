@@ -1,4 +1,5 @@
 import math
+import os
 import re
 from unittest import mock
 
@@ -559,6 +560,17 @@ class TestNumericBodies:
             features, labels = data._read_table(path, ["b2", "b1"], "room")
         assert fast[0].tobytes() == features.tobytes() and fast[1] == labels == [3, -4, 7]
         assert features.tolist() == [[-70.0, -61.5], [250.0, 1e-5], [5e-324, 0.0]]
+
+    def test_the_body_is_read_once_for_the_checks_and_the_parser(self, tmp_path):
+        path = write(tmp_path, self.PLAIN)
+        with mock.patch.object(data, "open", wraps=open, create=True) as opened, \
+                mock.patch.object(data.np, "loadtxt", wraps=np.loadtxt) as loadtxt:
+            features, labels = data._read_table(path, ["b2", "b1"], "room")
+        assert labels == [3, -4, 7]
+        # the csv module's handle for the header, then the body's bytes
+        assert [call.args[0] for call in opened.call_args_list] == [path, path]
+        assert opened.call_args_list[1].args[1:] == ("rb",)
+        assert not isinstance(loadtxt.call_args.args[0], (str, os.PathLike))
 
     @pytest.mark.parametrize("cell, reason", [
         ("1e400", "non-finite cell '1e400'"),

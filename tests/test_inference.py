@@ -27,6 +27,7 @@ from fuzzyloc.fuzzy import (
     representative,
     similarity,
     singleton,
+    vertex_means,
 )
 from fuzzyloc.inference import (
     BatchEvaluation,
@@ -124,6 +125,76 @@ class TestDiscretize:
         )
         linear = min(universe, key=lambda u: (abs(gamma - u), u))
         assert discretize(gamma, universe) == linear
+
+
+def universe_rulebase(universe):
+    """A one-rule rule base whose label universe is universe."""
+    return RuleBase(
+        antecedents=[[(0.0, 0.5, 1.0)]],
+        consequents=[float(universe[0])],
+        supports=[1],
+        params=SimilarityParams(),
+        feature_names=("x",),
+        normalization=Normalization(mins=(0.0,), maxs=(1.0,)),
+        selected_features=(0,),
+        label_universe=universe,
+        consequent_strategy=PER_CLASS,
+        seed=0,
+    )
+
+
+def gammas_around(universe):
+    """Every label, the midpoint of every neighbouring pair, the floats up to
+    two steps either side of each, and values beyond both edges."""
+    centres = [float(u) for u in universe]
+    centres += [(a + b) / 2 for a, b in zip(universe, universe[1:])]
+    centres += [universe[0] - 1.0, universe[-1] + 1.0, 0.0, -0.0]
+    centres += [sign * v for sign in (1, -1) for v in (2.0**53, 2.0**63, 2.0**64, 1e300)]
+    gammas = []
+    for c in centres:
+        below = above = c
+        gammas.append(c)
+        for _ in range(2):
+            below, above = math.nextafter(below, -math.inf), math.nextafter(above, math.inf)
+            gammas += [below, above]
+    return gammas
+
+
+class TestNearestLabels:
+    """The vectorized nearest-label step of every prediction call gives
+    discretize's label for every gamma, one row per gamma."""
+
+    @pytest.mark.parametrize("universe", [
+        tuple(range(1, 11)),
+        (5,),
+        (-7, -3, 0, 2, 9, 40),
+        (2**53 - 1, 2**53, 2**53 + 1, 2**53 + 2, 2**53 + 3, 2**53 + 8),
+        (2**60, 2**60 + 1, 2**60 + 2, 2**60 + 300),
+        (-2**63, -2**63 + 1, -2**63 + 2, -2**63 + 1000, -2**63 + 5000),
+        (2**63 - 5000, 2**63 - 1025, 2**63 - 1024, 2**63 - 3, 2**63 - 2, 2**63 - 1),
+        (-2**63, -1, 0, 2**63 - 1),
+    ], ids=["range", "single", "gaps", "past 2**53", "2**60", "int64 low end", "int64 high end",
+            "both ends"])
+    def test_every_gamma_gets_the_label_discretize_gives(self, universe):
+        rb = universe_rulebase(universe)
+        gammas = gammas_around(universe)
+        got = inference._nearest_labels(np.array(gammas), rb.serving)
+        assert got.dtype == np.int64
+        assert got.tolist() == [discretize(g, universe) for g in gammas]
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_any_int64_universe(self, data):
+        centre = data.draw(st.sampled_from([0, 2**53, -2**62, 2**63 - 2**20, -2**63]))
+        offsets = st.integers(-2**20, 2**20) | st.integers(-2**63, 2**63 - 1)
+        labels = data.draw(st.lists(offsets.map(lambda o: centre + o).filter(
+            lambda u: -2**63 <= u < 2**63), min_size=1, max_size=30, unique=True))
+        universe = tuple(sorted(labels))
+        gammas = data.draw(st.lists(
+            st.floats(allow_nan=False, allow_infinity=False)
+            | st.sampled_from(gammas_around(universe)), max_size=40))
+        got = inference._nearest_labels(np.array(gammas, dtype=float), universe_rulebase(universe).serving)
+        assert got.tolist() == [discretize(g, universe) for g in gammas]
 
 
 class TestPredict:
@@ -687,6 +758,90 @@ class TestOnePredictionPath:
             predict_rows(corridor_rulebase, [[-50.0] * 5, [-50.0, math.nan, 0.0, 0.0, 0.0]])
 
 
+@st.composite
+def serving_cases(draw):
+    """A rule base whose rules undercut or outnumber its selected dimensions
+    (the two planes layouts), over raw features of which some were
+    constant in training, with raw rows and raw triangle rows; far rows
+    lie 50 or more training spans from every rule, so nothing fires."""
+    layout = draw(st.sampled_from(["more dims", "more rules"]))
+    dims = draw(st.integers(2 if layout == "more dims" else 1, 6))
+    n_rules = draw(st.integers(1, dims - 1) if layout == "more dims" else st.integers(dims, dims + 6))
+    n_features = draw(st.integers(dims, dims + 3))
+    selected = draw(st.permutations(range(n_features)))[:dims]
+    # the first selected feature varies, so a far row is far in some dimension
+    constant = [draw(st.booleans()) and f != selected[0] for f in range(n_features)]
+    mins = [draw(st.floats(-100.0, 0.0)) for _ in range(n_features)]
+    spans = [0.0 if c else draw(st.floats(0.5, 50.0)) for c in constant]
+    unit = st.floats(-0.5, 1.5)
+    universe = tuple(sorted(draw(st.sets(st.integers(-20, 20), min_size=1, max_size=8))))
+    rb = RuleBase(
+        antecedents=[
+            [sorted(draw(st.tuples(unit, unit, unit))) for _ in range(dims)] for _ in range(n_rules)
+        ],
+        consequents=[draw(st.floats(universe[0], universe[-1])) for _ in range(n_rules)],
+        supports=[1] * n_rules,
+        params=SimilarityParams(h=draw(st.floats(0.1, 50.0)), omega=draw(st.floats(-10.0, 50.0))),
+        feature_names=tuple(f"f{i}" for i in range(n_features)),
+        normalization=Normalization(
+            mins=tuple(mins), maxs=tuple(lo + span for lo, span in zip(mins, spans))
+        ),
+        selected_features=tuple(selected),
+        label_universe=universe,
+        consequent_strategy=PER_CLASS,
+        seed=0,
+    )
+    far = st.one_of(st.floats(-1e4, -50.0), st.floats(50.0, 1e4))
+    triangles = []
+    for kind in draw(st.lists(st.sampled_from(["near", "far"]), min_size=1, max_size=8)):
+        units = [sorted(draw(st.tuples(*[unit if kind == "near" else far] * 3))) for _ in mins]
+        triangles.append([[lo + u * (span or 1.0) for u in t] for lo, span, t in zip(mins, spans, units)])
+    triangles = np.array(triangles)
+    # crisp rows are the mid vertices
+    return rb, triangles[..., 1], triangles
+
+
+def assert_same_bits(got, want):
+    """Two Predictions rows agree in every bit, the firings included."""
+    assert np.float64(got.gamma).tobytes() == np.float64(want.gamma).tobytes()
+    assert np.float64(got.total_firing).tobytes() == np.float64(want.total_firing).tobytes()
+    assert (got.label, got.fallback_used) == (want.label, want.fallback_used)
+    assert type(got.label) is int
+    assert got.per_rule_firings.tobytes() == want.per_rule_firings.tobytes()
+    assert not got.per_rule_firings.flags.writeable
+
+
+class TestPerRuleBitsInBothLayouts:
+    """predict and predict_fuzzy give the bits of the matching batch row
+    whether the planes keep the rules or the dimensions innermost."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(case=serving_cases())
+    def test_a_row_alone_equals_its_batch_row(self, case):
+        rb, rows, triangles = case
+        batch = predict_rows(rb, rows)
+        fuzzy_batch = Predictions(*inference._outcomes(rb, triangles, "observation"))
+        for i, row in enumerate(rows):
+            assert_same_bits(predict(rb, row), batch[i])
+            sets = [TriangularFuzzySet(*t) for t in triangles[i].tolist()]
+            assert_same_bits(predict_fuzzy(rb, sets), fuzzy_batch[i])
+
+    def test_both_layouts_and_fallback_rows_are_drawn(self):
+        seen = set()
+
+        @settings(max_examples=60, deadline=None)
+        @given(case=serving_cases())
+        def record(case):
+            rb, rows, _ = case
+            rules_last = rb.planes.shape[2] == rb.n_rules
+            seen.add(("rules innermost" if rules_last else "dims innermost",
+                      predict_rows(rb, rows).fallback.any()))
+
+        record()
+        assert {layout for layout, _ in seen} == {"rules innermost", "dims innermost"}
+        assert any(fallback for _, fallback in seen)
+
+
 class TestTypedRefusals:
     """A value the library entry points cannot read is an InvalidInputError
     naming its position and type, not a bare ValueError or AttributeError."""
@@ -954,6 +1109,12 @@ def kernel_cases(draw):
     return rb, np.array(rows, dtype=float).reshape(len(rows), dims, 3)
 
 
+def stacked(obs):
+    """(N, D, 3) normalized triangles as the kernel takes them: (4, N, D),
+    the three vertices and the vertex mean."""
+    return np.concatenate([obs, vertex_means(obs)[..., None]], axis=2).transpose(2, 0, 1)
+
+
 class TestRuleMajorKernelBits:
     @settings(max_examples=300, deadline=None)
     @given(case=kernel_cases())
@@ -963,11 +1124,11 @@ class TestRuleMajorKernelBits:
         for block_elements in (1, 105, 10**7):
             with mock.patch.object(inference, "_BLOCK_ELEMENTS", block_elements):
                 with np.errstate(over="ignore"):  # as _outcomes holds it around the kernel
-                    got = inference._firing_matrix(rb, obs)
+                    got = inference._firing_matrix(rb, stacked(obs))
             assert got.shape == (len(obs), rb.n_rules)
             assert np.array_equal(got.view(np.int64), want), block_elements
 
     def test_an_empty_batch_gives_no_rows(self, corridor_rulebase):
         rb = corridor_rulebase
-        got = inference._firing_matrix(rb, np.empty((0, len(rb.selected_features), 3)))
+        got = inference._firing_matrix(rb, np.empty((4, 0, len(rb.selected_features))))
         assert got.shape == (0, rb.n_rules)
