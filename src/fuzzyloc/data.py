@@ -3,9 +3,8 @@
 import csv
 import io
 import math
-import os
 import re
-import stat
+import warnings
 from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import cached_property
@@ -24,10 +23,6 @@ MAX_RANGE_LABELS = 1024  # a derived or N..M universe; a listed one is not bound
 # on "," and "\n" alone, and float() and np.loadtxt both read a cell as the
 # correctly rounded double
 _NUMERIC_BODY = b"0123456789.eE+-,\n"
-# a smaller file goes to the csv reader: np.loadtxt and the checks cost a
-# fixed 0.1-0.2 ms when called cold, as one CLI call calls them, which the
-# csv reader's per-cell cost only exceeds from about 6-10 KB of CSV
-_NUMERIC_MIN_BYTES = 8192
 
 
 @dataclass(frozen=True)
@@ -227,38 +222,38 @@ def _resolve_columns(header, wanted, path):
 
 @contextmanager
 def _open_csv(path):
-    """Yield the stripped header and an iterator of (line, row) over the
-    rows of a UTF-8 CSV file, line being the one the row starts on (a
-    quoted cell may span lines); failures raise ConfigError (opening) or
-    DataError, naming path and line."""
+    """Yield the stripped header, an iterator of (line, row) over the rows
+    of a UTF-8 CSV file, line being the one the row starts on (a quoted
+    cell may span lines), and the file's bytes, read once; failures raise
+    ConfigError (reading) or DataError, naming path and line."""
     try:
-        fh = open(path, encoding="utf-8-sig", newline="")
+        with open(path, "rb") as fh:
+            blob = fh.read()
     except OSError as exc:
         raise ConfigError(f"cannot read {path}: {exc.strerror or exc}") from exc
-    with fh:
-        reader = csv.reader(fh)
-        ended = [0]  # the line the last complete record ended on
+    reader = csv.reader(io.TextIOWrapper(io.BytesIO(blob), encoding="utf-8-sig", newline=""))
+    ended = [0]  # the line the last complete record ended on
 
-        def records():
-            for row in reader:
-                yield ended[0] + 1, row
-                ended[0] = reader.line_num
+    def records():
+        for row in reader:
+            yield ended[0] + 1, row
+            ended[0] = reader.line_num
 
-        try:
-            rows = records()
-            header = next(rows, None)
-            if header is None:
-                raise DataError(f"{path}: file is empty")
-            yield [name.strip() for name in header[1]], rows
-        except UnicodeDecodeError as exc:
-            raise DataError(f"{path}: not UTF-8 text: {exc}") from None
-        except csv.Error as exc:
-            raise DataError(f"{path}: row {ended[0] + 1}: {exc}") from None
+    try:
+        rows = records()
+        header = next(rows, None)
+        if header is None:
+            raise DataError(f"{path}: file is empty")
+        yield [name.strip() for name in header[1]], rows, blob
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{path}: not UTF-8 text: {exc}") from None
+    except csv.Error as exc:
+        raise DataError(f"{path}: row {ended[0] + 1}: {exc}") from None
 
 
 def read_csv_header(path):
     """Return the header row of a CSV file."""
-    with _open_csv(path) as (header, _):
+    with _open_csv(path) as (header, _, _):
         return header
 
 
@@ -276,12 +271,12 @@ def _read_table(path, feature_columns, label_column=None):
     """
     if not feature_columns:
         raise SchemaError(f"{path}: no feature columns requested")
-    with _open_csv(path) as (header, records):
+    with _open_csv(path) as (header, records, blob):
         wanted = list(feature_columns) + ([] if label_column is None else [label_column])
         positions = _resolve_columns(header, wanted, path)
         feat_pos, label_pos = positions[: len(feature_columns)], positions[-1]
         table = _numeric_table(
-            path, len(header), feat_pos, None if label_column is None else label_pos
+            blob, len(header), feat_pos, None if label_column is None else label_pos
         )
         if table is not None:
             return table
@@ -334,75 +329,55 @@ def _read_table(path, feature_columns, label_column=None):
     return np.array(rows, dtype=float), labels
 
 
-def _numeric_table(path, n_cells, feat_pos, label_pos=None):
-    """_read_table's (features, labels) of a plainly numeric file of at
-    least _NUMERIC_MIN_BYTES, parsed by numpy's C parser, or None.
+def _numeric_table(blob, n_cells, feat_pos, label_pos=None):
+    """_read_table's (features, labels) of a plainly numeric CSV file whose
+    bytes are blob, parsed by numpy's C parser, or None.
 
     A file is plainly numeric when its header record is its first line,
-    every body byte is in _NUMERIC_BODY, every non-blank line holds
-    n_cells cells and fits in the csv module's field limit, and every
+    every body byte is in _NUMERIC_BODY, it has a non-blank line, every
+    line fits in the csv module's field limit and holds n_cells numbers,
+    the label (when label_pos is given) a 64-bit integer, and every
     selected value is finite. The csv reader reads such a file into the
-    same arrays; a faulty label (when label_pos is given) is refused here
-    as it refuses it, naming the same row. A declined file goes to the
-    csv reader unchanged, so every other message is the csv reader's own.
-    The body is read once, and the checks and the parser share its bytes.
+    same arrays. A declined file goes to the csv reader, so every message
+    is the csv reader's own.
     """
-    try:
-        info = os.stat(path)
-        # a pipe or a device cannot be read twice
-        if not stat.S_ISREG(info.st_mode) or info.st_size < _NUMERIC_MIN_BYTES:
-            return None
-        with open(path, "rb") as fh:
-            head, body = fh.readline(), fh.read()
-    except OSError:
-        return None
+    start = blob.find(b"\n") + 1
+    head = blob[:start]
     # the header record is the first line: the csv module ends a record at
     # "\r" too, and a quoted header cell over several lines leaves a '"' in the body
-    if not head.endswith(b"\n") or b"\r" in head or body.translate(None, _NUMERIC_BODY):
-        return None
-    buf = np.frombuffer(body, np.uint8)
-    ends = np.flatnonzero(buf == ord("\n"))
-    if not body.endswith(b"\n"):
-        ends = np.append(ends, len(body))
-    starts = np.concatenate(([0], ends[:-1] + 1))
-    filled = ends > starts  # the csv reader skips an empty line, and so does loadtxt
-    commas = np.flatnonzero(buf == ord(","))
-    # loadtxt with usecols reads a row of any width, so every width is checked here
-    widths = np.diff(np.searchsorted(commas, ends), prepend=0) + 1
     if (
-        not filled.any()
-        or np.any(widths[filled] != n_cells)
-        or (ends - starts).max() > csv.field_size_limit()
+        not start
+        or b"\r" in head
+        or blob.translate(None, _NUMERIC_BODY) != head.translate(None, _NUMERIC_BODY)
     ):
         return None
-    if label_pos is not None:
-        # the label cell of every filled line: from the byte after the comma
-        # before it (or the line start) to the comma after it (or the line end)
-        commas = commas.reshape(-1, n_cells - 1)
-        firsts = starts[filled] if label_pos == 0 else commas[:, label_pos - 1] + 1
-        lasts = ends[filled] if label_pos == n_cells - 1 else commas[:, label_pos]
-    del buf, commas
+    # the csv module refuses a cell over its field limit, so a line that
+    # long is declined: a window of limit + 1 bytes from a line start
+    # without a "\n" holds one
+    limit = csv.field_size_limit()
+    while len(blob) - start > limit:
+        end = blob.rfind(b"\n", start, start + limit + 1)
+        if end < 0:
+            return None
+        start = end + 1
+    # a row of another width, or a label that is no plain 64-bit integer,
+    # fails the parse; every label in _NUMERIC_BODY is plain, as the csv
+    # reader reads it, so no two formats can mix
+    dtype = [(str(i), np.int64 if i == label_pos else float) for i in range(n_cells)]
     try:
-        # the BytesIO shares the body's bytes, and loadtxt iterates its lines
-        features = np.loadtxt(
-            io.BytesIO(body), delimiter=",", comments=None, usecols=feat_pos, ndmin=2
-        )
-    except ValueError:  # a cell that is not a number
+        with warnings.catch_warnings():
+            # loadtxt warns on a body without data rows, and a numpy that
+            # reads an int64 from "1.0" warns as it does so
+            warnings.simplefilter("error")
+            table = np.loadtxt(
+                io.BytesIO(blob), dtype, delimiter=",", comments=None, skiprows=1, ndmin=1
+            )
+    except (ValueError, Warning):
         return None
-    if not np.isfinite(features).all():
+    features = np.column_stack([table[str(i)] for i in feat_pos])
+    if not len(table) or not np.isfinite(features).all():  # no data rows, or an overflow
         return None
-    if label_pos is None:
-        return features, None
-    cells = [body[lo:hi] for lo, hi in zip(firsts.tolist(), lasts.tolist())]
-    # every row is usable, so the csv reader would refuse the first faulty
-    # label in row order as this does; every label in _NUMERIC_BODY is
-    # plain, so no two formats can mix
-    parsed = {}
-    for line, cell in zip((np.flatnonzero(filled) + 2).tolist(), cells):
-        if cell not in parsed:
-            with prefixed(f"{path}: row {line}"):
-                parsed[cell] = parse_label(cell.decode())[0]
-    return features, [parsed[cell] for cell in cells]
+    return features, None if label_pos is None else table[str(label_pos)].tolist()
 
 
 def _plain_number(text):

@@ -1,6 +1,9 @@
 import math
 import os
 import re
+import threading
+import warnings
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -518,20 +521,6 @@ class TestNumericBodies:
     # a missing final newline, a blank line, and a label between features
     PLAIN = "b1,room,b2\n-61.5,3,-70\n\n+1e-5,-04,2.5E+2\n0.0,7,5e-324"
 
-    @pytest.fixture(autouse=True, scope="class")
-    def files_of_any_size(self):
-        with mock.patch.object(data, "_NUMERIC_MIN_BYTES", 0):
-            yield
-
-    def test_a_small_file_is_left_to_the_csv_reader(self, tmp_path):
-        with mock.patch.object(data, "_NUMERIC_MIN_BYTES", 8192):
-            row = "-61.5,3,-70\n"
-            rows = 8192 // len(row)
-            small = write(tmp_path, "b1,room,b2\n" + row * (rows - 1), "small.csv")
-            large = write(tmp_path, "b1,room,b2\n" + row * rows, "large.csv")
-            assert data._numeric_table(small, 3, [0, 2], 1) is None
-            assert data._numeric_table(large, 3, [0, 2], 1)[1] == [3] * rows
-
     @staticmethod
     def csv_reader_only():
         return mock.patch.object(data, "_numeric_table", lambda *args: None)
@@ -554,7 +543,7 @@ class TestNumericBodies:
 
     def test_a_plain_file_takes_numpys_parser(self, tmp_path):
         path = write(tmp_path, self.PLAIN)
-        fast = data._numeric_table(path, 3, [2, 0], 1)
+        fast = data._numeric_table(Path(path).read_bytes(), 3, [2, 0], 1)
         assert fast is not None
         with self.csv_reader_only():
             features, labels = data._read_table(path, ["b2", "b1"], "room")
@@ -567,10 +556,44 @@ class TestNumericBodies:
                 mock.patch.object(data.np, "loadtxt", wraps=np.loadtxt) as loadtxt:
             features, labels = data._read_table(path, ["b2", "b1"], "room")
         assert labels == [3, -4, 7]
-        # the csv module's handle for the header, then the body's bytes
-        assert [call.args[0] for call in opened.call_args_list] == [path, path]
-        assert opened.call_args_list[1].args[1:] == ("rb",)
+        # one handle, whose bytes the csv module, the checks and the parser share
+        assert [call.args for call in opened.call_args_list] == [(path, "rb")]
         assert not isinstance(loadtxt.call_args.args[0], (str, os.PathLike))
+
+    @pytest.mark.parametrize("text", ["b1,room\n", "b1,room", "b1,room\n\n\n", "b1,room\n\n"])
+    def test_a_file_without_data_rows_is_refused_without_a_warning(self, tmp_path, text):
+        path = write(tmp_path, text)
+        assert data._numeric_table(text.encode(), 2, [0], 1) is None
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            for read in (lambda: load_csv(path, "room", ["b1"]),
+                         lambda: read_feature_rows(path, ["b1"])):
+                with pytest.raises(DataError) as info:
+                    read()
+                assert str(info.value) == f"{path}: no data rows"
+        assert caught == []
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no named pipes")
+    def test_a_fifo_reads_as_the_regular_file(self, tmp_path):
+        path = write(tmp_path, self.PLAIN)
+        fifo = tmp_path / "fifo.csv"
+        os.mkfifo(fifo)
+        for names, label in ((["b2", "b1"], "room"), (["b1"], None)):
+            got = []
+            # both ends in threads, so a reader that blocks fails the test
+            writer = threading.Thread(
+                target=fifo.write_bytes, args=(Path(path).read_bytes(),), daemon=True
+            )
+            reader = threading.Thread(
+                target=lambda: got.append(outcome(lambda: data._read_table(str(fifo), names, label))),
+                daemon=True,
+            )
+            writer.start()
+            reader.start()
+            reader.join(timeout=10)
+            writer.join(timeout=10)
+            assert not reader.is_alive() and not writer.is_alive()
+            assert got == [outcome(lambda: data._read_table(path, names, label))]
 
     @pytest.mark.parametrize("cell, reason", [
         ("1e400", "non-finite cell '1e400'"),
@@ -581,7 +604,7 @@ class TestNumericBodies:
     ])
     def test_a_faulty_cell_keeps_its_message(self, tmp_path, cell, reason):
         path = write(tmp_path, f"b1,b2,room\n1,2,3\n4,{cell},6\n")
-        assert data._numeric_table(path, 3, [0, 1], 2) is None
+        assert data._numeric_table(Path(path).read_bytes(), 3, [0, 1], 2) is None
         for read in (lambda: load_csv(path, "room", ["b1", "b2"]),
                      lambda: read_feature_rows(path, ["b2"])):
             with pytest.raises(DataError) as info:
@@ -637,7 +660,7 @@ class TestNumericBodies:
         path.write_text(text, encoding="utf-8")
         names = [f"b{i}" for i in feat_pos]
         label = None if label_pos is None else f"b{label_pos}"
-        fast = data._numeric_table(str(path), n_cells, feat_pos, label_pos)
+        fast = data._numeric_table(path.read_bytes(), n_cells, feat_pos, label_pos)
         assert fast is not None
         with self.csv_reader_only():
             features, labels = data._read_table(str(path), names, label)

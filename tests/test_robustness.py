@@ -11,12 +11,10 @@ import copy
 import json
 import tempfile
 from pathlib import Path
-from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-import fuzzyloc.data
 from fuzzyloc.cli import main
 
 COLS = "b1,b2,b3"
@@ -158,8 +156,7 @@ class TestFuzzing:
         root, csv_path, rb_path = base
         header, body = csv_path.read_bytes().split(b"\n", 1)
         body = mutate_bytes(data, body, NUMERIC_BYTES)
-        with mock.patch.object(fuzzyloc.data, "_NUMERIC_MIN_BYTES", 0):  # a file of any size
-            self.check_every_command(root, rb_path, header + b"\n" + body)
+        self.check_every_command(root, rb_path, header + b"\n" + body)
 
     @staticmethod
     def check_every_command(root, rb_path, blob):
