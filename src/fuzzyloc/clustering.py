@@ -199,14 +199,22 @@ def _assign(cols, sq_norms, cents):
     goes to the sink, index width.
 
     Distances are first screened with one matrix product per run,
-    |x|^2 - 2 x.c + |c|^2 (padded slots zeroed for the product, then
-    +inf). That form differs from the exact one by less than
-    8 (dim + 4) (eps (|x|^2 + max|c|^2) + tiny), a bound on the rounding
-    of both, so wherever the best screened distance beats the second by
-    more than twice the bound it is also the exact argmin. The other
-    (run, point) pairs are recomputed exactly, which settles ties as the
-    reference does. Points go through in slices of at most _BLOCK_ELEMENTS
-    distances.
+    s = |c|^2 - 2 x.c, the centroids multiplied by -2 once (exact, a power
+    of two) and padded slots zeroed for the product, then +inf. s leaves
+    out |x|^2, which shifts every slot of a point alike, so neither the
+    argmin nor the slots near it move. With u = eps / 2 and g(m) = m u /
+    (1 - m u), the product rounds within g(dim) 2|x||c| <= g(dim) (|x|^2 +
+    |c|^2), |c|^2 within g(dim) |c|^2 and their sum within 2u (1 +
+    g(dim)) (|x|^2 + |c|^2); the exact form rounds within g(dim + 2)
+    |x - c|^2 <= 2 g(dim + 2) (|x|^2 + |c|^2), and underflow adds at most
+    tiny eps per operation. Those sum to about (2 dim + 3) eps (|x|^2 +
+    |c|^2), so s + |x|^2 and the exact distance lie well within
+    B = 8 (dim + 4) (eps (|x|^2 + max|c|^2) + tiny) of each other (the
+    bound that also held with |x|^2 in the sum), and wherever the best
+    screened value beats the second by more than 2B it is also the exact
+    argmin. The other (run, point) pairs are recomputed exactly, which
+    settles ties as the reference does. Points go through in slices of at
+    most _BLOCK_ELEMENTS distances.
     """
     dim, runs, n = cols.shape
     width = cents.shape[1]
@@ -215,13 +223,12 @@ def _assign(cols, sq_norms, cents):
     cc = np.square(zeroed).sum(axis=2)
     cmax = cc.max(axis=1)[:, None]
     cc[~real] = np.inf
+    zeroed *= -2.0
     out = np.empty((runs, n), dtype=np.intp)
     step = max(1, _BLOCK_ELEMENTS // (runs * width))
     for lo in range(0, n, step):
         x, xx = cols[:, :, lo : lo + step], sq_norms[:, lo : lo + step]
         d = zeroed @ x.transpose(1, 0, 2)
-        d *= -2.0
-        d += xx[:, None]
         d += cc[:, :, None]
         bound = 8 * (dim + 4) * (_EPS * (xx + cmax) + _TINY)
         near = d <= (d.min(axis=1) + 2 * bound)[:, None]
@@ -277,7 +284,10 @@ def _lloyd(sets, owner, starts, ks):
     _assign sends it to the sink, slot width: a cell of its own in the
     centroid sums that no centroid reads, which it never leaves, so the
     done test never sees it move. A run stops when its assignment stops
-    changing or after MAX_ITERATIONS, and then leaves the stack.
+    changing or after MAX_ITERATIONS, and then leaves the stack. When the
+    update before took no sequential step, it leaves before the centroid
+    sums: its centroids already are the point-order means of an
+    assignment that stood.
 
     Returns the final assignments (runs, n), centroids (runs, width, dim)
     and WCSS (runs,), the last from one wcss call per set size over the
@@ -300,10 +310,21 @@ def _lloyd(sets, owner, starts, ks):
     # no assignment is -1, so no run stops after its first iteration
     assignment = np.full((runs, n), -1, dtype=np.intp)
     active = np.arange(runs)
+    # whether each live run's last update replayed _sequential_update
+    replayed = np.zeros(runs, dtype=bool)
     for _ in range(MAX_ITERATIONS):
-        live = len(active)
         before = centroids[active]
         new = _assign(cols, sq_norms, before)
+        done = (new == assignment[active]).all(axis=1)
+        # a run whose assignment stands after a bincount update already
+        # holds its point-order means, so it stops before the sums
+        stay = replayed | ~done
+        if not stay.all():
+            active, before, new, done, replayed = (a[stay] for a in (active, before, new, done, replayed))
+            if not len(active):
+                break
+            cols, sq_norms = cols.compress(stay, axis=1), sq_norms[stay]
+        live = len(active)
         # each run's cells are its width clusters, then the sink
         cells = (np.arange(live)[:, None] * (width + 1) + new).ravel()
         size = live * (width + 1)
@@ -319,15 +340,14 @@ def _lloyd(sets, owner, starts, ks):
             new[j, :m], cents[j, :k] = _sequential_update(
                 sets.rows[s, :m], sets.sq_norms[s, :m], before[j, :k], new[j, :m]
             )
-        done = (new == assignment[active]).all(axis=1)
+            done[j] = (new[j] == assignment[active[j]]).all()
         assignment[active] = new
         centroids[active] = cents
-        active = active[~done]
+        active, replayed = active[~done], replay[~done]
         if not len(active):
             break
         if done.any():
-            cols = cols.compress(~done, axis=1)
-            sq_norms = sq_norms[~done]
+            cols, sq_norms = cols.compress(~done, axis=1), sq_norms[~done]
     totals = _by_size(
         sizes, lambda of, m: wcss(sets.rows[owner[of], :m], assignment[of, :m], centroids[of])
     )
@@ -350,13 +370,18 @@ def _best_fits(point_sets, ks, seed, restarts):
     the draws are still made whole.
 
     The runs go through _lloyd k-major (then by set size, set and
-    restart), in groups of at most _BLOCK_ELEMENTS run x point x
-    max(cluster, dimension) elements (at least one run each), with each
-    run counted at its group's longest set. That bounds the group's
-    distance matrix and its (run, point, dimension) temporaries. The runs
-    are read once, in that order, and each (set, k) keeps only its
-    lowest-WCSS fit so far: a run replaces it only with a strictly lower
-    total, so the earlier restart wins a tie.
+    restart, one np.lexsort), in groups of at most _BLOCK_ELEMENTS run x
+    point x max(cluster, dimension) elements (at least one run each), with
+    each run counted at its group's longest set. That bounds the group's
+    distance matrix and its (run, point, dimension) temporaries. A group's
+    cost only grows as it takes the next run, so np.searchsorted finds
+    where it would pass the block, and the group ends there. A (set, k)'s
+    runs are adjacent, in restart order, so its lowest total in a group is
+    one np.minimum.reduceat and its winner the first run at that total.
+    Each (set, k) keeps only its lowest-WCSS fit so far, replaced only by a
+    strictly lower total, so the earlier restart wins a tie, within a group
+    and across groups, and only a winner that beats the best so far is
+    copied out.
     """
     sets = _pad(point_sets)
     dim = sets.rows.shape[2]
@@ -366,31 +391,35 @@ def _best_fits(point_sets, ks, seed, restarts):
     rngs = [np.random.default_rng(x) for _ in point_sets for x in restart_seeds]
     lengths = np.repeat([max(set_ks) for set_ks in ks], restarts)
     starts = _kmeans_pp_init(sets, np.arange(len(rngs)) // restarts, lengths, rngs)
-    runs = sorted(
-        (k, sets.sizes[s], s, r)
-        for s, set_ks in enumerate(ks)
-        for k in set_ks
-        for r in range(1 if k == 1 else restarts)
-    )
-    groups, longest = [[]], 0
-    for k, size, s, r in runs:
-        longest = max(longest, size)
-        if groups[-1] and (len(groups[-1]) + 1) * longest * max(k, dim) > _BLOCK_ELEMENTS:
-            groups.append([])
-            longest = size
-        groups[-1].append((k, s, r))
+    pairs = np.array([(s, k) for s, set_ks in enumerate(ks) for k in set_ks])
+    reps = np.where(pairs[:, 1] == 1, 1, restarts)
+    # run i is restart r[i] of the pair[i]-th (set, k); lexsort is stable,
+    # so each pair's restarts stay in order
+    pair = np.repeat(np.arange(len(pairs)), reps)
+    r = np.arange(len(pair)) - (np.cumsum(reps) - reps)[pair]
+    s, k = pairs[pair].T
+    order = np.lexsort((s, sets.sizes[s], k))
+    k, s, r, pair = k[order], s[order], r[order], pair[order]
+    ends, cost, size = [0], np.maximum(k, dim), sets.sizes[s]
+    while ends[-1] < len(k):
+        lo = ends[-1]
+        grown = np.arange(1, len(k) - lo + 1) * np.maximum.accumulate(size[lo:]) * cost[lo:]
+        ends.append(lo + max(1, int(np.searchsorted(grown, _BLOCK_ELEMENTS, side="right"))))
 
-    best = {}
-    for group in groups:
-        group_ks, owner, group_restarts = map(np.array, zip(*group))
-        group_starts = starts[owner * restarts + group_restarts, : group_ks[-1]]
-        assignment, centroids, totals = _lloyd(sets, owner, group_starts, group_ks)
-        for j, (s, k) in enumerate(zip(owner.tolist(), group_ks.tolist())):
-            if (s, k) not in best or totals[j] < best[s, k].wcss:
-                best[s, k] = KMeansResult(
-                    assignment[j, : sets.sizes[s]].copy(), centroids[j, :k].copy(), float(totals[j])
-                )
-    return [[best[s, k] for k in set_ks] for s, set_ks in enumerate(ks)]
+    fits, lowest = [None] * len(pairs), np.full(len(pairs), np.inf)
+    for lo, hi in zip(ends, ends[1:]):
+        group_starts = starts[s[lo:hi] * restarts + r[lo:hi], : k[hi - 1]]
+        assigned, cents, totals = _lloyd(sets, s[lo:hi], group_starts, k[lo:hi])
+        firsts = np.flatnonzero(np.diff(pair[lo:hi], prepend=-1))
+        mins = np.minimum.reduceat(totals, firsts)
+        at = np.flatnonzero(totals == np.repeat(mins, np.diff(firsts, append=hi - lo)))
+        # the first run at each pair's minimum, where that beats the pair's best so far
+        for j in at[np.searchsorted(at, firsts)][mins < lowest[pair[lo + firsts]]].tolist():
+            p, m, c = pair[lo + j], size[lo + j], k[lo + j]
+            lowest[p] = totals[j]
+            fits[p] = KMeansResult(assigned[j, :m].copy(), cents[j, :c].copy(), float(totals[j]))
+    it = iter(fits)
+    return [[next(it) for _ in set_ks] for set_ks in ks]
 
 
 def kmeans(points, k, seed, restarts=1):

@@ -225,9 +225,17 @@ def build_report(rb, evaluation, config_echo=None, n_train=None):
 # writes its value as json.dumps does: repr for a finite float, %d for the
 # label, and %s for the flag, which comes last, given as JSON's true or false.
 _PREDICTION_FIELDS = {"gamma": "%r", "label": "%d", "total_firing": "%r", "fallback_used": "%s"}
-_PREDICTION_ROW = "    {\n%s\n    }" % ",\n".join(
-    f'      "{name}": {conversion}' for name, conversion in _PREDICTION_FIELDS.items()
+# a report's listed instance leads with its int truth label
+_PREDICTION_ROW, _INSTANCE_ROW = (
+    "    {\n%s\n    }" % ",\n".join(f'      "{name}": {spec}' for name, spec in fields.items())
+    for fields in (_PREDICTION_FIELDS, {"truth": "%d", **_PREDICTION_FIELDS})
 )
+
+
+def _listed(items, indent="  "):
+    """A list whose closing bracket sits at indent, as json.dumps(...,
+    indent=2) writes it, from its items' text."""
+    return "[\n%s\n%s]" % (",\n".join(items), indent) if items else "[]"
 
 
 def render_predictions(rulebase_path, input_path, predictions):
@@ -237,11 +245,10 @@ def render_predictions(rulebase_path, input_path, predictions):
     ...]} for Predictions with finite floats, as every call's are; the
     stdlib's encoder is pure Python once it indents, so each prediction is
     written by one %-template."""
-    rows = ",\n".join([
+    listed = _listed([
         _PREDICTION_ROW % (gamma, label, total, ("false", "true")[flag])
         for gamma, label, total, flag in zip(*predictions.columns())
     ])
-    listed = f"[\n{rows}\n  ]" if rows else "[]"
     return (
         f'{{\n  "rulebase": {json.dumps(rulebase_path)},\n  "input": {json.dumps(input_path)},\n'
         f'  "predictions": {listed}\n}}\n'
@@ -258,7 +265,21 @@ def format_confusion(evaluation):
 
 
 def render_report(report):
-    return json.dumps(report, indent=2) + "\n"
+    """report.json's text, byte for byte json.dumps(report, indent=2) +
+    "\n" of a build_report dict, whose last fields are "confusion" and
+    "per_instance" and whose floats there are finite: every field before
+    them goes through json.dumps, each confusion row is its ints joined and
+    each listed instance is written by one %-template."""
+    *head, (_, confusion), (_, instances) = report.items()
+    rows = ["    " + _listed([f"      {count}" for count in row], "    ") for row in confusion]
+    listed = _listed([
+        _INSTANCE_ROW % (truth, gamma, label, total, ("false", "true")[flag])
+        for truth, gamma, label, total, flag in map(dict.values, instances)
+    ])
+    return (
+        f'{json.dumps(dict(head), indent=2)[:-2]},\n  "confusion": {_listed(rows)},\n'
+        f'  "per_instance": {listed}\n}}\n'
+    )
 
 
 def write_artifacts(output_dir, rule_base, report, evaluation):

@@ -324,20 +324,22 @@ def extract_rules(
     fits = elbow_fits(group_points, k_max, seed)
     antecedents, consequents, supports = [], [], []
     for (subset, label), group, (k, fit) in zip(groups, group_points, fits):
-        for c in range(k):
-            mask = fit.assignment == c
-            if not mask.any():
+        # a stable sort keeps each cluster's points in point order
+        order = np.argsort(fit.assignment, kind="stable")
+        cuts = np.cumsum(np.bincount(fit.assignment, minlength=k))[:-1]
+        for block, rows in zip(np.split(group[order], cuts), np.split(order, cuts)):
+            if not len(rows):
                 continue
             # a contiguous row per feature reduces as its lone column would
-            members = np.ascontiguousarray(group[mask].T)
+            members = np.ascontiguousarray(block.T)
             lo, hi = members.min(axis=1), members.max(axis=1)
             # the mean of equal values can round an ulp past them
             antecedents.append((lo, np.clip(members.mean(axis=1), lo, hi), hi))
             if label is None:
-                consequents.append(labels[subset][mask].astype(float).mean())
+                consequents.append(labels[subset][rows].astype(float).mean())
             else:
                 consequents.append(label)
-            supports.append(members.shape[1])
+            supports.append(len(rows))
 
     return RuleBase(
         antecedents=np.array(antecedents).swapaxes(1, 2),

@@ -1,8 +1,8 @@
 """tools/artifacts.py writes every benchmark workload's artifacts, the CLI
 train and run of each training config write what its library run wrote, two
 runs of the same checkout write byte-identical trees, every kept file is
-UTF-8 text with "\\n" line ends, and every predictions and rule-base
-document in them is json.dumps(doc, indent=2) + "\\n"."""
+UTF-8 text with "\\n" line ends, and every predictions, rule-base, report
+and evaluation document in them is json.dumps(doc, indent=2) + "\\n"."""
 
 import json
 import subprocess
@@ -62,7 +62,10 @@ def test_two_runs_write_identical_trees(tmp_path):
     # the template-written documents are the stdlib's form of what they hold
     written = [p for p in first if p.name in ("predictions.json", "rulebase.json")]
     assert len(written) == 2 * len(library) + 2 * len(runs)
-    for path in written:
+    # so is every report, whether run or evaluate wrote it
+    evaluated = [p for p in first if p.name in ("report.json", "evaluation.json")]
+    assert len(evaluated) == len(reports) + len(library)
+    for path in written + evaluated:
         text = first[path].decode("utf-8")
         assert text == json.dumps(json.loads(text), indent=2) + "\n", path
 

@@ -557,6 +557,41 @@ class TestLockstepKernel:
         assert_same_fit(short_fit, ref_lloyd(pts, starts[0]))
         assert_same_fit(long_fit, ref_lloyd(longer, starts[1]))
 
+    @pytest.mark.parametrize("cap", [1, 2, 3, 4, 300])
+    def test_a_run_that_replays_next_to_last_still_takes_its_update(self, cap):
+        # from 9, 1 and 10, iteration 2 leaves cluster 0 empty and replays,
+        # and iteration 3 repeats the replayed assignment: its update must
+        # still run, since the replayed centroids are not the means of that
+        # assignment. Beside it, a run that settles after 2 iterations
+        # leaves the stack before its sums.
+        pts = np.array([[1.0], [3.0], [4.0], [5.0], [9.0], [9.0], [10.0]])
+        other = np.array([[0.0], [1.0], [10.0], [11.0]])
+        starts = np.array([[[9.0], [1.0], [10.0]], [[0.0], [10.0], [0.0]]])
+        replayed, final = ref_lloyd(pts, starts[0], 2), ref_lloyd(pts, starts[0])
+        assert len(final[2]) == 3 and len(ref_lloyd(other, starts[1, :2])[2]) == 2
+        assert np.array_equal(replayed[0], final[0])
+        assert not np.array_equal(replayed[1], final[1])
+        sequential, inner = clustering._sequential_update, []
+
+        def counted_update(*args):
+            # the assignment passes of the sequential step itself
+            made = assign.call_count
+            out = sequential(*args)
+            inner.append(assign.call_count - made)
+            return out
+
+        with (
+            mock.patch.object(clustering, "MAX_ITERATIONS", cap),
+            mock.patch.object(clustering, "_assign", wraps=clustering._assign) as assign,
+            mock.patch.object(clustering, "_sequential_update", counted_update),
+        ):
+            fit, other_fit = lloyd([pts, other], [0, 1], starts, [3, 2])
+        assert len(inner) == (cap >= 2)
+        # one pass per iteration of the stack, which lasts as long as its longer run
+        assert assign.call_count - sum(inner) == min(cap, 3)
+        assert_same_fit(fit, ref_lloyd(pts, starts[0], max_iterations=cap))
+        assert_same_fit(other_fit, ref_lloyd(other, starts[1, :2], max_iterations=cap))
+
     def test_one_dimension_sums_in_point_order(self):
         # one-dimensional runs take the bincount path like any other; their
         # centroids are point-order means, not members.mean(axis=0), which
@@ -799,6 +834,40 @@ class TestScreenedAssignment:
         for fit, s, k, start in zip(fits, owner, ks, starts):
             assert_same_fit(fit, ref_lloyd(sets[s], start[:k], max_iterations=cap))
 
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data(), block=blocks)
+    def test_the_screen_without_the_point_norm_keeps_the_exact_argmin(self, data, block):
+        # the screen leaves out |x|^2, so it must hold where that term is
+        # all there is: a large common offset, slots a few ulps apart, and
+        # coordinates near 1e-150, whose squares reach the bottom of the
+        # normal range; runs of different sets share one call
+        dim = data.draw(st.integers(1, 8), label="dim")
+        offset = data.draw(st.sampled_from([0.0, 1e4, 1e8, 1e15]), label="offset")
+        scale = data.draw(st.sampled_from([1.0, 1e-150, 1e-155]), label="scale")
+        rng = np.random.default_rng(data.draw(seeds, label="values"))
+        runs = data.draw(st.integers(1, 3), label="runs")
+        sets = [
+            scale * (offset + rng.integers(-2, 3, size=(rng.integers(1, 13), dim)) / 4)
+            for _ in range(runs)
+        ]
+        ks = [data.draw(st.integers(1, 6), label="k") for _ in sets]
+        width = max(ks) + data.draw(st.integers(0, 2), label="padded slots")
+        cents = np.full((runs, width, dim), np.inf)
+        for j, (pts, k) in enumerate(zip(sets, ks)):
+            # rows of the set, some moved a few ulps along one coordinate
+            slots = pts[rng.integers(len(pts), size=k)]
+            for _ in range(data.draw(st.integers(0, 2 * k), label="nudges")):
+                c, d = rng.integers(k), rng.integers(dim)
+                slots[c, d] = np.nextafter(slots[c, d], rng.choice([-np.inf, np.inf]))
+                slots[c, d] = np.nextafter(slots[c, d], rng.choice([-np.inf, np.inf]))
+            cents[j, :k] = slots
+        padded = clustering._pad(sets)
+        with mock.patch.object(clustering, "_BLOCK_ELEMENTS", block):
+            got = clustering._assign(padded.cols, padded.sq_norms, cents)
+        for j, (pts, k) in enumerate(zip(sets, ks)):
+            assert np.array_equal(got[j, : len(pts)], ref_assign(pts, cents[j, :k]))
+            assert (got[j, len(pts) :] == width).all()
+
     def test_equidistant_points_take_the_exact_path(self):
         # rows with first coordinate 0 lie exactly halfway between the two
         # starts; the reference gives them to the first
@@ -877,6 +946,59 @@ class TestScreenedAssignment:
                 assert grown > clustering._BLOCK_ELEMENTS
 
 
+def greedy_groups(sizes, ks, restarts, dim):
+    """The lockstep groups as _best_fits cut them before np.searchsorted:
+    every (k, set, restart) run sorted k-major, then by set size, set and
+    restart, and a run joins the open group unless that takes it past
+    _BLOCK_ELEMENTS run x longest set x max(k, dim) elements."""
+    runs = sorted(
+        (k, sizes[s], s, r)
+        for s, set_ks in enumerate(ks)
+        for k in set_ks
+        for r in range(1 if k == 1 else restarts)
+    )
+    groups, longest = [[]], 0
+    for k, size, s, r in runs:
+        longest = max(longest, size)
+        if groups[-1] and (len(groups[-1]) + 1) * longest * max(k, dim) > clustering._BLOCK_ELEMENTS:
+            groups.append([])
+            longest = size
+        groups[-1].append((k, s, r))
+    return groups
+
+
+def assert_greedy_groups_and_winners(sets, ks, seed, restarts, block):
+    """_best_fits cuts the greedy loop's groups and keeps, for every (set,
+    k), the fit the old per-run loop kept: reading the runs in order, a run
+    replaces the best so far only with a strictly lower total."""
+    run_group, calls = clustering._lloyd, []
+
+    def recorded(*args):
+        out = run_group(*args)
+        calls.append((args[1].tolist(), list(args[3]), out))
+        return out
+
+    with (
+        mock.patch.object(clustering, "_BLOCK_ELEMENTS", block),
+        mock.patch.object(clustering, "_lloyd", recorded),
+    ):
+        got = clustering._best_fits(sets, ks, seed, restarts)
+        groups = greedy_groups([len(pts) for pts in sets], ks, restarts, sets[0].shape[1])
+    assert [list(zip(group_ks, owner)) for owner, group_ks, _ in calls] == [
+        [(k, s) for k, s, _ in group] for group in groups
+    ]
+    best = {}
+    for group, (_, _, (assignment, centroids, totals)) in zip(groups, calls):
+        for j, (k, s, _) in enumerate(group):
+            if (s, k) not in best or totals[j] < best[s, k][2][-1]:
+                best[s, k] = (assignment[j, : len(sets[s])], centroids[j, :k], [totals[j]])
+    for s, set_ks in enumerate(ks):
+        assert len(got[s]) == len(set_ks)
+        for k, fit in zip(set_ks, got[s]):
+            assert_same_fit(fit, best[s, k])
+    return calls
+
+
 class TestManySets:
     @settings(max_examples=40, deadline=None)
     @given(data=st.data(), block=blocks)
@@ -892,6 +1014,26 @@ class TestManySets:
             want_k, want = elbow_fit(pts, min(k_max, len(pts)), seed)
             assert k == want_k
             assert_same_fit(fit, (want.assignment, want.centroids, [want.wcss]))
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data(), block=blocks)
+    def test_groups_and_winners_are_the_greedy_loops(self, data, block):
+        dim = data.draw(st.integers(1, 4), label="dim")
+        sets = data.draw(st.lists(point_sets(max_n=10, dim=dim), min_size=1, max_size=4), label="sets")
+        ks = [
+            sorted(data.draw(st.sets(st.integers(1, len(pts)), min_size=1, max_size=4), label="ks"))
+            for pts in sets
+        ]
+        restarts = data.draw(st.integers(1, 4), label="restarts")
+        assert_greedy_groups_and_winners(sets, ks, data.draw(seeds, label="seed"), restarts, block)
+
+    @pytest.mark.parametrize("block", [1, 40, 2**16])
+    def test_a_tie_within_or_across_groups_is_the_greedy_pick(self, block):
+        # restarts 0 and 1 of seed 0 tie (see the next test); at 1 element
+        # every run is a group of its own, at 2**16 they share one
+        pts = np.array([[0.0], [1.0], [10.0], [11.0]])
+        calls = assert_greedy_groups_and_winners([pts], [[1, 2, 3]], 0, DEFAULT_RESTARTS, block)
+        assert (len(calls) > 2) == (block < 2**16)
 
     def test_a_tie_keeps_the_earlier_restart_across_groups(self):
         # restarts 0 and 1 of seed 0 end in the same partition with its

@@ -873,6 +873,25 @@ class TestTypedRefusals:
         ):
             predict_fuzzy(rb, sets)
 
+    def test_a_subclass_or_an_int_vertex_reads_as_a_plain_set(self, rb):
+        # plain sets take the one-pass read; a subclass among them sends the
+        # call through the set-by-set check, and both read the same vertices
+        class Marked(TriangularFuzzySet):
+            pass
+
+        width = len(rb.feature_names)
+        plain = [TriangularFuzzySet(-61.5 + i, -60.0 + i, -58.25 + i) for i in range(width)]
+        want = predict_fuzzy(rb, plain)
+        assert_same_bits(predict_fuzzy(rb, [Marked(s.a1, s.a2, s.a3) for s in plain]), want)
+        assert_same_bits(predict_fuzzy(rb, [Marked(*plain[0].__dict__.values())] + plain[1:]), want)
+        ints = [TriangularFuzzySet(-62 + i, -60 + i, 2**60 + i) for i in range(width)]
+        floats = [TriangularFuzzySet(float(s.a1), float(s.a2), float(s.a3)) for s in ints]
+        assert_same_bits(predict_fuzzy(rb, ints), predict_fuzzy(rb, floats))
+        with pytest.raises(
+            InvalidInputError, match=r"^observation_sets\[0\] is not a TriangularFuzzySet \(type tuple\)$"
+        ):
+            predict_fuzzy(rb, [(-61.5, -60.0, -58.25)] + [Marked(0.0, 0.0, 0.0)] * (width - 1))
+
     def test_numeric_text_still_reads_as_before(self, rb):
         row = [0.5] * len(rb.feature_names)
         assert predict(rb, [str(v) for v in row]) == predict(rb, row)

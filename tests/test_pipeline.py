@@ -324,3 +324,52 @@ class TestRenderPredictions:
         }
         text = render_predictions(rulebase_path, input_path, predictions_of(rows))
         assert text == json.dumps(doc, indent=2) + "\n"
+
+
+class TestRenderReport:
+    """report.json is json.dumps(report, indent=2) + "\\n", byte for byte."""
+
+    @pytest.fixture(scope="class")
+    def corridor_report(self, corridor_config):
+        return run_experiment(corridor_config).report
+
+    def test_a_corridor_report_equals_the_stdlib_encoding(self, corridor_report):
+        assert corridor_report["per_instance"] and corridor_report["confusion"]
+        assert render_report(corridor_report) == json.dumps(corridor_report, indent=2) + "\n"
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        rows=st.lists(st.tuples(LABELS, FLOATS, LABELS, FLOATS), max_size=4),
+        confusion=st.lists(st.lists(st.integers(0, 2**64), max_size=3), max_size=3),
+        percent=st.none() | FLOATS,
+        path=PATHS,
+        names=st.lists(PATHS, max_size=3),
+    )
+    def test_drawn_fields_equal_the_stdlib_encoding(
+        self, corridor_report, rows, confusion, percent, path, names
+    ):
+        # the corridor report's fields in their order, holding no instance
+        # or several, labels past 2**53, None percentages, and paths and
+        # names that json.dumps must escape
+        report = dict(corridor_report)
+        report["config_echo"] = {**report["config_echo"], "input": path}
+        report["selected_features"] = names
+        report["no_instances"] = not rows
+        report["accuracy_percent"] = report["within_1_percent"] = percent
+        report["per_class"] = {
+            str(truth): {"n_instances": 1, "n_correct": 0, "accuracy_percent": percent}
+            for truth, *_ in rows
+        }
+        report["confusion"] = confusion
+        report["per_instance"] = [
+            {"truth": truth, "gamma": g, "label": label, "total_firing": t,
+             "fallback_used": not t > 0.0}
+            for truth, g, label, t in rows
+        ]
+        assert render_report(report) == json.dumps(report, indent=2) + "\n"
+
+    def test_an_empty_evaluation_equals_the_stdlib_encoding(self, corridor_csv):
+        report = run_experiment(config_for(corridor_csv, unseen_labels=(12,))).report
+        assert report["no_instances"] is True and report["per_instance"] == []
+        assert report["accuracy_percent"] is None and report["distance_diag"] is None
+        assert render_report(report) == json.dumps(report, indent=2) + "\n"
