@@ -220,7 +220,7 @@ def _assign(cols, sq_norms, cents):
     width = cents.shape[1]
     real = np.isfinite(cents[:, :, 0])
     zeroed = np.where(real[:, :, None], cents, 0.0)
-    cc = np.square(zeroed).sum(axis=2)
+    cc = np.einsum("rwd,rwd->rw", zeroed, zeroed)
     cmax = cc.max(axis=1)[:, None]
     cc[~real] = np.inf
     zeroed *= -2.0
@@ -328,13 +328,12 @@ def _lloyd(sets, owner, starts, ks):
         # each run's cells are its width clusters, then the sink
         cells = (np.arange(live)[:, None] * (width + 1) + new).ravel()
         size = live * (width + 1)
-        counts = np.bincount(cells, minlength=size).reshape(live, width + 1, 1)[:, :width]
-        sums = np.empty((dim, size))
-        for d in range(dim):
-            sums[d] = np.bincount(cells, weights=cols[d].ravel(), minlength=size)
-        sums = sums.reshape(dim, live, width + 1)[:, :, :width].transpose(1, 2, 0)
-        cents = np.where(counts > 0, sums / np.maximum(counts, 1), before)
-        replay = ((counts[:, :, 0] == 0) & real[active]).any(axis=1)
+        counts = np.bincount(cells, minlength=size).reshape(live, width + 1)[:, :width]
+        # one bincount takes every coordinate's sums, dimension d's cells d * size on
+        sums = np.bincount((np.arange(dim)[:, None] * size + cells).ravel(), cols.ravel(), dim * size)
+        sums = sums.reshape(dim, live, width + 1)[:, :, :width] / np.maximum(counts, 1)
+        cents = np.where(counts[:, :, None] > 0, sums.transpose(1, 2, 0), before)
+        replay = ((counts == 0) & real[active]).any(axis=1)
         for j in np.flatnonzero(replay):
             s, k, m = owner[active[j]], ks[active[j]], sizes[active[j]]
             new[j, :m], cents[j, :k] = _sequential_update(
