@@ -329,7 +329,7 @@ def _lloyd(sets, owner, starts, ks):
         cells = (np.arange(live)[:, None] * (width + 1) + new).ravel()
         size = live * (width + 1)
         counts = np.bincount(cells, minlength=size).reshape(live, width + 1)[:, :width]
-        # one bincount takes every coordinate's sums, dimension d's cells d * size on
+        # one bincount sums every coordinate; dimension d's cells start at d * size
         sums = np.bincount((np.arange(dim)[:, None] * size + cells).ravel(), cols.ravel(), dim * size)
         sums = sums.reshape(dim, live, width + 1)[:, :, :width] / np.maximum(counts, 1)
         cents = np.where(counts[:, :, None] > 0, sums.transpose(1, 2, 0), before)
