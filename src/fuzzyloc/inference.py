@@ -236,7 +236,8 @@ def _observations(rb, raw, what, row_prefix=""):
         at = tuple(np.argwhere(~(np.isfinite(raw) & np.isfinite(norm)))[0])
         raise InvalidInputError(f"{row_prefix.format(at[0])}feature {rb.feature_names[at[1]]!r} "
                                 f"is not finite raw or once normalized: {raw[at]}")
-    vertices = obs[..., rb.serving.selected]
+    selected = rb.serving.selected
+    vertices = obs if selected is None else obs[..., selected]
     stacked = np.empty((4,) + vertices.shape[-2:])
     stacked[:3] = vertices  # a crisp (N, D) matrix fills all three
     mean = stacked[3]
@@ -249,18 +250,9 @@ def _observations(rb, raw, what, row_prefix=""):
 def _nearest_labels(gammas, serving):
     """discretize of every gamma (finite, as each is) over the rule base's
     label universe, read from its Serving arrays: the labels as an int64
-    array.
-
-    i, the number of labels below gamma, is discretize's bisect_left,
-    exact for labels beyond 2**53 too (see Serving.floors). The labels
-    around gamma are then padded[i] and padded[i + 1], the edge label twice
-    beyond either end, and the tie rule compares gamma - below with
-    above - gamma in float64, as discretize does with Python floats.
-    """
-    i = serving.floors.searchsorted(gammas)
-    rounded = serving.rounded
-    i += gammas - rounded.take(i) > rounded[1:].take(i) - gammas
-    return serving.padded.take(i)
+    array. discretize is non-decreasing in gamma, so the label is the one
+    past every threshold at or below gamma (see rulebase._thresholds)."""
+    return serving.labels.take(serving.thresholds.searchsorted(gammas, side="right"))
 
 
 # over: see _firing_matrix and _observations, and an overflowing fallback
@@ -286,9 +278,14 @@ def _outcomes(rb, raw, what, row_prefix=""):
     gammas = np.add.accumulate(weighted, axis=1, out=weighted)[:, -1] / totals
     # firings lie in [0, 1], so a total is 0 where nothing fired and positive elsewhere
     if np.count_nonzero(totals) < len(totals):
-        for i in np.flatnonzero(totals == 0.0).tolist():
-            gaps = rb.representatives - stacked[3, i]
-            gammas[i] = rb.consequents[np.argmin((gaps * gaps).sum(axis=1))]
+        unfired = np.flatnonzero(totals == 0.0)
+        reps = rb.representatives
+        step = max(1, _BLOCK_ELEMENTS // reps.size)
+        for lo in range(0, len(unfired), step):
+            rows = unfired[lo:lo + step]
+            gaps = reps - stacked[3, rows, None]
+            # each contiguous (D,) row sums as a lone (R, D) array's rows would
+            gammas[rows] = rb.consequents[np.argmin((gaps * gaps).sum(axis=2), axis=1)]
     return gammas, _nearest_labels(gammas, rb.serving), totals, firings
 
 

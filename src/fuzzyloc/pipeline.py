@@ -123,7 +123,8 @@ def train_rulebase(config):
     """Run the training half of the pipeline: load, split, normalize, rules."""
     with prefixed("load"):
         dataset = load_csv(config.input_path, config.label_column, config.feature_columns)
-    universe = universe_of(dataset.labels.tolist() + [*config.unseen_labels], config.label_universe)
+    classes = sorted(set(dataset.labels.tolist()))
+    universe = universe_of(classes + [*config.unseen_labels], config.label_universe)
 
     if config.unseen_labels:
         with prefixed("split"):

@@ -56,23 +56,69 @@ class Rule:
 class Serving(NamedTuple):
     """RuleBase.serving, read-only arrays built once per rule base.
 
-    selected holds the selected feature indices (D,), and constant the
-    normalization's mask of constant features (F,), None when there are
-    none, as Normalization._arrays holds it. The nearest-label step reads
-    the label universe U (n labels) three ways: floors (n,) holds each
-    label as a float64, or the largest float64 below it where float64
-    cannot hold it, so for every float g, floors < g exactly where U < g;
-    padded (n + 2,) is U as int64 with its first and last labels repeated
-    at the ends, so padded[i] and padded[i + 1] are the labels around a
-    gamma that i labels lie below; rounded (n + 2,) is padded rounded to
-    float64.
+    selected holds the selected feature indices (D,), None when every
+    feature is selected in order, and constant the normalization's mask of
+    constant features (F,), None when there are none, as
+    Normalization._arrays holds it. labels (n,) is the label universe as
+    int64, and thresholds (n - 1,) holds, for each label past the first,
+    the smallest float64 gamma that discretize sends to that label or
+    beyond (see _thresholds), so labels[thresholds.searchsorted(gamma,
+    side="right")] is discretize's label for every finite gamma.
     """
 
-    selected: np.ndarray
+    selected: Optional[np.ndarray]
     constant: Optional[np.ndarray]
-    floors: np.ndarray
-    padded: np.ndarray
-    rounded: np.ndarray
+    labels: np.ndarray
+    thresholds: np.ndarray
+
+
+def _thresholds(labels):
+    """Serving.thresholds of an ascending int64 label universe: for each
+    pair of neighbouring labels, the smallest float64 gamma whose
+    discretize label is the upper one or beyond.
+
+    discretize is non-decreasing in gamma. Between the two labels it
+    compares gamma - below with above - gamma in float64, the labels
+    rounded to float64, so its answer flips once in the pair's bracket:
+    the floats from just above the lower label to just above the upper
+    one, where the label is the upper one or beyond. The candidate is the
+    float just above the rounded midpoint, clipped into the bracket; where
+    rounding moves the flip off it, the flip is bisected over the
+    bracket's floats in order. Two labels beyond 2**53 with no float
+    between them share a threshold: the upper one is never reached.
+    """
+    rounded = labels.astype(float)
+    # the largest float64 at or below each label; a float compares with an int
+    # exactly, and the float nearest a label beyond 2**53 may lie above it
+    floors = np.array([
+        f if f <= u else math.nextafter(f, -math.inf) for u, f in zip(labels.tolist(), rounded.tolist())
+    ])
+    floor, below, above = floors[:-1], rounded[:-1], rounded[1:]
+    stop = np.nextafter(floors[1:], math.inf)
+
+    def flipped(g, at=slice(None)):
+        """Whether discretize(g) is each pair's upper label or beyond, for g
+        from the pair's floor up to its stop."""
+        return (g >= stop[at]) | ((g > floor[at]) & (g - below[at] > above[at] - g))
+
+    cut = np.clip(np.nextafter((below + above) / 2, math.inf), np.nextafter(floor, math.inf), stop)
+    (missed,) = np.nonzero(~flipped(cut) | flipped(np.nextafter(cut, -math.inf)))
+    if missed.size:
+        # floats as int64 keys in float order; the map is its own inverse
+        def ordered(bits):
+            return bits ^ ((bits >> 63) & np.int64(INT64_MAX))
+
+        lo, hi = ordered(floor[missed].view(np.int64)), ordered(stop[missed].view(np.int64))
+        while True:  # not flipped at lo, flipped at hi
+            # as uint64: hi - lo overflows int64 where the bracket spans zero
+            gap = hi.view(np.uint64) - lo.view(np.uint64)
+            if not (gap > 1).any():
+                break
+            mid = lo + (gap >> np.uint64(1)).view(np.int64)
+            up = flipped(ordered(mid).view(float), missed)
+            lo, hi = np.where(up, lo, mid), np.where(up, mid, hi)
+        cut[missed] = ordered(hi).view(float)
+    return cut
 
 
 def _floats(values):
@@ -81,6 +127,15 @@ def _floats(values):
         with suppress(OverflowError):  # an int beyond the float range
             return np.array(values, dtype=float)
     return np.array([_checked(_finite_real, v, math.nan) for v in values], dtype=float)
+
+
+def _counts(values):
+    """values as int64; a value below 1 stands for each one Rule refuses as
+    a support count."""
+    if set(map(type, values)) <= {int}:
+        with suppress(OverflowError):  # an int beyond int64
+            return np.array(values, dtype=np.int64)
+    return np.array([_checked(_integer, v, 0, 1, INT64_MAX) for v in values], dtype=np.int64)
 
 
 def _checked(check, value, mark, *bounds):
@@ -197,14 +252,13 @@ class RuleBase:
         arity = len(self.selected_features)
         try:  # a triple of other than 3 values reads as NaNs, which mark its rule
             counts = np.array(list(map(len, antecedents)), dtype=int)
-            flat = chain.from_iterable(antecedents)
-            values = list(chain.from_iterable(t if len(t) == 3 else (math.nan,) * 3 for t in flat))
-            triples, cons = _floats(values).reshape(-1, 3), _floats(consequents)
-            # 0 marks a count that Rule refuses
-            sups = [_checked(_integer, s, 0, 1, INT64_MAX) for s in supports]
+            flat = list(chain.from_iterable(antecedents))
+            if not set(map(len, flat)) <= {3}:
+                flat = [t if len(t) == 3 else (math.nan,) * 3 for t in flat]
+            triples = _floats(list(chain.from_iterable(flat))).reshape(-1, 3)
+            cons, sups = _floats(consequents), _counts(supports)
         except TypeError as exc:  # a lone value where a sequence belongs
             raise InvalidInputError(f"antecedents, consequents and supports disagree in shape: {exc}")
-        sups = np.array(sups, dtype=np.int64)
         if not len(counts) == len(cons) == len(sups):
             raise InvalidInputError("antecedents, consequents and supports disagree in shape")
         if not len(cons):
@@ -252,20 +306,14 @@ class RuleBase:
         """The Serving arrays every prediction call reads beside planes and
         the normalization's own, built on first use: derived like planes,
         never serialized, no part of equality."""
-        universe = self.label_universe
-        # a float compares with an int exactly; the float64 nearest a label
-        # beyond 2**53 may lie above it, and the float just below it then
-        # lies below the label with no float between them
-        floors = [
-            f if f <= u else math.nextafter(f, -math.inf) for u, f in zip(universe, map(float, universe))
-        ]
-        padded = np.array(universe[:1] + universe + universe[-1:], dtype=np.int64)
-        selected = np.array(self.selected_features, dtype=np.intp)
-        serving = Serving(
-            selected, self.normalization._arrays[2], np.array(floors), padded, padded.astype(float)
-        )
-        for array in (selected, *serving[2:]):
-            array.flags.writeable = False
+        labels = np.array(self.label_universe, dtype=np.int64)
+        selected = None
+        if self.selected_features != tuple(range(len(self.feature_names))):
+            selected = np.array(self.selected_features, dtype=np.intp)
+        serving = Serving(selected, self.normalization._arrays[2], labels, _thresholds(labels))
+        for array in (selected, labels, serving.thresholds):
+            if array is not None:
+                array.flags.writeable = False
         return serving
 
     @cached_property
@@ -314,10 +362,11 @@ def extract_rules(
     selected_features = _check_indices(selected_features, dataset.n_features)
 
     labels = dataset.labels
-    label_universe = universe_of(labels.tolist(), label_universe)
+    classes = sorted(set(labels.tolist()))
+    label_universe = universe_of(classes, label_universe)
 
     if strategy == PER_CLASS:
-        groups = [(labels == c, c) for c in sorted(set(int(v) for v in labels))]
+        groups = [(labels == c, c) for c in classes]
     else:
         groups = [(slice(None), None)]
     group_points = [dataset.features[subset][:, selected_features] for subset, _ in groups]
@@ -426,16 +475,24 @@ def deserialize_rulebase(text):
     params_doc = _field(doc, "similarity_params", "rule base", dict)
     norm_list = _field(doc, "normalization", "rule base", list)
     norm_doc = [(entry, f"normalization[{i}]") for i, entry in enumerate(norm_list)]
-    antecedents, consequents, supports = [], [], []
-    for i, entry in enumerate(_field(doc, "rules", "rule base", list)):
-        path = f"rules[{i}]"
-        triples = _field(entry, "antecedents", path, list)
-        if not set(map(type, triples)) <= {list}:
-            j = next(j for j, t in enumerate(triples) if type(t) is not list)
-            raise RuleBaseFormatError(f"{path}.antecedents[{j}] must be [a1, a2, a3]")
-        antecedents.append(triples)
-        consequents.append(_field(entry, "consequent", path))
-        supports.append(_field(entry, "support_count", path))
+    rules = _field(doc, "rules", "rule base", list)
+    try:
+        antecedents = [rule["antecedents"] for rule in rules]
+        consequents = [rule["consequent"] for rule in rules]
+        supports = [rule["support_count"] for rule in rules]
+        shaped = (set(map(type, rules)) <= {dict} and set(map(type, antecedents)) <= {list}
+                  and set(map(type, chain.from_iterable(antecedents))) <= {list})
+    except (KeyError, TypeError):
+        shaped = False
+    if not shaped:  # the checks rule by rule word the refusal
+        for i, entry in enumerate(rules):
+            path = f"rules[{i}]"
+            triples = _field(entry, "antecedents", path, list)
+            if not set(map(type, triples)) <= {list}:
+                j = next(j for j, t in enumerate(triples) if type(t) is not list)
+                raise RuleBaseFormatError(f"{path}.antecedents[{j}] must be [a1, a2, a3]")
+            _field(entry, "consequent", path)
+            _field(entry, "support_count", path)
     violation = "rule-base document violates an invariant"
     with prefixed(violation, (InvalidInputError, TypeError, ValueError), RuleBaseFormatError):
         return RuleBase(

@@ -1000,8 +1000,11 @@ def assert_greedy_groups_and_winners(sets, ks, seed, restarts, block):
 
 
 class TestManySets:
+    # a block of 1 makes every run a group and every chunk one row, which on
+    # the same draws took 2 to 3 times the time of 40 and 6 times that of
+    # 2**16; test_groups_and_winners_are_the_greedy_loops still draws it
     @settings(max_examples=40, deadline=None)
-    @given(data=st.data(), block=blocks)
+    @given(data=st.data(), block=st.sampled_from([40, 2**16]))
     def test_each_set_gets_the_knee_and_fit_of_its_own_sweep(self, data, block):
         dim = data.draw(st.integers(1, 6), label="dim")
         sets = data.draw(st.lists(point_sets(max_n=12, dim=dim), min_size=1, max_size=4), label="sets")

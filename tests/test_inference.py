@@ -38,7 +38,7 @@ from fuzzyloc.inference import (
     predict_fuzzy,
     predict_rows,
 )
-from fuzzyloc.pipeline import run_experiment
+from fuzzyloc.pipeline import run_experiment, train_rulebase
 from fuzzyloc.rulebase import PER_CLASS, Rule, RuleBase, extract_rules, save_rulebase
 from fuzzyloc.synth import write_csv
 
@@ -160,6 +160,29 @@ def gammas_around(universe):
     return gammas
 
 
+@st.composite
+def int64_universes(draw):
+    """Ascending universes of distinct int64 labels around a centre: mixed
+    signs, gaps from 1 to the whole int64 range, and at times either end
+    of the range."""
+    centre = draw(st.sampled_from([0, 2**53, -2**62, 2**63 - 2**20, -2**63]))
+    offsets = st.integers(-2**20, 2**20) | st.integers(-2**63, 2**63 - 1)
+    labels = draw(st.lists(offsets.map(lambda o: centre + o).filter(
+        lambda u: -2**63 <= u < 2**63), min_size=1, max_size=30, unique=True))
+    ends = draw(st.sets(st.sampled_from([-2**63, 2**63 - 1])))
+    return tuple(sorted(set(labels) | ends))
+
+
+def assert_thresholds(universe):
+    """Each Serving threshold is the first float whose discretize label is
+    its label or beyond; returns the thresholds."""
+    thresholds = universe_rulebase(universe).serving.thresholds
+    assert thresholds.shape == (len(universe) - 1,)
+    for label, t in zip(universe[1:], thresholds.tolist()):
+        assert discretize(t, universe) >= label > discretize(math.nextafter(t, -math.inf), universe)
+    return thresholds
+
+
 class TestNearestLabels:
     """The vectorized nearest-label step of every prediction call gives
     discretize's label for every gamma, one row per gamma."""
@@ -185,16 +208,46 @@ class TestNearestLabels:
     @settings(max_examples=200, deadline=None)
     @given(data=st.data())
     def test_any_int64_universe(self, data):
-        centre = data.draw(st.sampled_from([0, 2**53, -2**62, 2**63 - 2**20, -2**63]))
-        offsets = st.integers(-2**20, 2**20) | st.integers(-2**63, 2**63 - 1)
-        labels = data.draw(st.lists(offsets.map(lambda o: centre + o).filter(
-            lambda u: -2**63 <= u < 2**63), min_size=1, max_size=30, unique=True))
-        universe = tuple(sorted(labels))
+        universe = data.draw(int64_universes())
         gammas = data.draw(st.lists(
             st.floats(allow_nan=False, allow_infinity=False)
             | st.sampled_from(gammas_around(universe)), max_size=40))
         got = inference._nearest_labels(np.array(gammas, dtype=float), universe_rulebase(universe).serving)
         assert got.tolist() == [discretize(g, universe) for g in gammas]
+
+    @settings(max_examples=200, deadline=None)
+    @given(universe=int64_universes())
+    def test_each_threshold_is_the_first_float_of_its_label(self, universe):
+        assert_thresholds(universe)
+
+    @pytest.mark.parametrize("universe", [(-18014398509481982, 1), (-1, 1), (-3, 4)])
+    def test_a_candidate_off_the_flip_is_bisected(self, universe):
+        # the float just above the rounded midpoint is not where discretize
+        # flips, so the threshold comes from the bisection
+        (threshold,) = assert_thresholds(universe).tolist()
+        below, above = map(float, universe)
+        assert threshold != math.nextafter((below + above) / 2, math.inf)
+
+    def test_labels_no_float_reaches_share_a_threshold(self):
+        # no float lies strictly between 2**53 and 2**53 + 2
+        thresholds = assert_thresholds((2**53 - 1, 2**53, 2**53 + 1, 2**53 + 2))
+        assert thresholds.tolist() == [2.0**53, 2.0**53 + 2, 2.0**53 + 2]
+
+    def test_serving_arrays_are_read_only(self, corridor_rulebase):
+        global_rb = RuleBase(
+            antecedents=[[(0.0, 0.5, 1.0)]], consequents=[3.0], supports=[1],
+            params=SimilarityParams(), feature_names=("x", "y", "z"),
+            normalization=Normalization(mins=(0.0, 2.0, 0.0), maxs=(1.0, 2.0, 1.0)),
+            selected_features=(2,), label_universe=(1, 2, 3, 5), consequent_strategy=PER_CLASS,
+            seed=0,
+        )
+        assert corridor_rulebase.serving.selected is None
+        assert corridor_rulebase.serving.constant is None
+        assert global_rb.serving.selected.tolist() == [2]
+        assert global_rb.serving.constant.tolist() == [False, True, False]
+        for rb in (corridor_rulebase, global_rb):
+            for array in rb.serving:
+                assert array is None or not array.flags.writeable
 
 
 class TestPredict:
@@ -751,6 +804,24 @@ class TestOnePredictionPath:
             got.append(list(predict_rows(corridor_rulebase, corridor.features)))
         assert got[0] == got[1] == got[2]
 
+    @pytest.mark.parametrize("block_elements", [1, 10**4, 10**7])
+    def test_fallback_rows_take_the_rule_the_per_row_loop_takes(
+        self, block_elements, corridor, corridor_rulebase, monkeypatch
+    ):
+        rb = corridor_rulebase
+        rows = corridor.features.copy()
+        rows[::3, 1] = 100.0  # +100 non-detection sentinels force fallbacks
+        monkeypatch.setattr(inference, "_BLOCK_ELEMENTS", block_elements)
+        got = predict_rows(rb, rows)
+        means = inference._observations(rb, rows, "rows")[3]
+        fallback = np.flatnonzero(got.fallback).tolist()
+        assert len(fallback) >= 100
+        want = []
+        for i in fallback:
+            gaps = rb.representatives - means[i]
+            want.append(rb.consequents[np.argmin((gaps * gaps).sum(axis=1))])
+        assert got.gammas[fallback].tolist() == want
+
     def test_predict_rows_validates_its_input(self, corridor_rulebase):
         with pytest.raises(InvalidInputError, match="features"):
             predict_rows(corridor_rulebase, [[0.0, 1.0]])
@@ -762,13 +833,17 @@ class TestOnePredictionPath:
 def serving_cases(draw):
     """A rule base whose rules undercut or outnumber its selected dimensions
     (the two planes layouts), over raw features of which some were
-    constant in training, with raw rows and raw triangle rows; far rows
-    lie 50 or more training spans from every rule, so nothing fires."""
+    constant in training and all or some are selected, with raw rows and
+    raw triangle rows; far rows lie 50 or more training spans from every
+    rule, so nothing fires."""
     layout = draw(st.sampled_from(["more dims", "more rules"]))
     dims = draw(st.integers(2 if layout == "more dims" else 1, 6))
     n_rules = draw(st.integers(1, dims - 1) if layout == "more dims" else st.integers(dims, dims + 6))
-    n_features = draw(st.integers(dims, dims + 3))
-    selected = draw(st.permutations(range(n_features)))[:dims]
+    if draw(st.booleans()):  # every feature, in order
+        n_features, selected = dims, list(range(dims))
+    else:
+        n_features = draw(st.integers(dims, dims + 3))
+        selected = draw(st.permutations(range(n_features)))[:dims]
     # the first selected feature varies, so a far row is far in some dimension
     constant = [draw(st.booleans()) and f != selected[0] for f in range(n_features)]
     mins = [draw(st.floats(-100.0, 0.0)) for _ in range(n_features)]
@@ -826,7 +901,23 @@ class TestPerRuleBitsInBothLayouts:
             sets = [TriangularFuzzySet(*t) for t in triangles[i].tolist()]
             assert_same_bits(predict_fuzzy(rb, sets), fuzzy_batch[i])
 
-    def test_both_layouts_and_fallback_rows_are_drawn(self):
+    def test_a_feature_selected_rule_base_too(self, corridor, corridor_config):
+        # trained with CFS on, as building-global is: a strict subset of the
+        # features reaches the kernel
+        rb = train_rulebase(dataclasses.replace(corridor_config, cfs_top_n=3)).rule_base
+        assert rb.serving.selected is not None
+        rows = corridor.features[::7].copy()
+        rows[::4] = 100.0  # +100 non-detection sentinels force fallbacks
+        triangles = np.stack([rows - 1.0, rows, rows + 1.0], axis=-1)
+        batch = predict_rows(rb, rows)
+        fuzzy_batch = Predictions(*inference._outcomes(rb, triangles, "observation"))
+        assert batch.fallback.any() and not batch.fallback.all()
+        for i, row in enumerate(triangles):
+            assert_same_bits(predict(rb, row[:, 1]), batch[i])
+            sets = [TriangularFuzzySet(*t) for t in row.tolist()]
+            assert_same_bits(predict_fuzzy(rb, sets), fuzzy_batch[i])
+
+    def test_both_layouts_selections_and_fallback_rows_are_drawn(self):
         seen = set()
 
         @settings(max_examples=60, deadline=None)
@@ -835,11 +926,12 @@ class TestPerRuleBitsInBothLayouts:
             rb, rows, _ = case
             rules_last = rb.planes.shape[2] == rb.n_rules
             seen.add(("rules innermost" if rules_last else "dims innermost",
-                      predict_rows(rb, rows).fallback.any()))
+                      rb.serving.selected is None, predict_rows(rb, rows).fallback.any()))
 
         record()
-        assert {layout for layout, _ in seen} == {"rules innermost", "dims innermost"}
-        assert any(fallback for _, fallback in seen)
+        assert {layout for layout, _, _ in seen} == {"rules innermost", "dims innermost"}
+        assert {in_order for _, in_order, _ in seen} == {True, False}
+        assert any(fallback for _, _, fallback in seen)
 
 
 class TestTypedRefusals:
