@@ -234,7 +234,7 @@ class TestNearestLabels:
         assert thresholds.tolist() == [2.0**53, 2.0**53 + 2, 2.0**53 + 2]
 
     def test_serving_arrays_are_read_only(self, corridor_rulebase):
-        global_rb = RuleBase(
+        subset_rb = RuleBase(
             antecedents=[[(0.0, 0.5, 1.0)]], consequents=[3.0], supports=[1],
             params=SimilarityParams(), feature_names=("x", "y", "z"),
             normalization=Normalization(mins=(0.0, 2.0, 0.0), maxs=(1.0, 2.0, 1.0)),
@@ -243,9 +243,9 @@ class TestNearestLabels:
         )
         assert corridor_rulebase.serving.selected is None
         assert corridor_rulebase.serving.constant is None
-        assert global_rb.serving.selected.tolist() == [2]
-        assert global_rb.serving.constant.tolist() == [False, True, False]
-        for rb in (corridor_rulebase, global_rb):
+        assert subset_rb.serving.selected.tolist() == [2]
+        assert subset_rb.serving.constant.tolist() == [False, True, False]
+        for rb in (corridor_rulebase, subset_rb):
             for array in rb.serving:
                 assert array is None or not array.flags.writeable
 
@@ -917,7 +917,7 @@ class TestPerRuleBitsInBothLayouts:
             sets = [TriangularFuzzySet(*t) for t in row.tolist()]
             assert_same_bits(predict_fuzzy(rb, sets), fuzzy_batch[i])
 
-    def test_both_layouts_selections_and_fallback_rows_are_drawn(self):
+    def test_both_layouts_and_fallback_rows_are_drawn(self):
         seen = set()
 
         @settings(max_examples=60, deadline=None)
