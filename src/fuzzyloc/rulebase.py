@@ -83,16 +83,19 @@ def _thresholds(labels):
     the floats from just above the lower label to just above the upper
     one, where the label is the upper one or beyond. The candidate is the
     float just above the rounded midpoint, clipped into the bracket; where
-    rounding moves the flip off it, the flip is bisected over the
-    bracket's floats in order. Two labels beyond 2**53 with no float
-    between them share a threshold: the upper one is never reached.
+    rounding moves the flip off it, the flip is searched for over the
+    bracket's floats in order, 256 evenly spaced floats a step, so a
+    bracket of 2**64 floats takes 8 steps. Two labels beyond 2**53 with no
+    float between them share a threshold: the upper one is never reached.
     """
     rounded = labels.astype(float)
-    # the largest float64 at or below each label; a float compares with an int
-    # exactly, and the float nearest a label beyond 2**53 may lie above it
-    floors = np.array([
-        f if f <= u else math.nextafter(f, -math.inf) for u, f in zip(labels.tolist(), rounded.tolist())
-    ])
+    floors = rounded  # exact up to 2**53
+    if labels[0] < -2**53 or labels[-1] > 2**53:
+        # the largest float64 at or below each label; a float compares with an
+        # int exactly, and the float nearest a label beyond 2**53 may lie above it
+        floors = np.array([
+            f if f <= u else math.nextafter(f, -math.inf) for u, f in zip(labels.tolist(), rounded.tolist())
+        ])
     floor, below, above = floors[:-1], rounded[:-1], rounded[1:]
     stop = np.nextafter(floors[1:], math.inf)
 
@@ -101,7 +104,8 @@ def _thresholds(labels):
         from the pair's floor up to its stop."""
         return (g >= stop[at]) | ((g > floor[at]) & (g - below[at] > above[at] - g))
 
-    cut = np.clip(np.nextafter((below + above) / 2, math.inf), np.nextafter(floor, math.inf), stop)
+    cut = np.nextafter((below + above) / 2, math.inf)
+    cut = np.minimum(np.maximum(cut, np.nextafter(floor, math.inf)), stop)
     (missed,) = np.nonzero(~flipped(cut) | flipped(np.nextafter(cut, -math.inf)))
     if missed.size:
         # floats as int64 keys in float order; the map is its own inverse
@@ -109,14 +113,17 @@ def _thresholds(labels):
             return bits ^ ((bits >> 63) & np.int64(INT64_MAX))
 
         lo, hi = ordered(floor[missed].view(np.int64)), ordered(stop[missed].view(np.int64))
+        rows, at, spread = np.arange(missed.size), missed[:, None], np.arange(1, 257, dtype=np.uint64)
         while True:  # not flipped at lo, flipped at hi
             # as uint64: hi - lo overflows int64 where the bracket spans zero
             gap = hi.view(np.uint64) - lo.view(np.uint64)
             if not (gap > 1).any():
                 break
-            mid = lo + (gap >> np.uint64(1)).view(np.int64)
-            up = flipped(ordered(mid).view(float), missed)
-            lo, hi = np.where(up, lo, mid), np.where(up, mid, hi)
+            # 256 keys spaced gap // 256 + 1 apart, the last clipped to hi
+            offsets = np.minimum(((gap >> np.uint64(8)) + np.uint64(1))[:, None] * spread, gap[:, None])
+            keys = lo[:, None] + offsets.view(np.int64)
+            first = flipped(ordered(keys).view(float), at).argmax(axis=1)
+            lo, hi = np.where(first > 0, keys[rows, first - 1], lo), keys[rows, first]
         cut[missed] = ordered(hi).view(float)
     return cut
 

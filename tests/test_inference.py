@@ -220,13 +220,24 @@ class TestNearestLabels:
     def test_each_threshold_is_the_first_float_of_its_label(self, universe):
         assert_thresholds(universe)
 
-    @pytest.mark.parametrize("universe", [(-18014398509481982, 1), (-1, 1), (-3, 4)])
-    def test_a_candidate_off_the_flip_is_bisected(self, universe):
+    @pytest.mark.parametrize("universe, off", [
+        ((-18014398509481982, 1), [0]), ((-1, 1), [0]), ((-3, 4), [0]),
+        # brackets of about 2**63 floats and of a few floats, searched at once
+        ((-3, 4, *range(2**52 - 10, 2**52 + 10)), [0, 13, 15, 17, 19]),
+    ])
+    def test_a_candidate_off_the_flip_is_searched_for(self, universe, off):
         # the float just above the rounded midpoint is not where discretize
-        # flips, so the threshold comes from the bisection
-        (threshold,) = assert_thresholds(universe).tolist()
-        below, above = map(float, universe)
-        assert threshold != math.nextafter((below + above) / 2, math.inf)
+        # flips for these pairs, so their thresholds come from the search
+        thresholds = assert_thresholds(universe)
+        rounded = np.array(universe, dtype=float)
+        candidates = np.nextafter((rounded[:-1] + rounded[1:]) / 2, math.inf)
+        assert np.flatnonzero(thresholds != candidates).tolist() == off
+
+    @pytest.mark.parametrize("universe", [(2**55 + 5, 2**55 + 7), (-2**55 - 3, -2**55 - 1)])
+    def test_labels_that_round_up_to_one_float(self, universe):
+        # float64 holds neither label and rounds both up to one float, which
+        # discretize sends to the upper label; every float below it, to the lower
+        assert assert_thresholds(universe).tolist() == [float(universe[1])]
 
     def test_labels_no_float_reaches_share_a_threshold(self):
         # no float lies strictly between 2**53 and 2**53 + 2
