@@ -83,10 +83,9 @@ def _thresholds(labels):
     the floats from just above the lower label to just above the upper
     one, where the label is the upper one or beyond. The candidate is the
     float just above the rounded midpoint, clipped into the bracket; where
-    rounding moves the flip off it, the flip is searched for over the
-    bracket's floats in order, 256 evenly spaced floats a step, so a
-    bracket of 2**64 floats takes 8 steps. Two labels beyond 2**53 with no
-    float between them share a threshold: the upper one is never reached.
+    rounding moves the flip off it, the flip is bisected over the
+    bracket's floats in order. Two labels beyond 2**53 with no float
+    between them share a threshold: the upper one is never reached.
     """
     rounded = labels.astype(float)
     floors = rounded  # exact up to 2**53
@@ -113,17 +112,14 @@ def _thresholds(labels):
             return bits ^ ((bits >> 63) & np.int64(INT64_MAX))
 
         lo, hi = ordered(floor[missed].view(np.int64)), ordered(stop[missed].view(np.int64))
-        rows, at, spread = np.arange(missed.size), missed[:, None], np.arange(1, 257, dtype=np.uint64)
         while True:  # not flipped at lo, flipped at hi
             # as uint64: hi - lo overflows int64 where the bracket spans zero
             gap = hi.view(np.uint64) - lo.view(np.uint64)
             if not (gap > 1).any():
                 break
-            # 256 keys spaced gap // 256 + 1 apart, the last clipped to hi
-            offsets = np.minimum(((gap >> np.uint64(8)) + np.uint64(1))[:, None] * spread, gap[:, None])
-            keys = lo[:, None] + offsets.view(np.int64)
-            first = flipped(ordered(keys).view(float), at).argmax(axis=1)
-            lo, hi = np.where(first > 0, keys[rows, first - 1], lo), keys[rows, first]
+            mid = lo + (gap >> np.uint64(1)).view(np.int64)
+            up = flipped(ordered(mid).view(float), missed)
+            lo, hi = np.where(up, lo, mid), np.where(up, mid, hi)
         cut[missed] = ordered(hi).view(float)
     return cut
 

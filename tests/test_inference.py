@@ -222,12 +222,12 @@ class TestNearestLabels:
 
     @pytest.mark.parametrize("universe, off", [
         ((-18014398509481982, 1), [0]), ((-1, 1), [0]), ((-3, 4), [0]),
-        # brackets of about 2**63 floats and of a few floats, searched at once
+        # brackets of about 2**63 floats and of a few floats, bisected at once
         ((-3, 4, *range(2**52 - 10, 2**52 + 10)), [0, 13, 15, 17, 19]),
     ])
-    def test_a_candidate_off_the_flip_is_searched_for(self, universe, off):
+    def test_a_candidate_off_the_flip_is_bisected(self, universe, off):
         # the float just above the rounded midpoint is not where discretize
-        # flips for these pairs, so their thresholds come from the search
+        # flips for these pairs, so their thresholds come from the bisection
         thresholds = assert_thresholds(universe)
         rounded = np.array(universe, dtype=float)
         candidates = np.nextafter((rounded[:-1] + rounded[1:]) / 2, math.inf)
