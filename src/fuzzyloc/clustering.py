@@ -68,7 +68,8 @@ class _Sets(NamedTuple):
     # group's gather from it, cols[:, :, :n].take(owner, axis=1), is C-contiguous
     # for _assign's products and the bincount sums; the same block gathered
     # from rows is strided, and training on a 40-room, 24-beacon building
-    # took 19-29% longer with it, for 0.7 MB saved
+    # took 19-29% longer with it, for 0.7 MB saved. The sums part holds for
+    # stacked groups only: a lone run sums over its own rows (see _lloyd)
     cols: np.ndarray
     sq_norms: np.ndarray  # (S, n) squared point norms, +inf for padding
     sizes: np.ndarray  # (S,) points per set
@@ -296,6 +297,29 @@ def _lloyd(sets, owner, starts, ks):
     its members' sum in point order (np.bincount adds points in order)
     divided by their count, in every dimension. Only an iteration that
     leaves a cluster empty replays the run through _sequential_update.
+
+    A stacked group takes all its sums in one bincount over its gathered
+    columns in (dimension, run, point) order. A group of one run takes
+    them in (point, dimension) order over its set's own contiguous rows,
+    through an (n, dim) index of bins cell * dim + d that it keeps across
+    its iterations, rewriting only the points whose cell differs from the
+    one the index holds, which also follows a replay that moved points
+    after the sums. Each bin still adds in point order from 0.0, so the
+    bits are the same; but consecutive additions go to different bins,
+    where on points in cluster order the dimension-major sum adds almost
+    every coordinate to the bin the last addition wrote, one long
+    dependency chain.
+
+    A run that replays in every iteration since an earlier one and is back
+    at that iteration's assignment and centroids cycles with that period
+    up to MAX_ITERATIONS, since each state follows from the one before. It
+    leaves the stack at the next iteration whose distance to the cap is a
+    multiple of the period, in the state the cap would leave it in. Each
+    replaying run keeps one checkpoint state, moved to the iteration that
+    ends the 1st, 2nd, 4th, 8th, ... replay of its streak (Brent's cycle
+    detection), so a cycle of period p shows within a few times p
+    iterations of its start. Repeated points whose point-order means are
+    an ulp off them cycle so, with periods of 2 to 16 seen.
     """
     sizes = sets.sizes[owner]
     n = sizes.max()
@@ -312,7 +336,13 @@ def _lloyd(sets, owner, starts, ks):
     active = np.arange(runs)
     # whether each live run's last update replayed _sequential_update
     replayed = np.zeros(runs, dtype=bool)
-    for _ in range(MAX_ITERATIONS):
+    # a lone run's bin index and the cell each point holds in it; -1 is no
+    # cell, so the first pass writes every point
+    bins, held = (np.empty((n, dim), dtype=np.intp), np.full(n, -1)) if runs == 1 else (None, None)
+    # run -> (first and last iteration of its current streak of replays, its
+    # checkpoint's iteration and state, the period once found)
+    cycles = {}
+    for it in range(1, MAX_ITERATIONS + 1):
         before = centroids[active]
         new = _assign(cols, sq_norms, before)
         done = (new == assignment[active]).all(axis=1)
@@ -329,17 +359,39 @@ def _lloyd(sets, owner, starts, ks):
         cells = (np.arange(live)[:, None] * (width + 1) + new).ravel()
         size = live * (width + 1)
         counts = np.bincount(cells, minlength=size).reshape(live, width + 1)[:, :width]
-        # one bincount sums every coordinate; dimension d's cells start at d * size
-        sums = np.bincount((np.arange(dim)[:, None] * size + cells).ravel(), cols.ravel(), dim * size)
-        sums = sums.reshape(dim, live, width + 1)[:, :, :width] / np.maximum(counts, 1)
-        cents = np.where(counts[:, :, None] > 0, sums.transpose(1, 2, 0), before)
+        if bins is None:
+            # one bincount sums every coordinate; dimension d's cells start at d * size
+            sums = np.bincount((np.arange(dim)[:, None] * size + cells).ravel(), cols.ravel(), dim * size)
+            sums = sums.reshape(dim, live, width + 1)[:, :, :width] / np.maximum(counts, 1)
+            sums = sums.transpose(1, 2, 0)
+        else:
+            moved = np.flatnonzero(new[0] != held)
+            held[moved] = new[0, moved]
+            # written through the transpose, a row per dimension, which numpy fills faster
+            bins.T[:, moved] = np.arange(dim)[:, None] + held[moved] * dim
+            sums = np.bincount(bins.ravel(), sets.rows[owner[0], :n].ravel(), size * dim)
+            sums = sums.reshape(1, width + 1, dim)[:, :width] / np.maximum(counts, 1)[:, :, None]
+        cents = np.where(counts[:, :, None] > 0, sums, before)
         replay = ((counts == 0) & real[active]).any(axis=1)
         for j in np.flatnonzero(replay):
-            s, k, m = owner[active[j]], ks[active[j]], sizes[active[j]]
+            run = active[j]
+            s, k, m = owner[run], ks[run], sizes[run]
             new[j, :m], cents[j, :k] = _sequential_update(
                 sets.rows[s, :m], sets.sq_norms[s, :m], before[j, :k], new[j, :m]
             )
-            done[j] = (new[j] == assignment[active[j]]).all()
+            done[j] = (new[j] == assignment[run]).all()
+            state = new[j].tobytes() + cents[j].tobytes()
+            first, last, at, seen, period = cycles.get(run, (0, -1, 0, b"", 0))
+            if last != it - 1:
+                first, at, seen = it, it, state
+            elif not period and state == seen:
+                period = it - at
+            elif not (it - first + 1) & (it - first):
+                # the streak's 2nd, 4th, 8th, ... replay moves the checkpoint
+                at, seen = it, state
+            cycles[run] = first, it, at, seen, period
+            # the states repeat every period iterations up to the cap
+            done[j] |= period > 0 and (MAX_ITERATIONS - it) % period == 0
         assignment[active] = new
         centroids[active] = cents
         active, replayed = active[~done], replay[~done]

@@ -163,10 +163,14 @@ def parse_label(text):
     m = _PREFIXED_LABEL.match(text)
     if not (m or _PLAIN_LABEL.match(text)):
         raise SchemaError(f"label {text!r} is neither an integer nor a c<N> class name")
+    number = m.group(1) if m else text
     try:
-        value = int(m.group(1) if m else text)
-    except ValueError:  # over 4,300 digits by default, so far beyond 64 bits
-        value = LABEL_RANGE.stop
+        value = int(number)
+    except ValueError:
+        # int() refuses over 4,300 digits, leading zeros counted; 20
+        # significant digits are beyond 64 bits already
+        significant = number.lstrip("+-").lstrip("0") or "0"
+        value = int(number[0] + significant) if len(significant) < 20 else LABEL_RANGE.stop
     if value not in LABEL_RANGE:
         raise DataError(f"label {text!r} does not fit in a 64-bit integer")
     return value, "prefixed" if m else "plain"

@@ -2,6 +2,7 @@ import ast
 import functools
 import inspect
 import re
+import time
 from collections import Counter
 from pathlib import Path
 from unittest import mock
@@ -15,6 +16,7 @@ from fuzzyloc.clustering import (
     DEFAULT_RESTARTS, MAX_RESTARTS, KMeansResult, elbow_fit, elbow_fits, elbow_k, kmeans, knee_point,
     wcss,
 )
+from fuzzyloc.data import fit_normalization
 from fuzzyloc.errors import InvalidInputError
 from fuzzyloc.synth import generate_synthetic
 
@@ -591,6 +593,100 @@ class TestLockstepKernel:
         assert assign.call_count - sum(inner) == min(cap, 3)
         assert_same_fit(fit, ref_lloyd(pts, starts[0], max_iterations=cap))
         assert_same_fit(other_fit, ref_lloyd(other, starts[1, :2], max_iterations=cap))
+
+    def test_lone_runs_over_points_in_cluster_order_match_reference(self):
+        # 12 rooms of 200 rows in file order, as synth writes them: 2,400
+        # points x 16 dimensions fill a block alone, so every group is one
+        # run, which sums in (point, dimension) order through its kept
+        # index, and consecutive points share a cluster
+        pts = fit_normalization(generate_synthetic(12, 200, 16, 0.5, seed=6)).features
+        refs = {k: ref_kmeans(pts, k, 7, 2) for k in range(1, 5)}
+        with mock.patch.object(clustering, "_lloyd", wraps=clustering._lloyd) as groups:
+            for k in range(1, 5):
+                assert_same_fit(kmeans(pts, k, 7, restarts=2), refs[k])
+            with mock.patch.object(clustering, "DEFAULT_RESTARTS", 2):
+                k, fit = elbow_fit(pts, 4, 7)
+        assert groups.call_count == 14 and all(len(call.args[1]) == 1 for call in groups.call_args_list)
+        assert k == knee_point([refs[j][2][-1] for j in range(1, 5)])
+        assert_same_fit(fit, refs[k])
+        assert (np.diff(fit.assignment) == 0).mean() > 0.99
+
+    @pytest.mark.parametrize("cap", [1, 2, 3, 300])
+    def test_a_lone_run_sums_the_points_its_replay_moved(self, cap):
+        # from 9, 1 and 10, iteration 2 leaves cluster 0 empty; after its
+        # sums, the replay moves 4 and 5 (points 2 and 3) into the
+        # re-seeded cluster 0, and iteration 3 keeps that assignment but
+        # still sums it, so the kept index must follow the replay
+        pts = np.array([[1.0], [3.0], [4.0], [5.0], [9.0], [9.0], [10.0]])
+        starts = np.array([[[9.0], [1.0], [10.0]]])
+        sequential, moved = clustering._sequential_update, []
+
+        def recorded(pts, sq_norms, centroids, assignment):
+            given = assignment.copy()
+            out = sequential(pts, sq_norms, centroids, assignment)
+            moved.append(np.flatnonzero(out[0] != given).tolist())
+            return out
+
+        with (
+            mock.patch.object(clustering, "MAX_ITERATIONS", cap),
+            mock.patch.object(clustering, "_sequential_update", recorded),
+            mock.patch.object(clustering, "_assign", wraps=clustering._assign) as assign,
+        ):
+            (fit,) = lloyd([pts], [0], starts, [3])
+        assert moved == [[2, 3]] * (cap >= 2)
+        # one pass per kernel iteration, plus the replay's own
+        assert assign.call_count - len(moved) == min(cap, 3)
+        assert_same_fit(fit, ref_lloyd(pts, starts[0], max_iterations=cap))
+
+    @pytest.mark.parametrize("value", [0.1, 0.7])
+    def test_repeated_points_stop_at_their_cycle(self, value):
+        # the point-order mean of 9 copies of the point is an ulp off it,
+        # so every iteration empties a cluster and the assignment flips
+        # back and forth; the run takes the state the cap would leave
+        pts = np.full((9, 6), value)
+        assert (np.add.accumulate(pts)[-1] / 9 != pts[0]).all()
+        for k in (2, 3, 5):
+            for cap in (7, 8, 300):
+                with (
+                    mock.patch.object(clustering, "MAX_ITERATIONS", cap),
+                    mock.patch.object(
+                        clustering, "_sequential_update", wraps=clustering._sequential_update
+                    ) as replay,
+                ):
+                    (fit,) = lloyd([pts], [0], pts[None, :k], [k])
+                assert replay.call_count <= 5
+                assert_same_fit(fit, ref_lloyd(pts, pts[:k], max_iterations=cap))
+        start = time.perf_counter()
+        with mock.patch.object(
+            clustering, "_sequential_update", wraps=clustering._sequential_update
+        ) as replay:
+            elbow_fit(pts, 9, 0)
+        assert time.perf_counter() - start < 1.0
+        # 8 k x 5 restarts, each stopped after a few replays, not 300
+        assert replay.call_count <= 5 * 8 * DEFAULT_RESTARTS
+
+    def test_cycles_of_longer_periods_stop_in_the_state_of_the_cap(self):
+        # three distinct rows, one coordinate of two of them with a mean an
+        # ulp off; from the first k rows, k = 4 to 9 runs cycle with periods
+        # 4, 8, 6, 12, 8 and 16, and 16 consecutive caps meet every phase
+        pool = np.array([
+            [1.0, 1.0, 293.4740926216791],
+            [158.01543524136378, -872.7438512797358, 293.4740926216791],
+            [527.4882684891252, -999.8338867912637, 994.6475018844385],
+        ])
+        pts = pool[[1, 1, 1, 1, 0, 2, 1, 1, 2, 0, 1, 2]]
+        for k in range(4, 10):
+            assert len(ref_lloyd(pts, pts[:k])[2]) == 300
+            for cap in [*range(40, 56), 300]:
+                with (
+                    mock.patch.object(clustering, "MAX_ITERATIONS", cap),
+                    mock.patch.object(
+                        clustering, "_sequential_update", wraps=clustering._sequential_update
+                    ) as replay,
+                ):
+                    (fit,) = lloyd([pts], [0], pts[None, :k], [k])
+                assert replay.call_count < 50
+                assert_same_fit(fit, ref_lloyd(pts, pts[:k], max_iterations=cap))
 
     def test_one_dimension_sums_in_point_order(self):
         # one-dimensional runs take the bincount path like any other; their
