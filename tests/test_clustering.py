@@ -622,9 +622,9 @@ class TestLockstepKernel:
         sequential, moved = clustering._sequential_update, []
 
         def recorded(pts, sq_norms, centroids, assignment):
-            given = assignment.copy()
+            before = assignment.copy()
             out = sequential(pts, sq_norms, centroids, assignment)
-            moved.append(np.flatnonzero(out[0] != given).tolist())
+            moved.append(np.flatnonzero(out[0] != before).tolist())
             return out
 
         with (
