@@ -13,11 +13,12 @@ from typing import Optional
 import numpy as np
 
 from .errors import ConfigError, DataError, InvalidInputError, SchemaError, prefixed
-from .fuzzy import INT64_MAX, _finite_real, _integers
+from .fuzzy import _finite_real, _integers
 
 _PREFIXED_LABEL = re.compile(r"^[cC](-?[0-9]+)$")
 _PLAIN_LABEL = re.compile(r"^[+-]?[0-9]+$")
-LABEL_RANGE = range(-INT64_MAX - 1, INT64_MAX + 1)  # labels are held as int64
+# labels are held as int64; within +-2**52 the midpoint of any two is exact in float64
+LABEL_RANGE = range(-2**52, 2**52 + 1)
 MAX_RANGE_LABELS = 1024  # a derived or N..M universe; a listed one is not bounded
 # the bytes of a plainly numeric CSV body: within them the csv module splits
 # on "," and "\n" alone, and float() and np.loadtxt both read a cell as the
@@ -89,8 +90,9 @@ class Dataset:
     """Feature matrix with integer labels.
 
     features is float64 of shape (n_instances, n_features); labels is an
-    int64 vector. normalization is attached once fit_normalization has run
-    (at which point features hold normalized values).
+    int64 vector of labels in LABEL_RANGE. normalization is attached once
+    fit_normalization has run (at which point features hold normalized
+    values).
     """
 
     features: np.ndarray
@@ -101,8 +103,10 @@ class Dataset:
     def __post_init__(self):
         features = np.asarray(self.features, dtype=float)
         labels = np.asarray(self.labels)
-        if labels.size and (labels.dtype.kind not in "iu" or labels.max() > LABEL_RANGE[-1]):
-            raise InvalidInputError(f"labels must be 64-bit integers, got dtype {labels.dtype}")
+        if labels.size and labels.dtype.kind not in "iu":
+            raise InvalidInputError(f"labels must be integers, got dtype {labels.dtype}")
+        if not _in_label_range(labels):
+            _labels(labels.tolist(), "labels")  # refuses the first label out of range
         labels = labels.astype(np.int64, copy=False)
         if features.ndim != 2:
             raise InvalidInputError(f"features must be 2-D, got shape {features.shape}")
@@ -156,8 +160,9 @@ def parse_label(text):
 
     Accepts plain integers ("8") and class-prefixed forms ("c8" / "C8"),
     in ASCII digits with no digit separators; kind is "plain" or
-    "prefixed" so callers can reject mixed files. SchemaError for any other text, and DataError for
-    a label beyond 64 bits, whatever its digit count.
+    "prefixed" so callers can reject mixed files. SchemaError for any other
+    text, and DataError for a label outside LABEL_RANGE, whatever its digit
+    count.
     """
     text = text.strip()
     m = _PREFIXED_LABEL.match(text)
@@ -168,12 +173,20 @@ def parse_label(text):
         value = int(number)
     except ValueError:
         # int() refuses over 4,300 digits, leading zeros counted; 20
-        # significant digits are beyond 64 bits already
+        # significant digits are far beyond LABEL_RANGE already
         significant = number.lstrip("+-").lstrip("0") or "0"
         value = int(number[0] + significant) if len(significant) < 20 else LABEL_RANGE.stop
     if value not in LABEL_RANGE:
-        raise DataError(f"label {text!r} does not fit in a 64-bit integer")
+        raise DataError(f"label {text!r} lies outside {LABEL_RANGE[0]}..{LABEL_RANGE[-1]}")
     return value, "prefixed" if m else "plain"
+
+
+def _in_label_range(labels):
+    """Whether every label of an integer array (none when labels is None)
+    lies in LABEL_RANGE."""
+    if labels is None or not labels.size:
+        return True
+    return LABEL_RANGE[0] <= labels.min() and labels.max() <= LABEL_RANGE[-1]
 
 
 def _labels(values, what):
@@ -199,8 +212,14 @@ def label_universe(labels, given=None):
                 "labels; list the labels instead, as in --label-universe 1,2,5"
             )
     universe = _labels(given, "label_universe")
-    if not universe or any(b <= a for a, b in zip(universe, universe[1:])):
-        raise InvalidInputError("label_universe must be non-empty and strictly increasing")
+    if not universe:
+        raise InvalidInputError("label_universe must be non-empty")
+    for i in range(1, len(universe)):
+        if universe[i] <= universe[i - 1]:
+            raise InvalidInputError(
+                f"label_universe must be strictly increasing, but label_universe[{i}] = "
+                f"{universe[i]} follows {universe[i - 1]}"
+            )
     missing = sorted(labels.difference(universe))
     if missing:
         raise InvalidInputError(f"label_universe does not cover labels {missing}")
@@ -340,8 +359,8 @@ def _numeric_table(blob, n_cells, feat_pos, label_pos=None):
     A file is plainly numeric when its header record is its first line,
     every body byte is in _NUMERIC_BODY, it has a non-blank line, every
     line fits in the csv module's field limit and holds n_cells numbers,
-    the label (when label_pos is given) a 64-bit integer, and every
-    selected value is finite. The csv reader reads such a file into the
+    the label (when label_pos is given) a plain integer in LABEL_RANGE, and
+    every selected value is finite. The csv reader reads such a file into the
     same arrays. A declined file goes to the csv reader, so every message
     is the csv reader's own.
     """
@@ -379,9 +398,11 @@ def _numeric_table(blob, n_cells, feat_pos, label_pos=None):
     except (ValueError, Warning):
         return None
     features = np.column_stack([table[str(i)] for i in feat_pos])
-    if not len(table) or not np.isfinite(features).all():  # no data rows, or an overflow
+    labels = None if label_pos is None else table[str(label_pos)]
+    # no data rows, an overflow, or a label the csv reader refuses
+    if not len(table) or not np.isfinite(features).all() or not _in_label_range(labels):
         return None
-    return features, None if label_pos is None else table[str(label_pos)].tolist()
+    return features, None if labels is None else labels.tolist()
 
 
 def _plain_number(text):

@@ -18,7 +18,8 @@ from functools import reduce
 
 from .errors import InvalidInputError, ZeroFiringError
 
-# the largest int64: labels, supports and seeds are held as int64
+# the largest int64: supports and seeds are held as int64 (labels too, but
+# data.LABEL_RANGE bounds them more narrowly)
 INT64_MAX = 2**63 - 1
 
 

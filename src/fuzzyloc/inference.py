@@ -20,7 +20,7 @@ from operator import attrgetter
 
 import numpy as np
 
-from .data import Dataset, _plain_number
+from .data import Dataset, _plain_number, label_universe as universe_of
 from .errors import DataError, InvalidInputError
 from .fuzzy import TriangularFuzzySet, _finite_real, _fuzzy_set, _integer
 
@@ -105,18 +105,19 @@ def discretize(gamma, label_universe):
     """Nearest label in an ascending universe; exact midpoints go to the smaller label.
 
     Values beyond either end clip to the edge label. gamma must be a
-    finite real (InvalidInputError otherwise).
+    finite real, and label_universe a universe data.label_universe accepts
+    (InvalidInputError otherwise). Its labels lie in LABEL_RANGE, so the
+    midpoint of two neighbours is exact and gamma above it goes up.
     """
     gamma = _finite_real(gamma, "gamma")
-    if not len(label_universe):
-        raise InvalidInputError("label universe is empty")
-    i = bisect.bisect_left(label_universe, gamma)
+    universe = universe_of((), label_universe)
+    i = bisect.bisect_left(universe, gamma)
     if i == 0:
-        return int(label_universe[0])
-    if i == len(label_universe):
-        return int(label_universe[-1])
-    below, above = label_universe[i - 1], label_universe[i]
-    return int(below if gamma - below <= above - gamma else above)
+        return universe[0]
+    if i == len(universe):
+        return universe[-1]
+    below, above = universe[i - 1], universe[i]
+    return below if gamma <= (below + above) / 2 else above
 
 
 def _firing_matrix(rb, stacked):
@@ -250,8 +251,8 @@ def _observations(rb, raw, what, row_prefix=""):
 def _nearest_labels(gammas, serving):
     """discretize of every gamma (finite, as each is) over the rule base's
     label universe, read from its Serving arrays: the labels as an int64
-    array. discretize is non-decreasing in gamma, so the label is the one
-    past every threshold at or below gamma (see rulebase._thresholds)."""
+    array, each the one past every threshold at or below its gamma (see
+    rulebase._thresholds)."""
     return serving.labels.take(serving.thresholds.searchsorted(gammas, side="right"))
 
 
@@ -357,10 +358,8 @@ class BatchEvaluation:
         """How many predicted labels lie at most k from their truth, for
         an integer k >= 0."""
         k = _integer(k, "k", 0)
-        labels, truths = self.predictions.labels, self._truth_labels
-        # |label - truth| as the larger less the smaller in uint64: exact
-        # where an int64 difference of labels near both ends would wrap
-        gaps = np.maximum(labels, truths).view(np.uint64) - np.minimum(labels, truths).view(np.uint64)
+        # labels lie in LABEL_RANGE, so no int64 difference of two wraps
+        gaps = np.abs(self.predictions.labels - self._truth_labels)
         return int(np.count_nonzero(gaps <= k))
 
     @property

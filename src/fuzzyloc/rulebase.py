@@ -62,7 +62,8 @@ class Serving(NamedTuple):
     Normalization._arrays holds it. labels (n,) is the label universe as
     int64, and thresholds (n - 1,) holds, for each label past the first,
     the smallest float64 gamma that discretize sends to that label or
-    beyond (see _thresholds), so labels[thresholds.searchsorted(gamma,
+    beyond: the float just above the exact midpoint of the label and the
+    one below it (see _thresholds). So labels[thresholds.searchsorted(gamma,
     side="right")] is discretize's label for every finite gamma.
     """
 
@@ -74,54 +75,10 @@ class Serving(NamedTuple):
 
 def _thresholds(labels):
     """Serving.thresholds of an ascending int64 label universe: for each
-    pair of neighbouring labels, the smallest float64 gamma whose
-    discretize label is the upper one or beyond.
-
-    discretize is non-decreasing in gamma. Between the two labels it
-    compares gamma - below with above - gamma in float64, the labels
-    rounded to float64, so its answer flips once in the pair's bracket:
-    the floats from just above the lower label to just above the upper
-    one, where the label is the upper one or beyond. The candidate is the
-    float just above the rounded midpoint, clipped into the bracket; where
-    rounding moves the flip off it, the flip is bisected over the
-    bracket's floats in order. Two labels beyond 2**53 with no float
-    between them share a threshold: the upper one is never reached.
-    """
-    rounded = labels.astype(float)
-    floors = rounded  # exact up to 2**53
-    if labels[0] < -2**53 or labels[-1] > 2**53:
-        # the largest float64 at or below each label; a float compares with an
-        # int exactly, and the float nearest a label beyond 2**53 may lie above it
-        floors = np.array([
-            f if f <= u else math.nextafter(f, -math.inf) for u, f in zip(labels.tolist(), rounded.tolist())
-        ])
-    floor, below, above = floors[:-1], rounded[:-1], rounded[1:]
-    stop = np.nextafter(floors[1:], math.inf)
-
-    def flipped(g, at=slice(None)):
-        """Whether discretize(g) is each pair's upper label or beyond, for g
-        from the pair's floor up to its stop."""
-        return (g >= stop[at]) | ((g > floor[at]) & (g - below[at] > above[at] - g))
-
-    cut = np.nextafter((below + above) / 2, math.inf)
-    cut = np.minimum(np.maximum(cut, np.nextafter(floor, math.inf)), stop)
-    (missed,) = np.nonzero(~flipped(cut) | flipped(np.nextafter(cut, -math.inf)))
-    if missed.size:
-        # floats as int64 keys in float order; the map is its own inverse
-        def ordered(bits):
-            return bits ^ ((bits >> 63) & np.int64(INT64_MAX))
-
-        lo, hi = ordered(floor[missed].view(np.int64)), ordered(stop[missed].view(np.int64))
-        while True:  # not flipped at lo, flipped at hi
-            # as uint64: hi - lo overflows int64 where the bracket spans zero
-            gap = hi.view(np.uint64) - lo.view(np.uint64)
-            if not (gap > 1).any():
-                break
-            mid = lo + (gap >> np.uint64(1)).view(np.int64)
-            up = flipped(ordered(mid).view(float), missed)
-            lo, hi = np.where(up, lo, mid), np.where(up, mid, hi)
-        cut[missed] = ordered(hi).view(float)
-    return cut
+    pair of neighbouring labels, the float just above their midpoint,
+    which is exact for labels in LABEL_RANGE."""
+    floats = labels.astype(float)
+    return np.nextafter((floats[:-1] + floats[1:]) / 2, math.inf)
 
 
 def _floats(values):
@@ -202,8 +159,8 @@ class RuleBase:
     (pre-selection) feature space; selected_features are integer indices
     into it, and every rule has one antecedent per selected feature.
     label_universe lists all labels the deployment may emit, including
-    ones never seen in training; they fit in 64 bits, and every consequent
-    lies within their span. seed is a _seed, in 0..INT64_MAX.
+    ones never seen in training; they lie in data.LABEL_RANGE, and every
+    consequent lies within their span. seed is a _seed, in 0..INT64_MAX.
     """
 
     antecedents: np.ndarray

@@ -59,6 +59,8 @@ class TestParseLabelUniverse:
 
 DIGITS = "0123456789"
 BEYOND = "99999999999999999999"  # 20 digits, past 2**63
+PAST = str(2**52 + 1)  # the first label past the label range
+OUTSIDE = "lies outside -4503599627370496..4503599627370496"
 
 
 @st.composite
@@ -68,6 +70,7 @@ def label_texts(draw):
     form, and 1 to 5,000 digits."""
     digits = draw(st.one_of(
         st.integers(0, 2**64).map(str),  # around the 64-bit bounds
+        st.integers(2**52 - 2, 2**52 + 2).map(str),  # around the label range's ends
         st.builds(
             lambda head, fill, n: (head + fill * n)[:5000],
             st.text(DIGITS, min_size=1, max_size=20), st.sampled_from(DIGITS), st.integers(0, 5000),
@@ -78,8 +81,9 @@ def label_texts(draw):
     return draw(pad) + form + digits + draw(pad)
 
 
-def int64_value(text):
-    """The integer a well-formed label text names, or None beyond 64 bits."""
+def range_value(text):
+    """The integer a well-formed label text names, or None outside
+    -2**52..2**52."""
     number = text.strip().lstrip("cC")
     digits = number.lstrip("+-")
     if len(digits.lstrip("0")) > 19:
@@ -87,7 +91,7 @@ def int64_value(text):
     # leading zeros add nothing, and past 4,300 digits int() refuses them
     digits = digits.lstrip("0") or "0"
     value = -int(digits) if number.startswith("-") else int(digits)
-    return value if -(2**63) <= value < 2**63 else None
+    return value if -(2**52) <= value <= 2**52 else None
 
 
 class TestLabelParity:
@@ -96,12 +100,12 @@ class TestLabelParity:
     @example(text="0" * 4301).via("more zeros than int() reads")
     @example(text="c-" + "0" * 4999 + "7").via("more zeros than int() reads")
     def test_a_csv_cell_and_a_flag_item_read_alike(self, text):
-        value = int64_value(text)
+        value = range_value(text)
         if value is not None:
             assert parse_label(text)[0] == value
             assert _parse_labels(text, "--unseen") == (value,)
             return
-        refusal = f"label {text.strip()!r} does not fit in a 64-bit integer"
+        refusal = f"label {text.strip()!r} {OUTSIDE}"
         with pytest.raises(DataError) as cell:
             parse_label(text)
         with pytest.raises(ConfigError) as item:
@@ -111,6 +115,8 @@ class TestLabelParity:
 
     @pytest.mark.parametrize("flags, bad_cell, named", [
         (["--unseen", BEYOND], False, f"config error: --unseen: label '{BEYOND}'"),
+        (["--unseen", PAST], False, f"config error: --unseen: label '{PAST}'"),
+        (["--unseen", f"-{PAST}"], False, f"config error: --unseen: label '-{PAST}'"),
         (["--unseen", "9" * 5000], False, f"config error: --unseen: label '{'9' * 5000}'"),
         (["--unseen", "5", "--label-universe", f"1..{BEYOND}"], False,
          f"config error: --label-universe: label '{BEYOND}'"),
@@ -118,7 +124,7 @@ class TestLabelParity:
          f"config error: --label-universe: label '{BEYOND}'"),
         (["--unseen", "5"], True, f"data error: load: {{csv}}: row 2: label '{BEYOND}'"),
     ])
-    def test_a_label_beyond_64_bits_is_refused_where_it_is_read(
+    def test_a_label_outside_the_range_is_refused_where_it_is_read(
         self, workdir, capsys, flags, bad_cell, named
     ):
         tmp_path, csv_path = workdir
@@ -131,7 +137,7 @@ class TestLabelParity:
         code = run_cli("run", *map(str, argv), *flags, "--out", str(tmp_path / "exp"))
         assert code == (3 if bad_cell else 2)
         named = named.format(csv=csv_path)
-        assert capsys.readouterr().err == f"fuzzyloc: {named} does not fit in a 64-bit integer\n"
+        assert capsys.readouterr().err == f"fuzzyloc: {named} {OUTSIDE}\n"
         assert not (tmp_path / "exp").exists()
 
 
@@ -178,6 +184,9 @@ class TestLabelFlags:
         (["--unseen", "c3"], [3], None),
         (["--unseen", "C3,c7"], [3, 7], None),
         (["--unseen", "5", "--label-universe", "c1..c10"], [5], list(range(1, 11))),
+        # both ends of the label range
+        (["--unseen", "5", "--label-universe", f"c-{2**52},1,2,3,4,5,6,7,8,9,10,{2**52}"], [5],
+         [-(2**52), *range(1, 11), 2**52]),
     ])
     def test_labels_read_as_csv_label_cells(self, workdir, flags, unseen, universe):
         tmp_path, corridor_csv = workdir
@@ -191,7 +200,9 @@ class TestLabelFlags:
         (["--unseen", "1_0"], "--unseen: label '1_0'"),
         (["--unseen", "3,c1_0"], "--unseen: label 'c1_0'"),
         (["--unseen", "3.0"], "--unseen: label '3.0'"),
-        (["--unseen", "9" * 5000], "does not fit in a 64-bit integer"),
+        (["--unseen", "9" * 5000], OUTSIDE),
+        (["--unseen", PAST], f"--unseen: label '{PAST}' {OUTSIDE}"),
+        (["--unseen", "5", "--label-universe", f"1,5,-{PAST}"], f"--label-universe: label '-{PAST}' {OUTSIDE}"),
         (["--unseen", "5", "--label-universe", "1..1_0"], "--label-universe: label '1_0'"),
         # int() reads Arabic-Indic and fullwidth digits; no CSV label holds them
         (["--unseen", "\u0663"], "--unseen: label '\u0663'"),
@@ -416,7 +427,7 @@ class TestRunCommand:
         "flags, named",
         [
             (["--unseen", "5", "--label-universe", "1..10000000000"], "1..10000000000"),
-            (["--unseen", "9223372036854775807"], "1..9223372036854775807"),
+            (["--unseen", "4503599627370496"], "1..4503599627370496"),
             (["--unseen", "1025"], "1..1025"),
         ],
     )

@@ -25,6 +25,9 @@ from fuzzyloc.errors import (
     ConfigError, DataError, FuzzylocError, InvalidInputError, SchemaError,
 )
 
+# the label range as a refusal names it
+BOUND = "-4503599627370496..4503599627370496"
+
 
 def write(tmp_path, text, name="data.csv"):
     path = tmp_path / name
@@ -48,12 +51,14 @@ class TestParseLabel:
             with pytest.raises(SchemaError):
                 parse_label(bad)
 
-    def test_labels_are_64_bit(self):
-        assert parse_label(str(2**63 - 1)) == (2**63 - 1, "plain")
-        assert parse_label(f"c{-(2**63)}") == (-(2**63), "prefixed")
+    def test_labels_lie_in_the_label_range(self):
+        assert data.LABEL_RANGE == range(-(2**52), 2**52 + 1)
+        assert parse_label(str(2**52)) == (2**52, "plain")
+        assert parse_label(f"c{-(2**52)}") == (-(2**52), "prefixed")
         # 5,000 digits are more than int() converts by default
-        for bad in [str(2**63), f"c{-(2**63) - 1}", "9" * 23, "9" * 5000, "c" + "9" * 5000]:
-            with pytest.raises(DataError, match="64-bit"):
+        for bad in [str(2**52 + 1), f"c{-(2**52) - 1}", str(2**63), "9" * 23, "9" * 5000,
+                    "c" + "9" * 5000]:
+            with pytest.raises(DataError, match=f"^label '{bad}' lies outside {BOUND}$"):
                 parse_label(bad)
 
 
@@ -74,9 +79,10 @@ class TestLabelUniverse:
             (range(3, 2), "non-empty"),
             ((1, 3, 2), "strictly increasing"),
             ((1, 1), "strictly increasing"),
-            ((1, 2**63), r"^label_universe\[1\] must be <= 9223372036854775807, got 9223372036854775808$"),
-            ((-(2**63) - 1, 1), r"^label_universe\[0\] must be >= -9223372036854775808, got -9223372036854775809$"),
-            ((1, 5, 10**20), r"^label_universe\[2\] must be <= 9223372036854775807, got an integer beyond 64 bits$"),
+            ((1, 2**52 + 1), r"^label_universe\[1\] must be <= 4503599627370496, got 4503599627370497$"),
+            ((-(2**52) - 1, 1), r"^label_universe\[0\] must be >= -4503599627370496, got -4503599627370497$"),
+            ((1, 2**63), r"^label_universe\[1\] must be <= 4503599627370496, got 9223372036854775808$"),
+            ((1, 5, 10**20), r"^label_universe\[2\] must be <= 4503599627370496, got an integer beyond 64 bits$"),
             # an entry is never truncated or parsed into an int
             ((1.7, 2.2), r"label_universe\[0\] must be an integer, got float"),
             (("1", "2", "3"), r"label_universe\[0\] must be an integer, got str"),
@@ -101,25 +107,25 @@ class TestLabelUniverse:
                 label_universe(labels, given)
 
     @pytest.mark.parametrize("huge, named", [
-        (range(1, 10**20), "label range ends[1] must be <= 9223372036854775807"),
-        (range(10**5000), "label range ends[1] must be <= 9223372036854775807"),
-        (range(-(10**5000), 0), "label range ends[0] must be >= -9223372036854775808"),
+        (range(1, 10**20), "label range ends[1] must be <= 4503599627370496"),
+        (range(10**5000), "label range ends[1] must be <= 4503599627370496"),
+        (range(-(10**5000), 0), "label range ends[0] must be >= -4503599627370496"),
     ])
     def test_a_huge_range_is_refused_without_expanding_it(self, huge, named):
         # an end beyond 64 bits is refused before the span, which formats both
         # ends; str() refuses an int of more than 4,300 digits
         with pytest.raises(InvalidInputError, match=f"^{re.escape(named)}, got an integer beyond 64 bits$"):
             label_universe([], huge)
-        with pytest.raises(InvalidInputError, match=re.escape("-9223372036854775808..9223372036854775807")):
-            label_universe([-(2**63), 2**63 - 1])
+        with pytest.raises(InvalidInputError, match=re.escape(BOUND)):
+            label_universe([-(2**52), 2**52])
 
-    def test_a_label_beyond_64_bits_is_refused_before_the_cover_check(self):
-        # so the list of uncovered labels only ever formats int64 values
-        named = "labels[2] must be <= 9223372036854775807, got an integer beyond 64 bits"
+    def test_a_label_outside_the_range_is_refused_before_the_cover_check(self):
+        # so the list of uncovered labels only ever formats labels in range
+        named = "labels[2] must be <= 4503599627370496, got an integer beyond 64 bits"
         with pytest.raises(InvalidInputError, match=f"^{re.escape(named)}$"):
             label_universe([1, 3, 10**5000], (1, 2))
-        with pytest.raises(InvalidInputError, match=re.escape("cover labels [3, 9223372036854775807]") + "$"):
-            label_universe([1, 3, 2**63 - 1], (1, 2))
+        with pytest.raises(InvalidInputError, match=re.escape("cover labels [3, 4503599627370496]") + "$"):
+            label_universe([1, 3, 2**52], (1, 2))
 
     def test_a_list_is_not_bounded(self):
         listed = tuple(range(0, 4000, 2))
@@ -204,12 +210,18 @@ class TestDataset:
         with pytest.raises(InvalidInputError):
             Dataset(features=[[1.0]], labels=[1], feature_names=("a", "b"))
 
-    @pytest.mark.parametrize("labels, dtype", [
-        ([1.5, 2.5], "float64"), ([1.0, 2.0], "float64"), ([True, False], "bool"), (["3", "4"], "<U1"),
-        (np.array([2**63, 1], dtype=np.uint64), "uint64"),
+    @pytest.mark.parametrize("labels, named", [
+        ([1.5, 2.5], "labels must be integers, got dtype float64"),
+        ([1.0, 2.0], "labels must be integers, got dtype float64"),
+        ([True, False], "labels must be integers, got dtype bool"),
+        (["3", "4"], "labels must be integers, got dtype <U1"),
+        # both ends of the label range, whatever the dtype
+        (np.array([1, 2**63], dtype=np.uint64), "labels[1] must be <= 4503599627370496, got 9223372036854775808"),
+        ([2**52, 2**52 + 1], "labels[1] must be <= 4503599627370496, got 4503599627370497"),
+        ([-(2**52) - 1, 2**52 + 1], "labels[0] must be >= -4503599627370496, got -4503599627370497"),
     ])
-    def test_labels_are_integers_and_never_cast(self, labels, dtype):
-        with pytest.raises(InvalidInputError, match=f"labels must be 64-bit integers, got dtype {dtype}"):
+    def test_labels_are_integers_in_range_and_never_cast(self, labels, named):
+        with pytest.raises(InvalidInputError, match=f"^{re.escape(named)}$"):
             Dataset(features=[[0.0], [1.0]], labels=labels, feature_names=("a",))
 
     def test_integer_labels_of_any_width_become_int64(self):
@@ -218,6 +230,8 @@ class TestDataset:
             assert data.labels.dtype == np.int64 and data.labels.tolist() == [3, 4]
         empty = Dataset(features=np.zeros((0, 1)), labels=[], feature_names=("a",))
         assert empty.labels.dtype == np.int64
+        ends = Dataset(features=[[0.0], [1.0]], labels=[-(2**52), 2**52], feature_names=("a",))
+        assert ends.labels.tolist() == [-(2**52), 2**52]
 
 
 class TestLoadCsv:
@@ -350,9 +364,9 @@ class TestRejectedRows:
         with pytest.raises(DataError, match=r"row 2: unparseable cell '1\\x1c'"):
             load_csv(path, "label", ["f1"])
 
-    def test_label_beyond_64_bits_names_its_row(self, tmp_path):
+    def test_label_outside_the_range_names_its_row(self, tmp_path):
         path = write(tmp_path, "f1,label\n1,3\n2,99999999999999999999999\n")
-        with pytest.raises(DataError, match="row 3: label '9+' does not fit"):
+        with pytest.raises(DataError, match=f"row 3: label '9+' lies outside {BOUND}$"):
             load_csv(path, "label", ["f1"])
 
     def test_oversized_field_names_its_row(self, tmp_path):
@@ -483,7 +497,9 @@ def numbers(draw):
 
 
 LABELS = st.builds(lambda sign, zeros, n: sign + "0" * zeros + str(n),
-                   SIGNS, st.integers(0, 2), st.integers(0, 2**63 - 1))
+                   SIGNS, st.integers(0, 2), st.integers(0, 2**52))
+# plain integers outside the label range, int64 and beyond
+FAR_LABELS = st.builds(lambda sign, n: sign + str(n), SIGNS, st.integers(2**52 + 1, 2**64))
 # any text of the plainly numeric alphabet, "," aside: faults such as "1e",
 # "--", "" or "1e400" among numbers
 NUMERIC_TEXT = st.text("0123456789.eE+-", max_size=6)
@@ -505,7 +521,7 @@ def numeric_tables(draw, faulty=False):
         width = n_cells + (draw(st.sampled_from([0, 0, 0, -1, 1])) if faulty else 0)
         row = [draw(cell) for _ in range(max(width, 1))]
         if label_pos is not None and label_pos < len(row):
-            row[label_pos] = draw(LABELS | NUMERIC_TEXT if faulty else LABELS)
+            row[label_pos] = draw(LABELS | FAR_LABELS | NUMERIC_TEXT if faulty else LABELS)
         lines.append(",".join(row))
         if draw(st.integers(0, 4)) == 0:
             lines.append("")
@@ -614,7 +630,11 @@ class TestNumericBodies:
         assert read_feature_rows(path, ["b1"]).tolist() == [[1.0], [4.0]]
 
     @pytest.mark.parametrize("label, error, message", [
-        ("99999999999999999999", DataError, "does not fit in a 64-bit integer"),
+        ("99999999999999999999", DataError, f"lies outside {BOUND}"),
+        # int64 labels, which np.loadtxt reads, outside the label range
+        ("4503599627370497", DataError, f"lies outside {BOUND}"),
+        ("-4503599627370497", DataError, f"lies outside {BOUND}"),
+        ("9223372036854775807", DataError, f"lies outside {BOUND}"),
         ("1.0", SchemaError, "is neither an integer nor a c<N> class name"),
         ("-", SchemaError, "is neither an integer nor a c<N> class name"),
     ])

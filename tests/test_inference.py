@@ -7,6 +7,7 @@ import operator
 import re
 from array import array as buffer_array
 from collections.abc import Sequence
+from fractions import Fraction
 from functools import reduce
 from pathlib import Path
 from unittest import mock
@@ -17,7 +18,7 @@ from hypothesis import given, settings, strategies as st
 
 from fuzzyloc import inference
 from fuzzyloc.cli import main
-from fuzzyloc.data import Dataset, Normalization, fit_normalization
+from fuzzyloc.data import LABEL_RANGE, Dataset, Normalization, fit_normalization
 from fuzzyloc.errors import DataError, InvalidInputError
 from fuzzyloc.fuzzy import (
     SimilarityParams,
@@ -79,6 +80,13 @@ class TestDiscretize:
     def test_midpoint_goes_to_smaller_label(self):
         assert discretize(4.5, tuple(range(1, 11))) == 4
         assert discretize(1.5, (1, 2)) == 1
+        assert discretize(0.0, (-1, 1)) == -1
+
+    def test_a_gamma_just_above_a_midpoint_goes_up(self):
+        # gamma + 1 rounds to 1.0 in float64, but the midpoint 0 is exact
+        assert discretize(1e-20, (-1, 1)) == 1
+        assert discretize(-1e-20, (-1, 1)) == -1
+        assert discretize(2.0**-1074, (-3, 3)) == 3
 
     def test_exact_member_is_returned_unchanged(self):
         for label in (1, 5, 10):
@@ -87,10 +95,20 @@ class TestDiscretize:
     def test_output_clips_to_universe_edges(self):
         assert discretize(-3.0, (1, 2, 3)) == 1
         assert discretize(99.0, (1, 2, 3)) == 3
+        assert discretize(2.0**53, (-(2**52), 2**52)) == 2**52
 
-    def test_empty_universe(self):
-        with pytest.raises(InvalidInputError):
-            discretize(1.0, ())
+    @pytest.mark.parametrize("universe, named", [
+        ((), "label_universe must be non-empty"),
+        ((1.5, 2.5), "label_universe[0] must be an integer, got float"),
+        ((3, 1), "label_universe must be strictly increasing, but label_universe[1] = 1 follows 3"),
+        ((0, True), "label_universe[1] must be an integer, got bool"),
+        ((1, 2**52 + 1), "label_universe[1] must be <= 4503599627370496, got 4503599627370497"),
+        ((-(2**52) - 1, 1), "label_universe[0] must be >= -4503599627370496, got -4503599627370497"),
+    ])
+    def test_a_universe_it_cannot_read_is_refused(self, universe, named):
+        with pytest.raises(InvalidInputError) as info:
+            discretize(2.0, universe)
+        assert str(info.value) == named
 
     @pytest.mark.parametrize("gamma, named", [
         (math.nan, "non-finite gamma: nan"),
@@ -107,7 +125,7 @@ class TestDiscretize:
     def test_a_numpy_universe_is_read_like_a_tuple(self):
         assert discretize(2.4, np.array([1, 2, 3])) == 2
         assert discretize(np.float64(2.6), range(1, 4)) == 3
-        with pytest.raises(InvalidInputError, match="label universe is empty"):
+        with pytest.raises(InvalidInputError, match="^label_universe must be non-empty$"):
             discretize(1.0, np.array([], dtype=np.int64))
 
     @given(data=st.data())
@@ -161,16 +179,24 @@ def gammas_around(universe):
 
 
 @st.composite
-def int64_universes(draw):
-    """Ascending universes of distinct int64 labels around a centre: mixed
-    signs, gaps from 1 to the whole int64 range, and at times either end
-    of the range."""
-    centre = draw(st.sampled_from([0, 2**53, -2**62, 2**63 - 2**20, -2**63]))
-    offsets = st.integers(-2**20, 2**20) | st.integers(-2**63, 2**63 - 1)
-    labels = draw(st.lists(offsets.map(lambda o: centre + o).filter(
-        lambda u: -2**63 <= u < 2**63), min_size=1, max_size=30, unique=True))
-    ends = draw(st.sets(st.sampled_from([-2**63, 2**63 - 1])))
+def range_universes(draw):
+    """Ascending universes of distinct labels in LABEL_RANGE around a
+    centre: mixed signs, gaps from 1 to the whole range, and at times
+    either end of the range."""
+    lo, hi = LABEL_RANGE[0], LABEL_RANGE[-1]
+    centre = draw(st.sampled_from([0, 2**51, -(2**51), hi - 2**20, lo]))
+    offsets = st.integers(-(2**20), 2**20) | st.integers(lo, hi)
+    labels = draw(st.lists(offsets.map(lambda o: centre + o).filter(lambda u: u in LABEL_RANGE),
+                           min_size=1, max_size=30, unique=True))
+    ends = draw(st.sets(st.sampled_from([lo, hi])))
     return tuple(sorted(set(labels) | ends))
+
+
+def nearest_exactly(gamma, universe):
+    """The label nearest gamma in exact rational arithmetic, the smaller
+    one on a tie."""
+    exact = Fraction(gamma)
+    return min(universe, key=lambda label: (abs(exact - label), label))
 
 
 def assert_thresholds(universe):
@@ -191,12 +217,12 @@ class TestNearestLabels:
         tuple(range(1, 11)),
         (5,),
         (-7, -3, 0, 2, 9, 40),
-        (2**53 - 1, 2**53, 2**53 + 1, 2**53 + 2, 2**53 + 3, 2**53 + 8),
-        (2**60, 2**60 + 1, 2**60 + 2, 2**60 + 300),
-        (-2**63, -2**63 + 1, -2**63 + 2, -2**63 + 1000, -2**63 + 5000),
-        (2**63 - 5000, 2**63 - 1025, 2**63 - 1024, 2**63 - 3, 2**63 - 2, 2**63 - 1),
-        (-2**63, -1, 0, 2**63 - 1),
-    ], ids=["range", "single", "gaps", "past 2**53", "2**60", "int64 low end", "int64 high end",
+        (-1, 1),
+        (-18014398509481, 1, 3),
+        (-2**52, -2**52 + 1, -2**52 + 2, -2**52 + 1000, -2**52 + 5000),
+        (2**52 - 5000, 2**52 - 1025, 2**52 - 1024, 2**52 - 3, 2**52 - 2, 2**52 - 1, 2**52),
+        (-2**52, -1, 0, 2**52),
+    ], ids=["range", "single", "gaps", "around zero", "mixed signs", "low end", "high end",
             "both ends"])
     def test_every_gamma_gets_the_label_discretize_gives(self, universe):
         rb = universe_rulebase(universe)
@@ -207,8 +233,8 @@ class TestNearestLabels:
 
     @settings(max_examples=200, deadline=None)
     @given(data=st.data())
-    def test_any_int64_universe(self, data):
-        universe = data.draw(int64_universes())
+    def test_any_universe_in_the_label_range(self, data):
+        universe = data.draw(range_universes())
         gammas = data.draw(st.lists(
             st.floats(allow_nan=False, allow_infinity=False)
             | st.sampled_from(gammas_around(universe)), max_size=40))
@@ -216,33 +242,29 @@ class TestNearestLabels:
         assert got.tolist() == [discretize(g, universe) for g in gammas]
 
     @settings(max_examples=200, deadline=None)
-    @given(universe=int64_universes())
+    @given(universe=range_universes())
     def test_each_threshold_is_the_first_float_of_its_label(self, universe):
         assert_thresholds(universe)
 
-    @pytest.mark.parametrize("universe, off", [
-        ((-18014398509481982, 1), [0]), ((-1, 1), [0]), ((-3, 4), [0]),
-        # brackets of about 2**63 floats and of a few floats, bisected at once
-        ((-3, 4, *range(2**52 - 10, 2**52 + 10)), [0, 13, 15, 17, 19]),
-    ])
-    def test_a_candidate_off_the_flip_is_bisected(self, universe, off):
-        # the float just above the rounded midpoint is not where discretize
-        # flips for these pairs, so their thresholds come from the bisection
-        thresholds = assert_thresholds(universe)
-        rounded = np.array(universe, dtype=float)
-        candidates = np.nextafter((rounded[:-1] + rounded[1:]) / 2, math.inf)
-        assert np.flatnonzero(thresholds != candidates).tolist() == off
+    @settings(max_examples=300, deadline=None)
+    @given(universe=range_universes())
+    def test_both_give_the_exactly_nearest_label(self, universe):
+        # labels, midpoints, thresholds and the float below each, and
+        # gammas on either side of 0 closer to it than any float step of a label
+        serving = universe_rulebase(universe).serving
+        marks = [float(u) for u in universe] + [(a + b) / 2 for a, b in zip(universe, universe[1:])]
+        marks += serving.thresholds.tolist() + [1e-20, -1e-20]
+        gammas = marks + [math.nextafter(g, -math.inf) for g in marks]
+        want = [nearest_exactly(g, universe) for g in gammas]
+        assert [discretize(g, universe) for g in gammas] == want
+        assert inference._nearest_labels(np.array(gammas), serving).tolist() == want
 
-    @pytest.mark.parametrize("universe", [(2**55 + 5, 2**55 + 7), (-2**55 - 3, -2**55 - 1)])
-    def test_labels_that_round_up_to_one_float(self, universe):
-        # float64 holds neither label and rounds both up to one float, which
-        # discretize sends to the upper label; every float below it, to the lower
-        assert assert_thresholds(universe).tolist() == [float(universe[1])]
-
-    def test_labels_no_float_reaches_share_a_threshold(self):
-        # no float lies strictly between 2**53 and 2**53 + 2
-        thresholds = assert_thresholds((2**53 - 1, 2**53, 2**53 + 1, 2**53 + 2))
-        assert thresholds.tolist() == [2.0**53, 2.0**53 + 2, 2.0**53 + 2]
+    def test_the_thresholds_are_the_floats_just_above_the_midpoints(self):
+        thresholds = assert_thresholds((-(2**52), -1, 1, 2, 2**52))
+        assert thresholds.tolist() == [
+            math.nextafter(-(2.0**51) - 0.5, math.inf), 2.0**-1074, 1.5 + 2.0**-52,
+            math.nextafter(2.0**51 + 1, math.inf),
+        ]
 
     def test_serving_arrays_are_read_only(self, corridor_rulebase):
         subset_rb = RuleBase(
@@ -551,17 +573,18 @@ def assert_same_scores(evaluation):
     assert got == want
 
 
-# distances k to count within, up to the span of int64 and beyond (a
-# negative k is refused: see test_n_within_takes_a_count)
-WITHIN = (0, 1, 2, 2**63, 2**64 - 2, 2**64 - 1, 2**64)
-INT64_ENDS = (-(2**63), -(2**63) + 1, -1, 0, 1, 2**63 - 2, 2**63 - 1)
+# distances k to count within, up to the widest gap of two labels, 2**53,
+# and beyond (a negative k is refused: see test_n_within_takes_a_count)
+WITHIN = (0, 1, 2, 2**53 - 1, 2**53, 2**63, 2**64, 10**30)
+RANGE_ENDS = (-(2**52), -(2**52) + 1, -1, 0, 1, 2**52 - 1, 2**52)
 
 
 @st.composite
 def evaluations(draw):
-    """A BatchEvaluation over an ascending universe that may hold both int64
-    ends, with fallback rows among its predictions, empty at times."""
-    label = st.one_of(st.sampled_from(INT64_ENDS), st.integers(-(2**63), 2**63 - 1))
+    """A BatchEvaluation over an ascending universe that may hold both ends
+    of the label range, with fallback rows among its predictions, empty at
+    times."""
+    label = st.one_of(st.sampled_from(RANGE_ENDS), st.integers(LABEL_RANGE[0], LABEL_RANGE[-1]))
     universe = tuple(sorted(draw(st.lists(label, min_size=1, max_size=6, unique=True))))
     member = st.sampled_from(universe)
     total = st.one_of(st.just(0.0), st.floats(0.0, 10.0))  # a row with total 0 fell back
@@ -579,15 +602,16 @@ class TestArrayScores:
     def test_scores_equal_the_per_row_loops(self, evaluation):
         assert_same_scores(evaluation)
 
-    def test_labels_at_both_int64_ends_do_not_wrap(self):
-        lo, hi = -(2**63), 2**63 - 1
+    def test_labels_at_both_ends_of_the_range_are_2_to_the_53_apart(self):
+        lo, hi = LABEL_RANGE[0], LABEL_RANGE[-1]
         evaluation = BatchEvaluation(
             (lo, hi, lo, hi),
             predictions_of([(0.0, hi, 1.0), (0.0, lo, 1.0), (0.0, lo, 1.0), (0.0, hi, 0.0)]),
             (lo, hi),
         )
-        # an int64 difference of hi and lo wraps to -1, one apart
-        assert [evaluation.n_within(k) for k in (0, 1, 2**64 - 2, 2**64 - 1)] == [2, 2, 2, 4]
+        # the widest gap; a k at or past it counts every row
+        within = [evaluation.n_within(k) for k in (0, 1, 2**53 - 1, 2**53, 2**64, 10**30)]
+        assert within == [2, 2, 2, 4, 4, 4]
         assert evaluation.confusion == ((1, 1), (1, 1))
         assert evaluation.fallback_count == 1
         assert_same_scores(evaluation)

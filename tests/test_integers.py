@@ -12,14 +12,13 @@ import pytest
 from conftest import identity_normalized
 from fuzzyloc.clustering import MAX_RESTARTS, elbow_fit, kmeans
 from fuzzyloc.curvature import rank_features
-from fuzzyloc.data import Dataset
+from fuzzyloc.data import LABEL_RANGE, Dataset
 from fuzzyloc.errors import InvalidInputError
 from fuzzyloc.fuzzy import INT64_MAX, TriangularFuzzySet
 from fuzzyloc.pipeline import ExperimentConfig, split_scenario
 from fuzzyloc.rulebase import Rule, extract_rules
 from fuzzyloc.synth import MAX_CELLS, generate_synthetic
 
-INT64_MIN = -INT64_MAX - 1
 # str() refuses an int of more than 4,300 digits
 BEYOND = 10**5000
 SHOWN_BEYOND = "an integer beyond 64 bits"
@@ -72,11 +71,11 @@ PARAMETERS = [
     ("ExperimentConfig-seed", lambda v: config(seed=v), "seed", 0, INT64_MAX),
     (
         "ExperimentConfig-unseen_labels",
-        lambda v: config(unseen_labels=(3, v)), "unseen_labels[1]", INT64_MIN, INT64_MAX,
+        lambda v: config(unseen_labels=(3, v)), "unseen_labels[1]", LABEL_RANGE[0], LABEL_RANGE[-1],
     ),
     (
         "split_scenario",
-        lambda v: split_scenario(RAW, (v,)), "unseen_labels[0]", INT64_MIN, INT64_MAX,
+        lambda v: split_scenario(RAW, (v,)), "unseen_labels[0]", LABEL_RANGE[0], LABEL_RANGE[-1],
     ),
     ("generate_synthetic-n_rooms", lambda v: synthetic(n_rooms=v), "n_rooms", 3, None),
     ("generate_synthetic-per_room", lambda v: synthetic(per_room=v), "per_room", 1, None),

@@ -55,7 +55,8 @@ class TestConfig:
             ((1, 2, 3), "[9]"),
             ((3, 1, 8), "strictly increasing"),
             ((), "non-empty"),
-            ((9, 2**63), "label_universe[1] must be <= 9223372036854775807, got 9223372036854775808"),
+            ((9, 2**52 + 1), "label_universe[1] must be <= 4503599627370496, got 4503599627370497"),
+            ((-(2**52) - 1, 9), "label_universe[0] must be >= -4503599627370496, got -4503599627370497"),
             (range(1, 1026), "1..1025"),
         ],
     )
@@ -74,10 +75,11 @@ class TestConfig:
         ((1, "3"), "unseen_labels[1] must be an integer, got str"),
         ((True,), "unseen_labels[0] must be an integer, got bool"),
         (("3",), "unseen_labels[0] must be an integer, got str"),
-        ((10**20,), "unseen_labels[0] must be <= 9223372036854775807, got an integer beyond 64 bits"),
+        ((2**52 + 1,), "unseen_labels[0] must be <= 4503599627370496, got 4503599627370497"),
+        ((10**20,), "unseen_labels[0] must be <= 4503599627370496, got an integer beyond 64 bits"),
         (
             (-(10**5000),),
-            "unseen_labels[0] must be >= -9223372036854775808, got an integer beyond 64 bits",
+            "unseen_labels[0] must be >= -4503599627370496, got an integer beyond 64 bits",
         ),
     ])
     def test_unseen_labels_are_integers(self, unseen, named):
@@ -296,7 +298,7 @@ FLOATS = st.one_of(
     st.floats(allow_nan=False, allow_infinity=False),
     st.sampled_from([-0.0, 0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e308, -1e308]),
 )
-LABELS = st.one_of(st.integers(-(2**63), 2**63 - 1), st.sampled_from([-(2**63), 2**63 - 1]))
+LABELS = st.one_of(st.integers(-(2**52), 2**52), st.sampled_from([-(2**52), 2**52]))
 PATHS = st.one_of(
     st.text(),
     st.text(st.sampled_from(['"', "\\", "\x00", "\x1f", "\n", "\t", "\x7f", "\u00e9", "\u2603",
@@ -349,7 +351,7 @@ class TestRenderReport:
         self, corridor_report, rows, confusion, percent, path, names
     ):
         # the corridor report's fields in their order, holding no instance
-        # or several, labels past 2**53, None percentages, and paths and
+        # or several, labels at the ends of the label range, None percentages, and paths and
         # names that json.dumps must escape
         report = dict(corridor_report)
         report["config_echo"] = {**report["config_echo"], "input": path}

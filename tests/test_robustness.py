@@ -25,14 +25,14 @@ LABELED = ["--label-col", "room"]
 RUN_FLAGS = ["--feature-cols", COLS, "--unseen", "3"]
 
 BAD_NUMBERS = [
-    10**400, -(10**400), 2**63, -(2**63) - 1, 10**15, -1, 0,
+    10**400, -(10**400), 2**63, -(2**63) - 1, 2**52 + 1, -(2**52) - 1, 10**15, -1, 0,
     float("nan"), float("inf"), float("-inf"), 1.7e308, -1.7e308, 5e-324,
 ]
 BAD_VALUES = BAD_NUMBERS + [
     True, False, None, "5", "", [], {}, [1.0, 2.0, 3.0], [[0.5]], {"h": 5.0},
 ]
 BAD_CELLS = [
-    "9" * 25, "-" + "9" * 400, "NaN", "nan", "inf", "-Infinity", "1e308", "-1e308",
+    "9" * 25, "-" + "9" * 400, "4503599627370497", "-4503599627370497", "NaN", "nan", "inf", "-Infinity", "1e308", "-1e308",
     "1e400", "5e-324", "true", "abc", "", '"', "c5", "C-3", " 3 ", "0x10", "-0",
 ]
 BAD_BYTES = [b"\xff", b"\xc3", b"\x00", b"\xef\xbb\xbf", b"\r", b",", b'"', b"\n", b"\n\n"]
@@ -220,6 +220,7 @@ def assert_exit(argv, code, capsys, *named):
 
 
 BIG = "9" * 400
+OUTSIDE = "lies outside -4503599627370496..4503599627370496"
 
 
 class TestProbes:
@@ -357,13 +358,15 @@ class TestProbes:
             "rules[0]: consequent 1.7e+308 lies outside the label universe [1, 6]",
         )
 
-    def test_label_universe_beyond_64_bits_exits_3(self, base, tmp_path, capsys):
+    @pytest.mark.parametrize("at, raw, named", [
+        (6, BIG, "label_universe[6] must be <= 4503599627370496, got an integer beyond 64 bits"),
+        (6, str(2**52 + 1), "label_universe[6] must be <= 4503599627370496, got 4503599627370497"),
+        (0, str(-(2**52) - 1), "label_universe[0] must be >= -4503599627370496, got -4503599627370497"),
+    ])
+    def test_label_universe_outside_the_range_exits_3(self, base, tmp_path, capsys, at, raw, named):
         _, csv_path, rb_path = base
-        bad = edit_rulebase(rb_path, tmp_path, lambda doc: doc["label_universe"].append("@"), BIG)
-        assert_exit(
-            predict(bad, csv_path), 3, capsys,
-            "label_universe[6] must be <= 9223372036854775807, got an integer beyond 64 bits",
-        )
+        bad = edit_rulebase(rb_path, tmp_path, lambda doc: doc["label_universe"].insert(at, "@"), raw)
+        assert_exit(predict(bad, csv_path), 3, capsys, named)
 
     def test_vertex_mean_beyond_the_float_range_exits_3(self, base, tmp_path, capsys):
         # with an overflowing observation it met inf - inf: NaN total_firing
@@ -379,12 +382,13 @@ class TestProbes:
         argv = run(csv_path, tmp_path / "exp") + ["--seed", "-1", *flags]
         assert_exit(argv, 2, capsys, "config error: seed must be >= 0, got -1")
 
+    @pytest.mark.parametrize("cell", ["99999999999999999999999", str(2**52 + 1), str(-(2**52) - 1)])
     @pytest.mark.parametrize("command", ["rank-features", "run"])
-    def test_label_beyond_int64_exits_3(self, base, tmp_path, capsys, command):
+    def test_label_outside_the_range_exits_3(self, base, tmp_path, capsys, command, cell):
         _, csv_path, _ = base
-        bad = edit_csv(csv_path, tmp_path, {(4, "room"): "99999999999999999999999"})
+        bad = edit_csv(csv_path, tmp_path, {(4, "room"): cell})
         argv = rank(bad) if command == "rank-features" else run(bad, tmp_path / "exp")
-        assert_exit(argv, 3, capsys, bad, "row 4", "64-bit")
+        assert_exit(argv, 3, capsys, bad, "row 4", OUTSIDE)
 
     @pytest.mark.parametrize("command", ["rank-features", "run"])
     def test_label_of_more_digits_than_int_converts_exits_3(self, base, tmp_path, capsys, command):
@@ -392,7 +396,7 @@ class TestProbes:
         _, csv_path, _ = base
         bad = edit_csv(csv_path, tmp_path, {(4, "room"): "9" * 5000})
         argv = rank(bad) if command == "rank-features" else run(bad, tmp_path / "exp")
-        assert_exit(argv, 3, capsys, bad, "row 4", "64-bit")
+        assert_exit(argv, 3, capsys, bad, "row 4", OUTSIDE)
 
     @pytest.mark.parametrize("command", ["rank-features", "run"])
     def test_column_span_beyond_the_float_range_exits_2(self, base, tmp_path, capsys, command):

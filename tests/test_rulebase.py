@@ -475,13 +475,14 @@ class TestRuleBaseValidation:
         assert dataclasses.replace(rb, rules=(rb.rules[0], edge)).consequents[1] == 3.0
 
     @pytest.mark.parametrize("bad, named", [
-        ((1, 2, 2**63), "label_universe[2] must be <= 9223372036854775807, got 9223372036854775808"),
-        ((-(2**63) - 1, 1, 2), "label_universe[0] must be >= -9223372036854775808, got -9223372036854775809"),
-        ((1, 2, 10**5000), "label_universe[2] must be <= 9223372036854775807, got an integer beyond 64 bits"),
+        ((1, 2, 2**52 + 1), "label_universe[2] must be <= 4503599627370496, got 4503599627370497"),
+        ((-(2**52) - 1, 1, 2), "label_universe[0] must be >= -4503599627370496, got -4503599627370497"),
+        ((1, 2, 2**63), "label_universe[2] must be <= 4503599627370496, got 9223372036854775808"),
+        ((1, 2, 10**5000), "label_universe[2] must be <= 4503599627370496, got an integer beyond 64 bits"),
     ])
-    def test_label_universe_must_be_64_bit(self, bad, named):
+    def test_label_universe_must_lie_in_the_label_range(self, bad, named):
         rb = small_rulebase()
-        assert dataclasses.replace(rb, label_universe=(1, 2, 2**63 - 1)).n_rules == 2
+        assert dataclasses.replace(rb, label_universe=(-(2**52), 1, 2, 2**52)).n_rules == 2
         with pytest.raises(InvalidInputError, match=f"^{re.escape(named)}$"):
             dataclasses.replace(rb, label_universe=bad)
 
